@@ -137,46 +137,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, (a, b), bw, True)
 
 
-def linear(x, w) -> Tensor:
-    """``x @ w.T`` for row inputs (B, D) and weights (H, D)."""
-    x, w = _coerce(x), _coerce(w)
-    out = x.data @ w.data.T
-    if not (_grad_enabled and (x.tracked or w.tracked)):
-        return Tensor(out)
-
-    def bw(g):
-        if x.tracked:
-            x.accumulate(g @ w.data)
-        if w.tracked:
-            w.accumulate(g.T @ x.data)
-
-    return Tensor(out, (x, w), bw, True)
-
-
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    if not (_grad_enabled and a.tracked):
-        return Tensor(out)
-
-    def bw(g):
-        a.accumulate(g * out * (1.0 - out))
-
-    return Tensor(out, (a,), bw, True)
-
-
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    out = np.tanh(a.data)
-    if not (_grad_enabled and a.tracked):
-        return Tensor(out)
-
-    def bw(g):
-        a.accumulate(g * (1.0 - out * out))
-
-    return Tensor(out, (a,), bw, True)
-
-
 def concat_cols(parts: list[Tensor]) -> Tensor:
     """Concatenate row matrices along axis 1."""
     parts = [_coerce(p) for p in parts]
@@ -213,24 +173,6 @@ def concat_vecs(parts: list[Tensor]) -> Tensor:
     return Tensor(out, tuple(parts), bw, True)
 
 
-def vcat(parts: list[Tensor]) -> Tensor:
-    """Concatenate row matrices along axis 0."""
-    parts = [_coerce(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=0)
-    if not (_grad_enabled and any(p.tracked for p in parts)):
-        return Tensor(out)
-    heights = [p.data.shape[0] for p in parts]
-
-    def bw(g):
-        offset = 0
-        for p, h in zip(parts, heights):
-            if p.tracked:
-                p.accumulate(g[offset : offset + h])
-            offset += h
-
-    return Tensor(out, tuple(parts), bw, True)
-
-
 def stack_rows(parts: list[Tensor]) -> Tensor:
     """Stack 1-D tensors into a (len(parts), dim) matrix."""
     parts = [_coerce(p) for p in parts]
@@ -246,18 +188,115 @@ def stack_rows(parts: list[Tensor]) -> Tensor:
     return Tensor(out, tuple(parts), bw, True)
 
 
-def row(a: Tensor, t: int) -> Tensor:
-    """Row ``t`` of a matrix as a (1, dim) tensor."""
-    out = a.data[t : t + 1]
+def take(a: Tensor, index) -> Tensor:
+    """``a.data[index]`` for any numpy index; repeated entries add their gradients."""
+    out = a.data[index]
     if not (_grad_enabled and a.tracked):
         return Tensor(out)
 
     def bw(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        a.grad[t] += g[0]
+        np.add.at(a.grad, index, g)
 
     return Tensor(out, (a,), bw, True)
+
+
+def lstm(xs: Tensor, mask: np.ndarray | None, cell: dict[str, Tensor]) -> Tensor:
+    """Hidden states of the coupled-gate peephole cell over a padded batch.
+
+    ``xs`` is (L, B, D), time first; ``cell`` maps the eleven field names
+    of :class:`seqtag.network.LstmCellParameters` to tensors.  Where the
+    (L, B) carry ``mask`` is 0, that row keeps its previous h and c, so
+    after the last step each row holds the state of its own last active
+    step.  Returns the (L, B, H) carried hidden states as one tape node.
+
+    The input projections of all steps and gates are one GEMM; the loop
+    runs only the recurrent product, the peepholes and the gates.  The
+    backward pass is hand-written BPTT, with one GEMM per weight matrix.
+    """
+    xs = _coerce(xs)
+    w_x = np.concatenate([cell["W_xi"].data, cell["W_xc"].data, cell["W_xo"].data])
+    w_h = np.concatenate([cell["W_hi"].data, cell["W_hc"].data, cell["W_ho"].data])
+    bias = np.concatenate([cell["b_i"].data, cell["b_c"].data, cell["b_o"].data])
+    w_ci, w_co = cell["w_ci"].data, cell["w_co"].data
+    L, B, D = xs.data.shape
+    H = w_ci.shape[0]
+    pre = (xs.data.reshape(L * B, D) @ w_x.T + bias).reshape(L, B, 3 * H)
+    keep = None if mask is None else np.asarray(mask, dtype=bool)[:, :, None]
+    record = _grad_enabled and (xs.tracked or any(p.tracked for p in cell.values()))
+
+    hs = np.zeros((L + 1, B, H))
+    cs = np.zeros((L + 1, B, H))
+    if record:
+        gates = np.empty((L, B, 3 * H))  # i, tanh candidate, o
+        tanh_cs = np.empty((L, B, H))
+    for t in range(L):
+        h, c = hs[t], cs[t]
+        z = pre[t] + h @ w_h.T
+        i = 1.0 / (1.0 + np.exp(-(z[:, :H] + c * w_ci)))
+        g = np.tanh(z[:, H : 2 * H])
+        c_new = (1.0 - i) * c + i * g
+        o = 1.0 / (1.0 + np.exp(-(z[:, 2 * H :] + c_new * w_co)))
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        if keep is None:
+            hs[t + 1], cs[t + 1] = h_new, c_new
+        else:
+            hs[t + 1] = np.where(keep[t], h_new, h)
+            cs[t + 1] = np.where(keep[t], c_new, c)
+        if record:
+            gates[t, :, :H], gates[t, :, H : 2 * H], gates[t, :, 2 * H :] = i, g, o
+            tanh_cs[t] = tanh_c
+    out = hs[1:]
+    if not record:
+        return Tensor(out)
+
+    def bw(g_out):
+        d_pre = np.empty((L, B, 3 * H))
+        dh = np.zeros((B, H))
+        dc = np.zeros((B, H))
+        for t in range(L - 1, -1, -1):
+            dh = dh + g_out[t]
+            if keep is None:
+                dh_new, dc_new = dh, dc
+            else:
+                # a kept row passes its gradient straight to the previous step
+                dh_new, dc_new = np.where(keep[t], dh, 0.0), np.where(keep[t], dc, 0.0)
+                dh, dc = np.where(keep[t], 0.0, dh), np.where(keep[t], 0.0, dc)
+            i, g, o = gates[t, :, :H], gates[t, :, H : 2 * H], gates[t, :, 2 * H :]
+            tanh_c = tanh_cs[t]
+            da_o = dh_new * tanh_c * o * (1.0 - o)
+            dc_total = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c) + da_o * w_co
+            da_i = dc_total * (g - cs[t]) * i * (1.0 - i)
+            d_pre[t, :, :H] = da_i
+            d_pre[t, :, H : 2 * H] = dc_total * i * (1.0 - g * g)
+            d_pre[t, :, 2 * H :] = da_o
+            dc_prev = dc_total * (1.0 - i) + da_i * w_ci
+            dh_prev = d_pre[t] @ w_h
+            if keep is None:
+                dh, dc = dh_prev, dc_prev
+            else:
+                dh, dc = dh + dh_prev, dc + dc_prev
+        flat = d_pre.reshape(L * B, 3 * H)
+        if xs.tracked:
+            xs.accumulate((flat @ w_x).reshape(L, B, D))
+        sums = {
+            "W_x": flat.T @ xs.data.reshape(L * B, D),
+            "W_h": flat.T @ hs[:-1].reshape(L * B, H),
+            "b_": flat.sum(axis=0),
+        }
+        for k, gate in enumerate("ico"):  # row blocks of the stacked gates
+            for prefix, grad in sums.items():
+                param = cell[prefix + gate]
+                if param.tracked:
+                    param.accumulate(grad[k * H : (k + 1) * H])
+        if cell["w_ci"].tracked:
+            cell["w_ci"].accumulate((d_pre[:, :, :H] * cs[:-1]).sum(axis=(0, 1)))
+        if cell["w_co"].tracked:  # a kept row has a zero d_pre, so cs[1:] may stand for c_new
+            cell["w_co"].accumulate((d_pre[:, :, 2 * H :] * cs[1:]).sum(axis=(0, 1)))
+
+    return Tensor(out, (xs, *cell.values()), bw, True)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, SeqtagError) as exc:
+    except (DataError, SeqtagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -26,7 +26,14 @@ swapping learn-split singletons for ``<unk>`` at random (see
 Training gradients come from the reverse-mode tape in
 :mod:`seqtag.autograd`; the binding correctness contract is agreement
 with central finite differences, which the test suite checks for every
-parameter family.
+parameter family.  Each directional LSTM is one fused tape node,
+:func:`seqtag.autograd.lstm`, over a padded (steps, batch, input)
+array: the word BiLSTM runs the sentence as a batch of one, forward
+and reversed, and each char direction runs all words of the sentence
+as one batch whose carry mask stops a word's state at its last
+character.  The plain-numpy :func:`lstm_step`, :func:`run_lstm`,
+:func:`bilstm` and :func:`char_embed` are the reference the fused path
+is tested against.
 """
 
 from __future__ import annotations
@@ -407,56 +414,41 @@ def _cell_leaves(leaves: _LeafSet, name: str, cell: LstmCellParameters) -> dict[
     return {f: leaves.dense_leaf(f"{name}.{f}", getattr(cell, f)) for f in CELL_FIELDS}
 
 
-def _step_graph(cl: dict[str, ag.Tensor], x, h, c):
-    i = ag.sigmoid(ag.linear(x, cl["W_xi"]) + ag.linear(h, cl["W_hi"]) + c * cl["w_ci"] + cl["b_i"])
-    c_new = (1.0 - i) * c + i * ag.tanh(ag.linear(x, cl["W_xc"]) + ag.linear(h, cl["W_hc"]) + cl["b_c"])
-    o = ag.sigmoid(
-        ag.linear(x, cl["W_xo"]) + ag.linear(h, cl["W_ho"]) + c_new * cl["w_co"] + cl["b_o"]
-    )
-    return o * ag.tanh(c_new), c_new
-
-
-def _char_rows(model: ModelParameters, leaves: _LeafSet, word: str) -> list[ag.Tensor]:
-    rows = []
-    for ch in word:
-        idx = _char_index(model, ch)
-        if idx is not None:
-            rows.append(leaves.row_leaf("char_table", model.char_table, idx))
-        else:
-            rows.append(ag.Tensor(char_vector(model, ch)))
-    return rows
-
-
 def _char_final_states(model: ModelParameters, leaves: _LeafSet, words: list[str]) -> ag.Tensor:
-    """(T, 2*H_c) final char-BiLSTM states for all tokens, batched by step.
+    """(T, 2*H_c) final char-BiLSTM states for all tokens, one fused op per direction.
 
-    Words of different lengths are handled with a carry mask: once a
-    word is exhausted its states stop updating, so after max-length
-    steps each row holds that word's final state.
+    The sentence's distinct characters, plus a zero padding row, are
+    stacked once; each direction gathers from that stack a
+    (max_len, T, d_c) batch, with every word's characters, reversed for
+    the backward cell, from step 0 on.  The carry mask is 0 past a word's
+    end, so that word's state stops updating, and the last step holds
+    each word's final state.
     """
-    h_c = model.char_fwd.hidden_dim
-    d_c = model.char_table.shape[1]
-    T = len(words)
-    zero_row = ag.Tensor(np.zeros(d_c))
+    rows: list[ag.Tensor] = []
+    slot: dict[str, int] = {}
+    ids = []
+    for w in words:
+        for ch in w:
+            if ch not in slot:
+                slot[ch] = len(rows)
+                idx = _char_index(model, ch)
+                if idx is not None:
+                    rows.append(leaves.row_leaf("char_table", model.char_table, idx))
+                else:
+                    rows.append(ag.Tensor(char_vector(model, ch)))
+        ids.append([slot[ch] for ch in w])
+    rows.append(ag.Tensor(np.zeros(model.char_table.shape[1])))
+    chars = ag.stack_rows(rows)
+    lengths = np.array([len(w) for w in words])
+    mask = np.arange(lengths.max())[:, None] < lengths[None, :]  # (max_len, T)
     finals = []
-    for direction, cell_name in ((1, "char_fwd"), (-1, "char_bwd")):
+    for cell_name, reverse in (("char_fwd", False), ("char_bwd", True)):
+        index = np.full(mask.shape, len(rows) - 1)  # padding reads the zero row
+        for b, seq in enumerate(ids):
+            index[: len(seq), b] = seq[::-1] if reverse else seq
         cl = _cell_leaves(leaves, cell_name, getattr(model, cell_name))
-        seqs = [_char_rows(model, leaves, w)[::direction] for w in words]
-        max_len = max(len(s) for s in seqs)
-        h = ag.Tensor(np.zeros((T, h_c)))
-        c = ag.Tensor(np.zeros((T, h_c)))
-        for s in range(max_len):
-            x = ag.stack_rows([seq[s] if s < len(seq) else zero_row for seq in seqs])
-            h_new, c_new = _step_graph(cl, x, h, c)
-            active = np.fromiter((s < len(seq) for seq in seqs), dtype=np.float64, count=T)
-            if active.all():
-                h, c = h_new, c_new
-            else:
-                keep = ag.Tensor(active[:, None])
-                carry = ag.Tensor(1.0 - active[:, None])
-                h = keep * h_new + carry * h
-                c = keep * c_new + carry * c
-        finals.append(h)
+        states = ag.lstm(ag.take(chars, index), mask, cl)
+        finals.append(ag.take(states, -1))
     return ag.concat_cols(finals)
 
 
@@ -515,23 +507,14 @@ def _logits_graph(
     rep = _representation_graph(
         model, leaves, sentence, train=train, dropout=dropout, rng=rng, singletons=singletons
     )
-    T = len(sentence)
-    fwd_cl = _cell_leaves(leaves, "word_fwd", model.word_fwd)
-    bwd_cl = _cell_leaves(leaves, "word_bwd", model.word_bwd)
-    h_w = model.word_fwd.hidden_dim
-
-    def run(cl, order):
-        h = ag.Tensor(np.zeros((1, h_w)))
-        c = ag.Tensor(np.zeros((1, h_w)))
-        states = []
-        for t in order:
-            h, c = _step_graph(cl, ag.row(rep, t), h, c)
-            states.append(h)
-        return states
-
-    fwd_states = run(fwd_cl, range(T))
-    bwd_states = run(bwd_cl, range(T - 1, -1, -1))[::-1]
-    hidden = ag.concat_cols([ag.vcat(fwd_states), ag.vcat(bwd_states)])
+    # each direction is a batch of one sequence; the backward cell reads it reversed
+    steps = np.arange(len(sentence))
+    hidden = []
+    for cell_name, order in (("word_fwd", steps), ("word_bwd", steps[::-1])):
+        cl = _cell_leaves(leaves, cell_name, getattr(model, cell_name))
+        states = ag.lstm(ag.take(rep, order[:, None]), None, cl)  # (T, 1, H_w)
+        hidden.append(ag.take(states, (order, 0)))  # back to sentence order
+    hidden = ag.concat_cols(hidden)
     return ag.matmul(hidden, leaves.dense_leaf("projection", model.projection))
 
 

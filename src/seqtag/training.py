@@ -39,6 +39,7 @@ from .evaluation import evaluate
 from .features import FAMILY_SPECS, FeatureEncoder, FeatureFamily
 from .network import (
     CELL_FIELDS,
+    VARIANTS,
     Gradients,
     LstmCellParameters,
     ModelParameters,
@@ -49,8 +50,6 @@ from .network import (
     predict_tag_ids,
     table_arrays,
 )
-
-VARIANTS = ("crf", "blstm", "blstm_crf")
 
 
 @dataclass(frozen=True)

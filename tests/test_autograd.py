@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqtag import autograd as ag
+from seqtag.network import CELL_FIELDS, init_cell
 
 
 def finite_diff(fn, arrays, h=1e-6):
@@ -88,8 +89,7 @@ class TestMatmulAndActivations:
 
         def build(leaves):
             xs, ws = leaves
-            h = ag.tanh(ag.sigmoid(ag.matmul(xs, ws)))
-            return ag.softmax_cross_entropy(h, np.array([2, 0]))
+            return ag.softmax_cross_entropy(ag.matmul(xs, ws), np.array([2, 0]))
 
         check_grads(build, [x, w])
 
@@ -123,8 +123,8 @@ class TestStructuralOps:
 
         def build(leaves):
             m = ag.stack_rows(leaves)
-            first = ag.row(m, 0)
-            rest = ag.row(m, 2)
+            first = ag.take(m, [0])
+            rest = ag.take(m, [2])
             return ag.softmax_cross_entropy(ag.concat_cols([first, rest]), np.array([1]))
 
         check_grads(build, rows)
@@ -139,6 +139,54 @@ class TestStructuralOps:
             return ag.softmax_cross_entropy(y, np.array([0, 1]))
 
         check_grads(build, [x])
+
+
+def lstm_inputs(L=4, B=3, D=2, H=3, seed=11):
+    rng = np.random.default_rng(seed)
+    cell = init_cell(D, H, rng)
+    return rng.normal(size=(L, B, D)), {f: getattr(cell, f) for f in CELL_FIELDS}
+
+
+class TestLstm:
+    # ragged: column 0 runs 4 steps, column 1 stops after 2, column 2 skips steps 1 and 2
+    MASK = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0], [1, 0, 1]], dtype=bool)
+
+    def test_gradients_of_every_input_match_finite_differences(self):
+        xs, cell = lstm_inputs()
+        L, B = self.MASK.shape
+        steps, rows = np.repeat(np.arange(L), B), np.tile(np.arange(B), L)
+        targets = np.arange(L * B) % 3
+
+        def build(leaves):
+            states = ag.lstm(leaves[0], self.MASK, dict(zip(CELL_FIELDS, leaves[1:])))
+            return ag.softmax_cross_entropy(ag.take(states, (steps, rows)), targets)
+
+        check_grads(build, [xs, *cell.values()])
+
+    def test_masked_row_keeps_its_state(self):
+        xs, cell = lstm_inputs()
+        states = ag.lstm(ag.Tensor(xs), self.MASK, {k: ag.Tensor(v) for k, v in cell.items()}).data
+        np.testing.assert_array_equal(states[3, 1], states[1, 1])
+        np.testing.assert_array_equal(states[2, 2], states[0, 2])
+        assert not np.array_equal(states[3, 2], states[2, 2])
+
+    def test_no_grad_output_is_bitwise_equal_to_taped_output(self):
+        xs, cell = lstm_inputs()
+        taped = ag.lstm(ag.leaf(xs), self.MASK, {k: ag.leaf(v) for k, v in cell.items()})
+        with ag.no_grad():
+            plain = ag.lstm(ag.leaf(xs), self.MASK, {k: ag.leaf(v) for k, v in cell.items()})
+        assert taped.tracked and not plain.tracked
+        assert taped.data.tobytes() == plain.data.tobytes()
+
+    def test_take_with_repeated_index_adds_gradients(self):
+        rng = np.random.default_rng(12)
+        m = rng.normal(size=(3, 4))
+
+        def build(leaves):
+            (ms,) = leaves
+            return ag.softmax_cross_entropy(ag.take(ms, [2, 0, 2]), np.array([1, 3, 0]))
+
+        check_grads(build, [m])
 
 
 class TestCrossEntropy:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from gradcheck import check_model_gradients, zero_everything
 
+from seqtag import autograd as ag
 from seqtag.corpus import Sentence, TagScheme, Token
 from seqtag.embeddings import build_vocabulary, random_table
 from seqtag.errors import ConfigError
@@ -349,6 +350,28 @@ class TestLossAndGradients:
         model = make_model(variant="blstm")
         with pytest.raises(ConfigError):
             loss_and_gradients(model, make_sentence(["was"]), ["O"], "crf")
+
+
+class TestTapeSize:
+    def test_tape_grows_only_by_per_token_lookup_leaves(self, monkeypatch):
+        # one fused node per LSTM direction: a longer sentence adds only its word rows
+        words = tuple(f"w{i}" for i in range(40))
+        model = make_model(variant="blstm_crf", use_char=False, words=words)
+        losses = []
+        backward = ag.backward
+        monkeypatch.setattr(ag, "backward", lambda loss: (losses.append(loss), backward(loss)))
+
+        def tape_nodes(n):
+            loss_and_gradients(model, make_sentence(words[:n]), ["O"] * n)
+            seen, todo = set(), [losses.pop()]
+            while todo:
+                node = todo.pop()
+                if node.tracked and id(node) not in seen:
+                    seen.add(id(node))
+                    todo.extend(node.parents)
+            return len(seen)
+
+        assert tape_nodes(40) - tape_nodes(5) == 35
 
 
 class TestPrediction:

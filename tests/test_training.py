@@ -129,7 +129,7 @@ class TestTrainLoop:
     def test_non_finite_loss_aborts_with_sentence_index(self):
         data, _ = small_corpus(n_train=10)
         cfg = TrainConfig(
-            variant="blstm", epochs=1, seed=0, learning_rate=1e300, clip_norm=0.0, **FAST
+            variant="blstm", epochs=1, seed=0, learning_rate=1e308, clip_norm=0.0, **FAST
         )
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="sentence index"):
             train(cfg, data)
