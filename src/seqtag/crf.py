@@ -14,11 +14,15 @@ extra index acting as the virtual start state (as a source row) and the
 virtual stop state (as a target column).
 
 All dynamic programs run in log space with the shifted logsumexp trick,
-so sequence length in the hundreds is safe.  This module is pure numpy
-and serves both the standalone baseline (emissions built from input
-features via ``emission_weights``) and the recurrent taggers (emissions
-projected from hidden states, with gradients flowing back through
-:func:`crf_nll_op`).
+so sequence length in the hundreds is safe.  The forward and backward
+recursions loop over positions; the pairwise marginals that the
+transition gradient sums are one (T-1, K, K) broadcast (Sutton &
+McCallum, arXiv:1011.4088, §4), and the Viterbi backtrace reads a
+(T-1, K) table of best successors built with one argmax.  This module
+is pure numpy and serves both the standalone baseline (emissions built
+from input features via ``emission_weights``) and the recurrent taggers
+(emissions projected from hidden states, with gradients flowing back
+through :func:`crf_nll_op`).
 """
 
 from __future__ import annotations
@@ -140,13 +144,13 @@ def nll_and_gradient(
     d_emissions = marginals.copy()
     d_emissions[np.arange(T), y] -= 1.0
 
+    # pairwise marginals of all T-1 adjacent positions at once; empty when T == 1
+    pairs = np.exp(
+        alpha[:-1, :, None] + trans[:K, :K] + (emissions[1:] + beta[1:])[:, None, :] - log_z
+    )
     d_trans = np.zeros_like(trans)
-    for t in range(T - 1):
-        pair = np.exp(
-            alpha[t][:, None] + trans[:K, :K] + (emissions[t + 1] + beta[t + 1])[None, :] - log_z
-        )
-        d_trans[:K, :K] += pair
-        d_trans[y[t], y[t + 1]] -= 1.0
+    d_trans[:K, :K] = pairs.sum(axis=0)
+    np.add.at(d_trans, (y[:-1], y[1:]), -1.0)
     d_trans[K, :K] += marginals[0]
     d_trans[K, y[0]] -= 1.0
     d_trans[:K, K] += marginals[T - 1]
@@ -194,11 +198,13 @@ def viterbi(params: CrfParameters, emissions: np.ndarray) -> list[int]:
     for t in range(T - 2, -1, -1):
         delta[t] = emissions[t] + np.max(trans[:K, :K] + delta[t + 1][None, :], axis=1)
 
-    path = np.empty(T, dtype=np.int64)
-    path[0] = np.argmax(trans[K, :K] + delta[0])
-    for t in range(1, T):
-        path[t] = np.argmax(trans[path[t - 1], :K] + delta[t])
-    return path.tolist()
+    path = [int(np.argmax(trans[K, :K] + delta[0]))]
+    if T > 1:
+        # best[t - 1][j]: the smallest best tag at t after tag j at t - 1
+        best = np.argmax(trans[:K, :K][None] + delta[1:, None, :], axis=2).tolist()
+        for row in best:
+            path.append(row[path[-1]])
+    return path
 
 
 def crf_nll_op(emissions: ag.Tensor, transitions: ag.Tensor, y) -> ag.Tensor:

@@ -108,6 +108,24 @@ class FeatureFamily:
         return self.index.get(self.fn(surface))
 
 
+@dataclass(frozen=True)
+class FamilyRows:
+    """One family's rows for a token sequence; row -1 marks an unseen value."""
+
+    rows: np.ndarray  # (T,) table rows
+    fallback: np.ndarray  # (number of unseen tokens, dim), in token order
+
+    def gather(self, table: np.ndarray) -> np.ndarray:
+        """(T, dim) vectors: table rows, and the fallback where a value is unseen."""
+        if not len(self.fallback):
+            return table[self.rows]
+        seen = self.rows >= 0
+        out = np.empty((len(self.rows), table.shape[1]))
+        out[seen] = table[self.rows[seen]]
+        out[~seen] = self.fallback
+        return out
+
+
 @dataclass
 class FeatureEncoder:
     """All six families plus the seed for unseen-value fallbacks."""
@@ -127,7 +145,25 @@ class FeatureEncoder:
         row = family.row_for(surface)
         if row is not None:
             return family.table[row]
-        return hashed_uniform(("feature", family.name, family.fn(surface)), self.seed, family.dim)
+        return self._fallback(family, family.fn(surface))
+
+    def _fallback(self, family: FeatureFamily, value: str) -> np.ndarray:
+        return hashed_uniform(("feature", family.name, value), self.seed, family.dim)
+
+    def rows(self, surfaces: list[str]) -> tuple[FamilyRows, ...]:
+        """Each family's table rows for ``surfaces``, with unseen-value fallbacks.
+
+        The fallback vectors are computed here, once, so gathering the
+        rows later reads the live tables and computes no feature value.
+        """
+        out = []
+        for fam in self.families:
+            values = [fam.fn(s) for s in surfaces]
+            rows = [fam.index.get(v, -1) for v in values]
+            fallback = [self._fallback(fam, v) for v, r in zip(values, rows) if r < 0]
+            fallback = np.reshape(fallback, (-1, fam.dim))
+            out.append(FamilyRows(np.array(rows, dtype=np.intp), fallback))
+        return tuple(out)
 
 
 def build_feature_encoder(surfaces: Iterable[str], seed: int) -> FeatureEncoder:
@@ -152,11 +188,3 @@ def encode_surface(surface: str, encoder: FeatureEncoder) -> np.ndarray:
     """Concatenated 146-D feature vector for one token surface."""
     return np.concatenate([encoder.vector(f, surface) for f in encoder.families])
 
-
-def encode_features(sentence, position: int, encoder: FeatureEncoder) -> np.ndarray:
-    """Feature vector for the token at ``position``.
-
-    All families are pure functions of the surface, so tokens with equal
-    surfaces get equal vectors regardless of position.
-    """
-    return encode_surface(sentence.tokens[position].surface, encoder)

@@ -47,7 +47,7 @@ from .corpus import Sentence, TagScheme
 from .crf import CrfParameters, crf_nll_op, viterbi
 from .embeddings import EmbeddingTable, Vocabulary, hashed_uniform
 from .errors import ConfigError, TagValidationError
-from .features import FeatureEncoder, encode_surface
+from .features import FamilyRows, FeatureEncoder, encode_surface
 
 CELL_FIELDS = ("W_xi", "W_hi", "w_ci", "W_xc", "W_hc", "W_xo", "W_ho", "w_co", "b_i", "b_c", "b_o")
 
@@ -620,19 +620,48 @@ def forward_blstm(model: ModelParameters, sentence: Sentence) -> np.ndarray:
     return ag.rows_softmax(sentence_logits(model, sentence))
 
 
-def crf_inputs(model: ModelParameters, sentence: Sentence) -> np.ndarray:
-    """(T, D) feature matrix for the transition-baseline tagger."""
-    parts = []
-    for tok in sentence:
-        vec = [word_vector(model, tok.surface)]
-        if model.use_features:
-            vec.append(encode_surface(tok.surface, model.feature_encoder))
-        parts.append(np.concatenate(vec))
-    return np.stack(parts)
+@dataclass(frozen=True)
+class EncodedSentence:
+    """A sentence as table rows: its word rows and each feature family's rows.
+
+    It holds indices, not vectors, so :func:`crf_inputs` reads the live
+    tables each time it gathers.
+    """
+
+    words: np.ndarray  # (T,) word-table rows
+    features: tuple[FamilyRows, ...]  # one per feature family; empty without features
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
-def predict_tag_ids(model: ModelParameters, sentence: Sentence) -> list[int]:
-    """Most likely tag indices; argmax per token or Viterbi per variant."""
+def encode(model: ModelParameters, sentence: Sentence) -> EncodedSentence:
+    """Map each token to its word-table row and its feature-family rows."""
+    surfaces = [t.surface for t in sentence]
+    words = np.array([_word_index(model, w) for w in surfaces], dtype=np.intp)
+    features = model.feature_encoder.rows(surfaces) if model.use_features else ()
+    return EncodedSentence(words, features)
+
+
+def crf_inputs(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
+    """(T, D) feature matrix for the transition-baseline tagger.
+
+    One gather per table; a plain sentence is encoded first.
+    """
+    if isinstance(sentence, Sentence):
+        sentence = encode(model, sentence)
+    parts = [model.word_table[sentence.words]]
+    if model.use_features:
+        families = model.feature_encoder.families
+        parts += [rows.gather(fam.table) for rows, fam in zip(sentence.features, families)]
+    return np.concatenate(parts, axis=1)
+
+
+def predict_tag_ids(model: ModelParameters, sentence: Sentence | EncodedSentence) -> list[int]:
+    """Most likely tag indices; argmax per token or Viterbi per variant.
+
+    The baseline also takes an :class:`EncodedSentence`.
+    """
     if model.variant == "crf":
         from .crf import emissions_from_inputs
 

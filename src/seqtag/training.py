@@ -9,8 +9,11 @@ epoch, and keeps the parameters of the best epoch (earliest on ties).
 Validation words that the learning part lacks are thus unseen words, as
 they will be at test time: they read the ``<unk>`` row, which the
 recurrent taggers train by swapping learn-split singletons for
-``<unk>`` (Lample et al. 2016, §4).  Runs are bitwise reproducible for
-a fixed seed.
+``<unk>`` (Lample et al. 2016, §4).  The feature-input baseline trains
+no lookup table, so a run encodes its two splits to table rows once
+(:func:`seqtag.network.encode`) and every epoch's training and
+validation gather their inputs from those rows.  Runs are bitwise
+reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -40,11 +43,13 @@ from .features import FAMILY_SPECS, FeatureEncoder, FeatureFamily
 from .network import (
     CELL_FIELDS,
     VARIANTS,
+    EncodedSentence,
     Gradients,
     LstmCellParameters,
     ModelParameters,
     crf_inputs,
     dense_arrays,
+    encode,
     init_model,
     loss_and_gradients,
     predict_tag_ids,
@@ -169,9 +174,12 @@ def sgd_update(model: ModelParameters, grads: Gradients, lr: float, clip_norm: f
 
 
 def crf_baseline_loss_and_gradients(
-    model: ModelParameters, sentence: Sentence, gold_tags, l2: float
+    model: ModelParameters, sentence: Sentence | EncodedSentence, gold_tags, l2: float
 ) -> tuple[float, Gradients]:
-    """Regularized NLL for the feature-input baseline (embeddings frozen)."""
+    """Regularized NLL for the feature-input baseline (embeddings frozen).
+
+    ``sentence`` may be already encoded (see :func:`seqtag.network.encode`).
+    """
     gold = [model.scheme.index[t] for t in gold_tags]
     inputs = crf_inputs(model, sentence)
     nll, grads = input_nll_and_gradient(model.crf, inputs, gold)
@@ -186,17 +194,23 @@ def crf_baseline_loss_and_gradients(
     )
 
 
-def tag_with_model(model: ModelParameters, data: Dataset) -> Dataset:
-    """Predict, repair, and attach BIO tags to every sentence."""
+def tag_with_model(
+    model: ModelParameters, data: Dataset, encoded: list[EncodedSentence] | None = None
+) -> Dataset:
+    """Predict, repair, and attach BIO tags to every sentence.
+
+    ``encoded``, when given, holds the baseline's encoding of each
+    sentence, which is decoded in place of the sentence itself.
+    """
     tagged = []
-    for sent in data:
+    for sent, inputs in zip(data, data if encoded is None else encoded):
         for t in sent.gold_tags:
             if t is not None and t not in model.scheme:
                 raise TagValidationError(
                     f"input tag {t!r} does not belong to the model's tag scheme "
                     f"{model.scheme.classes}"
                 )
-        ids = predict_tag_ids(model, sent)
+        ids = predict_tag_ids(model, inputs)
         tags = repair_bio([model.scheme.tags[k] for k in ids])
         tagged.append(
             Sentence(
@@ -207,11 +221,6 @@ def tag_with_model(model: ModelParameters, data: Dataset) -> Dataset:
             )
         )
     return Dataset(tuple(tagged))
-
-
-def _validation_f1(model: ModelParameters, valid: Dataset) -> float:
-    pred = tag_with_model(model, valid)
-    return evaluate(valid, pred, model.scheme).micro_f1()
 
 
 def train(
@@ -243,6 +252,10 @@ def train(
         raise DataError("validation split is empty; lower split_ratio or add sentences")
 
     model = build_model(config, scheme, learn)
+    learn_encoded = valid_encoded = None
+    if config.variant == "crf":  # the baseline's inputs are fixed table rows
+        learn_encoded = [encode(model, s) for s in learn]
+        valid_encoded = [encode(model, s) for s in valid]
     counts = Counter(t.surface for s in learn for t in s)
     singletons = frozenset(w for w, n in counts.items() if n == 1)
 
@@ -258,7 +271,9 @@ def train(
             sent = learn[int(idx)]
             gold = list(sent.gold_tags)
             if config.variant == "crf":
-                loss, grads = crf_baseline_loss_and_gradients(model, sent, gold, config.crf_l2)
+                loss, grads = crf_baseline_loss_and_gradients(
+                    model, learn_encoded[int(idx)], gold, config.crf_l2
+                )
             else:
                 loss, grads = loss_and_gradients(
                     model,
@@ -276,7 +291,7 @@ def train(
             total_loss += loss
             sgd_update(model, grads, config.learning_rate, config.clip_norm)
 
-        f1 = _validation_f1(model, valid)
+        f1 = evaluate(valid, tag_with_model(model, valid, valid_encoded), scheme).micro_f1()
         history.append(f1)
         if f1 > best_f1:
             best_f1, best_epoch = f1, epoch

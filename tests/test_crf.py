@@ -157,26 +157,28 @@ class TestNllAndGradient:
 
     def test_transition_gradient_equals_enumerated_expectation(self):
         rng = np.random.default_rng(5)
-        params, emissions = random_instance(rng, T=3, K=3)
-        y = [1, 0, 2]
-        _, grads = nll_and_gradient(params, emissions, y)
+        # T=1 has no adjacent pair, T=2 one; [0, 0, 0, 1] repeats a gold pair
+        for y in ([1, 0, 2], [2], [0, 2], [0, 0, 0, 1]):
+            T = len(y)
+            params, emissions = random_instance(rng, T=T, K=3)
+            _, grads = nll_and_gradient(params, emissions, y)
 
-        # oracle: expected pair counts under the enumerated distribution
-        trans = params.transitions
-        log_z = brute_log_partition(trans, emissions)
-        expected = np.zeros_like(trans)
-        for seq in all_sequences(3, 3):
-            p = math.exp(brute_score(trans, emissions, seq) - log_z)
-            expected[3, seq[0]] += p
-            for t in range(1, 3):
-                expected[seq[t - 1], seq[t]] += p
-            expected[seq[-1], 3] += p
-        observed = np.zeros_like(trans)
-        observed[3, y[0]] += 1
-        observed[y[0], y[1]] += 1
-        observed[y[1], y[2]] += 1
-        observed[y[-1], 3] += 1
-        np.testing.assert_allclose(grads.transitions, expected - observed, atol=1e-8)
+            # oracle: expected pair counts under the enumerated distribution
+            trans = params.transitions
+            log_z = brute_log_partition(trans, emissions)
+            expected = np.zeros_like(trans)
+            for seq in all_sequences(T, 3):
+                p = math.exp(brute_score(trans, emissions, seq) - log_z)
+                expected[3, seq[0]] += p
+                for t in range(1, T):
+                    expected[seq[t - 1], seq[t]] += p
+                expected[seq[-1], 3] += p
+            observed = np.zeros_like(trans)
+            observed[3, y[0]] += 1
+            for t in range(1, T):
+                observed[y[t - 1], y[t]] += 1
+            observed[y[-1], 3] += 1
+            np.testing.assert_allclose(grads.transitions, expected - observed, atol=1e-8)
 
     def test_probabilities_normalize(self):
         rng = np.random.default_rng(6)

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from seqtag.corpus import Sentence, Token
+from seqtag.corpus import Sentence, TagScheme, Token
+from seqtag.embeddings import build_vocabulary, random_table
 from seqtag.features import (
     FAMILY_SPECS,
     TOTAL_DIM,
     build_feature_encoder,
     case_pattern,
-    encode_features,
     encode_surface,
     token_class,
 )
+from seqtag.network import crf_inputs, encode, init_model
 
 
 def make_encoder(surfaces=("Aspirin", "40", "mg", "x-ray")):
@@ -63,10 +64,17 @@ class TestEncoder:
         assert encode_surface("anything", enc).shape == (146,)
 
     def test_identical_surfaces_identical_vectors(self):
-        enc = make_encoder()
+        surfaces = ("Aspirin", "40", "mg", "x-ray")
+        vocab = build_vocabulary(surfaces)
+        model = init_model(
+            TagScheme(("x",)), vocab, random_table(vocab, 4, 3), variant="crf",
+            use_char=False, use_features=True, d_c=1, H_c=1, H_w=1, seed=3,
+            feature_surfaces=surfaces,
+        )
         sent = Sentence((Token("mg", "O"), Token("of", "O"), Token("mg", "O")))
-        a = encode_features(sent, 0, enc)
-        b = encode_features(sent, 2, enc)
+        inputs = crf_inputs(model, encode(model, sent))
+        a = inputs[0, model.d_w:]
+        b = inputs[2, model.d_w:]
         np.testing.assert_array_equal(a, b)
 
     def test_case_variants_differ_only_in_case_family(self):

@@ -9,6 +9,7 @@ from seqtag import autograd as ag
 from seqtag.corpus import Sentence, TagScheme, Token
 from seqtag.embeddings import build_vocabulary, random_table
 from seqtag.errors import ConfigError
+from seqtag.features import encode_surface
 from seqtag.network import (
     LstmCellParameters,
     bilstm,
@@ -16,6 +17,7 @@ from seqtag.network import (
     char_vector,
     crf_inputs,
     dense_arrays,
+    encode,
     forward_blstm,
     init_cell,
     init_model,
@@ -372,6 +374,36 @@ class TestTapeSize:
             return len(seen)
 
         assert tape_nodes(40) - tape_nodes(5) == 35
+
+
+class TestCrfInputs:
+    def test_gather_matches_per_token_reference_bitwise(self):
+        model = make_model(variant="crf", use_char=False, use_features=True)
+        families = {fam.name: fam for fam in model.feature_encoder.families}
+        # a seen word, a lowercase-only match, an unseen word whose prefix and
+        # suffix are seen, and a surface whose prefix and suffix values are unseen
+        sent = make_sentence(["felbatol", "WAS", "givily", "Quokka"])
+        assert "WAS" not in model.vocab.index and "givily" not in model.vocab.index
+        for name in ("prefix3", "suffix3"):
+            assert families[name].row_for("givily") is not None
+            assert families[name].row_for("Quokka") is None
+
+        def reference():
+            return np.stack([
+                np.concatenate([word_vector(model, w), encode_surface(w, model.feature_encoder)])
+                for w in ("felbatol", "WAS", "givily", "Quokka")
+            ])
+
+        encoded = encode(model, sent)
+        assert len(encoded) == 4
+        np.testing.assert_array_equal(crf_inputs(model, encoded), reference())
+
+        before = crf_inputs(model, encoded)
+        prefix = families["prefix3"]
+        prefix.table[prefix.row_for("felbatol")] += 0.5
+        after = crf_inputs(model, encoded)
+        np.testing.assert_array_equal(after, reference())
+        assert not np.array_equal(after[0], before[0])
 
 
 class TestPrediction:

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from seqtag import features
 from seqtag.corpus import Dataset, TagScheme, parse_conll, split_train_valid
 from seqtag.embeddings import UNK
 from seqtag.errors import ConfigError, DataError, NumericError, TagValidationError
@@ -187,6 +190,35 @@ class TestCrfBaseline:
         _, grads = crf_baseline_loss_and_gradients(model, sent, list(sent.gold_tags), 1e-4)
         sgd_update(model, grads, 0.01, 5.0)
         np.testing.assert_array_equal(model.word_table, word_before)
+
+    def test_feature_work_does_not_scale_with_epochs(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def family_value(surface):
+                calls[name] += 1
+                return fn(surface)
+
+            return family_value
+
+        monkeypatch.setattr(
+            features,
+            "FAMILY_SPECS",
+            tuple((name, dim, counted(name, fn)) for name, dim, fn in features.FAMILY_SPECS),
+        )
+        data, _ = small_corpus()
+
+        def feature_calls(epochs):
+            calls.clear()
+            cfg = TrainConfig(
+                variant="crf", use_char=False, use_features=True, epochs=epochs, seed=0, **FAST
+            )
+            train(cfg, data)
+            return dict(calls)
+
+        two = feature_calls(2)
+        assert set(two) == {name for name, _, _ in features.FAMILY_SPECS}
+        assert feature_calls(4) == two
 
 
 class TestTag:
