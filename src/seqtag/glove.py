@@ -7,22 +7,36 @@ minimizing the weighted least-squares objective
     J = 1/2 * sum_ij f(X_ij) (w_i . c_j + b_i + b_j - log X_ij)^2,
     f(x) = min(1, (x / x_max)^alpha)
 
-with per-coordinate adaptive-gradient updates over shuffled nonzero
-entries.  The returned embedding for a word is the sum of its word and
-context vectors.  Training is single-threaded and deterministic for a
-fixed seed.
+with per-coordinate adaptive-gradient (AdaGrad) updates, one nonzero
+entry (pair) at a time in a fresh shuffled order each iteration.  The
+returned embedding for a word is the sum of its word and context
+vectors.  Training is single-threaded and deterministic for a fixed
+seed.
+
+A pair's update reads and writes only two parameter rows: its word's
+(vector and bias) and its context's.  So each iteration's shuffled
+order is split into row-disjoint groups: a pair joins the group after
+the last one that touched either of its rows.  Pairs that share a row
+keep their relative order, and pairs within a group share no row, so
+their updates commute.  Running the groups in order, each as one
+vectorized gather, gradient and scatter, therefore applies exactly the
+updates of the one-pair-at-a-time loop.  A stacked matmul computes each
+of a group's dot products as a single ``w @ c`` would, so the rounding
+matches as well.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embeddings import PRETRAINED, EmbeddingTable
-from .errors import DataError
+from .errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
@@ -39,6 +53,9 @@ class GloveParams:
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.iterations < 1:
             raise ValueError("dim, window, and iterations must be positive")
+        for name in ("x_max", "alpha", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.x_max <= 0 or self.learning_rate <= 0:
             raise ValueError("x_max and learning_rate must be positive")
 
@@ -85,10 +102,35 @@ def _weights(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
     return np.minimum(1.0, (x / x_max) ** alpha)
 
 
+def _row_disjoint_groups(rows: np.ndarray, order: np.ndarray) -> list[np.ndarray]:
+    """Split ``order`` into a sequence of groups in which no row occurs twice.
+
+    ``rows[k]`` holds the parameter rows that pair ``k`` updates.  Walking
+    ``order`` once, each pair joins the group after the last one that
+    touched any of its rows.  So pairs that share a row keep their order
+    across groups, and the pairs of one group touch distinct rows.  Each
+    returned group is a subsequence of ``order``.
+    """
+    last = [-1] * (int(rows.max()) + 1)
+    group = []
+    ordered = rows[order]
+    for a, b in zip(ordered[:, 0].tolist(), ordered[:, 1].tolist()):
+        la, lb = last[a], last[b]
+        last[a] = last[b] = g = (la if la > lb else lb) + 1
+        group.append(g)
+    group = np.array(group, dtype=np.int64)
+    grouped = order[np.argsort(group, kind="stable")]
+    return np.split(grouped, np.cumsum(np.bincount(group))[:-1])
+
+
 def fit_glove(
     corpus: Iterable[Sequence[str]], params: GloveParams
 ) -> tuple[EmbeddingTable, list[float]]:
-    """Train embeddings; returns the table and the per-iteration objective."""
+    """Train embeddings; returns the table and the per-iteration objective.
+
+    Raises ``NumericError`` naming the iteration (from 0) whose objective
+    is not finite.
+    """
     sentences = [list(s) for s in corpus]
     vocab = count_vocabulary(sentences, params.min_count)
     if not vocab:
@@ -98,50 +140,53 @@ def fit_glove(
     if not cooc:
         raise DataError("no co-occurrence pairs; corpus may be all length-1 sentences")
 
-    n = len(vocab)
-    pairs = np.array(sorted(cooc), dtype=np.int64)
-    xs = np.array([cooc[tuple(p)] for p in pairs], dtype=np.float64)
+    n, dim, lr = len(vocab), params.dim, params.learning_rate
+    keys = np.fromiter(chain.from_iterable(cooc), dtype=np.int64, count=2 * len(cooc))
+    keys = keys.reshape(-1, 2)
+    sort = np.lexsort((keys[:, 1], keys[:, 0]))
+    rows = keys[sort] + [0, n]  # word row i, context row n + j
+    xs = np.fromiter(cooc.values(), dtype=np.float64, count=len(cooc))[sort]
     logx = np.log(xs)
     fx = _weights(xs, params.x_max, params.alpha)
 
     rng = np.random.default_rng(params.seed)
-    scale = 0.5 / (params.dim + 1)
-    vectors = rng.uniform(-scale, scale, (2 * n, params.dim))
-    biases = rng.uniform(-scale, scale, 2 * n)
-    grad_sq_vec = np.ones_like(vectors)
-    grad_sq_bias = np.ones_like(biases)
-
-    word_ids = pairs[:, 0]
-    ctx_ids = pairs[:, 1] + n
-    lr = params.learning_rate
+    scale = 0.5 / (dim + 1)
+    # one row per word and per context: its vector, then its bias
+    table = np.empty((2 * n, dim + 1))
+    table[:, :dim] = rng.uniform(-scale, scale, (2 * n, dim))
+    table[:, dim] = rng.uniform(-scale, scale, 2 * n)
+    grad_sq = np.ones_like(table)
+    word_rows, ctx_rows = rows[:, 0], rows[:, 1]
 
     def objective() -> float:
-        dots = np.einsum("ij,ij->i", vectors[word_ids], vectors[ctx_ids])
-        diff = dots + biases[word_ids] + biases[ctx_ids] - logx
+        dots = np.einsum("ij,ij->i", table[word_rows, :dim], table[ctx_rows, :dim])
+        diff = dots + table[word_rows, dim] + table[ctx_rows, dim] - logx
         return float(0.5 * np.sum(fx * diff * diff))
 
     history: list[float] = []
-    for _ in range(params.iterations):
-        for k in rng.permutation(len(pairs)):
-            i, j = word_ids[k], ctx_ids[k]
-            wi, wj = vectors[i], vectors[j]
-            diff = wi @ wj + biases[i] + biases[j] - logx[k]
-            fdiff = fx[k] * diff
-            grad_i = fdiff * wj
-            grad_j = fdiff * wi
-            vectors[i] -= lr * grad_i / np.sqrt(grad_sq_vec[i])
-            vectors[j] -= lr * grad_j / np.sqrt(grad_sq_vec[j])
-            grad_sq_vec[i] += grad_i * grad_i
-            grad_sq_vec[j] += grad_j * grad_j
-            biases[i] -= lr * fdiff / np.sqrt(grad_sq_bias[i])
-            biases[j] -= lr * fdiff / np.sqrt(grad_sq_bias[j])
-            grad_sq_bias[i] += fdiff * fdiff
-            grad_sq_bias[j] += fdiff * fdiff
-        history.append(objective())
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        for iteration in range(params.iterations):
+            for ks in _row_disjoint_groups(rows, rng.permutation(len(rows))):
+                m = len(ks)
+                both = np.concatenate([word_rows[ks], ctx_rows[ks]])
+                p = table[both]
+                w, c = p[:m], p[m:]
+                dots = (w[:, None, :dim] @ c[:, :dim, None])[:, 0, 0]
+                fdiff = fx[ks] * (dots + w[:, dim] + c[:, dim] - logx[ks])
+                # each row's gradient is fdiff times its partner row, 1 for the bias
+                grad = np.concatenate([c, w])
+                grad[:, dim] = 1.0
+                grad *= np.concatenate([fdiff, fdiff])[:, None]
+                acc = grad_sq[both]
+                # a group's rows are distinct, so each scatter writes a row once
+                table[both] = p - lr * grad / np.sqrt(acc)
+                grad_sq[both] = acc + grad * grad
+            history.append(objective())
+            if not math.isfinite(history[-1]):
+                raise NumericError(f"non-finite GloVe objective at iteration {iteration}")
 
-    entries = {w: vectors[i] + vectors[i + n] for w, i in index.items()}
-    table = EmbeddingTable(params.dim, entries, {w: PRETRAINED for w in vocab})
-    return table, history
+    entries = {w: table[i, :dim] + table[i + n, :dim] for w, i in index.items()}
+    return EmbeddingTable(dim, entries, {w: PRETRAINED for w in vocab}), history
 
 
 def train_glove(corpus: Iterable[Sequence[str]], params: GloveParams) -> EmbeddingTable:

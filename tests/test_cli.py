@@ -3,8 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import seqtag
-from seqtag.cli import EXIT_DATA, main
+from seqtag.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 
 
 class TestMissingFiles:
@@ -28,3 +30,20 @@ class TestMissingFiles:
         )
         assert proc.returncode == EXIT_DATA
         assert "Traceback" not in proc.stderr
+
+
+class TestEmbedTrainNumerics:
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--learning-rate", "1e6", EXIT_NUMERIC),
+        ("--alpha", "nan", EXIT_CONFIG),
+    ])
+    def test_bad_numbers_exit_cleanly_without_output(self, tmp_path, capsys, flag, value, code):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("aspirin twice daily\nibuprofen once daily\n" * 5, encoding="utf-8")
+        out = tmp_path / "vectors.txt"
+        got = main(["embed-train", "--corpus", str(corpus), "--out", str(out),
+                    "--dim", "8", "--iterations", "3", flag, value])
+        err = capsys.readouterr().err
+        assert got == code
+        assert "Traceback" not in err
+        assert not out.exists()
