@@ -34,7 +34,8 @@ class Token:
     pred_tag: str | None = None
 
     def __post_init__(self):
-        if not self.surface or any(ch.isspace() for ch in self.surface):
+        # str.split() splits at exactly the characters for which str.isspace() holds
+        if not self.surface or self.surface.split() != [self.surface]:
             raise ValueError(f"token surface must be non-empty and whitespace-free: {self.surface!r}")
 
 

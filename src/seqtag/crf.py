@@ -13,20 +13,40 @@ real matrix (the lattice); the transition matrix is (K+1, K+1) with the
 extra index acting as the virtual start state (as a source row) and the
 virtual stop state (as a target column).
 
-All dynamic programs run in log space with the shifted logsumexp trick,
-so sequence length in the hundreds is safe.  The forward and backward
-recursions loop over positions; the pairwise marginals that the
-transition gradient sums are one (T-1, K, K) broadcast (Sutton &
-McCallum, arXiv:1011.4088, §4), and the Viterbi backtrace reads a
-(T-1, K) table of best successors built with one argmax.  This module
-is pure numpy and serves both the standalone baseline (emissions built
-from input features via ``emission_weights``) and the recurrent taggers
-(emissions projected from hidden states, with gradients flowing back
-through :func:`crf_nll_op`).
+The forward-backward recursions run in probability space with
+per-position scaling (Rabiner, 1989; Sutton & McCallum,
+arXiv:1011.4088, §4.1).  The transition scores are shifted by their
+maximum ``s`` and each lattice row by its own maximum ``m_t``, so that
+the factors ``exp(transitions - s)`` and ``X = exp(emissions - m)``
+have largest entry 1.  Each forward step is then one small
+matrix-vector product, renormalized by its sum ``c_t``, and the
+backward step reuses the same ``c_t``.  ``log Z`` is the sum of the
+``log c_t``, of the ``m_t``, of the log of the final dot product with
+the stop column and ``(T + 1) * s``.
+
+Scaling is exact only while no term that underflows could carry the
+result.  Emission factors may underflow to 0 (a row spread of 1000
+nats is fine), because every step mixes all states through transition
+factors of at least ``exp(-300)``.  A transition spread beyond 300 nats
+breaks that: with ``exp(-900)`` flushed to 0, a path through it is
+lost, and later small scale factors can make it the dominant one.  So
+such a transition matrix, and a lattice whose scaling is not finite
+(NaN or infinite scores, which then give a non-finite loss), take the
+log-space recursions with the shifted logsumexp trick instead.  The
+pairwise marginals that the transition gradient sums are one
+(T-1, K, K) broadcast (Sutton & McCallum, §4).  Viterbi stays max-plus
+in log space; its backtrace reads a (T-1, K) table of best successors
+built with one argmax.
+
+This module is pure numpy and serves both the standalone baseline
+(emissions built from input features via ``emission_weights``) and the
+recurrent taggers (emissions projected from hidden states, with
+gradients flowing back through :func:`crf_nll_op`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +132,87 @@ def _backward_pass(params: CrfParameters, emissions: np.ndarray) -> np.ndarray:
     return beta
 
 
+def _log_space_forward_backward(
+    params: CrfParameters, emissions: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """What :func:`_forward_backward` returns, from the log-space recursions."""
+    K = emissions.shape[1]
+    trans = params.transitions
+    alpha, log_z = _forward(params, emissions)
+    beta = _backward_pass(params, emissions)
+    marginals = np.exp(alpha + beta - log_z)
+    pairs = np.exp(
+        alpha[:-1, :, None] + trans[:K, :K] + (emissions[1:] + beta[1:])[:, None, :] - log_z
+    )
+    return log_z, marginals, pairs
+
+
+# Widest spread, in nats, of the transition scores the scaled recursion
+# accepts.  Each forward step multiplies the normalized vector by the
+# shifted transition factors, all of them in [exp(-300), 1], so every
+# entry of that product stays above exp(-300) ~ 5e-131 and the terms lost
+# to underflow (below 2.2e-308 each) cannot carry the result.  Emission
+# factors may underflow to 0: the next step mixes every state again.
+_MAX_TRANSITION_RANGE = 300.0
+
+
+def _forward_backward(
+    params: CrfParameters, emissions: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """log Z, the (T, K) marginals and the (T-1, K, K) pairwise marginals.
+
+    Runs the scaled recursions, and the log-space ones when the
+    transition scores are too far apart or the scaling is not finite
+    (see the module docstring).
+    """
+    T, K = emissions.shape
+    trans = params.transitions
+    # the transition scores the model reads: every entry but the last,
+    # trans[K, K] (start to stop), which no sequence uses
+    read = trans.ravel()[:-1]
+    shift, lowest = read.max(), read.min()
+    log_z = math.nan
+    if shift - lowest <= _MAX_TRANSITION_RANGE:
+        m = emissions.max(axis=1)
+        scale = np.empty(T + 1)  # c_0 .. c_{T-1}, then the final dot product
+        with np.errstate(all="ignore"):  # a non-finite lattice is caught below
+            P = np.exp(trans - shift)
+            X = np.exp(emissions - m[:, None])
+            EX = P[:K, :K] * X[:, None, :]  # EX[t, i, j] = P[i, j] * X[t, j]
+            ones = np.ones(K)
+            a = P[K, :K] * X[0]
+            alphas = []
+            for t in range(T):
+                if t:
+                    a = a.dot(EX[t])
+                c = a.dot(ones)
+                a = a / c
+                alphas.append(a)
+                scale[t] = c
+            stop = P[:K, K]
+            tail = scale[T] = a.dot(stop)
+            log_z = float(np.log(scale).sum() + m.sum() + (T + 1) * shift)
+    if not math.isfinite(log_z):
+        return _log_space_forward_backward(params, emissions)
+
+    EX /= scale[:T, None, None]
+    b = stop / tail
+    betas = [b]
+    for t in range(T - 1, 0, -1):
+        b = EX[t].dot(b)
+        betas.append(b)
+    alpha = np.array(alphas)
+    beta = np.array(betas[::-1])
+    marginals = alpha * beta  # (T, K), rows sum to 1
+    # pairwise marginals of all T-1 adjacent positions at once; empty when T == 1
+    pairs = alpha[:-1, :, None] * EX[1:] * beta[1:, None, :]
+    return log_z, marginals, pairs
+
+
 def log_partition(params: CrfParameters, emissions: np.ndarray) -> float:
     """log sum over all K^T sequences of exp(sequence_score)."""
     _check_lattice(params, emissions)
-    _, log_z = _forward(params, emissions)
-    return log_z
+    return _forward_backward(params, emissions)[0]
 
 
 def nll_and_gradient(
@@ -135,19 +231,13 @@ def nll_and_gradient(
         raise ValueError(f"tag sequence length {len(y)} != lattice length {T}")
     trans = params.transitions
 
-    alpha, log_z = _forward(params, emissions)
-    beta = _backward_pass(params, emissions)
+    log_z, marginals, pairs = _forward_backward(params, emissions)
 
     nll = log_z - sequence_score(params, emissions, y)
 
-    marginals = np.exp(alpha + beta - log_z)  # (T, K), rows sum to 1
     d_emissions = marginals.copy()
     d_emissions[np.arange(T), y] -= 1.0
 
-    # pairwise marginals of all T-1 adjacent positions at once; empty when T == 1
-    pairs = np.exp(
-        alpha[:-1, :, None] + trans[:K, :K] + (emissions[1:] + beta[1:])[:, None, :] - log_z
-    )
     d_trans = np.zeros_like(trans)
     d_trans[:K, :K] = pairs.sum(axis=0)
     np.add.at(d_trans, (y[:-1], y[1:]), -1.0)

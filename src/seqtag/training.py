@@ -393,6 +393,19 @@ def _rebuild_features(
     return FeatureEncoder(families, seed)
 
 
+def _vocabulary_table(tensors: dict[str, np.ndarray], name: str, vocab: Vocabulary) -> np.ndarray:
+    """The lookup table ``name``, checked to have one row per vocabulary entry."""
+    table = tensors.get(name)
+    if table is None:
+        raise DataError(f"checkpoint has no {name!r} tensor")
+    if table.ndim != 2 or table.shape[0] != len(vocab):
+        raise DataError(
+            f"checkpoint tensor {name!r} has shape {table.shape}, "
+            f"but its vocabulary has {len(vocab)} entries"
+        )
+    return table
+
+
 def load_checkpoint(path) -> Checkpoint:
     sections, tensors = container.read_container(path)
     for required in ("config", "scheme", "vocab", "meta"):
@@ -403,10 +416,18 @@ def load_checkpoint(path) -> Checkpoint:
     vocab = Vocabulary(tuple(sections["vocab"]))
 
     meta = dict(ln.partition(" = ")[::2] for ln in sections["meta"])
+    for key in ("seed", "variant", "best_epoch", "history"):
+        if key not in meta:
+            raise DataError(f"checkpoint meta is missing its {key!r} line")
     seed = int(meta["seed"])
     variant = meta["variant"]
+    if variant != config.variant:  # TrainConfig has checked config.variant is in VARIANTS
+        raise DataError(
+            f"checkpoint meta 'variant' is {variant!r} but its config says {config.variant!r}"
+        )
     best_epoch = int(meta["best_epoch"])
     history = [float(v) for v in meta["history"].split()] if meta["history"] else []
+    char_vocab = Vocabulary(tuple(sections["charvocab"])) if "charvocab" in sections else None
 
     crf = None
     if "crf.transitions" in tensors:
@@ -416,10 +437,14 @@ def load_checkpoint(path) -> Checkpoint:
         scheme=scheme,
         variant=variant,
         vocab=vocab,
-        word_table=tensors["word_table"],
+        word_table=_vocabulary_table(tensors, "word_table", vocab),
         seed=seed,
-        char_vocab=Vocabulary(tuple(sections["charvocab"])) if "charvocab" in sections else None,
-        char_table=tensors.get("char_table"),
+        char_vocab=char_vocab,
+        char_table=(
+            _vocabulary_table(tensors, "char_table", char_vocab)
+            if char_vocab is not None
+            else tensors.get("char_table")
+        ),
         feature_encoder=_rebuild_features(sections, tensors, seed),
         char_fwd=_rebuild_cell(tensors, "char_fwd"),
         char_bwd=_rebuild_cell(tensors, "char_bwd"),

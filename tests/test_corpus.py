@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import pytest
@@ -39,6 +40,33 @@ class TestTagScheme:
             TagScheme(("x", "x"))
         with pytest.raises(ValueError):
             TagScheme(())
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+class TestToken:
+    def test_every_whitespace_code_point_is_rejected(self):
+        assert len(WHITESPACE) == 29
+        for ch in WHITESPACE:
+            for surface in (ch, f"as{ch}pirin", f"aspirin{ch}", f"{ch}aspirin"):
+                with pytest.raises(ValueError):
+                    Token(surface)
+
+    def test_plain_word_accepted_and_empty_rejected(self):
+        assert Token("aspirin", "B-drug").surface == "aspirin"
+        assert Token("5-mg/dl").surface == "5-mg/dl"
+        with pytest.raises(ValueError):
+            Token("")
+
+    @given(st.text(max_size=6))
+    def test_accepts_exactly_non_empty_whitespace_free_text(self, surface):
+        valid = bool(surface) and not any(ch.isspace() for ch in surface)
+        if valid:
+            assert Token(surface).surface == surface
+        else:
+            with pytest.raises(ValueError):
+                Token(surface)
 
 
 class TestParseConll:

@@ -1,12 +1,16 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from seqtag import autograd as ag
+from seqtag import crf
 from seqtag.crf import (
     CrfParameters,
+    _forward_backward,
+    _log_space_forward_backward,
     crf_nll_op,
     emissions_from_inputs,
     input_nll_and_gradient,
@@ -204,6 +208,127 @@ class TestNllAndGradient:
         assert sequence_score(params1, emissions1, [0, 0, 0]) == pytest.approx(
             log_partition(params1, emissions1), abs=1e-12
         )
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Records each call of the log-space fallback made by _forward_backward."""
+    calls = []
+
+    def counting(params, emissions):
+        calls.append(emissions.shape)
+        return _log_space_forward_backward(params, emissions)
+
+    monkeypatch.setattr(crf, "_log_space_forward_backward", counting)
+    return calls
+
+
+class TestScaledForwardBackward:
+    def assert_matches_log_space(self, params, emissions):
+        log_z, marginals, pairs = _forward_backward(params, emissions)
+        want_z, want_marginals, want_pairs = _log_space_forward_backward(params, emissions)
+        T, K = emissions.shape
+        assert marginals.shape == (T, K) and pairs.shape == (T - 1, K, K)
+        assert log_z == pytest.approx(want_z, rel=1e-12)
+        np.testing.assert_allclose(marginals, want_marginals, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pairs, want_pairs, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("T", [1, 2, 12, 300])
+    def test_matches_log_space_recursions(self, fallbacks, T):
+        rng = np.random.default_rng(100 + T)
+        params = CrfParameters(rng.normal(scale=1.5, size=(8, 8)))
+        emissions = rng.normal(scale=3.0, size=(T, 7))
+        self.assert_matches_log_space(params, emissions)
+        assert fallbacks == []
+
+    def test_emission_spread_above_700(self, fallbacks):
+        rng = np.random.default_rng(12)
+        emissions = rng.normal(scale=3.0, size=(20, 5))
+        emissions[::3, 1] += 400.0
+        emissions[::3, 3] -= 400.0
+        assert (np.exp(emissions - emissions.max(axis=1, keepdims=True)) == 0.0).any()
+        params = CrfParameters(rng.normal(scale=1.5, size=(6, 6)))
+        self.assert_matches_log_space(params, emissions)
+        assert fallbacks == []
+
+    def test_transitions_at_minus_800(self, fallbacks):
+        rng = np.random.default_rng(13)
+        params = CrfParameters(-800.0 + rng.normal(scale=0.5, size=(6, 6)))
+        emissions = rng.normal(scale=3.0, size=(15, 5))
+        self.assert_matches_log_space(params, emissions)
+        assert fallbacks == []
+
+    def test_unused_start_to_stop_entry_does_not_matter(self, fallbacks):
+        rng = np.random.default_rng(14)
+        trans = rng.normal(size=(4, 4))
+        emissions = rng.normal(size=(6, 3))
+        want = _forward_backward(CrfParameters(trans), emissions)
+        trans[3, 3] = 5000.0
+        got = _forward_backward(CrfParameters(trans), emissions)
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(got[2], want[2])
+        assert fallbacks == []
+
+    def test_forced_underflow_falls_back(self, fallbacks):
+        # staying on the diagonal costs 2000 a position, leaving it 900;
+        # exp(-900) and exp(-2000) are 0 in float64, so scaling has nothing left
+        K, T = 3, 4
+        trans = np.full((K + 1, K + 1), -900.0)
+        np.fill_diagonal(trans, 0.0)
+        trans[K, :] = trans[:, K] = 0.0
+        emissions = np.full((T, K), -2000.0)
+        emissions[np.arange(T), np.arange(T) % K] = 0.0
+        params = CrfParameters(trans)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_z, marginals, pairs = _forward_backward(params, emissions)
+            nll, grads = nll_and_gradient(params, emissions, [0, 1, 2, 0])
+        assert fallbacks
+        assert log_z == pytest.approx(brute_log_partition(trans, emissions), rel=1e-12)
+        assert log_z == pytest.approx(-2700.0, rel=1e-12)
+        np.testing.assert_allclose(marginals.sum(axis=1), 1.0, atol=1e-12)
+        assert np.isfinite(nll) and np.all(np.isfinite(grads.transitions))
+
+    @staticmethod
+    def revival_instance(gap):
+        # two tags A, B; start -> B and A -> B cost `gap`.  With exp(-900)
+        # flushed to 0 a scaled pass would keep only A, with the normal
+        # scale factors exp(-600) at t = 1 and 2, and give log Z = -1200,
+        # while the path through the lost A -> B term carries log Z ~ -900.
+        trans = np.array([[0.0, -gap, 0.0], [0.0, 0.0, 0.0], [0.0, -gap - 100.0, 0.0]])
+        emissions = np.array([[0.0, 0.0], [-600.0, 0.0], [-600.0, 0.0]])
+        return CrfParameters(trans), emissions
+
+    def test_lost_path_that_small_scale_factors_revive_falls_back(self, fallbacks):
+        params, emissions = self.revival_instance(900.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_z = log_partition(params, emissions)
+        assert fallbacks
+        assert log_z == pytest.approx(brute_log_partition(params.transitions, emissions), rel=1e-12)
+        assert log_z == pytest.approx(-900.0, abs=1e-6)
+
+    def test_transition_spread_just_inside_the_limit_stays_scaled(self, fallbacks):
+        # the same shape with a spread of 299 nats: exp(-299) survives, so
+        # nothing is lost and the scaled pass is exact
+        params, emissions = self.revival_instance(199.0)
+        self.assert_matches_log_space(params, emissions)
+        assert log_partition(params, emissions) == pytest.approx(
+            brute_log_partition(params.transitions, emissions), rel=1e-12
+        )
+        assert fallbacks == []
+
+    def test_non_finite_lattice_gives_non_finite_loss(self, fallbacks):
+        params = CrfParameters(np.zeros((4, 4)))
+        for bad in (np.nan, np.inf):
+            emissions = np.zeros((3, 3))
+            emissions[1, 2] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                nll, _ = nll_and_gradient(params, emissions, [0, 1, 2])
+            assert not np.isfinite(nll)
+        assert len(fallbacks) == 2
 
 
 class TestViterbi:
