@@ -137,53 +137,18 @@ def matmul(a, b) -> Tensor:
     return Tensor(out, (a, b), bw, True)
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate row matrices along axis 1."""
+def concat(parts: list[Tensor], axis: int) -> Tensor:
+    """Join tensors along ``axis``; each part gets its slice of the gradient."""
     parts = [_coerce(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
+    out = np.concatenate([p.data for p in parts], axis=axis)
     if not (_grad_enabled and any(p.tracked for p in parts)):
         return Tensor(out)
-    widths = [p.data.shape[1] for p in parts]
+    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def bw(g):
-        offset = 0
-        for p, w in zip(parts, widths):
+        for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
             if p.tracked:
-                p.accumulate(g[:, offset : offset + w])
-            offset += w
-
-    return Tensor(out, tuple(parts), bw, True)
-
-
-def concat_vecs(parts: list[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors into one vector."""
-    parts = [_coerce(p) for p in parts]
-    out = np.concatenate([p.data for p in parts])
-    if not (_grad_enabled and any(p.tracked for p in parts)):
-        return Tensor(out)
-    widths = [p.data.shape[0] for p in parts]
-
-    def bw(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.tracked:
-                p.accumulate(g[offset : offset + w])
-            offset += w
-
-    return Tensor(out, tuple(parts), bw, True)
-
-
-def stack_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 1-D tensors into a (len(parts), dim) matrix."""
-    parts = [_coerce(p) for p in parts]
-    out = np.stack([p.data for p in parts], axis=0)
-    if not (_grad_enabled and any(p.tracked for p in parts)):
-        return Tensor(out)
-
-    def bw(g):
-        for i, p in enumerate(parts):
-            if p.tracked:
-                p.accumulate(g[i])
+                p.accumulate(piece)
 
     return Tensor(out, tuple(parts), bw, True)
 

@@ -16,14 +16,11 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .corpus import Dataset, Sentence, TagScheme, Token, parse_conll, write_conll
 from .embeddings import (
     assemble,
     build_vocabulary,
     coverage_report,
-    load_embedding_table,
     pseudo_corpus_from_manifest,
     write_embedding_table,
 )
@@ -32,10 +29,10 @@ from .evaluation import evaluate, report, to_mapping
 from .glove import GloveParams, train_glove
 from .synth import SynthSpec, default_spec, generate
 from .training import (
-    Checkpoint,
     TrainConfig,
     derive_scheme,
     load_checkpoint,
+    load_embedding_tables,
     save_checkpoint,
     tag,
     train,
@@ -109,7 +106,7 @@ def build_train_config(file_values: dict[str, str], overrides: dict) -> TrainCon
     return config
 
 
-def _load_conll(path: str, scheme: TagScheme, **kw) -> Dataset:
+def _load_conll(path: str, scheme: TagScheme | None, **kw) -> Dataset:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_conll(fh, scheme, **kw)
@@ -117,20 +114,10 @@ def _load_conll(path: str, scheme: TagScheme, **kw) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _scheme_from_file(path: str) -> TagScheme:
-    """Derive the tag scheme by scanning a gold CoNLL file."""
-    classes: set[str] = set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) >= 2 and parts[1] != "O" and "-" in parts[1]:
-                    classes.add(parts[1].split("-", 1)[1])
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if not classes:
-        raise DataError(f"{path} contains no entity classes")
-    return TagScheme(tuple(sorted(classes)))
+def _load_gold(path: str) -> tuple[Dataset, TagScheme]:
+    """A gold CoNLL file and the tag scheme its tags derive."""
+    data = _load_conll(path, None)
+    return data, derive_scheme(data)
 
 
 def cmd_train(args) -> int:
@@ -150,8 +137,7 @@ def cmd_train(args) -> int:
         overrides["embeddings"] = tuple(args.embeddings)
     config = build_train_config(file_values, overrides)
 
-    scheme = _scheme_from_file(args.train)
-    data = _load_conll(args.train, scheme)
+    data, scheme = _load_gold(args.train)
 
     def progress(epoch, loss, f1):
         print(f"epoch {epoch:3d}  train loss {loss:8.4f}  validation F1 {f1:.4f}", flush=True)
@@ -183,6 +169,10 @@ def cmd_tag(args) -> int:
     else:
         data = _load_conll(args.input, scheme)
     tagged = tag(ckpt, data)
+    if args.raw_text:  # two columns, the prediction in the tag column
+        tagged = Dataset(tuple(
+            Sentence(tuple(Token(t.surface, t.pred_tag) for t in sent)) for sent in tagged
+        ))
     text = write_conll(tagged)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -193,8 +183,7 @@ def cmd_tag(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    scheme = _scheme_from_file(args.gold)
-    gold = _load_conll(args.gold, scheme)
+    gold, scheme = _load_gold(args.gold)
     pred = _load_conll(args.pred, scheme, warn_invalid_gold=False)
     metrics = evaluate(gold, pred, scheme)
     print(report(metrics))
@@ -276,11 +265,7 @@ def _vocab_from_conll(path: str):
 
 def cmd_embed_concat(args) -> int:
     vocab = _vocab_from_conll(args.vocab_from)
-    tables = []
-    for path in args.tables:
-        with open(path, encoding="utf-8") as fh:
-            tables.append(load_embedding_table(fh))
-    combined = assemble(vocab, tables, args.seed)
+    combined = assemble(vocab, load_embedding_tables(args.tables), args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_embedding_table(combined, fh)
     stats = coverage_report(vocab, combined)
@@ -293,11 +278,7 @@ def cmd_embed_concat(args) -> int:
 
 def cmd_coverage(args) -> int:
     vocab = _vocab_from_conll(args.vocab_from)
-    tables = []
-    for path in args.tables:
-        with open(path, encoding="utf-8") as fh:
-            tables.append(load_embedding_table(fh))
-    combined = assemble(vocab, tables, seed=0)
+    combined = assemble(vocab, load_embedding_tables(args.tables), seed=0)
     stats = coverage_report(vocab, combined)
     print(f"{stats.covered}/{stats.total_words} words covered ({stats.percentage:.2%})")
     return 0

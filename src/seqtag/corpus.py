@@ -137,12 +137,13 @@ def split_tag(tag: str) -> tuple[str, str | None]:
 
 
 def parse_conll(
-    source: str | Iterable[str], scheme: TagScheme, *, warn_invalid_gold: bool = True
+    source: str | Iterable[str], scheme: TagScheme | None, *, warn_invalid_gold: bool = True
 ) -> Dataset:
     """Parse CoNLL-style text into a :class:`Dataset`.
 
     ``source`` may be a whole document string or an iterable of lines
-    (e.g. an open file).  Every tag is validated against ``scheme``; the
+    (e.g. an open file).  Every tag is validated against ``scheme``
+    unless it is None (to derive a scheme from the tags afterwards); the
     column count is fixed by the first non-blank line.  Pass
     ``warn_invalid_gold=False`` when the tag column holds raw predictions
     rather than gold annotation.
@@ -182,7 +183,7 @@ def parse_conll(
         gold = fields[1] if ncols >= 2 else None
         pred = fields[2] if ncols >= 3 else None
         for tag in (gold, pred):
-            if tag is not None and tag not in scheme:
+            if scheme is not None and tag is not None and tag not in scheme:
                 raise TagValidationError(f"line {lineno}: unknown tag {tag!r}")
         tokens.append(Token(surface, gold, pred))
 

@@ -23,6 +23,13 @@ trainable parameter like any other; training keeps it informed by
 swapping learn-split singletons for ``<unk>`` at random (see
 :func:`loss_and_gradients`).
 
+Every tagger reads a sentence through :func:`encode`, which maps each
+token to its word-table row, its characters' char-table rows and its
+feature-family rows once; a character outside the char vocabulary reads
+that table's ``<unk>`` row 0, as words do.  A forward pass makes one
+leaf per lookup table holding the distinct rows the sentence reads, and
+the tokens gather from it with :func:`seqtag.autograd.take`.
+
 Training gradients come from the reverse-mode tape in
 :mod:`seqtag.autograd`; the binding correctness contract is agreement
 with central finite differences, which the test suite checks for every
@@ -31,9 +38,7 @@ parameter family.  Each directional LSTM is one fused tape node,
 array: the word BiLSTM runs the sentence as a batch of one, forward
 and reversed, and each char direction runs all words of the sentence
 as one batch whose carry mask stops a word's state at its last
-character.  The plain-numpy :func:`lstm_step`, :func:`run_lstm`,
-:func:`bilstm` and :func:`char_embed` are the reference the fused path
-is tested against.
+character.
 """
 
 from __future__ import annotations
@@ -45,9 +50,11 @@ import numpy as np
 from . import autograd as ag
 from .corpus import Sentence, TagScheme
 from .crf import CrfParameters, crf_nll_op, viterbi
-from .embeddings import EmbeddingTable, Vocabulary, hashed_uniform
+from .embeddings import EmbeddingTable, Vocabulary
 from .errors import ConfigError, TagValidationError
-from .features import FamilyRows, FeatureEncoder, encode_surface
+from .features import FamilyRows, FeatureEncoder
+# no tagger calls encode_surface; it stays bound because benchmarks/spans.py patches it here
+from .features import encode_surface  # noqa: F401
 
 CELL_FIELDS = ("W_xi", "W_hi", "w_ci", "W_xc", "W_hc", "W_xo", "W_ho", "w_co", "b_i", "b_c", "b_o")
 
@@ -122,48 +129,6 @@ def init_cell(
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def lstm_step(
-    cell: LstmCellParameters, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One recurrence step on plain numpy vectors; returns (h_t, c_t)."""
-    x, h_prev, c_prev = np.asarray(x), np.asarray(h_prev), np.asarray(c_prev)
-    if x.shape != (cell.input_dim,) or h_prev.shape != (cell.hidden_dim,) or c_prev.shape != (cell.hidden_dim,):
-        raise ValueError(
-            f"expected x ({cell.input_dim},), h and c ({cell.hidden_dim},); "
-            f"got {x.shape}, {h_prev.shape}, {c_prev.shape}"
-        )
-    i = _sigmoid(cell.W_xi @ x + cell.W_hi @ h_prev + cell.w_ci * c_prev + cell.b_i)
-    c = (1.0 - i) * c_prev + i * np.tanh(cell.W_xc @ x + cell.W_hc @ h_prev + cell.b_c)
-    o = _sigmoid(cell.W_xo @ x + cell.W_ho @ h_prev + cell.w_co * c + cell.b_o)
-    h = o * np.tanh(c)
-    return h, c
-
-
-def run_lstm(cell: LstmCellParameters, xs) -> list[np.ndarray]:
-    """Hidden states over a sequence, starting from zero states."""
-    h = np.zeros(cell.hidden_dim)
-    c = np.zeros(cell.hidden_dim)
-    states = []
-    for x in xs:
-        h, c = lstm_step(cell, x, h, c)
-        states.append(h)
-    return states
-
-
-def bilstm(cell_fwd: LstmCellParameters, cell_bwd: LstmCellParameters, xs) -> list[np.ndarray]:
-    """Per-position concatenation of forward and backward hidden states."""
-    xs = list(xs)
-    if not xs:
-        raise ValueError("bilstm needs a non-empty input sequence")
-    fwd = run_lstm(cell_fwd, xs)
-    bwd = run_lstm(cell_bwd, xs[::-1])[::-1]
-    return [np.concatenate([f, b]) for f, b in zip(fwd, bwd)]
-
-
 # ---------------------------------------------------------------------------
 # model container
 # ---------------------------------------------------------------------------
@@ -177,7 +142,7 @@ class ModelParameters:
     variant: str
     vocab: Vocabulary
     word_table: np.ndarray  # (V, d_w)
-    seed: int  # keys the deterministic fallback vectors for unseen characters
+    seed: int  # keys only the checkpoint meta and the feature fallbacks
     char_vocab: Vocabulary | None = None
     char_table: np.ndarray | None = None  # (C, d_c)
     feature_encoder: FeatureEncoder | None = None
@@ -312,7 +277,7 @@ def table_arrays(model: ModelParameters) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# lookups with deterministic fallbacks
+# encoding and the tape-building forward pass (training and inference)
 # ---------------------------------------------------------------------------
 
 
@@ -329,72 +294,51 @@ def word_vector(model: ModelParameters, surface: str) -> np.ndarray:
     return model.word_table[_word_index(model, surface)]
 
 
-def _char_index(model: ModelParameters, ch: str) -> int | None:
-    return model.char_vocab.index.get(ch)
+@dataclass(frozen=True)
+class EncodedSentence:
+    """A sentence as table rows: word rows, char rows and each feature family's rows.
 
-
-def char_vector(model: ModelParameters, ch: str) -> np.ndarray:
-    idx = _char_index(model, ch)
-    if idx is not None:
-        return model.char_table[idx]
-    return hashed_uniform(("oov-char", ch), model.seed, model.char_table.shape[1])
-
-
-def char_embed(word: str, model: ModelParameters) -> np.ndarray:
-    """Character-level word vector: final forward state ++ final backward state."""
-    if not word:
-        raise ValueError("cannot embed an empty word")
-    if not model.use_char:
-        raise ConfigError("model has no character-level components")
-    vecs = [char_vector(model, ch) for ch in word]
-    fwd = run_lstm(model.char_fwd, vecs)[-1]
-    bwd = run_lstm(model.char_bwd, vecs[::-1])[-1]
-    return np.concatenate([fwd, bwd])
-
-
-def token_representation(
-    model: ModelParameters,
-    sentence: Sentence,
-    position: int,
-    *,
-    mode: str = "infer",
-    dropout: float = 0.5,
-    seed: int = 0,
-) -> np.ndarray:
-    """Concatenated input vector for one token.
-
-    Depending on the model configuration this is the word embedding,
-    plus the character-level vector, plus the hand-crafted features.  In
-    ``train`` mode an inverted-scaling dropout mask drawn from ``seed``
-    is applied; in ``infer`` mode the representation is deterministic.
+    It holds indices, not vectors, so every forward pass reads the live
+    tables when it gathers.
     """
-    surface = sentence.tokens[position].surface
-    parts = [word_vector(model, surface)]
+
+    sentence: Sentence
+    words: np.ndarray  # (T,) word-table rows
+    chars: np.ndarray  # every word's char-table rows, concatenated; empty without chars
+    word_lengths: np.ndarray  # (T,) characters per word; empty without chars
+    features: tuple[FamilyRows, ...]  # one per feature family; empty without features
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+
+def encode(model: ModelParameters, sentence: Sentence) -> EncodedSentence:
+    """Map each token to its word-, char- and feature-table rows.
+
+    A word or a character outside its vocabulary reads the ``<unk>`` row 0.
+    """
+    surfaces = sentence.surfaces
+    words = np.array([_word_index(model, w) for w in surfaces], dtype=np.intp)
+    chars = lengths = np.zeros(0, dtype=np.intp)
     if model.use_char:
-        parts.append(char_embed(surface, model))
-    if model.use_features:
-        parts.append(encode_surface(surface, model.feature_encoder))
-    rep = np.concatenate(parts)
-    if mode == "train" and dropout > 0.0:
-        rng = np.random.default_rng((seed, position))
-        mask = (rng.random(rep.shape) >= dropout) / (1.0 - dropout)
-        rep = rep * mask
-    elif mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
-    return rep
+        index = model.char_vocab.index
+        chars = np.array([index.get(ch, 0) for w in surfaces for ch in w], dtype=np.intp)
+        lengths = np.array([len(w) for w in surfaces], dtype=np.intp)
+    features = model.feature_encoder.rows(surfaces) if model.use_features else ()
+    return EncodedSentence(sentence, words, chars, lengths, features)
 
 
-# ---------------------------------------------------------------------------
-# tape-building forward pass (training and batched inference)
-# ---------------------------------------------------------------------------
+def _encoded(model: ModelParameters, sentence: Sentence | EncodedSentence) -> EncodedSentence:
+    return sentence if isinstance(sentence, EncodedSentence) else encode(model, sentence)
 
 
 class _LeafSet:
-    """Parameter leaves created for one forward pass, deduplicated."""
+    """Parameter leaves of one forward pass: each dense array, and for each
+    lookup table one leaf of the distinct rows the sentence reads."""
 
     def __init__(self):
         self.dense: dict[str, ag.Tensor] = {}
-        self.rows: dict[str, dict[int, ag.Tensor]] = {}
+        self.tables: dict[str, tuple[np.ndarray, ag.Tensor]] = {}
 
     def dense_leaf(self, name: str, arr: np.ndarray) -> ag.Tensor:
         t = self.dense.get(name)
@@ -402,92 +346,77 @@ class _LeafSet:
             t = self.dense[name] = ag.leaf(arr)
         return t
 
-    def row_leaf(self, table: str, matrix: np.ndarray, idx: int) -> ag.Tensor:
-        rows = self.rows.setdefault(table, {})
-        t = rows.get(idx)
-        if t is None:
-            t = rows[idx] = ag.leaf(matrix[idx])
-        return t
+    def table_rows(
+        self, name: str, matrix: np.ndarray, rows: np.ndarray, fallback: np.ndarray | None = None
+    ) -> tuple[ag.Tensor, np.ndarray]:
+        """The leaf of the distinct ``rows`` of ``matrix``, and where each row sits in it.
+
+        A row of -1 reads the next row of the untracked ``fallback``,
+        which is stacked under the leaf.
+        """
+        seen = rows >= 0
+        distinct, inverse = np.unique(rows[seen], return_inverse=True)
+        leaf = ag.leaf(matrix[distinct])
+        self.tables[name] = (distinct, leaf)
+        if len(inverse) == len(rows):
+            return leaf, inverse
+        index = np.empty(len(rows), dtype=np.intp)
+        index[seen] = inverse
+        index[~seen] = len(distinct) + np.arange(len(fallback))
+        return ag.concat([leaf, ag.Tensor(fallback)], axis=0), index
 
 
 def _cell_leaves(leaves: _LeafSet, name: str, cell: LstmCellParameters) -> dict[str, ag.Tensor]:
     return {f: leaves.dense_leaf(f"{name}.{f}", getattr(cell, f)) for f in CELL_FIELDS}
 
 
-def _char_final_states(model: ModelParameters, leaves: _LeafSet, words: list[str]) -> ag.Tensor:
+def _char_final_states(model: ModelParameters, leaves: _LeafSet, enc: EncodedSentence) -> ag.Tensor:
     """(T, 2*H_c) final char-BiLSTM states for all tokens, one fused op per direction.
 
-    The sentence's distinct characters, plus a zero padding row, are
-    stacked once; each direction gathers from that stack a
-    (max_len, T, d_c) batch, with every word's characters, reversed for
-    the backward cell, from step 0 on.  The carry mask is 0 past a word's
-    end, so that word's state stops updating, and the last step holds
-    each word's final state.
+    Each direction gathers a (max_len, T, d_c) batch with every word's
+    characters, reversed for the backward cell, from step 0 on.  The
+    carry mask is 0 past a word's end, so that word's state stops
+    updating, and the last step holds each word's final state.  A padded
+    step re-reads the sentence's first character: a masked step passes
+    no gradient to its input, so padding adds no row to the gradient.
     """
-    rows: list[ag.Tensor] = []
-    slot: dict[str, int] = {}
-    ids = []
-    for w in words:
-        for ch in w:
-            if ch not in slot:
-                slot[ch] = len(rows)
-                idx = _char_index(model, ch)
-                if idx is not None:
-                    rows.append(leaves.row_leaf("char_table", model.char_table, idx))
-                else:
-                    rows.append(ag.Tensor(char_vector(model, ch)))
-        ids.append([slot[ch] for ch in w])
-    rows.append(ag.Tensor(np.zeros(model.char_table.shape[1])))
-    chars = ag.stack_rows(rows)
-    lengths = np.array([len(w) for w in words])
-    mask = np.arange(lengths.max())[:, None] < lengths[None, :]  # (max_len, T)
+    chars, index = leaves.table_rows("char_table", model.char_table, enc.chars)
+    lengths = enc.word_lengths
+    steps = np.arange(lengths.max())[:, None]
+    mask = steps < lengths[None, :]  # (max_len, T)
+    ends = np.cumsum(lengths)
     finals = []
-    for cell_name, reverse in (("char_fwd", False), ("char_bwd", True)):
-        index = np.full(mask.shape, len(rows) - 1)  # padding reads the zero row
-        for b, seq in enumerate(ids):
-            index[: len(seq), b] = seq[::-1] if reverse else seq
-        cl = _cell_leaves(leaves, cell_name, getattr(model, cell_name))
-        states = ag.lstm(ag.take(chars, index), mask, cl)
+    starts = ends - lengths
+    for cell_name, position in (("char_fwd", starts + steps), ("char_bwd", ends - 1 - steps)):
+        batch = ag.take(chars, index[np.where(mask, position, 0)])
+        states = ag.lstm(batch, mask, _cell_leaves(leaves, cell_name, getattr(model, cell_name)))
         finals.append(ag.take(states, -1))
-    return ag.concat_cols(finals)
-
-
-def _feature_rows(model: ModelParameters, leaves: _LeafSet, surface: str) -> ag.Tensor:
-    enc = model.feature_encoder
-    parts = []
-    for fam in enc.families:
-        row = fam.row_for(surface)
-        if row is not None:
-            parts.append(leaves.row_leaf(f"feature:{fam.name}", fam.table, row))
-        else:
-            parts.append(ag.Tensor(enc.vector(fam, surface)))
-    return ag.concat_vecs(parts)
+    return ag.concat(finals, axis=1)
 
 
 def _representation_graph(
     model: ModelParameters,
     leaves: _LeafSet,
-    sentence: Sentence,
+    enc: EncodedSentence,
     *,
     train: bool,
     dropout: float,
     rng: np.random.Generator | None,
     singletons: frozenset[str] = frozenset(),
 ) -> ag.Tensor:
-    words = [t.surface for t in sentence]
-    ids = [_word_index(model, w) for w in words]
+    words = enc.words
     if train and singletons:
         # only the word lookup becomes <unk>; the char BiLSTM sees the real word
-        ids = [
-            0 if w in singletons and rng.random() < UNK_SWAP_RATE else i
-            for i, w in zip(ids, words)
-        ]
-    parts = [ag.stack_rows([leaves.row_leaf("word_table", model.word_table, i) for i in ids])]
+        swap = [t.surface in singletons and rng.random() < UNK_SWAP_RATE for t in enc.sentence]
+        words = np.where(swap, 0, words)
+    parts = [ag.take(*leaves.table_rows("word_table", model.word_table, words))]
     if model.use_char:
-        parts.append(_char_final_states(model, leaves, words))
+        parts.append(_char_final_states(model, leaves, enc))
     if model.use_features:
-        parts.append(ag.stack_rows([_feature_rows(model, leaves, w) for w in words]))
-    rep = ag.concat_cols(parts) if len(parts) > 1 else parts[0]
+        for fam, rows in zip(model.feature_encoder.families, enc.features):
+            name = f"feature:{fam.name}"
+            parts.append(ag.take(*leaves.table_rows(name, fam.table, rows.rows, rows.fallback)))
+    rep = ag.concat(parts, axis=1)
     if train and dropout > 0.0:
         mask = (rng.random(rep.shape) >= dropout) / (1.0 - dropout)
         rep = rep * ag.Tensor(mask)
@@ -497,7 +426,7 @@ def _representation_graph(
 def _logits_graph(
     model: ModelParameters,
     leaves: _LeafSet,
-    sentence: Sentence,
+    enc: EncodedSentence,
     *,
     train: bool = False,
     dropout: float = 0.0,
@@ -505,16 +434,16 @@ def _logits_graph(
     singletons: frozenset[str] = frozenset(),
 ) -> ag.Tensor:
     rep = _representation_graph(
-        model, leaves, sentence, train=train, dropout=dropout, rng=rng, singletons=singletons
+        model, leaves, enc, train=train, dropout=dropout, rng=rng, singletons=singletons
     )
     # each direction is a batch of one sequence; the backward cell reads it reversed
-    steps = np.arange(len(sentence))
+    steps = np.arange(len(enc))
     hidden = []
     for cell_name, order in (("word_fwd", steps), ("word_bwd", steps[::-1])):
         cl = _cell_leaves(leaves, cell_name, getattr(model, cell_name))
         states = ag.lstm(ag.take(rep, order[:, None]), None, cl)  # (T, 1, H_w)
         hidden.append(ag.take(states, (order, 0)))  # back to sentence order
-    hidden = ag.concat_cols(hidden)
+    hidden = ag.concat(hidden, axis=1)
     return ag.matmul(hidden, leaves.dense_leaf("projection", model.projection))
 
 
@@ -550,23 +479,20 @@ def _gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
 
 
 def _harvest(leaves: _LeafSet) -> Gradients:
-    dense = {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in leaves.dense.items()
-    }
+    """Dense gradients by name, and each table leaf's gradient split back into its rows."""
+    grad = lambda t: t.grad if t.grad is not None else np.zeros_like(t.data)  # noqa: E731
+    dense = {name: grad(t) for name, t in leaves.dense.items()}
     rows = {
-        table: {
-            idx: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for idx, t in table_rows.items()
-        }
-        for table, table_rows in leaves.rows.items()
+        table: dict(zip(distinct.tolist(), grad(t)))
+        for table, (distinct, t) in leaves.tables.items()
+        if len(distinct)
     }
     return Gradients(dense, rows)
 
 
 def loss_and_gradients(
     model: ModelParameters,
-    sentence: Sentence,
+    sentence: Sentence | EncodedSentence,
     gold_tags,
     variant: str | None = None,
     *,
@@ -581,8 +507,9 @@ def loss_and_gradients(
     surface is in ``singletons`` reads the ``<unk>`` row instead of its
     own with probability ``UNK_SWAP_RATE``, so the row that unseen words
     get at inference is trained.  The swap and the dropout masks are
-    drawn from one generator seeded by ``dropout_seed``; with a fixed
-    seed the result is bitwise reproducible.
+    drawn from one generator seeded by ``dropout_seed``: one draw per
+    singleton token in token order, then the mask.  With a fixed seed
+    the result is bitwise reproducible.
     """
     variant = variant or model.variant
     if variant not in ("blstm", "blstm_crf"):
@@ -596,7 +523,8 @@ def loss_and_gradients(
     leaves = _LeafSet()
     rng = np.random.default_rng(dropout_seed) if dropout > 0.0 or singletons else None
     logits = _logits_graph(
-        model, leaves, sentence, train=True, dropout=dropout, rng=rng, singletons=singletons
+        model, leaves, _encoded(model, sentence),
+        train=True, dropout=dropout, rng=rng, singletons=singletons,
     )
     if variant == "blstm":
         loss = ag.softmax_cross_entropy(logits, gold)
@@ -607,61 +535,31 @@ def loss_and_gradients(
     return float(loss.data), _harvest(leaves)
 
 
-def sentence_logits(model: ModelParameters, sentence: Sentence) -> np.ndarray:
+def sentence_logits(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
     """(T, K) emission/logit lattice with no dropout and no tape."""
     with ag.no_grad():
-        return _logits_graph(model, _LeafSet(), sentence).data
+        return _logits_graph(model, _LeafSet(), _encoded(model, sentence)).data
 
 
-def forward_blstm(model: ModelParameters, sentence: Sentence) -> np.ndarray:
+def forward_blstm(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
     """(T, K) per-token class posteriors; rows sum to one."""
     if model.variant != "blstm":
         raise ConfigError("forward_blstm applies to the softmax-output variant only")
     return ag.rows_softmax(sentence_logits(model, sentence))
 
 
-@dataclass(frozen=True)
-class EncodedSentence:
-    """A sentence as table rows: its word rows and each feature family's rows.
-
-    It holds indices, not vectors, so :func:`crf_inputs` reads the live
-    tables each time it gathers.
-    """
-
-    words: np.ndarray  # (T,) word-table rows
-    features: tuple[FamilyRows, ...]  # one per feature family; empty without features
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def encode(model: ModelParameters, sentence: Sentence) -> EncodedSentence:
-    """Map each token to its word-table row and its feature-family rows."""
-    surfaces = [t.surface for t in sentence]
-    words = np.array([_word_index(model, w) for w in surfaces], dtype=np.intp)
-    features = model.feature_encoder.rows(surfaces) if model.use_features else ()
-    return EncodedSentence(words, features)
-
-
 def crf_inputs(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
-    """(T, D) feature matrix for the transition-baseline tagger.
-
-    One gather per table; a plain sentence is encoded first.
-    """
-    if isinstance(sentence, Sentence):
-        sentence = encode(model, sentence)
-    parts = [model.word_table[sentence.words]]
+    """(T, D) feature matrix for the transition-baseline tagger; one gather per table."""
+    enc = _encoded(model, sentence)
+    parts = [model.word_table[enc.words]]
     if model.use_features:
         families = model.feature_encoder.families
-        parts += [rows.gather(fam.table) for rows, fam in zip(sentence.features, families)]
+        parts += [rows.gather(fam.table) for rows, fam in zip(enc.features, families)]
     return np.concatenate(parts, axis=1)
 
 
 def predict_tag_ids(model: ModelParameters, sentence: Sentence | EncodedSentence) -> list[int]:
-    """Most likely tag indices; argmax per token or Viterbi per variant.
-
-    The baseline also takes an :class:`EncodedSentence`.
-    """
+    """Most likely tag indices; argmax per token or Viterbi per variant."""
     if model.variant == "crf":
         from .crf import emissions_from_inputs
 

@@ -9,11 +9,10 @@ epoch, and keeps the parameters of the best epoch (earliest on ties).
 Validation words that the learning part lacks are thus unseen words, as
 they will be at test time: they read the ``<unk>`` row, which the
 recurrent taggers train by swapping learn-split singletons for
-``<unk>`` (Lample et al. 2016, §4).  The feature-input baseline trains
-no lookup table, so a run encodes its two splits to table rows once
-(:func:`seqtag.network.encode`) and every epoch's training and
-validation gather their inputs from those rows.  Runs are bitwise
-reproducible for a fixed seed.
+``<unk>`` (Lample et al. 2016, §4).  A run encodes its two splits to
+table rows once (:func:`seqtag.network.encode`), and every epoch's
+training and validation gather their inputs from those rows.  Runs are
+bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from __future__ import annotations
 import copy
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -111,15 +110,31 @@ class Checkpoint:
 
 
 def derive_scheme(data: Dataset) -> TagScheme:
-    """Entity classes observed in the gold tags, alphabetically ordered."""
+    """Entity classes observed in the gold tags, alphabetically ordered.
+
+    Every tag must be ``O``, ``B-c`` or ``I-c``.
+    """
     classes = set()
     for sent in data:
         for tag in sent.gold_tags:
-            if tag and tag != "O":
-                classes.add(tag.split("-", 1)[1])
+            if tag is None or tag == "O":
+                continue
+            prefix, _, cls = tag.partition("-")
+            if prefix not in ("B", "I") or not cls:
+                raise TagValidationError(f"gold tag {tag!r} is not O, B-<class> or I-<class>")
+            classes.add(cls)
     if not classes:
         raise DataError("no entity classes found in the gold tags")
     return TagScheme(tuple(sorted(classes)))
+
+
+def load_embedding_tables(paths) -> list[EmbeddingTable]:
+    """Read each text-format embedding table in ``paths``."""
+    tables = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tables.append(load_embedding_table(fh))
+    return tables
 
 
 def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelParameters:
@@ -132,11 +147,7 @@ def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelP
     surfaces = [t.surface for s in data for t in s]
     vocab = build_vocabulary(surfaces)
     if config.embeddings:
-        tables = []
-        for path in config.embeddings:
-            with open(path, encoding="utf-8") as fh:
-                tables.append(load_embedding_table(fh))
-        word_table = assemble(vocab, tables, config.seed)
+        word_table = assemble(vocab, load_embedding_tables(config.embeddings), config.seed)
     else:
         word_table = random_table(vocab, config.d_w, config.seed)
     chars = sorted({ch for s in surfaces for ch in s})
@@ -194,16 +205,11 @@ def crf_baseline_loss_and_gradients(
     )
 
 
-def tag_with_model(
-    model: ModelParameters, data: Dataset, encoded: list[EncodedSentence] | None = None
-) -> Dataset:
-    """Predict, repair, and attach BIO tags to every sentence.
-
-    ``encoded``, when given, holds the baseline's encoding of each
-    sentence, which is decoded in place of the sentence itself.
-    """
+def tag_with_model(model: ModelParameters, data: Iterable[Sentence | EncodedSentence]) -> Dataset:
+    """Predict, repair, and attach BIO tags to every sentence, plain or encoded."""
     tagged = []
-    for sent, inputs in zip(data, data if encoded is None else encoded):
+    for inputs in data:
+        sent = inputs.sentence if isinstance(inputs, EncodedSentence) else inputs
         for t in sent.gold_tags:
             if t is not None and t not in model.scheme:
                 raise TagValidationError(
@@ -252,10 +258,8 @@ def train(
         raise DataError("validation split is empty; lower split_ratio or add sentences")
 
     model = build_model(config, scheme, learn)
-    learn_encoded = valid_encoded = None
-    if config.variant == "crf":  # the baseline's inputs are fixed table rows
-        learn_encoded = [encode(model, s) for s in learn]
-        valid_encoded = [encode(model, s) for s in valid]
+    learn_encoded = [encode(model, s) for s in learn]
+    valid_encoded = [encode(model, s) for s in valid]
     counts = Counter(t.surface for s in learn for t in s)
     singletons = frozenset(w for w, n in counts.items() if n == 1)
 
@@ -268,12 +272,10 @@ def train(
         order = np.random.default_rng((config.seed, epoch)).permutation(len(learn))
         total_loss = 0.0
         for idx in order:
-            sent = learn[int(idx)]
-            gold = list(sent.gold_tags)
+            sent = learn_encoded[int(idx)]
+            gold = list(sent.sentence.gold_tags)
             if config.variant == "crf":
-                loss, grads = crf_baseline_loss_and_gradients(
-                    model, learn_encoded[int(idx)], gold, config.crf_l2
-                )
+                loss, grads = crf_baseline_loss_and_gradients(model, sent, gold, config.crf_l2)
             else:
                 loss, grads = loss_and_gradients(
                     model,
@@ -291,7 +293,7 @@ def train(
             total_loss += loss
             sgd_update(model, grads, config.learning_rate, config.clip_norm)
 
-        f1 = evaluate(valid, tag_with_model(model, valid, valid_encoded), scheme).micro_f1()
+        f1 = evaluate(valid, tag_with_model(model, valid_encoded), scheme).micro_f1()
         history.append(f1)
         if f1 > best_f1:
             best_f1, best_epoch = f1, epoch
@@ -311,9 +313,6 @@ def tag(checkpoint: Checkpoint, sentences: Dataset) -> Dataset:
 # persistence
 # ---------------------------------------------------------------------------
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-
-
 def _config_lines(config: TrainConfig) -> list[str]:
     lines = []
     for f in fields(TrainConfig):
@@ -322,6 +321,13 @@ def _config_lines(config: TrainConfig) -> list[str]:
             value = "\t".join(value)
         lines.append(f"{f.name} = {value!r}" if isinstance(value, float) else f"{f.name} = {value}")
     return lines
+
+
+def _parse_value(section: str, key: str, text: str, parse: Callable):
+    try:
+        return parse(text)
+    except ValueError:
+        raise DataError(f"checkpoint {section} value {key!r} does not parse: {text!r}") from None
 
 
 def _parse_config(lines: list[str]) -> TrainConfig:
@@ -338,10 +344,8 @@ def _parse_config(lines: list[str]) -> TrainConfig:
             kwargs[f.name] = tuple(p for p in text.split("\t") if p)
         elif f.type == "bool":
             kwargs[f.name] = text == "True"
-        elif f.type == "int":
-            kwargs[f.name] = int(text)
-        elif f.type == "float":
-            kwargs[f.name] = float(text)
+        elif f.type in ("int", "float"):
+            kwargs[f.name] = _parse_value("config", f.name, text, int if f.type == "int" else float)
         else:
             kwargs[f.name] = text
     return TrainConfig(**kwargs)
@@ -419,14 +423,16 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("seed", "variant", "best_epoch", "history"):
         if key not in meta:
             raise DataError(f"checkpoint meta is missing its {key!r} line")
-    seed = int(meta["seed"])
+    seed = _parse_value("meta", "seed", meta["seed"], int)
     variant = meta["variant"]
     if variant != config.variant:  # TrainConfig has checked config.variant is in VARIANTS
         raise DataError(
             f"checkpoint meta 'variant' is {variant!r} but its config says {config.variant!r}"
         )
-    best_epoch = int(meta["best_epoch"])
-    history = [float(v) for v in meta["history"].split()] if meta["history"] else []
+    best_epoch = _parse_value("meta", "best_epoch", meta["best_epoch"], int)
+    history = _parse_value(
+        "meta", "history", meta["history"], lambda text: [float(v) for v in text.split()]
+    )
     char_vocab = Vocabulary(tuple(sections["charvocab"])) if "charvocab" in sections else None
 
     crf = None

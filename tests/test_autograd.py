@@ -106,28 +106,29 @@ class TestMatmulAndActivations:
 
 
 class TestStructuralOps:
-    def test_concat_cols(self):
+    def test_concat_columns(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(3, 4))
 
         def build(leaves):
             xs, ys = leaves
-            return ag.softmax_cross_entropy(ag.concat_cols([xs, ys]), np.array([0, 5, 3]))
+            return ag.softmax_cross_entropy(ag.concat([xs, ys], axis=1), np.array([0, 5, 3]))
 
         check_grads(build, [a, b])
 
-    def test_stack_rows_and_row(self):
+    def test_concat_rows(self):
+        # an untracked block stacked under the leaves, read through take with repeats
         rng = np.random.default_rng(7)
-        rows = [rng.normal(size=(4,)) for _ in range(3)]
+        a = rng.normal(size=(2, 4))
+        b = rng.normal(size=(1, 4))
+        fixed = ag.Tensor(rng.normal(size=(2, 4)))
 
         def build(leaves):
-            m = ag.stack_rows(leaves)
-            first = ag.take(m, [0])
-            rest = ag.take(m, [2])
-            return ag.softmax_cross_entropy(ag.concat_cols([first, rest]), np.array([1]))
+            m = ag.concat([*leaves, fixed], axis=0)
+            return ag.softmax_cross_entropy(ag.take(m, [4, 0, 2, 0, 3]), np.array([1, 3, 0, 2, 1]))
 
-        check_grads(build, rows)
+        check_grads(build, [a, b])
 
     def test_shared_subexpression_accumulates(self):
         rng = np.random.default_rng(8)

@@ -121,3 +121,65 @@ class TestInconsistentCheckpoint:
         code, err = tag_with_edited_checkpoint(trained_checkpoint, tmp_path, capsys, edit)
         assert code == EXIT_DATA
         assert name in err
+
+
+class TestUnparsableCheckpointValues:
+    """A value that does not parse, under a valid checksum, exits 2 naming its key."""
+
+    @pytest.mark.parametrize("section, key", [("meta", "seed"), ("config", "epochs")])
+    def test_value_x(self, trained_checkpoint, tmp_path, capsys, section, key):
+        def edit(sections, tensors):
+            sections[section] = [
+                f"{key} = x" if ln.startswith(f"{key} = ") else ln for ln in sections[section]
+            ]
+
+        code, err = tag_with_edited_checkpoint(trained_checkpoint, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert repr(key) in err and section in err
+
+
+class TestRawText:
+    def test_tags_plain_text_into_a_file_that_evaluate_reads(
+        self, trained_checkpoint, tmp_path, capsys
+    ):
+        words = [["aspirin", "twice", "daily"], ["no", "fever", "today", "."]]
+        raw = tmp_path / "in.txt"
+        raw.write_text("".join(" ".join(s) + "\n" for s in words), encoding="utf-8")
+        out = tmp_path / "out.conll"
+        code = main(["tag", "--model", str(trained_checkpoint), "--input", str(raw),
+                     "--raw-text", "--output", str(out)])
+        assert code == 0
+        lines = [ln for ln in out.read_text(encoding="utf-8").splitlines() if ln]
+        assert [ln.split("\t")[0] for ln in lines] == [w for s in words for w in s]
+        assert all(len(ln.split("\t")) == 2 for ln in lines)
+
+        # the gold file names every class the model may predict
+        gold_tags = [["B-problem", "O", "O"], ["O", "B-test", "B-treatment", "O"]]
+        gold = tmp_path / "gold.conll"
+        rows = ["".join(f"{w}\t{t}\n" for w, t in zip(*pair)) for pair in zip(words, gold_tags)]
+        gold.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestMalformedGoldTag:
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_bare_prefix_exits_with_data_error(self, tmp_path, capsys, command):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("aspirin\tB\ntwice\tO\n\n", encoding="utf-8")
+        if command == "train":
+            argv = ["train", "--train", str(gold), "--model", str(tmp_path / "m.ckpt")]
+        else:
+            argv = ["evaluate", "--gold", str(gold), "--pred", str(gold)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "'B'" in err and "Traceback" not in err
+
+    def test_no_entity_classes_exits_with_data_error(self, tmp_path, capsys):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("aspirin\tO\ntwice\tO\n\n", encoding="utf-8")
+        code = main(["train", "--train", str(gold), "--model", str(tmp_path / "m.ckpt")])
+        assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err

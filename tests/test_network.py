@@ -4,6 +4,15 @@ import math
 import numpy as np
 import pytest
 from gradcheck import check_model_gradients, zero_everything
+from reference import (
+    bilstm,
+    char_embed,
+    char_vector,
+    lstm_step,
+    run_lstm,
+    token_representation,
+)
+from reference import sentence_logits as reference_logits
 
 from seqtag import autograd as ag
 from seqtag.corpus import Sentence, TagScheme, Token
@@ -12,9 +21,8 @@ from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
 from seqtag.network import (
     LstmCellParameters,
-    bilstm,
-    char_embed,
-    char_vector,
+    _LeafSet,
+    _representation_graph,
     crf_inputs,
     dense_arrays,
     encode,
@@ -22,11 +30,8 @@ from seqtag.network import (
     init_cell,
     init_model,
     loss_and_gradients,
-    lstm_step,
     predict_tag_ids,
-    run_lstm,
     sentence_logits,
-    token_representation,
     word_vector,
 )
 
@@ -204,30 +209,36 @@ class TestCharEmbed:
 class TestTokenRepresentation:
     def test_word_plus_char_dimension(self):
         model = make_model(d_w=4, H_c=2)
-        sent = make_sentence(["felbatol", "daily"])
-        rep = token_representation(model, sent, 0)
+        rep = token_representation(model, "felbatol")
         assert rep.shape == (4 + 4,)
 
     def test_full_configuration_dimension(self):
         model = make_model(use_features=True, d_w=6, H_c=2)
-        sent = make_sentence(["felbatol"])
-        rep = token_representation(model, sent, 0)
+        rep = token_representation(model, "felbatol")
         assert rep.shape == (6 + 4 + 146,)
 
     def test_infer_mode_is_deterministic(self):
         model = make_model(use_features=True)
         sent = make_sentence(["was", "given"])
-        a = token_representation(model, sent, 1, mode="infer")
-        b = token_representation(model, sent, 1, mode="infer")
-        np.testing.assert_array_equal(a, b)
+        a, b = (
+            _representation_graph(
+                model, _LeafSet(), encode(model, sent), train=False, dropout=0.5, rng=None
+            )
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_allclose(a.data[1], token_representation(model, "given"), atol=1e-12)
 
     def test_train_mode_drops_and_scales(self):
         model = make_model()
         sent = make_sentence(["felbatol"])
-        rep = token_representation(model, sent, 0, mode="train", dropout=0.5, seed=4)
-        base = token_representation(model, sent, 0, mode="infer")
+        rep = _representation_graph(
+            model, _LeafSet(), encode(model, sent),
+            train=True, dropout=0.5, rng=np.random.default_rng(4),
+        ).data[0]
+        base = token_representation(model, "felbatol")
         kept = rep != 0
-        np.testing.assert_allclose(rep[kept], 2.0 * base[kept])
+        np.testing.assert_allclose(rep[kept], 2.0 * base[kept], atol=1e-12)
         assert kept.sum() < rep.size  # with seed 4 some coordinates drop
 
 
@@ -248,11 +259,22 @@ class TestForwardBlstm:
     def test_batched_path_matches_public_op_composition(self):
         # oracle: per-token representations -> bilstm -> projection -> softmax
         model = make_model(variant="blstm", use_features=True)
-        sent = make_sentence(["felbatol", "unseen-word", "daily"])
-        xs = [token_representation(model, sent, i) for i in range(len(sent))]
-        hidden = bilstm(model.word_fwd, model.word_bwd, xs)
-        logits = np.stack(hidden) @ model.projection
-        np.testing.assert_allclose(sentence_logits(model, sent), logits, atol=1e-12)
+        surfaces = ["felbatol", "unseen-word", "daily"]
+        logits = reference_logits(model, surfaces)
+        logits_now = sentence_logits(model, make_sentence(surfaces))
+        np.testing.assert_allclose(logits_now, logits, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["blstm", "blstm_crf"])
+    def test_gathered_path_matches_reference_on_unseen_inputs(self, variant):
+        model = make_model(variant=variant, use_features=True)
+        # a repeated word, an unseen word with unseen characters (q, u, k) and
+        # unseen prefix and suffix values, and a seen word in upper case
+        surfaces = ["daily", "Quokka", "was", "daily", "FELBATOL"]
+        families = {fam.name: fam for fam in model.feature_encoder.families}
+        assert "Quokka" not in model.vocab.index and "q" not in model.char_vocab.index
+        assert families["prefix3"].row_for("Quokka") is None
+        logits = sentence_logits(model, make_sentence(surfaces))
+        np.testing.assert_allclose(logits, reference_logits(model, surfaces), atol=1e-12)
 
     def test_wrong_variant_rejected(self):
         model = make_model(variant="blstm_crf")
@@ -303,6 +325,22 @@ class TestLossAndGradients:
             0, model.vocab.index["felbatol"], model.vocab.index["daily"]
         }
         assert np.any(grads.rows["word_table"][0] != 0.0)
+
+    def test_unseen_character_reads_and_trains_the_char_unk_row(self):
+        model = make_model()
+        sent = make_sentence(["felbatol", "zq", "daily"])
+        assert "z" not in model.char_vocab.index and "q" not in model.char_vocab.index
+        np.testing.assert_array_equal(char_vector(model, "z"), model.char_table[0])
+        before = sentence_logits(model, sent)
+        model.char_table[0] += 0.25
+        after = sentence_logits(model, sent)
+        assert not np.array_equal(after[1], before[1])
+        _, grads = loss_and_gradients(model, sent, ["B-x", "O", "O"])
+        assert 0 in grads.rows["char_table"]
+        assert np.any(grads.rows["char_table"][0] != 0.0)
+        # with every character seen, exactly the characters read get a row
+        _, grads = loss_and_gradients(model, make_sentence(["felbatol", "was"]), ["B-x", "O"])
+        assert set(grads.rows["char_table"]) == {model.char_vocab.index[ch] for ch in "felbatowas"}
 
     def test_singleton_swap_replaces_only_the_word_lookup(self):
         model = make_model()
@@ -355,10 +393,10 @@ class TestLossAndGradients:
 
 
 class TestTapeSize:
-    def test_tape_grows_only_by_per_token_lookup_leaves(self, monkeypatch):
-        # one fused node per LSTM direction: a longer sentence adds only its word rows
+    def test_tape_size_does_not_depend_on_length(self, monkeypatch):
+        # one leaf per lookup table and one fused node per LSTM direction
         words = tuple(f"w{i}" for i in range(40))
-        model = make_model(variant="blstm_crf", use_char=False, words=words)
+        model = make_model(variant="blstm_crf", use_features=True, words=words)
         losses = []
         backward = ag.backward
         monkeypatch.setattr(ag, "backward", lambda loss: (losses.append(loss), backward(loss)))
@@ -373,7 +411,7 @@ class TestTapeSize:
                     todo.extend(node.parents)
             return len(seen)
 
-        assert tape_nodes(40) - tape_nodes(5) == 35
+        assert tape_nodes(40) == tape_nodes(5)
 
 
 class TestCrfInputs:

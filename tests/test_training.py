@@ -84,6 +84,12 @@ class TestDeriveScheme:
         with pytest.raises(DataError):
             derive_scheme(data)
 
+    @pytest.mark.parametrize("tag", ["B", "I-", "X-drug", "drug"])
+    def test_malformed_tag_rejected(self, tag):
+        data = parse_conll(f"a\tB-drug\nb\t{tag}\n", None, warn_invalid_gold=False)
+        with pytest.raises(TagValidationError, match=repr(tag)):
+            derive_scheme(data)
+
 
 class TestTrainLoop:
     def test_bitwise_identical_checkpoints_for_fixed_seed(self, tmp_path):
