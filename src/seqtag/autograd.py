@@ -67,12 +67,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, tracked={self.tracked})"
-
 
 def leaf(data) -> Tensor:
     """A tracked graph input (parameter or parameter row)."""
@@ -167,101 +161,104 @@ def take(a: Tensor, index) -> Tensor:
     return Tensor(out, (a,), bw, True)
 
 
-def lstm(xs: Tensor, mask: np.ndarray | None, cell: dict[str, Tensor]) -> Tensor:
-    """Hidden states of the coupled-gate peephole cell over a padded batch.
+def bilstm(xs, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tensor:
+    """Hidden states of both directions of a coupled-gate peephole BiLSTM.
 
-    ``xs`` is (L, B, D), time first; ``cell`` maps the eleven field names
-    of :class:`seqtag.network.LstmCellParameters` to tensors.  Where the
-    (L, B) carry ``mask`` is 0, that row keeps its previous h and c, so
-    after the last step each row holds the state of its own last active
-    step.  Returns the (L, B, H) carried hidden states as one tape node.
-
-    The input projections of all steps and gates are one GEMM; the loop
-    runs only the recurrent product, the peepholes and the gates.  The
-    backward pass is hand-written BPTT, with one GEMM per weight matrix.
+    Each weight stacks the forward and backward directions on axis 0,
+    and within a direction the input gate, candidate and output gate in
+    row blocks of H: ``W_x`` (2, 3H, D), ``W_h`` (2, 3H, H), ``b``
+    (2, 3H); the diagonal peepholes ``w_ci`` and ``w_co`` are (2, H).
+    ``xs`` (2, L, B, D) holds each direction's time-first padded batch,
+    so the backward direction gets its input already reversed.  Where
+    the (L, B) carry ``mask`` is 0, that row of both directions keeps
+    its previous h and c.  Returns the (2, L, B, H) hidden states as one
+    tape node.  One batched GEMM makes every input projection, one loop
+    runs both directions, and the hand-written BPTT makes each stacked
+    weight gradient with one batched GEMM.
     """
     xs = _coerce(xs)
-    w_x = np.concatenate([cell["W_xi"].data, cell["W_xc"].data, cell["W_xo"].data])
-    w_h = np.concatenate([cell["W_hi"].data, cell["W_hc"].data, cell["W_ho"].data])
-    bias = np.concatenate([cell["b_i"].data, cell["b_c"].data, cell["b_o"].data])
-    w_ci, w_co = cell["w_ci"].data, cell["w_co"].data
-    L, B, D = xs.data.shape
-    H = w_ci.shape[0]
-    pre = (xs.data.reshape(L * B, D) @ w_x.T + bias).reshape(L, B, 3 * H)
+    params = tuple(_coerce(p) for p in (W_x, W_h, b, w_ci, w_co))
+    w_x, w_h, bias, ci, co = (p.data for p in params)
+    _, L, B, D = xs.data.shape
+    H = ci.shape[1]
+    ci, co = ci[:, None, :], co[:, None, :]  # broadcast over the batch
+    w_hT = w_h.transpose(0, 2, 1)
+    pre = xs.data.reshape(2, L * B, D) @ w_x.transpose(0, 2, 1) + bias[:, None, :]
+    pre = pre.reshape(2, L, B, 3 * H)
     keep = None if mask is None else np.asarray(mask, dtype=bool)[:, :, None]
-    record = _grad_enabled and (xs.tracked or any(p.tracked for p in cell.values()))
+    record = _grad_enabled and (xs.tracked or any(p.tracked for p in params))
 
-    hs = np.zeros((L + 1, B, H))
-    cs = np.zeros((L + 1, B, H))
+    hs = np.zeros((2, L + 1, B, H))
+    cs = np.zeros((2, L + 1, B, H))
     if record:
-        gates = np.empty((L, B, 3 * H))  # i, tanh candidate, o
-        tanh_cs = np.empty((L, B, H))
+        gates = np.empty((2, L, B, 3 * H))  # i, tanh candidate, o
+        tanh_cs = np.empty((2, L, B, H))
     for t in range(L):
-        h, c = hs[t], cs[t]
-        z = pre[t] + h @ w_h.T
-        i = 1.0 / (1.0 + np.exp(-(z[:, :H] + c * w_ci)))
-        g = np.tanh(z[:, H : 2 * H])
+        h, c = hs[:, t], cs[:, t]
+        z = pre[:, t] + h @ w_hT
+        i = 1.0 / (1.0 + np.exp(-(z[..., :H] + c * ci)))
+        g = np.tanh(z[..., H : 2 * H])
         c_new = (1.0 - i) * c + i * g
-        o = 1.0 / (1.0 + np.exp(-(z[:, 2 * H :] + c_new * w_co)))
+        o = 1.0 / (1.0 + np.exp(-(z[..., 2 * H :] + c_new * co)))
         tanh_c = np.tanh(c_new)
         h_new = o * tanh_c
         if keep is None:
-            hs[t + 1], cs[t + 1] = h_new, c_new
+            hs[:, t + 1], cs[:, t + 1] = h_new, c_new
         else:
-            hs[t + 1] = np.where(keep[t], h_new, h)
-            cs[t + 1] = np.where(keep[t], c_new, c)
+            hs[:, t + 1] = np.where(keep[t], h_new, h)
+            cs[:, t + 1] = np.where(keep[t], c_new, c)
         if record:
-            gates[t, :, :H], gates[t, :, H : 2 * H], gates[t, :, 2 * H :] = i, g, o
-            tanh_cs[t] = tanh_c
-    out = hs[1:]
+            gate = gates[:, t]
+            gate[..., :H], gate[..., H : 2 * H], gate[..., 2 * H :] = i, g, o
+            tanh_cs[:, t] = tanh_c
+    out = hs[:, 1:]
     if not record:
         return Tensor(out)
 
     def bw(g_out):
-        d_pre = np.empty((L, B, 3 * H))
-        dh = np.zeros((B, H))
-        dc = np.zeros((B, H))
+        d_pre = np.empty((2, L, B, 3 * H))
+        dh = np.zeros((2, B, H))
+        dc = np.zeros((2, B, H))
         for t in range(L - 1, -1, -1):
-            dh = dh + g_out[t]
+            dh = dh + g_out[:, t]
             if keep is None:
                 dh_new, dc_new = dh, dc
             else:
                 # a kept row passes its gradient straight to the previous step
                 dh_new, dc_new = np.where(keep[t], dh, 0.0), np.where(keep[t], dc, 0.0)
                 dh, dc = np.where(keep[t], 0.0, dh), np.where(keep[t], 0.0, dc)
-            i, g, o = gates[t, :, :H], gates[t, :, H : 2 * H], gates[t, :, 2 * H :]
-            tanh_c = tanh_cs[t]
+            gate, d = gates[:, t], d_pre[:, t]
+            i, g, o = gate[..., :H], gate[..., H : 2 * H], gate[..., 2 * H :]
+            tanh_c = tanh_cs[:, t]
             da_o = dh_new * tanh_c * o * (1.0 - o)
-            dc_total = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c) + da_o * w_co
-            da_i = dc_total * (g - cs[t]) * i * (1.0 - i)
-            d_pre[t, :, :H] = da_i
-            d_pre[t, :, H : 2 * H] = dc_total * i * (1.0 - g * g)
-            d_pre[t, :, 2 * H :] = da_o
-            dc_prev = dc_total * (1.0 - i) + da_i * w_ci
-            dh_prev = d_pre[t] @ w_h
+            dc_total = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c) + da_o * co
+            da_i = dc_total * (g - cs[:, t]) * i * (1.0 - i)
+            d[..., :H] = da_i
+            d[..., H : 2 * H] = dc_total * i * (1.0 - g * g)
+            d[..., 2 * H :] = da_o
+            dc_prev = dc_total * (1.0 - i) + da_i * ci
+            dh_prev = d @ w_h
             if keep is None:
                 dh, dc = dh_prev, dc_prev
             else:
                 dh, dc = dh + dh_prev, dc + dc_prev
-        flat = d_pre.reshape(L * B, 3 * H)
+        flat = d_pre.reshape(2, L * B, 3 * H)
         if xs.tracked:
-            xs.accumulate((flat @ w_x).reshape(L, B, D))
-        sums = {
-            "W_x": flat.T @ xs.data.reshape(L * B, D),
-            "W_h": flat.T @ hs[:-1].reshape(L * B, H),
-            "b_": flat.sum(axis=0),
-        }
-        for k, gate in enumerate("ico"):  # row blocks of the stacked gates
-            for prefix, grad in sums.items():
-                param = cell[prefix + gate]
-                if param.tracked:
-                    param.accumulate(grad[k * H : (k + 1) * H])
-        if cell["w_ci"].tracked:
-            cell["w_ci"].accumulate((d_pre[:, :, :H] * cs[:-1]).sum(axis=(0, 1)))
-        if cell["w_co"].tracked:  # a kept row has a zero d_pre, so cs[1:] may stand for c_new
-            cell["w_co"].accumulate((d_pre[:, :, 2 * H :] * cs[1:]).sum(axis=(0, 1)))
+            xs.accumulate((flat @ w_x).reshape(2, L, B, D))
+        flat_t = flat.transpose(0, 2, 1)
+        grads = (
+            flat_t @ xs.data.reshape(2, L * B, D),
+            flat_t @ hs[:, :-1].reshape(2, L * B, H),
+            flat.sum(axis=1),
+            (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2)),
+            # a kept row has a zero d_pre, so cs[:, 1:] may stand for c_new
+            (d_pre[..., 2 * H :] * cs[:, 1:]).sum(axis=(1, 2)),
+        )
+        for param, grad in zip(params, grads):
+            if param.tracked:
+                param.accumulate(grad)
 
-    return Tensor(out, (xs, *cell.values()), bw, True)
+    return Tensor(out, (xs, *params), bw, True)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

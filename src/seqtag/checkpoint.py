@@ -66,15 +66,16 @@ class _Cursor:
         self.pos = end + 1
         return out
 
-    def raw(self, n: int) -> bytes:
+    def raw(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise IntegrityError("checkpoint ended inside a tensor payload")
-        out = self.data[self.pos : self.pos + n]
+        out = memoryview(self.data)[self.pos : self.pos + n]
         self.pos += n
         return out
 
 
 def read_container(path) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
+    """The sections and tensors of a checkpoint; each tensor is a read-only view of its bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -118,7 +119,7 @@ def read_container(path) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
                 shape = tuple(int(d) for d in parts[2 : 2 + ndim])
                 size = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
                 buf = cur.raw(size)
-                tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape)
             break
         else:
             raise IntegrityError(f"unexpected checkpoint block {header!r}")

@@ -114,12 +114,6 @@ def _load_conll(path: str, scheme: TagScheme | None, **kw) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _load_gold(path: str) -> tuple[Dataset, TagScheme]:
-    """A gold CoNLL file and the tag scheme its tags derive."""
-    data = _load_conll(path, None)
-    return data, derive_scheme(data)
-
-
 def cmd_train(args) -> int:
     file_values = read_kv_file(args.config) if args.config else {}
     overrides = dict(
@@ -137,20 +131,20 @@ def cmd_train(args) -> int:
         overrides["embeddings"] = tuple(args.embeddings)
     config = build_train_config(file_values, overrides)
 
-    data, scheme = _load_gold(args.train)
+    data = _load_conll(args.train, None)
 
     def progress(epoch, loss, f1):
         print(f"epoch {epoch:3d}  train loss {loss:8.4f}  validation F1 {f1:.4f}", flush=True)
 
-    ckpt = train(config, data, scheme, progress=progress)
+    ckpt = train(config, data, progress=progress)
     print(f"best epoch {ckpt.best_epoch} (validation F1 {max(ckpt.history):.4f})")
     save_checkpoint(ckpt, args.model)
     print(f"checkpoint written to {args.model}")
 
     if args.test:
-        test_data = _load_conll(args.test, scheme)
+        test_data = _load_conll(args.test, ckpt.scheme)
         pred = tag(ckpt, test_data)
-        metrics = evaluate(test_data, pred, scheme)
+        metrics = evaluate(test_data, pred, ckpt.scheme)
         print(report(metrics))
     return 0
 
@@ -183,9 +177,10 @@ def cmd_tag(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    gold, scheme = _load_gold(args.gold)
-    pred = _load_conll(args.pred, scheme, warn_invalid_gold=False)
-    metrics = evaluate(gold, pred, scheme)
+    gold = _load_conll(args.gold, None)
+    pred = _load_conll(args.pred, None, warn_invalid_gold=False)
+    # the scheme takes the predicted classes too: one the gold lacks scores as false positives
+    metrics = evaluate(gold, pred, derive_scheme(gold, pred))
     print(report(metrics))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -33,17 +33,27 @@ the tokens gather from it with :func:`seqtag.autograd.take`.
 Training gradients come from the reverse-mode tape in
 :mod:`seqtag.autograd`; the binding correctness contract is agreement
 with central finite differences, which the test suite checks for every
-parameter family.  Each directional LSTM is one fused tape node,
-:func:`seqtag.autograd.lstm`, over a padded (steps, batch, input)
-array: the word BiLSTM runs the sentence as a batch of one, forward
-and reversed, and each char direction runs all words of the sentence
-as one batch whose carry mask stops a word's state at its last
-character.
+parameter family.
+
+The dense parameters live in one flat float64 buffer.  Each BiLSTM
+stacks its weights by direction (forward, backward) and, within one, by
+gate (input, candidate, output; row blocks of H): ``W_x`` (2, 3H, D),
+``W_h`` (2, 3H, H), ``b`` (2, 3H), ``w_ci`` and ``w_co`` (2, H).  The
+checkpoint names of :class:`LstmCellParameters` (``word_fwd.W_xi`` and
+so on) are views of those blocks.  A forward pass makes one leaf per
+stacked array and runs both directions of each BiLSTM as one fused tape
+node, :func:`seqtag.autograd.bilstm`: the word BiLSTM runs the sentence
+as a batch of one, forward and reversed, and the char BiLSTM runs all
+words as one batch whose carry mask stops a word at its last character.
+The backward pass accumulates straight into one flat gradient laid out
+like the buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,46 +97,34 @@ class LstmCellParameters:
     def input_dim(self) -> int:
         return self.W_xi.shape[1]
 
-    def __post_init__(self):
-        h, d = self.W_xi.shape
-        expected = {
-            "W_xi": (h, d), "W_hi": (h, h), "w_ci": (h,),
-            "W_xc": (h, d), "W_hc": (h, h),
-            "W_xo": (h, d), "W_ho": (h, h), "w_co": (h,),
-            "b_i": (h,), "b_c": (h,), "b_o": (h,),
-        }
-        for name, shape in expected.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+
+def _carve(layout: dict[str, tuple[int, ...]], flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each array of ``layout`` as a view into the flat vector ``flat``, in order."""
+    out, start = {}, 0
+    for name, shape in layout.items():
+        size = math.prod(shape)
+        out[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return out
 
 
-def init_cell(
-    input_dim: int, hidden_dim: int, rng: np.random.Generator, init: str = "uniform"
-) -> LstmCellParameters:
-    """Cell weights: uniform [-1, 1] by default, or fan-scaled.
-
-    The scaled mode draws matrices from the Glorot-uniform range, keeps
-    peepholes small, and zeroes biases; it converges much faster at
-    desk scale but is not the faithful default.
-    """
-    if init == "uniform":
-        u = lambda *shape: rng.uniform(-1.0, 1.0, shape)  # noqa: E731
-        w_x = w_h = u
-        peep = lambda h: u(h)  # noqa: E731
-        bias = lambda h: u(h)  # noqa: E731
-    elif init == "scaled":
-        w_x = lambda h, d: rng.uniform(-1.0, 1.0, (h, d)) * np.sqrt(6.0 / (h + d))  # noqa: E731
-        w_h = lambda h, h2: rng.uniform(-1.0, 1.0, (h, h2)) * np.sqrt(6.0 / (h + h2))  # noqa: E731
-        peep = lambda h: rng.uniform(-0.1, 0.1, h)  # noqa: E731
-        bias = lambda h: np.zeros(h)  # noqa: E731
-    else:
-        raise ValueError(f"unknown init mode {init!r}")
-    return LstmCellParameters(
-        W_xi=w_x(hidden_dim, input_dim), W_hi=w_h(hidden_dim, hidden_dim), w_ci=peep(hidden_dim),
-        W_xc=w_x(hidden_dim, input_dim), W_hc=w_h(hidden_dim, hidden_dim),
-        W_xo=w_x(hidden_dim, input_dim), W_ho=w_h(hidden_dim, hidden_dim), w_co=peep(hidden_dim),
-        b_i=bias(hidden_dim), b_c=bias(hidden_dim), b_o=bias(hidden_dim),
-    )
+def _named(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``params`` by checkpoint name: each BiLSTM direction's per-gate views, then the rest."""
+    out: dict[str, np.ndarray] = {}
+    for prefix in ("char", "word"):
+        if f"{prefix}.W_x" not in params:
+            continue
+        H = params[f"{prefix}.w_ci"].shape[1]
+        for d, direction in enumerate(("fwd", "bwd")):
+            for f in CELL_FIELDS:
+                if f.startswith("w_c"):  # a peephole vector
+                    view = params[f"{prefix}.{f}"][d]
+                else:  # W_x?, W_h? or b_?: the gate's row block of the stacked array
+                    k = "ico".index(f[-1])
+                    view = params[f"{prefix}.{f[:-1].rstrip('_')}"][d, k * H : (k + 1) * H]
+                out[f"{prefix}_{direction}.{f}"] = view
+    out.update((k, v) for k, v in params.items() if not k.startswith(("char.", "word.")))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +134,12 @@ def init_cell(
 
 @dataclass
 class ModelParameters:
-    """Every trainable tensor of one tagger, plus its lookup vocabularies."""
+    """Every trainable tensor of one tagger, plus its lookup vocabularies.
+
+    ``layout`` names and shapes the stacked dense arrays in ``buffer``
+    order.  ``params``, the cells, ``projection`` and ``crf`` are views
+    carved from ``buffer`` on each access, so a copy reads its own buffer.
+    """
 
     scheme: TagScheme
     variant: str
@@ -146,12 +149,35 @@ class ModelParameters:
     char_vocab: Vocabulary | None = None
     char_table: np.ndarray | None = None  # (C, d_c)
     feature_encoder: FeatureEncoder | None = None
-    char_fwd: LstmCellParameters | None = None
-    char_bwd: LstmCellParameters | None = None
-    word_fwd: LstmCellParameters | None = None
-    word_bwd: LstmCellParameters | None = None
-    projection: np.ndarray | None = None  # (2*H_w, K)
-    crf: CrfParameters | None = None
+    layout: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    buffer: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        """Each stacked dense array by its layout name, as a view into ``buffer``."""
+        return _carve(self.layout, self.buffer)
+
+    def _cell(self, name: str) -> LstmCellParameters | None:
+        views = dense_arrays(self)
+        if f"{name}.W_xi" not in views:
+            return None
+        return LstmCellParameters(**{f: views[f"{name}.{f}"] for f in CELL_FIELDS})
+
+    char_fwd = property(lambda self: self._cell("char_fwd"))
+    char_bwd = property(lambda self: self._cell("char_bwd"))
+    word_fwd = property(lambda self: self._cell("word_fwd"))
+    word_bwd = property(lambda self: self._cell("word_bwd"))
+
+    @property
+    def projection(self) -> np.ndarray | None:  # (2*H_w, K)
+        return self.params.get("projection")
+
+    @property
+    def crf(self) -> CrfParameters | None:
+        params = self.params
+        if "crf.transitions" not in params:
+            return None
+        return CrfParameters(params["crf.transitions"], params.get("crf.emission_weights"))
 
     @property
     def d_w(self) -> int:
@@ -159,7 +185,7 @@ class ModelParameters:
 
     @property
     def use_char(self) -> bool:
-        return self.char_fwd is not None
+        return self.char_table is not None
 
     @property
     def use_features(self) -> bool:
@@ -169,14 +195,30 @@ class ModelParameters:
     def num_tags(self) -> int:
         return len(self.scheme)
 
-    @property
-    def rep_dim(self) -> int:
-        dim = self.d_w
-        if self.use_char:
-            dim += 2 * self.char_fwd.hidden_dim
-        if self.use_features:
-            dim += self.feature_encoder.total_dim
-        return dim
+
+def allocate_dense(model: ModelParameters, H_c: int, H_w: int):
+    """Lay out the dense parameters that ``model``'s variant, tables and
+    scheme imply in one new, uninitialised buffer: each BiLSTM's stacked
+    arrays (char, then word), then those of the output layer."""
+    K = model.num_tags
+    input_dim = model.d_w + (model.feature_encoder.total_dim if model.use_features else 0)
+    if model.variant == "crf":
+        layout = {"crf.transitions": (K + 1, K + 1), "crf.emission_weights": (K, input_dim)}
+    else:
+        cells = [("word", input_dim, H_w)]
+        if model.use_char:
+            cells = [("char", model.char_table.shape[1], H_c), ("word", input_dim + 2 * H_c, H_w)]
+        layout = {}
+        for prefix, D, H in cells:
+            layout.update({
+                f"{prefix}.W_x": (2, 3 * H, D), f"{prefix}.W_h": (2, 3 * H, H),
+                f"{prefix}.b": (2, 3 * H), f"{prefix}.w_ci": (2, H), f"{prefix}.w_co": (2, H),
+            })
+        layout["projection"] = (2 * H_w, K)
+        if model.variant == "blstm_crf":
+            layout["crf.transitions"] = (K + 1, K + 1)
+    model.layout = layout
+    model.buffer = np.empty(sum(math.prod(shape) for shape in layout.values()))
 
 
 def init_model(
@@ -200,7 +242,11 @@ def init_model(
     Word vectors are copied from the (already assembled) ``word_table``;
     everything else, including feature-value encodings, is random.
     Lookup tables always use [-1, 1] regardless of the ``init`` mode;
-    ``init="scaled"`` switches the network weights to fan-scaled ranges.
+    ``init="scaled"`` switches the network weights to fan-scaled ranges:
+    Glorot-uniform matrices, small peepholes and zero biases, which
+    converge much faster at desk scale but are not the faithful default.
+    Each dense array is drawn in place into the buffer, in the order of
+    :func:`dense_arrays`.
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -208,60 +254,35 @@ def init_model(
         raise ConfigError("character-level embeddings are only available in the recurrent taggers")
 
     rng = np.random.default_rng(seed)
-    K = len(scheme)
-
-    def dense_init(*shape):
-        if init == "scaled":
-            return rng.uniform(-1.0, 1.0, shape) * np.sqrt(6.0 / sum(shape))
-        return rng.uniform(-1.0, 1.0, shape)
-
     matrix = np.stack([word_table.entries[w] for w in vocab.words])
     model = ModelParameters(scheme, variant, vocab, matrix, seed)
-
     if use_features:
         from .features import build_feature_encoder
 
         model.feature_encoder = build_feature_encoder(feature_surfaces, seed)
-
-    if variant == "crf":
-        crf_dim = model.d_w + (model.feature_encoder.total_dim if use_features else 0)
-        model.crf = CrfParameters(
-            dense_init(K + 1, K + 1),
-            dense_init(K, crf_dim),
-        )
-        return model
-
     if use_char:
         from .embeddings import build_vocabulary
 
         model.char_vocab = build_vocabulary(char_alphabet)
         model.char_table = rng.uniform(-1.0, 1.0, (len(model.char_vocab), d_c))
-        model.char_fwd = init_cell(d_c, H_c, rng, init)
-        model.char_bwd = init_cell(d_c, H_c, rng, init)
+    allocate_dense(model, H_c, H_w)
 
-    model.word_fwd = init_cell(model.rep_dim, H_w, rng, init)
-    model.word_bwd = init_cell(model.rep_dim, H_w, rng, init)
-    model.projection = dense_init(2 * H_w, K)
-    if variant == "blstm_crf":
-        model.crf = CrfParameters(dense_init(K + 1, K + 1))
+    for name, arr in dense_arrays(model).items():
+        kind = name.rpartition(".")[2]
+        if init == "scaled" and kind.startswith("b_"):
+            arr[...] = 0.0
+        elif init == "scaled" and kind.startswith("w_c"):
+            arr[...] = rng.uniform(-0.1, 0.1, arr.shape)
+        else:
+            arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+            if init == "scaled":
+                arr *= np.sqrt(6.0 / sum(arr.shape))
     return model
 
 
 def dense_arrays(model: ModelParameters) -> dict[str, np.ndarray]:
-    """Every non-lookup parameter array, keyed by a stable name."""
-    out: dict[str, np.ndarray] = {}
-    for cell_name in ("char_fwd", "char_bwd", "word_fwd", "word_bwd"):
-        cell = getattr(model, cell_name)
-        if cell is not None:
-            for f in CELL_FIELDS:
-                out[f"{cell_name}.{f}"] = getattr(cell, f)
-    if model.projection is not None:
-        out["projection"] = model.projection
-    if model.crf is not None:
-        out["crf.transitions"] = model.crf.transitions
-        if model.crf.emission_weights is not None:
-            out["crf.emission_weights"] = model.crf.emission_weights
-    return out
+    """Every non-lookup parameter array, keyed by a stable name; views into ``model.buffer``."""
+    return _named(model.params)
 
 
 def table_arrays(model: ModelParameters) -> dict[str, np.ndarray]:
@@ -333,18 +354,25 @@ def _encoded(model: ModelParameters, sentence: Sentence | EncodedSentence) -> En
 
 
 class _LeafSet:
-    """Parameter leaves of one forward pass: each dense array, and for each
-    lookup table one leaf of the distinct rows the sentence reads."""
+    """Parameter leaves of one forward pass: one per stacked dense array, and
+    for each lookup table one leaf of the distinct rows the sentence reads.
+    Given a flat gradient, each dense leaf's gradient is preset to its view
+    of it, so the backward pass accumulates straight into it."""
 
-    def __init__(self):
-        self.dense: dict[str, ag.Tensor] = {}
+    def __init__(self, model: ModelParameters, grad: np.ndarray | None = None):
+        self.params = model.params
+        self.grads = {} if grad is None else _carve(model.layout, grad)
         self.tables: dict[str, tuple[np.ndarray, ag.Tensor]] = {}
 
-    def dense_leaf(self, name: str, arr: np.ndarray) -> ag.Tensor:
-        t = self.dense.get(name)
-        if t is None:
-            t = self.dense[name] = ag.leaf(arr)
-        return t
+    def dense_leaf(self, name: str) -> ag.Tensor:
+        leaf = ag.leaf(self.params[name])
+        leaf.grad = self.grads.get(name)
+        return leaf
+
+    def bilstm(self, prefix: str, xs: ag.Tensor, mask: np.ndarray | None) -> ag.Tensor:
+        """:func:`seqtag.autograd.bilstm` over the stacked weights of BiLSTM ``prefix``."""
+        weights = (self.dense_leaf(f"{prefix}.{k}") for k in ("W_x", "W_h", "b", "w_ci", "w_co"))
+        return ag.bilstm(xs, mask, *weights)
 
     def table_rows(
         self, name: str, matrix: np.ndarray, rows: np.ndarray, fallback: np.ndarray | None = None
@@ -366,16 +394,12 @@ class _LeafSet:
         return ag.concat([leaf, ag.Tensor(fallback)], axis=0), index
 
 
-def _cell_leaves(leaves: _LeafSet, name: str, cell: LstmCellParameters) -> dict[str, ag.Tensor]:
-    return {f: leaves.dense_leaf(f"{name}.{f}", getattr(cell, f)) for f in CELL_FIELDS}
-
-
 def _char_final_states(model: ModelParameters, leaves: _LeafSet, enc: EncodedSentence) -> ag.Tensor:
-    """(T, 2*H_c) final char-BiLSTM states for all tokens, one fused op per direction.
+    """(T, 2*H_c) final char-BiLSTM states for all tokens, from one fused op.
 
     Each direction gathers a (max_len, T, d_c) batch with every word's
-    characters, reversed for the backward cell, from step 0 on.  The
-    carry mask is 0 past a word's end, so that word's state stops
+    characters, reversed for the backward direction, from step 0 on.
+    The carry mask is 0 past a word's end, so that word's state stops
     updating, and the last step holds each word's final state.  A padded
     step re-reads the sentence's first character: a masked step passes
     no gradient to its input, so padding adds no row to the gradient.
@@ -385,13 +409,9 @@ def _char_final_states(model: ModelParameters, leaves: _LeafSet, enc: EncodedSen
     steps = np.arange(lengths.max())[:, None]
     mask = steps < lengths[None, :]  # (max_len, T)
     ends = np.cumsum(lengths)
-    finals = []
-    starts = ends - lengths
-    for cell_name, position in (("char_fwd", starts + steps), ("char_bwd", ends - 1 - steps)):
-        batch = ag.take(chars, index[np.where(mask, position, 0)])
-        states = ag.lstm(batch, mask, _cell_leaves(leaves, cell_name, getattr(model, cell_name)))
-        finals.append(ag.take(states, -1))
-    return ag.concat(finals, axis=1)
+    positions = np.stack([ends - lengths + steps, ends - 1 - steps])  # (2, max_len, T)
+    states = leaves.bilstm("char", ag.take(chars, index[np.where(mask, positions, 0)]), mask)
+    return ag.concat([ag.take(states, (0, -1)), ag.take(states, (1, -1))], axis=1)
 
 
 def _representation_graph(
@@ -436,37 +456,38 @@ def _logits_graph(
     rep = _representation_graph(
         model, leaves, enc, train=train, dropout=dropout, rng=rng, singletons=singletons
     )
-    # each direction is a batch of one sequence; the backward cell reads it reversed
+    # each direction is a batch of one sequence; the backward one reads it reversed
     steps = np.arange(len(enc))
-    hidden = []
-    for cell_name, order in (("word_fwd", steps), ("word_bwd", steps[::-1])):
-        cl = _cell_leaves(leaves, cell_name, getattr(model, cell_name))
-        states = ag.lstm(ag.take(rep, order[:, None]), None, cl)  # (T, 1, H_w)
-        hidden.append(ag.take(states, (order, 0)))  # back to sentence order
-    hidden = ag.concat(hidden, axis=1)
-    return ag.matmul(hidden, leaves.dense_leaf("projection", model.projection))
+    order = np.stack([steps, steps[::-1]])
+    states = leaves.bilstm("word", ag.take(rep, order[:, :, None]), None)  # (2, T, 1, H_w)
+    hidden = ag.concat([ag.take(states, (d, order[d], 0)) for d in (0, 1)], axis=1)
+    return ag.matmul(hidden, leaves.dense_leaf("projection"))
+
+
+class TableRows(NamedTuple):
+    """The distinct rows of one lookup table that a loss read, and their gradients."""
+
+    index: np.ndarray  # (n,) table rows, ascending
+    grad: np.ndarray  # (n, dim)
+
+    def items(self):  # (row, gradient) pairs
+        return zip(self.index.tolist(), self.grad)
 
 
 @dataclass
 class Gradients:
-    """Gradients of one loss: dense arrays plus sparse lookup-table rows."""
+    """Gradients of one loss: ``flat`` is laid out like the model's
+    buffer (by ``layout``), and ``rows`` holds the rows each lookup
+    table gave the loss."""
 
-    dense: dict[str, np.ndarray]
-    rows: dict[str, dict[int, np.ndarray]]
+    flat: np.ndarray
+    rows: dict[str, TableRows]
+    layout: dict[str, tuple[int, ...]]
 
-    def l2_norm(self) -> float:
-        total = sum(float((g * g).sum()) for g in self.dense.values())
-        total += sum(
-            float((g * g).sum()) for table in self.rows.values() for g in table.values()
-        )
-        return float(np.sqrt(total))
-
-    def scale(self, factor: float):
-        for g in self.dense.values():
-            g *= factor
-        for table in self.rows.values():
-            for g in table.values():
-                g *= factor
+    @property
+    def dense(self) -> dict[str, np.ndarray]:
+        """The dense gradients by the names of :func:`dense_arrays`, as views into ``flat``."""
+        return _named(_carve(self.layout, self.flat))
 
 
 def _gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
@@ -476,18 +497,6 @@ def _gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
             raise TagValidationError(f"gold tag {tag!r} is not in the scheme")
         ids.append(scheme.index[tag])
     return np.asarray(ids, dtype=np.int64)
-
-
-def _harvest(leaves: _LeafSet) -> Gradients:
-    """Dense gradients by name, and each table leaf's gradient split back into its rows."""
-    grad = lambda t: t.grad if t.grad is not None else np.zeros_like(t.data)  # noqa: E731
-    dense = {name: grad(t) for name, t in leaves.dense.items()}
-    rows = {
-        table: dict(zip(distinct.tolist(), grad(t)))
-        for table, (distinct, t) in leaves.tables.items()
-        if len(distinct)
-    }
-    return Gradients(dense, rows)
 
 
 def loss_and_gradients(
@@ -514,13 +523,14 @@ def loss_and_gradients(
     variant = variant or model.variant
     if variant not in ("blstm", "blstm_crf"):
         raise ConfigError(f"loss_and_gradients handles the recurrent variants, not {variant!r}")
-    if variant == "blstm_crf" and model.crf is None:
+    if variant == "blstm_crf" and "crf.transitions" not in model.layout:
         raise ConfigError("model has no transition parameters for the blstm_crf variant")
     if len(gold_tags) != len(sentence):
         raise ValueError("gold tag count must equal sentence length")
 
     gold = _gold_ids(model.scheme, gold_tags)
-    leaves = _LeafSet()
+    grad = np.zeros_like(model.buffer)
+    leaves = _LeafSet(model, grad)
     rng = np.random.default_rng(dropout_seed) if dropout > 0.0 or singletons else None
     logits = _logits_graph(
         model, leaves, _encoded(model, sentence),
@@ -529,16 +539,16 @@ def loss_and_gradients(
     if variant == "blstm":
         loss = ag.softmax_cross_entropy(logits, gold)
     else:
-        transitions = leaves.dense_leaf("crf.transitions", model.crf.transitions)
-        loss = crf_nll_op(logits, transitions, gold)
+        loss = crf_nll_op(logits, leaves.dense_leaf("crf.transitions"), gold)
     ag.backward(loss)
-    return float(loss.data), _harvest(leaves)
+    rows = {name: TableRows(index, leaf.grad) for name, (index, leaf) in leaves.tables.items()}
+    return float(loss.data), Gradients(grad, rows, model.layout)
 
 
 def sentence_logits(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
     """(T, K) emission/logit lattice with no dropout and no tape."""
     with ag.no_grad():
-        return _logits_graph(model, _LeafSet(), _encoded(model, sentence)).data
+        return _logits_graph(model, _LeafSet(model), _encoded(model, sentence)).data
 
 
 def forward_blstm(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
@@ -563,8 +573,8 @@ def predict_tag_ids(model: ModelParameters, sentence: Sentence | EncodedSentence
     if model.variant == "crf":
         from .crf import emissions_from_inputs
 
-        emissions = emissions_from_inputs(model.crf, crf_inputs(model, sentence))
-        return viterbi(model.crf, emissions)
+        crf = model.crf  # carved from the buffer and checked on each access
+        return viterbi(crf, emissions_from_inputs(crf, crf_inputs(model, sentence)))
     logits = sentence_logits(model, sentence)
     if model.variant == "blstm":
         return [int(k) for k in logits.argmax(axis=1)]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import checkpoint as container
 from .corpus import Dataset, Sentence, TagScheme, Token, repair_bio, split_train_valid
-from .crf import CrfParameters, input_nll_and_gradient
+from .crf import input_nll_and_gradient
 from .embeddings import (
     EmbeddingTable,
     Vocabulary,
@@ -37,15 +37,14 @@ from .embeddings import (
     random_table,
 )
 from .errors import ConfigError, DataError, TagValidationError, NumericError
-from .evaluation import evaluate
+from .evaluation import effective_pred_tags, evaluate
 from .features import FAMILY_SPECS, FeatureEncoder, FeatureFamily
 from .network import (
-    CELL_FIELDS,
     VARIANTS,
     EncodedSentence,
     Gradients,
-    LstmCellParameters,
     ModelParameters,
+    allocate_dense,
     crf_inputs,
     dense_arrays,
     encode,
@@ -109,19 +108,23 @@ class Checkpoint:
         return self.model.scheme
 
 
-def derive_scheme(data: Dataset) -> TagScheme:
-    """Entity classes observed in the gold tags, alphabetically ordered.
+def derive_scheme(data: Dataset, predictions: Dataset | None = None) -> TagScheme:
+    """Entity classes observed in the gold tags of ``data`` and in the
+    predicted tags of ``predictions``, when given, alphabetically ordered.
 
     Every tag must be ``O``, ``B-c`` or ``I-c``.
     """
+    rows = [sent.gold_tags for sent in data]
+    if predictions is not None:
+        rows += [effective_pred_tags(sent) for sent in predictions]
     classes = set()
-    for sent in data:
-        for tag in sent.gold_tags:
+    for tags in rows:
+        for tag in tags:
             if tag is None or tag == "O":
                 continue
             prefix, _, cls = tag.partition("-")
             if prefix not in ("B", "I") or not cls:
-                raise TagValidationError(f"gold tag {tag!r} is not O, B-<class> or I-<class>")
+                raise TagValidationError(f"tag {tag!r} is not O, B-<class> or I-<class>")
             classes.add(cls)
     if not classes:
         raise DataError("no entity classes found in the gold tags")
@@ -169,19 +172,22 @@ def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelP
 
 
 def sgd_update(model: ModelParameters, grads: Gradients, lr: float, clip_norm: float):
-    """One clipped stochastic gradient step, in place."""
+    """One clipped stochastic gradient step, in place; it scales ``grads`` in place.
+
+    One dot product and one reduction per table give the norm; one
+    subtract updates the buffer and one fancy-index subtract each table.
+    """
+    step = lr
     if clip_norm:
-        norm = grads.l2_norm()
+        rows_squared = sum(np.vdot(r.grad, r.grad) for r in grads.rows.values())
+        norm = math.sqrt(np.dot(grads.flat, grads.flat) + rows_squared)
         if norm > clip_norm:
-            grads.scale(clip_norm / norm)
-    dense = dense_arrays(model)
+            step = lr * (clip_norm / norm)
+    grads.flat *= step
+    model.buffer -= grads.flat
     tables = table_arrays(model)
-    for name, g in grads.dense.items():
-        dense[name] -= lr * g
-    for table_name, rows in grads.rows.items():
-        matrix = tables[table_name]
-        for idx, g in rows.items():
-            matrix[idx] -= lr * g
+    for name, (index, grad) in grads.rows.items():
+        tables[name][index] -= step * grad
 
 
 def crf_baseline_loss_and_gradients(
@@ -193,16 +199,15 @@ def crf_baseline_loss_and_gradients(
     """
     gold = [model.scheme.index[t] for t in gold_tags]
     inputs = crf_inputs(model, sentence)
-    nll, grads = input_nll_and_gradient(model.crf, inputs, gold)
-    trans, weights = model.crf.transitions, model.crf.emission_weights
+    crf = model.crf
+    nll, grads = input_nll_and_gradient(crf, inputs, gold)
+    trans, weights = crf.transitions, crf.emission_weights
     loss = nll + 0.5 * l2 * (float((trans * trans).sum()) + float((weights * weights).sum()))
-    return loss, Gradients(
-        dense={
-            "crf.transitions": grads.transitions + l2 * trans,
-            "crf.emission_weights": grads.emission_weights + l2 * weights,
-        },
-        rows={},
-    )
+    out = Gradients(np.empty_like(model.buffer), {}, model.layout)
+    dense = out.dense
+    np.add(grads.transitions, l2 * trans, out=dense["crf.transitions"])
+    np.add(grads.emission_weights, l2 * weights, out=dense["crf.emission_weights"])
+    return loss, out
 
 
 def tag_with_model(model: ModelParameters, data: Iterable[Sentence | EncodedSentence]) -> Dataset:
@@ -374,12 +379,6 @@ def save_checkpoint(ckpt: Checkpoint, path):
     container.write_container(path, sections, tensors)
 
 
-def _rebuild_cell(tensors: dict[str, np.ndarray], name: str) -> LstmCellParameters | None:
-    if f"{name}.W_xi" not in tensors:
-        return None
-    return LstmCellParameters(**{f: tensors[f"{name}.{f}"] for f in CELL_FIELDS})
-
-
 def _rebuild_features(
     sections: dict[str, list[str]], tensors: dict[str, np.ndarray], seed: int
 ) -> FeatureEncoder | None:
@@ -388,7 +387,7 @@ def _rebuild_features(
     families = []
     for name, dim, fn in FAMILY_SPECS:
         values = sections.get(f"feature-values:{name}", [])
-        table = tensors.get(f"feature:{name}", np.zeros((0, dim)))
+        table = tensors.get(f"feature:{name}", np.zeros((0, dim))).copy()
         if table.shape != (len(values), dim):
             raise DataError(f"feature table {name!r} does not match its value list")
         families.append(
@@ -407,7 +406,7 @@ def _vocabulary_table(tensors: dict[str, np.ndarray], name: str, vocab: Vocabula
             f"checkpoint tensor {name!r} has shape {table.shape}, "
             f"but its vocabulary has {len(vocab)} entries"
         )
-    return table
+    return table.copy()
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -433,30 +432,24 @@ def load_checkpoint(path) -> Checkpoint:
     history = _parse_value(
         "meta", "history", meta["history"], lambda text: [float(v) for v in text.split()]
     )
-    char_vocab = Vocabulary(tuple(sections["charvocab"])) if "charvocab" in sections else None
-
-    crf = None
-    if "crf.transitions" in tensors:
-        crf = CrfParameters(tensors["crf.transitions"], tensors.get("crf.emission_weights"))
-
     model = ModelParameters(
-        scheme=scheme,
-        variant=variant,
-        vocab=vocab,
-        word_table=_vocabulary_table(tensors, "word_table", vocab),
-        seed=seed,
-        char_vocab=char_vocab,
-        char_table=(
-            _vocabulary_table(tensors, "char_table", char_vocab)
-            if char_vocab is not None
-            else tensors.get("char_table")
-        ),
+        scheme, variant, vocab, _vocabulary_table(tensors, "word_table", vocab), seed,
         feature_encoder=_rebuild_features(sections, tensors, seed),
-        char_fwd=_rebuild_cell(tensors, "char_fwd"),
-        char_bwd=_rebuild_cell(tensors, "char_bwd"),
-        word_fwd=_rebuild_cell(tensors, "word_fwd"),
-        word_bwd=_rebuild_cell(tensors, "word_bwd"),
-        projection=tensors.get("projection"),
-        crf=crf,
     )
+    if config.use_char:
+        if "charvocab" not in sections:
+            raise DataError("checkpoint is missing its 'charvocab' section")
+        model.char_vocab = Vocabulary(tuple(sections["charvocab"]))
+        model.char_table = _vocabulary_table(tensors, "char_table", model.char_vocab)
+    allocate_dense(model, config.H_c, config.H_w)
+    for name, slot in dense_arrays(model).items():
+        tensor = tensors.get(name)
+        if tensor is None:
+            raise DataError(f"checkpoint has no {name!r} tensor")
+        if tensor.shape != slot.shape:
+            raise DataError(
+                f"checkpoint tensor {name!r} has shape {tensor.shape}, but the config, "
+                f"scheme and vocabularies give it {slot.shape}"
+            )
+        slot[...] = tensor
     return Checkpoint(container.VERSION, config, model, best_epoch, history)

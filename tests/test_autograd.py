@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from reference import run_lstm
 
 from seqtag import autograd as ag
-from seqtag.network import CELL_FIELDS, init_cell
+from seqtag.network import CELL_FIELDS, LstmCellParameters
 
 
 def finite_diff(fn, arrays, h=1e-6):
@@ -142,10 +143,29 @@ class TestStructuralOps:
         check_grads(build, [x])
 
 
-def lstm_inputs(L=4, B=3, D=2, H=3, seed=11):
+def random_cell(input_dim, hidden_dim, rng):
+    """A cell with uniform [-1, 1] weights, drawn field by field."""
+    shapes = {"W_x": (hidden_dim, input_dim), "W_h": (hidden_dim, hidden_dim)}
+    return LstmCellParameters(
+        **{f: rng.uniform(-1.0, 1.0, shapes.get(f[:3], (hidden_dim,))) for f in CELL_FIELDS}
+    )
+
+
+def stacked(fwd, bwd):
+    """The (W_x, W_h, b, w_ci, w_co) that ag.bilstm reads: directions on axis 0,
+    and the input gate, candidate and output gate in row blocks."""
+    def gates(cell, prefix):
+        return np.concatenate([getattr(cell, prefix + g) for g in "ico"])
+
+    out = [np.stack([gates(fwd, prefix), gates(bwd, prefix)]) for prefix in ("W_x", "W_h", "b_")]
+    return out + [np.stack([fwd.w_ci, bwd.w_ci]), np.stack([fwd.w_co, bwd.w_co])]
+
+
+def bilstm_inputs(L=4, B=3, D=2, H=3, seed=11):
+    """Inputs of both directions and two different cells."""
     rng = np.random.default_rng(seed)
-    cell = init_cell(D, H, rng)
-    return rng.normal(size=(L, B, D)), {f: getattr(cell, f) for f in CELL_FIELDS}
+    cells = random_cell(D, H, rng), random_cell(D, H, rng)
+    return rng.normal(size=(2, L, B, D)), cells
 
 
 class TestLstm:
@@ -153,31 +173,46 @@ class TestLstm:
     MASK = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0], [1, 0, 1]], dtype=bool)
 
     def test_gradients_of_every_input_match_finite_differences(self):
-        xs, cell = lstm_inputs()
+        xs, cells = bilstm_inputs()
         L, B = self.MASK.shape
-        steps, rows = np.repeat(np.arange(L), B), np.tile(np.arange(B), L)
-        targets = np.arange(L * B) % 3
+        dirs = np.repeat([0, 1], L * B)
+        steps = np.tile(np.repeat(np.arange(L), B), 2)
+        rows = np.tile(np.arange(B), 2 * L)
+        targets = np.arange(2 * L * B) % 3
 
         def build(leaves):
-            states = ag.lstm(leaves[0], self.MASK, dict(zip(CELL_FIELDS, leaves[1:])))
-            return ag.softmax_cross_entropy(ag.take(states, (steps, rows)), targets)
+            states = ag.bilstm(leaves[0], self.MASK, *leaves[1:])
+            return ag.softmax_cross_entropy(ag.take(states, (dirs, steps, rows)), targets)
 
-        check_grads(build, [xs, *cell.values()])
+        check_grads(build, [xs, *stacked(*cells)])
 
     def test_masked_row_keeps_its_state(self):
-        xs, cell = lstm_inputs()
-        states = ag.lstm(ag.Tensor(xs), self.MASK, {k: ag.Tensor(v) for k, v in cell.items()}).data
-        np.testing.assert_array_equal(states[3, 1], states[1, 1])
-        np.testing.assert_array_equal(states[2, 2], states[0, 2])
-        assert not np.array_equal(states[3, 2], states[2, 2])
+        xs, cells = bilstm_inputs()
+        states = ag.bilstm(ag.Tensor(xs), self.MASK, *map(ag.Tensor, stacked(*cells))).data
+        for d in (0, 1):
+            np.testing.assert_array_equal(states[d, 3, 1], states[d, 1, 1])
+            np.testing.assert_array_equal(states[d, 2, 2], states[d, 0, 2])
+            assert not np.array_equal(states[d, 3, 2], states[d, 2, 2])
 
     def test_no_grad_output_is_bitwise_equal_to_taped_output(self):
-        xs, cell = lstm_inputs()
-        taped = ag.lstm(ag.leaf(xs), self.MASK, {k: ag.leaf(v) for k, v in cell.items()})
+        xs, cells = bilstm_inputs()
+        taped = ag.bilstm(ag.leaf(xs), self.MASK, *map(ag.leaf, stacked(*cells)))
         with ag.no_grad():
-            plain = ag.lstm(ag.leaf(xs), self.MASK, {k: ag.leaf(v) for k, v in cell.items()})
+            plain = ag.bilstm(ag.leaf(xs), self.MASK, *map(ag.leaf, stacked(*cells)))
         assert taped.tracked and not plain.tracked
         assert taped.data.tobytes() == plain.data.tobytes()
+
+    def test_each_direction_matches_the_reference_lstm(self):
+        # each batch column of each direction is one reference pass over its active steps
+        xs, cells = bilstm_inputs(L=5, B=3, D=4, H=3, seed=13)
+        mask = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0], [1, 0, 1], [1, 0, 1]], dtype=bool)
+        for m in (None, mask):
+            states = ag.bilstm(ag.Tensor(xs), m, *map(ag.Tensor, stacked(*cells))).data
+            for d, cell in enumerate(cells):
+                for b in range(3):
+                    active = np.flatnonzero(mask[:, b]) if m is not None else np.arange(5)
+                    expected = run_lstm(cell, xs[d, active, b])
+                    np.testing.assert_allclose(states[d, active, b], expected, atol=1e-12)
 
     def test_take_with_repeated_index_adds_gradients(self):
         rng = np.random.default_rng(12)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -51,6 +52,10 @@ class TestEmbedTrainNumerics:
         assert got == code
         assert "Traceback" not in err
         assert not out.exists()
+
+
+DATA = Path(__file__).parent / "data"
+CRF_CHECKPOINT = DATA / "crf_features.ckpt"  # a feature-input baseline
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +128,41 @@ class TestInconsistentCheckpoint:
         assert name in err
 
 
+    @pytest.mark.parametrize("name, rows, cols", [
+        ("word_fwd.W_xi", None, -1),  # the word cell reads one input fewer than a token has
+        ("char_bwd.W_xc", None, -1),  # the char cell reads one input fewer than d_c
+        ("projection", -1, None),
+        ("crf.transitions", -1, -1),
+        ("crf.emission_weights", None, -1),
+    ])
+    def test_dense_tensor_of_the_wrong_shape(
+        self, trained_checkpoint, tmp_path, capsys, name, rows, cols
+    ):
+        def edit(sections, tensors):
+            tensors[name] = np.ascontiguousarray(tensors[name][:rows, :cols])
+
+        source = CRF_CHECKPOINT if name == "crf.emission_weights" else trained_checkpoint
+        code, err = tag_with_edited_checkpoint(source, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert repr(name) in err and "shape" in err
+
+    @pytest.mark.parametrize("prefix, named", [
+        ("projection", "projection"),
+        ("crf.transitions", "crf.transitions"),
+        ("crf.emission_weights", "crf.emission_weights"),
+        ("word_bwd.", "word_bwd.W_xi"),  # every tensor of the backward word cell
+    ])
+    def test_dense_tensor_missing(self, trained_checkpoint, tmp_path, capsys, prefix, named):
+        def edit(sections, tensors):
+            for key in [k for k in tensors if k.startswith(prefix)]:
+                del tensors[key]
+
+        source = CRF_CHECKPOINT if prefix == "crf.emission_weights" else trained_checkpoint
+        code, err = tag_with_edited_checkpoint(source, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert repr(named) in err
+
+
 class TestUnparsableCheckpointValues:
     """A value that does not parse, under a valid checksum, exits 2 naming its key."""
 
@@ -183,3 +223,19 @@ class TestMalformedGoldTag:
         code = main(["train", "--train", str(gold), "--model", str(tmp_path / "m.ckpt")])
         assert code == EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestEvaluatePredictedClasses:
+    def test_class_absent_from_the_gold_file_counts_as_false_positive(self, tmp_path, capsys):
+        gold = tmp_path / "gold.conll"
+        gold.write_text("aspirin\tB-problem\ntwice\tO\n\n", encoding="utf-8")
+        pred = tmp_path / "pred.conll"
+        pred.write_text("aspirin\tB-problem\ntwice\tB-test\n\n", encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        code = main(["evaluate", "--gold", str(gold), "--pred", str(pred), "--json", str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        metrics = json.loads(out.read_text(encoding="utf-8"))
+        assert metrics["test"]["fp"] == 1
+        assert metrics["aggregate"]["precision"] < 1.0
+        assert metrics["aggregate"]["recall"] == 1.0

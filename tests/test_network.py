@@ -13,6 +13,7 @@ from reference import (
     token_representation,
 )
 from reference import sentence_logits as reference_logits
+from test_autograd import random_cell
 
 from seqtag import autograd as ag
 from seqtag.corpus import Sentence, TagScheme, Token
@@ -27,7 +28,6 @@ from seqtag.network import (
     dense_arrays,
     encode,
     forward_blstm,
-    init_cell,
     init_model,
     loss_and_gradients,
     predict_tag_ids,
@@ -123,7 +123,7 @@ class TestLstmStep:
 
     def test_coupled_gate_cell_bound(self):
         rng = np.random.default_rng(1)
-        cell = init_cell(3, 4, rng)
+        cell = random_cell(3, 4, rng)
         c = rng.uniform(-2, 2, 4)
         h = rng.uniform(-1, 1, 4)
         for _ in range(300):
@@ -142,7 +142,7 @@ class TestLstmStep:
 class TestBilstm:
     def test_single_step_concatenation(self):
         rng = np.random.default_rng(2)
-        fwd, bwd = init_cell(3, 2, rng), init_cell(3, 2, rng)
+        fwd, bwd = random_cell(3, 2, rng), random_cell(3, 2, rng)
         x = rng.normal(size=3)
         out = bilstm(fwd, bwd, [x])
         np.testing.assert_allclose(out[0][:2], run_lstm(fwd, [x])[0])
@@ -150,7 +150,7 @@ class TestBilstm:
 
     def test_reversal_swaps_directions(self):
         rng = np.random.default_rng(3)
-        fwd, bwd = init_cell(3, 2, rng), init_cell(3, 2, rng)
+        fwd, bwd = random_cell(3, 2, rng), random_cell(3, 2, rng)
         xs = [rng.normal(size=3) for _ in range(5)]
         fwd_states = run_lstm(fwd, xs)
         fwd_on_reversed = run_lstm(fwd, xs[::-1])
@@ -222,7 +222,7 @@ class TestTokenRepresentation:
         sent = make_sentence(["was", "given"])
         a, b = (
             _representation_graph(
-                model, _LeafSet(), encode(model, sent), train=False, dropout=0.5, rng=None
+                model, _LeafSet(model), encode(model, sent), train=False, dropout=0.5, rng=None
             )
             for _ in range(2)
         )
@@ -233,7 +233,7 @@ class TestTokenRepresentation:
         model = make_model()
         sent = make_sentence(["felbatol"])
         rep = _representation_graph(
-            model, _LeafSet(), encode(model, sent),
+            model, _LeafSet(model), encode(model, sent),
             train=True, dropout=0.5, rng=np.random.default_rng(4),
         ).data[0]
         base = token_representation(model, "felbatol")
@@ -313,18 +313,18 @@ class TestLossAndGradients:
         sent = make_sentence(["felbatol", "was"])
         _, grads = loss_and_gradients(model, sent, ["B-x", "O"])
         spare = model.vocab.index["spare"]
-        assert spare not in grads.rows["word_table"]
+        assert spare not in grads.rows["word_table"].index
         touched = {model.vocab.index["felbatol"], model.vocab.index["was"]}
-        assert set(grads.rows["word_table"]) == touched
+        assert set(grads.rows["word_table"].index) == touched
 
     def test_unseen_word_trains_unk_row(self):
         model = make_model()
         sent = make_sentence(["felbatol", "never-seen", "daily"])
         _, grads = loss_and_gradients(model, sent, ["B-x", "I-x", "O"])
-        assert set(grads.rows["word_table"]) == {
+        assert set(grads.rows["word_table"].index) == {
             0, model.vocab.index["felbatol"], model.vocab.index["daily"]
         }
-        assert np.any(grads.rows["word_table"][0] != 0.0)
+        assert np.any(dict(grads.rows["word_table"].items())[0] != 0.0)
 
     def test_unseen_character_reads_and_trains_the_char_unk_row(self):
         model = make_model()
@@ -336,11 +336,13 @@ class TestLossAndGradients:
         after = sentence_logits(model, sent)
         assert not np.array_equal(after[1], before[1])
         _, grads = loss_and_gradients(model, sent, ["B-x", "O", "O"])
-        assert 0 in grads.rows["char_table"]
-        assert np.any(grads.rows["char_table"][0] != 0.0)
+        assert 0 in grads.rows["char_table"].index
+        assert np.any(dict(grads.rows["char_table"].items())[0] != 0.0)
         # with every character seen, exactly the characters read get a row
         _, grads = loss_and_gradients(model, make_sentence(["felbatol", "was"]), ["B-x", "O"])
-        assert set(grads.rows["char_table"]) == {model.char_vocab.index[ch] for ch in "felbatowas"}
+        assert set(grads.rows["char_table"].index) == {
+            model.char_vocab.index[ch] for ch in "felbatowas"
+        }
 
     def test_singleton_swap_replaces_only_the_word_lookup(self):
         model = make_model()
@@ -358,7 +360,7 @@ class TestLossAndGradients:
             loss, grads = loss_and_gradients(
                 model, sent, gold, dropout_seed=seed, singletons=frozenset({"felbatol"})
             )
-            rows = set(grads.rows["word_table"])
+            rows = set(grads.rows["word_table"].index)
             if 0 in rows:
                 assert felbatol not in rows
                 assert loss == swapped_loss

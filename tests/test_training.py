@@ -1,4 +1,6 @@
+import copy
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from seqtag.corpus import Dataset, TagScheme, parse_conll, split_train_valid
 from seqtag.embeddings import UNK
 from seqtag.errors import ConfigError, DataError, NumericError, TagValidationError
 from seqtag.evaluation import evaluate
-from seqtag.network import dense_arrays, table_arrays
+from seqtag.network import dense_arrays, loss_and_gradients, table_arrays
 from seqtag.synth import default_spec, generate
 from seqtag.training import (
     Checkpoint,
@@ -24,6 +26,7 @@ from seqtag.training import (
     train,
 )
 
+DATA = Path(__file__).parent / "data"
 FAST = dict(d_w=12, d_c=6, H_w=8, H_c=6, init="scaled")
 # quick-convergence knobs for unit-scale corpora (not the protocol defaults)
 EAGER = dict(learning_rate=0.05, dropout=0.1, **FAST)
@@ -349,3 +352,37 @@ class TestCheckpointPersistence:
         path.write_bytes(payload + f"[checksum {digest}]\n".encode())
         with pytest.raises(UnsupportedVersionError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["blstm_crf_char", "crf_features"])
+    def test_checkpoint_of_an_earlier_build_tags_as_it_did(self, name):
+        # tests/data/README.md says which build wrote these files and how
+        ckpt = load_checkpoint(DATA / f"{name}.ckpt")
+        text = (DATA / "compat_input.conll").read_text(encoding="utf-8")
+        expected = (DATA / f"{name}.tags").read_text(encoding="utf-8")
+        assert tag(ckpt, parse_conll(text, ckpt.scheme)) == parse_conll(expected, ckpt.scheme)
+
+
+class TestDenseBuffer:
+    def test_every_dense_array_is_a_view_that_an_update_reaches(self, tmp_path):
+        data, _ = small_corpus(n_train=12)
+        cfg = TrainConfig(variant="blstm_crf", epochs=1, seed=0, **FAST)
+        ckpt = train(cfg, data)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        models = {
+            "init_model": build_model(cfg, derive_scheme(data), data),
+            "train": ckpt.model,
+            "load_checkpoint": load_checkpoint(path).model,
+            "deepcopy": copy.deepcopy(ckpt.model),
+        }
+        assert not np.shares_memory(models["train"].buffer, models["deepcopy"].buffer)
+        sent = data[0]
+        for source, model in models.items():
+            views = dense_arrays(model)
+            for name, arr in views.items():
+                assert np.shares_memory(arr, model.buffer), (source, name)
+            _, grads = loss_and_gradients(model, sent, list(sent.gold_tags))
+            expected = {name: views[name] - 0.01 * g for name, g in grads.dense.items()}
+            sgd_update(model, grads, 0.01, 0.0)
+            for name, arr in views.items():
+                np.testing.assert_array_equal(arr, expected[name], err_msg=f"{source} {name}")
