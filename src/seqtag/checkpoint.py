@@ -18,6 +18,7 @@ line fails with an explicit unsupported-version error.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -74,6 +75,13 @@ class _Cursor:
         return out
 
 
+def _count(text: str, header: str) -> int:
+    """A count field, in decimal digits, of the header line ``header``."""
+    if not (text.isascii() and text.isdigit()):
+        raise IntegrityError(f"checkpoint header {header!r} holds {text!r}, not a count")
+    return int(text)
+
+
 def read_container(path) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
     """The sections and tensors of a checkpoint; each tensor is a read-only view of its bytes."""
     with open(path, "rb") as fh:
@@ -107,18 +115,18 @@ def read_container(path) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     while True:
         header = cur.line()
-        if header.startswith("[section "):
-            body = header[len("[section ") : -1]
-            name, _, count = body.rpartition(" ")
-            sections[name] = [cur.line() for _ in range(int(count))]
-        elif header.startswith("[tensors "):
-            count = int(header[len("[tensors ") : -1])
-            for _ in range(count):
-                parts = cur.line().split(" ")
-                name, ndim = parts[0], int(parts[1])
-                shape = tuple(int(d) for d in parts[2 : 2 + ndim])
-                size = 8 * int(np.prod(shape, dtype=np.int64)) if ndim else 8
-                buf = cur.raw(size)
+        if header.startswith("[section ") and header.endswith("]"):
+            name, _, count = header[len("[section ") : -1].rpartition(" ")
+            sections[name] = [cur.line() for _ in range(_count(count, header))]
+        elif header.startswith("[tensors ") and header.endswith("]"):
+            for _ in range(_count(header[len("[tensors ") : -1], header)):
+                line = cur.line()
+                name, *dims = line.split(" ")
+                dims = [_count(d, line) for d in dims]
+                if not dims or len(dims) != 1 + dims[0]:
+                    raise IntegrityError(f"checkpoint tensor header {line!r} is malformed")
+                shape = tuple(dims[1:])
+                buf = cur.raw(8 * math.prod(shape))
                 tensors[name] = np.frombuffer(buf, dtype="<f8").reshape(shape)
             break
         else:

@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: train, tag, evaluate, synth, embed-train, embed-concat,
-coverage, pseudo-corpus.  Config files are flat ``key = value`` text;
-command-line flags override config keys, and the ``SEQTAG_SEED``
-environment variable overrides the seed from either source.
+coverage, pseudo-corpus.  Config files are flat ``key = value`` text,
+one :class:`~seqtag.training.TrainConfig` field per line, in the format
+a checkpoint's config section uses: bools are words such as ``true`` or
+``no``, and ``embeddings`` separates its paths by commas.  Command-line
+flags override config keys, the ``SEQTAG_SEED`` environment variable
+overrides the seed from either source, and the merged config is then
+checked once.
 
 Exit codes: 0 success, 2 data error, 3 config error, 4 numeric abort.
 """
@@ -14,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from .corpus import Dataset, Sentence, TagScheme, Token, parse_conll, write_conll
 from .embeddings import (
@@ -33,6 +36,7 @@ from .training import (
     derive_scheme,
     load_checkpoint,
     load_embedding_tables,
+    parse_kv_lines,
     save_checkpoint,
     tag,
     train,
@@ -44,66 +48,12 @@ EXIT_NUMERIC = 4
 
 
 def read_kv_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` config text; '#' starts a comment line."""
-    out: dict[str, str] = {}
+    """The ``key = value`` lines of a config file (see :func:`parse_kv_lines`)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                out[key.strip()] = value.strip()
+            return parse_kv_lines(fh, path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return out
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def build_train_config(file_values: dict[str, str], overrides: dict) -> TrainConfig:
-    kwargs: dict = {}
-    valid = {f.name: f for f in fields(TrainConfig)}
-    for key, text in file_values.items():
-        if key not in valid:
-            raise ConfigError(f"unknown config key {key!r}")
-        ftype = valid[key].type
-        try:
-            if key == "embeddings":
-                kwargs[key] = tuple(p for p in text.split(",") if p.strip())
-            elif ftype == "bool":
-                kwargs[key] = _parse_bool(text)
-            elif ftype == "int":
-                kwargs[key] = int(text)
-            elif ftype == "float":
-                kwargs[key] = float(text)
-            else:
-                kwargs[key] = text
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
-    if "SEQTAG_SEED" in os.environ:
-        try:
-            kwargs["seed"] = int(os.environ["SEQTAG_SEED"])
-        except ValueError:
-            raise ConfigError("SEQTAG_SEED must be an integer") from None
-    try:
-        config = TrainConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    config.validate()
-    return config
 
 
 def _load_conll(path: str, scheme: TagScheme | None, **kw) -> Dataset:
@@ -115,11 +65,18 @@ def _load_conll(path: str, scheme: TagScheme | None, **kw) -> Dataset:
 
 
 def cmd_train(args) -> int:
-    file_values = read_kv_file(args.config) if args.config else {}
-    overrides = dict(
+    seed = args.seed
+    if "SEQTAG_SEED" in os.environ:
+        try:
+            seed = int(os.environ["SEQTAG_SEED"])
+        except ValueError:
+            raise ConfigError("SEQTAG_SEED must be an integer") from None
+    config = TrainConfig.from_text(
+        read_kv_file(args.config) if args.config else {},
         variant=args.variant,
+        embeddings=tuple(args.embeddings) if args.embeddings else None,
         epochs=args.epochs,
-        seed=args.seed,
+        seed=seed,
         learning_rate=args.learning_rate,
         dropout=args.dropout,
         split_ratio=args.split_ratio,
@@ -127,9 +84,6 @@ def cmd_train(args) -> int:
         use_features=args.use_features,
         init=args.init,
     )
-    if args.embeddings:
-        overrides["embeddings"] = tuple(args.embeddings)
-    config = build_train_config(file_values, overrides)
 
     data = _load_conll(args.train, None)
 

@@ -140,6 +140,10 @@ class Metrics:
     def micro_f1(self) -> float:
         return prf(self.aggregate).f1
 
+    def rows(self) -> list[ClassCounts]:
+        """The counts of each class, then the aggregate's."""
+        return [*self.per_class.values(), self.aggregate]
+
 
 def evaluate(gold: Dataset, pred: Dataset, scheme: TagScheme | None = None) -> Metrics:
     return Metrics(strict_counts(gold, pred, scheme))
@@ -152,35 +156,26 @@ def _pct(x: float) -> str:
 
 def report(metrics: Metrics) -> str:
     """Human-readable table: one row per class plus the micro average."""
-    rows = []
-    names = list(metrics.per_class) + [AGGREGATE]
-    width = max(len(n) for n in names)
+    rows = metrics.rows()
+    width = max(len(c.cls) for c in rows)
     header = f"{'entity':<{width}}  {'prec':>7}  {'recall':>7}  {'f1':>7}  {'tp':>5}  {'fp':>5}  {'fn':>5}"
-    rows.append(header)
-    rows.append("-" * len(header))
-    for name in metrics.per_class:
-        c = metrics.per_class[name]
+    lines = []
+    for c in rows:
         e = prf(c)
-        rows.append(
-            f"{name:<{width}}  {_pct(e.precision):>7}  {_pct(e.recall):>7}  {_pct(e.f1):>7}"
+        lines.append(
+            f"{c.cls:<{width}}  {_pct(e.precision):>7}  {_pct(e.recall):>7}  {_pct(e.f1):>7}"
             f"  {c.tp:>5}  {c.fp:>5}  {c.fn:>5}"
         )
-    agg = metrics.aggregate
-    e = prf(agg)
-    rows.append("-" * len(header))
-    rows.append(
-        f"{AGGREGATE:<{width}}  {_pct(e.precision):>7}  {_pct(e.recall):>7}  {_pct(e.f1):>7}"
-        f"  {agg.tp:>5}  {agg.fp:>5}  {agg.fn:>5}"
-    )
-    return "\n".join(rows)
+    rule = "-" * len(header)
+    return "\n".join([header, rule, *lines[:-1], rule, lines[-1]])
 
 
 def to_mapping(metrics: Metrics) -> dict:
     """Machine-readable counterpart of :func:`report` (full-precision ratios)."""
     out: dict = {}
-    for name, c in metrics.per_class.items():
+    for c in metrics.rows():
         e = prf(c)
-        out[name] = {
+        out[c.cls] = {
             "tp": c.tp,
             "fp": c.fp,
             "fn": c.fn,
@@ -188,14 +183,4 @@ def to_mapping(metrics: Metrics) -> dict:
             "recall": e.recall,
             "f1": e.f1,
         }
-    agg = metrics.aggregate
-    e = prf(agg)
-    out[AGGREGATE] = {
-        "tp": agg.tp,
-        "fp": agg.fp,
-        "fn": agg.fn,
-        "precision": e.precision,
-        "recall": e.recall,
-        "f1": e.f1,
-    }
     return out

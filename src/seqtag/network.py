@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -65,6 +65,9 @@ from .errors import ConfigError, TagValidationError
 from .features import FamilyRows, FeatureEncoder
 # no tagger calls encode_surface; it stays bound because benchmarks/spans.py patches it here
 from .features import encode_surface  # noqa: F401
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 CELL_FIELDS = ("W_xi", "W_hi", "w_ci", "W_xc", "W_hc", "W_xo", "W_ho", "w_co", "b_i", "b_c", "b_o")
 
@@ -222,22 +225,15 @@ def allocate_dense(model: ModelParameters, H_c: int, H_w: int):
 
 
 def init_model(
+    config: TrainConfig,
     scheme: TagScheme,
     vocab: Vocabulary,
     word_table: EmbeddingTable,
-    *,
-    variant: str,
-    use_char: bool,
-    use_features: bool,
-    d_c: int,
-    H_c: int,
-    H_w: int,
-    seed: int,
     feature_surfaces=(),
     char_alphabet=(),
-    init: str = "uniform",
 ) -> ModelParameters:
-    """Build a model; the default initialization is uniform [-1, 1].
+    """Build the model that ``config`` describes; the default
+    initialization is uniform [-1, 1].
 
     Word vectors are copied from the (already assembled) ``word_table``;
     everything else, including feature-value encodings, is random.
@@ -248,34 +244,29 @@ def init_model(
     Each dense array is drawn in place into the buffer, in the order of
     :func:`dense_arrays`.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if variant == "crf" and use_char:
-        raise ConfigError("character-level embeddings are only available in the recurrent taggers")
-
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     matrix = np.stack([word_table.entries[w] for w in vocab.words])
-    model = ModelParameters(scheme, variant, vocab, matrix, seed)
-    if use_features:
+    model = ModelParameters(scheme, config.variant, vocab, matrix, config.seed)
+    if config.use_features:
         from .features import build_feature_encoder
 
-        model.feature_encoder = build_feature_encoder(feature_surfaces, seed)
-    if use_char:
+        model.feature_encoder = build_feature_encoder(feature_surfaces, config.seed)
+    if config.use_char:
         from .embeddings import build_vocabulary
 
         model.char_vocab = build_vocabulary(char_alphabet)
-        model.char_table = rng.uniform(-1.0, 1.0, (len(model.char_vocab), d_c))
-    allocate_dense(model, H_c, H_w)
+        model.char_table = rng.uniform(-1.0, 1.0, (len(model.char_vocab), config.d_c))
+    allocate_dense(model, config.H_c, config.H_w)
 
     for name, arr in dense_arrays(model).items():
         kind = name.rpartition(".")[2]
-        if init == "scaled" and kind.startswith("b_"):
+        if config.init == "scaled" and kind.startswith("b_"):
             arr[...] = 0.0
-        elif init == "scaled" and kind.startswith("w_c"):
+        elif config.init == "scaled" and kind.startswith("w_c"):
             arr[...] = rng.uniform(-0.1, 0.1, arr.shape)
         else:
             arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
-            if init == "scaled":
+            if config.init == "scaled":
                 arr *= np.sqrt(6.0 / sum(arr.shape))
     return model
 
@@ -503,7 +494,6 @@ def loss_and_gradients(
     model: ModelParameters,
     sentence: Sentence | EncodedSentence,
     gold_tags,
-    variant: str | None = None,
     *,
     dropout: float = 0.0,
     dropout_seed: int = 0,
@@ -520,11 +510,8 @@ def loss_and_gradients(
     singleton token in token order, then the mask.  With a fixed seed
     the result is bitwise reproducible.
     """
-    variant = variant or model.variant
-    if variant not in ("blstm", "blstm_crf"):
-        raise ConfigError(f"loss_and_gradients handles the recurrent variants, not {variant!r}")
-    if variant == "blstm_crf" and "crf.transitions" not in model.layout:
-        raise ConfigError("model has no transition parameters for the blstm_crf variant")
+    if model.variant not in ("blstm", "blstm_crf"):
+        raise ConfigError(f"loss_and_gradients handles recurrent variants, not {model.variant!r}")
     if len(gold_tags) != len(sentence):
         raise ValueError("gold tag count must equal sentence length")
 
@@ -536,7 +523,7 @@ def loss_and_gradients(
         model, leaves, _encoded(model, sentence),
         train=True, dropout=dropout, rng=rng, singletons=singletons,
     )
-    if variant == "blstm":
+    if model.variant == "blstm":
         loss = ag.softmax_cross_entropy(logits, gold)
     else:
         loss = crf_nll_op(logits, leaves.dense_leaf("crf.transitions"), gold)

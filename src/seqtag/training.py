@@ -55,9 +55,41 @@ from .network import (
 )
 
 
+BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+              "false": False, "no": False, "off": False, "0": False}
+
+
+def parse_kv_lines(lines: Iterable[str], source: str) -> dict[str, str]:
+    """The value text of each ``key = value`` line, by key.
+
+    Both sides are stripped; blank lines and lines that start with '#'
+    are skipped.  This reads config files and the text sections of a
+    checkpoint.
+    """
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+        out[key.strip()] = value.strip()
+    return out
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters; defaults follow the reference setup."""
+    """Hyper-parameters; defaults follow the reference setup.
+
+    An instance is valid: construction raises :class:`ConfigError`,
+    naming the key, for a value out of range.  Its text form, read and
+    written by :meth:`from_text` and :meth:`to_text`, is one ``key =
+    value`` line per field, in config files and in a checkpoint's config
+    section alike.  A bool is one of :data:`BOOL_WORDS` (any case) and
+    ``embeddings`` lists its paths split by a separator: ``,`` in config
+    files and a tab in checkpoints.
+    """
 
     variant: str = "blstm_crf"
     embeddings: tuple[str, ...] = ()  # paths of pretrained tables to concatenate
@@ -72,27 +104,63 @@ class TrainConfig:
     epochs: int = 100
     split_ratio: float = 0.7
     seed: int = 0
-    clip_norm: float = 5.0
+    clip_norm: float = 5.0  # 0 turns clipping off
     crf_l2: float = 1e-4
     init: str = "uniform"  # or "scaled" (faster desk-scale convergence)
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
+        """Raise :class:`ConfigError`, naming the key, for a value out of its range."""
         if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ConfigError(f"'variant' must be one of {VARIANTS}, got {self.variant!r}")
         if self.init not in ("uniform", "scaled"):
-            raise ConfigError("init must be 'uniform' or 'scaled'")
-        if not 0.0 < self.dropout < 1.0:
-            raise ConfigError("dropout must lie strictly between 0 and 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError("split_ratio must lie strictly between 0 and 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if min(self.d_w, self.d_c, self.H_w, self.H_c) < 1:
-            raise ConfigError("model dimensions must be positive")
+            raise ConfigError(f"'init' must be 'uniform' or 'scaled', got {self.init!r}")
+        for keys, ok, rule in (
+            (("epochs", "d_w", "d_c", "H_w", "H_c"), lambda v: v >= 1, "at least 1"),
+            (("dropout", "split_ratio"), lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+            (("learning_rate",), lambda v: 0.0 < v < math.inf, "positive and finite"),
+            (("seed", "clip_norm", "crf_l2"), lambda v: 0 <= v < math.inf, "finite, not negative"),
+        ):
+            for key in keys:
+                if not ok(getattr(self, key)):
+                    raise ConfigError(f"{key!r} must be {rule}, got {getattr(self, key)!r}")
         if self.variant == "crf" and self.use_char:
-            raise ConfigError("the crf variant does not support character-level embeddings")
+            raise ConfigError("'use_char' must be false for the crf variant, which reads no chars")
+
+    @classmethod
+    def from_text(cls, values: dict[str, str], sep: str = ",", **overrides) -> TrainConfig:
+        """The config of the value texts ``values``, typed by the fields,
+        with each keyword of ``overrides`` that is not None put over them."""
+        parsers = {
+            "bool": lambda text: BOOL_WORDS[text.lower()],
+            "int": int,
+            "float": float,
+            "str": str,
+            "tuple[str, ...]": lambda text: tuple(p.strip() for p in text.split(sep) if p.strip()),
+        }
+        types = {f.name: f.type for f in fields(cls)}
+        kwargs = {}
+        for key, text in values.items():
+            if key not in types:
+                raise ConfigError(f"unknown config key {key!r}")
+            try:
+                kwargs[key] = parsers[types[key]](text)
+            except (KeyError, ValueError):  # KeyError: not a bool word
+                raise ConfigError(f"config value {key!r} is not a {types[key]}: {text!r}") from None
+        kwargs.update((key, value) for key, value in overrides.items() if value is not None)
+        return cls(**kwargs)
+
+    def to_text(self, sep: str = ",") -> dict[str, str]:
+        """The value text of each field, in field order, as :meth:`from_text` reads it."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "embeddings":
+                value = sep.join(value)
+            out[f.name] = repr(value) if isinstance(value, float) else str(value)
+        return out
 
 
 @dataclass
@@ -154,21 +222,7 @@ def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelP
     else:
         word_table = random_table(vocab, config.d_w, config.seed)
     chars = sorted({ch for s in surfaces for ch in s})
-    return init_model(
-        scheme,
-        vocab,
-        word_table,
-        variant=config.variant,
-        use_char=config.use_char,
-        use_features=config.use_features,
-        d_c=config.d_c,
-        H_c=config.H_c,
-        H_w=config.H_w,
-        seed=config.seed,
-        feature_surfaces=dict.fromkeys(surfaces),
-        char_alphabet=chars,
-        init=config.init,
-    )
+    return init_model(config, scheme, vocab, word_table, dict.fromkeys(surfaces), chars)
 
 
 def sgd_update(model: ModelParameters, grads: Gradients, lr: float, clip_norm: float):
@@ -251,7 +305,6 @@ def train(
     ``progress``, when given, is called after each epoch with
     ``(epoch, mean training loss, validation F1)``.
     """
-    config.validate()
     if len(train_data) == 0:
         raise DataError("training dataset is empty")
     if any(t.gold_tag is None for s in train_data for t in s):
@@ -286,7 +339,6 @@ def train(
                     model,
                     sent,
                     gold,
-                    config.variant,
                     dropout=config.dropout,
                     dropout_seed=(config.seed, epoch, int(idx)),
                     singletons=singletons,
@@ -318,56 +370,31 @@ def tag(checkpoint: Checkpoint, sentences: Dataset) -> Dataset:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _config_lines(config: TrainConfig) -> list[str]:
-    lines = []
-    for f in fields(TrainConfig):
-        value = getattr(config, f.name)
-        if f.name == "embeddings":
-            value = "\t".join(value)
-        lines.append(f"{f.name} = {value!r}" if isinstance(value, float) else f"{f.name} = {value}")
-    return lines
+def _kv_lines(values: dict) -> list[str]:
+    return [f"{key} = {value}" for key, value in values.items()]
 
 
-def _parse_value(section: str, key: str, text: str, parse: Callable):
+def _meta_value(meta: dict[str, str], key: str, parse: Callable):
+    if key not in meta:
+        raise DataError(f"checkpoint meta is missing its {key!r} line")
     try:
-        return parse(text)
+        return parse(meta[key])
     except ValueError:
-        raise DataError(f"checkpoint {section} value {key!r} does not parse: {text!r}") from None
-
-
-def _parse_config(lines: list[str]) -> TrainConfig:
-    raw: dict[str, str] = {}
-    for ln in lines:
-        key, _, value = ln.partition(" = ")
-        raw[key] = value
-    kwargs = {}
-    for f in fields(TrainConfig):
-        if f.name not in raw:
-            continue
-        text = raw[f.name]
-        if f.name == "embeddings":
-            kwargs[f.name] = tuple(p for p in text.split("\t") if p)
-        elif f.type == "bool":
-            kwargs[f.name] = text == "True"
-        elif f.type in ("int", "float"):
-            kwargs[f.name] = _parse_value("config", f.name, text, int if f.type == "int" else float)
-        else:
-            kwargs[f.name] = text
-    return TrainConfig(**kwargs)
+        raise DataError(f"checkpoint meta value {key!r} does not parse: {meta[key]!r}") from None
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
     model = ckpt.model
     sections: dict[str, list[str]] = {
-        "config": _config_lines(ckpt.config),
+        "config": _kv_lines(ckpt.config.to_text(sep="\t")),
         "scheme": list(model.scheme.classes),
         "vocab": list(model.vocab.words),
-        "meta": [
-            f"best_epoch = {ckpt.best_epoch}",
-            "history = " + " ".join(repr(v) for v in ckpt.history),
-            f"seed = {model.seed}",
-            f"variant = {model.variant}",
-        ],
+        "meta": _kv_lines({
+            "best_epoch": ckpt.best_epoch,
+            "history": " ".join(repr(v) for v in ckpt.history),
+            "seed": model.seed,
+            "variant": model.variant,
+        }),
     }
     if model.char_vocab is not None:
         sections["charvocab"] = list(model.char_vocab.words)
@@ -381,12 +408,12 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 def _rebuild_features(
     sections: dict[str, list[str]], tensors: dict[str, np.ndarray], seed: int
-) -> FeatureEncoder | None:
-    if not any(name.startswith("feature-values:") for name in sections):
-        return None
+) -> FeatureEncoder:
     families = []
     for name, dim, fn in FAMILY_SPECS:
-        values = sections.get(f"feature-values:{name}", [])
+        values = sections.get(f"feature-values:{name}")
+        if values is None:
+            raise DataError(f"checkpoint is missing its 'feature-values:{name}' section")
         table = tensors.get(f"feature:{name}", np.zeros((0, dim))).copy()
         if table.shape != (len(values), dim):
             raise DataError(f"feature table {name!r} does not match its value list")
@@ -414,35 +441,38 @@ def load_checkpoint(path) -> Checkpoint:
     for required in ("config", "scheme", "vocab", "meta"):
         if required not in sections:
             raise DataError(f"checkpoint is missing its {required!r} section")
-    config = _parse_config(sections["config"])
-    scheme = TagScheme(tuple(sections["scheme"]))
-    vocab = Vocabulary(tuple(sections["vocab"]))
-
-    meta = dict(ln.partition(" = ")[::2] for ln in sections["meta"])
-    for key in ("seed", "variant", "best_epoch", "history"):
-        if key not in meta:
-            raise DataError(f"checkpoint meta is missing its {key!r} line")
-    seed = _parse_value("meta", "seed", meta["seed"], int)
-    variant = meta["variant"]
-    if variant != config.variant:  # TrainConfig has checked config.variant is in VARIANTS
-        raise DataError(
-            f"checkpoint meta 'variant' is {variant!r} but its config says {config.variant!r}"
-        )
-    best_epoch = _parse_value("meta", "best_epoch", meta["best_epoch"], int)
-    history = _parse_value(
-        "meta", "history", meta["history"], lambda text: [float(v) for v in text.split()]
-    )
+    try:
+        meta = parse_kv_lines(sections["meta"], "meta")
+        config = TrainConfig.from_text(parse_kv_lines(sections["config"], "config"), sep="\t")
+        scheme = TagScheme(tuple(sections["scheme"]))
+        vocab = Vocabulary(tuple(sections["vocab"]))
+        char_vocab = Vocabulary(tuple(sections["charvocab"])) if "charvocab" in sections else None
+    except (ConfigError, ValueError) as exc:  # a vocabulary or scheme raises ValueError
+        raise DataError(f"checkpoint: {exc}") from None
+    for key in ("seed", "variant"):  # the model's come from the config
+        value = getattr(config, key)
+        if _meta_value(meta, key, type(value)) != value:
+            raise DataError(
+                f"checkpoint meta {key!r} is {meta[key]!r} but its config says {value!r}"
+            )
+    best_epoch = _meta_value(meta, "best_epoch", int)
+    history = _meta_value(meta, "history", lambda text: [float(v) for v in text.split()])
+    features = _rebuild_features(sections, tensors, config.seed) if config.use_features else None
     model = ModelParameters(
-        scheme, variant, vocab, _vocabulary_table(tensors, "word_table", vocab), seed,
-        feature_encoder=_rebuild_features(sections, tensors, seed),
+        scheme, config.variant, vocab, _vocabulary_table(tensors, "word_table", vocab),
+        config.seed, feature_encoder=features,
     )
     if config.use_char:
-        if "charvocab" not in sections:
+        if char_vocab is None:
             raise DataError("checkpoint is missing its 'charvocab' section")
-        model.char_vocab = Vocabulary(tuple(sections["charvocab"]))
+        model.char_vocab = char_vocab
         model.char_table = _vocabulary_table(tensors, "char_table", model.char_vocab)
     allocate_dense(model, config.H_c, config.H_w)
-    for name, slot in dense_arrays(model).items():
+    slots = dense_arrays(model)
+    extra = sorted(tensors.keys() - slots.keys() - table_arrays(model).keys())
+    if extra:
+        raise DataError(f"checkpoint tensors {extra} belong to no parameter its config gives")
+    for name, slot in slots.items():
         tensor = tensors.get(name)
         if tensor is None:
             raise DataError(f"checkpoint has no {name!r} tensor")

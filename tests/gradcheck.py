@@ -27,16 +27,16 @@ def coordinate_ok(analytic, numeric, rtol=1e-4):
     return rel_error(analytic, numeric) < rtol
 
 
-def check_model_gradients(model, sentence, gold, variant, h=1e-5):
+def check_model_gradients(model, sentence, gold, h=1e-5):
     """Check every parameter coordinate of a model against central differences.
 
     Returns (worst relative error, number of coordinates checked); raises
     AssertionError naming the offending parameter on failure.
     """
-    _, grads = loss_and_gradients(model, sentence, gold, variant, dropout=0.0)
+    _, grads = loss_and_gradients(model, sentence, gold, dropout=0.0)
 
     def loss_fn():
-        return loss_and_gradients(model, sentence, gold, variant, dropout=0.0)[0]
+        return loss_and_gradients(model, sentence, gold, dropout=0.0)[0]
 
     worst = 0.0
     checked = 0

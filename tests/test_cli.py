@@ -10,8 +10,9 @@ import pytest
 import seqtag
 from seqtag.checkpoint import read_container, write_container
 from seqtag.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from seqtag.corpus import write_conll
 from seqtag.synth import default_spec, generate
-from seqtag.training import TrainConfig, save_checkpoint, train
+from seqtag.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
 class TestMissingFiles:
@@ -162,6 +163,37 @@ class TestInconsistentCheckpoint:
         assert code == EXIT_DATA
         assert repr(named) in err
 
+    @pytest.mark.parametrize("edits, named", [
+        ([("config", "variant", "nope"), ("meta", "variant", "nope")], "'variant'"),
+        ([("config", "dropout", "7")], "'dropout'"),
+        ([("config", "use_char", "maybe")], "'use_char'"),
+        ([("config", "zzz", "1")], "'zzz'"),
+        ([("meta", "seed", "4")], "'seed'"),
+        ([("tensors", "word_fwd.W_xz", None)], "'word_fwd.W_xz'"),
+        # the trained transitions have no place in a blstm model
+        ([("config", "variant", "blstm"), ("meta", "variant", "blstm")], "'crf.transitions'"),
+    ])
+    def test_invalid_value_or_extra_tensor(self, trained_checkpoint, tmp_path, capsys, edits, named):
+        def edit(sections, tensors):
+            for section, key, value in edits:
+                if section == "tensors":
+                    tensors[key] = np.zeros((2, 2))
+                    continue
+                lines = [ln for ln in sections[section] if not ln.startswith(f"{key} = ")]
+                sections[section] = lines + [f"{key} = {value}"]
+
+        code, err = tag_with_edited_checkpoint(trained_checkpoint, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert named in err
+
+    def test_bool_word_in_any_case_loads(self, trained_checkpoint, tmp_path, capsys):
+        def edit(sections, tensors):
+            sections["config"] = [ln.replace("= True", "= true") for ln in sections["config"]]
+            assert "use_char = true" in sections["config"]
+
+        code, _ = tag_with_edited_checkpoint(trained_checkpoint, tmp_path, capsys, edit)
+        assert code == 0
+
 
 class TestUnparsableCheckpointValues:
     """A value that does not parse, under a valid checksum, exits 2 naming its key."""
@@ -176,6 +208,79 @@ class TestUnparsableCheckpointValues:
         code, err = tag_with_edited_checkpoint(trained_checkpoint, tmp_path, capsys, edit)
         assert code == EXIT_DATA
         assert repr(key) in err and section in err
+
+
+@pytest.fixture(scope="module")
+def train_file(tmp_path_factory):
+    data, _ = generate(default_spec(seed=1, n_train=12, n_test=1, length_range=(4, 9)))
+    path = tmp_path_factory.mktemp("corpus") / "train.conll"
+    path.write_text(write_conll(data), encoding="utf-8")
+    return path
+
+
+class TestTrainConfigFile:
+    """``seqtag train --config``: file values, then flags, then ``SEQTAG_SEED``."""
+
+    SMALL = "d_w = 4\nd_c = 2\nH_c = 2\nH_w = 3\nepochs = 1\n"
+
+    def train(self, tmp_path, train_file, text, *flags):
+        """Exit code of ``seqtag train``, and the config its checkpoint holds."""
+        config, model = tmp_path / "train.cfg", tmp_path / "model.ckpt"
+        config.write_text(text, encoding="utf-8")
+        code = main(["train", "--config", str(config), "--train", str(train_file),
+                     "--model", str(model), *flags])
+        return code, load_checkpoint(model).config if code == 0 else None
+
+    def test_every_value_type(self, tmp_path, capsys, train_file):
+        paths = [tmp_path / "general.txt", tmp_path / "domain.txt"]
+        paths[0].write_text("aspirin 0.1 0.2 0.3\n", encoding="utf-8")
+        paths[1].write_text("aspirin 0.4 0.5\n", encoding="utf-8")
+        text = (
+            "# a comment line\n\n"
+            "variant = blstm\n"
+            f"embeddings = {paths[0]}, {paths[1]}\n"
+            "use_char = No\n"
+            "use_features = yes\n"
+            "learning_rate = 0.02\n"
+            "init = scaled\n"
+        ) + self.SMALL
+        code, config = self.train(tmp_path, train_file, text)
+        assert code == 0
+        assert config == TrainConfig(
+            variant="blstm", embeddings=(str(paths[0]), str(paths[1])), use_char=False,
+            use_features=True, learning_rate=0.02, init="scaled",
+            d_w=4, d_c=2, H_c=2, H_w=3, epochs=1,
+        )
+
+    def test_flags_override_the_file(self, tmp_path, capsys, train_file):
+        # a crf variant with characters is invalid; the flag makes it valid
+        text = "variant = crf\nseed = 1\n" + self.SMALL.replace("epochs = 1", "epochs = 7")
+        code, config = self.train(tmp_path, train_file, text, "--no-char", "--epochs", "1")
+        assert code == 0
+        assert (config.variant, config.use_char, config.epochs, config.seed) == ("crf", False, 1, 1)
+
+    def test_seed_from_the_environment_overrides_file_and_flag(
+        self, tmp_path, capsys, train_file, monkeypatch
+    ):
+        monkeypatch.setenv("SEQTAG_SEED", "3")
+        code, config = self.train(tmp_path, train_file, "seed = 1\n" + self.SMALL, "--seed", "2")
+        assert code == 0
+        assert config.seed == 3
+
+    @pytest.mark.parametrize("line, named", [
+        ("zzz = 1", "'zzz'"),
+        ("epochs = many", "'epochs'"),
+        ("use_char = maybe", "'use_char'"),
+        ("dropout = 7", "'dropout'"),
+        ("variant = crf", "'use_char'"),
+        ("no equals sign", "train.cfg:6"),
+    ])
+    def test_invalid_line_exits_with_config_error(self, tmp_path, capsys, train_file, line, named):
+        code, _ = self.train(tmp_path, train_file, self.SMALL + line + "\n")
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "model.ckpt").exists()
 
 
 class TestRawText:

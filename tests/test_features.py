@@ -12,6 +12,7 @@ from seqtag.features import (
     token_class,
 )
 from seqtag.network import crf_inputs, encode, init_model
+from seqtag.training import TrainConfig
 
 
 def make_encoder(surfaces=("Aspirin", "40", "mg", "x-ray")):
@@ -66,11 +67,8 @@ class TestEncoder:
     def test_identical_surfaces_identical_vectors(self):
         surfaces = ("Aspirin", "40", "mg", "x-ray")
         vocab = build_vocabulary(surfaces)
-        model = init_model(
-            TagScheme(("x",)), vocab, random_table(vocab, 4, 3), variant="crf",
-            use_char=False, use_features=True, d_c=1, H_c=1, H_w=1, seed=3,
-            feature_surfaces=surfaces,
-        )
+        config = TrainConfig(variant="crf", use_char=False, use_features=True, d_w=4, seed=3)
+        model = init_model(config, TagScheme(("x",)), vocab, random_table(vocab, 4, 3), surfaces)
         sent = Sentence((Token("mg", "O"), Token("of", "O"), Token("mg", "O")))
         inputs = crf_inputs(model, encode(model, sent))
         a = inputs[0, model.d_w:]

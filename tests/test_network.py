@@ -34,6 +34,7 @@ from seqtag.network import (
     sentence_logits,
     word_vector,
 )
+from seqtag.training import TrainConfig
 
 SCHEME = TagScheme(("x",))  # K = 3
 
@@ -57,20 +58,11 @@ def make_model(
     vocab = build_vocabulary(words)
     table = random_table(vocab, d_w, seed)
     chars = sorted({ch for w in words for ch in w})
-    return init_model(
-        SCHEME,
-        vocab,
-        table,
-        variant=variant,
-        use_char=use_char,
-        use_features=use_features,
-        d_c=d_c,
-        H_c=H_c,
-        H_w=H_w,
-        seed=seed,
-        feature_surfaces=words,
-        char_alphabet=chars,
+    config = TrainConfig(
+        variant=variant, use_char=use_char, use_features=use_features,
+        d_w=d_w, d_c=d_c, H_w=H_w, H_c=H_c, seed=seed,
     )
+    return init_model(config, SCHEME, vocab, table, words, chars)
 
 
 def zero_cell(hidden, inputs):
@@ -296,7 +288,7 @@ class TestLossAndGradients:
         # "never-seen" is outside the vocabulary, so the <unk> row is checked too
         sent = make_sentence(["felbatol", "was", "never-seen", "given", "daily"])
         gold = ["B-x", "I-x", "O", "O", "B-x"]
-        worst, checked = check_model_gradients(model, sent, gold, variant)
+        worst, checked = check_model_gradients(model, sent, gold)
         assert checked > 300
         assert worst < 1e-4
 
@@ -305,7 +297,7 @@ class TestLossAndGradients:
         sent = make_sentence(["felbatol", "40"])
         _, grads = loss_and_gradients(model, sent, ["B-x", "O"])
         assert any(name.startswith("feature:") for name in grads.rows)
-        worst, _ = check_model_gradients(model, sent, ["B-x", "O"], "blstm")
+        worst, _ = check_model_gradients(model, sent, ["B-x", "O"])
         assert worst < 1e-4
 
     def test_absent_word_has_no_gradient(self):
@@ -389,9 +381,9 @@ class TestLossAndGradients:
         assert l1 != l2
 
     def test_crf_variant_not_handled_here(self):
-        model = make_model(variant="blstm")
+        model = make_model(variant="crf", use_char=False, use_features=True)
         with pytest.raises(ConfigError):
-            loss_and_gradients(model, make_sentence(["was"]), ["O"], "crf")
+            loss_and_gradients(model, make_sentence(["was"]), ["O"])
 
 
 class TestTapeSize:

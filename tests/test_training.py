@@ -1,16 +1,19 @@
 import copy
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqtag import features
 from seqtag.corpus import Dataset, TagScheme, parse_conll, split_train_valid
 from seqtag.embeddings import UNK
 from seqtag.errors import ConfigError, DataError, NumericError, TagValidationError
 from seqtag.evaluation import evaluate
-from seqtag.network import dense_arrays, loss_and_gradients, table_arrays
+from seqtag.network import VARIANTS, dense_arrays, loss_and_gradients, table_arrays
 from seqtag.synth import default_spec, generate
 from seqtag.training import (
     Checkpoint,
@@ -19,6 +22,7 @@ from seqtag.training import (
     crf_baseline_loss_and_gradients,
     derive_scheme,
     load_checkpoint,
+    parse_kv_lines,
     save_checkpoint,
     sgd_update,
     tag,
@@ -38,6 +42,29 @@ def small_corpus(seed=0, n_train=40, n_test=10, **overrides):
     overrides.setdefault("length_range", (4, 9))
     spec = default_spec(seed=seed, n_train=n_train, n_test=n_test, **overrides)
     return generate(spec)
+
+
+@st.composite
+def configs(draw):
+    """Valid configs with any value of every field; paths hold no separator or space."""
+    path = st.text(st.sampled_from("abc/._-0é"), min_size=1, max_size=8)
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    size = st.integers(1, 10**6)
+    variant = draw(st.sampled_from(VARIANTS))
+    return TrainConfig(
+        variant=variant,
+        embeddings=tuple(draw(st.lists(path, max_size=3))),
+        use_char=variant != "crf" and draw(st.booleans()),
+        use_features=draw(st.booleans()),
+        d_w=draw(size), d_c=draw(size), H_w=draw(size), H_c=draw(size), epochs=draw(size),
+        learning_rate=draw(st.floats(0.0, 1e300, exclude_min=True)),
+        dropout=draw(unit),
+        split_ratio=draw(unit),
+        seed=draw(st.integers(0, 2**70)),
+        clip_norm=draw(st.floats(0.0, 1e300)),
+        crf_l2=draw(st.floats(0.0, 1e300)),
+        init=draw(st.sampled_from(["uniform", "scaled"])),
+    )
 
 
 def model_bytes(model):
@@ -68,11 +95,45 @@ class TestTrainConfig:
             dict(learning_rate=0.0),
             dict(variant="crf", use_char=True),
             dict(init="xavier"),
+            dict(H_c=0),
+            dict(learning_rate=float("nan")),
+            dict(clip_norm=-1.0),
+            dict(seed=-1),
+            dict(crf_l2=float("inf")),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ConfigError):
-            TrainConfig(**kwargs).validate()
+        named = [key for key in kwargs if key != "variant"] or ["variant"]
+        with pytest.raises(ConfigError, match=repr(named[0])):
+            TrainConfig(**kwargs)
+
+    @given(config=configs(), sep=st.sampled_from([",", "\t"]))
+    def test_text_round_trip(self, config, sep):
+        text = config.to_text(sep)
+        assert list(text) == [f.name for f in fields(TrainConfig)]
+        assert TrainConfig.from_text(text, sep) == config
+        lines = [f"{key} = {value}" for key, value in text.items()]
+        assert TrainConfig.from_text(parse_kv_lines(lines, "lines"), sep) == config
+
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("True", True), ("YES", True), ("on", True), ("1", True),
+        ("false", False), ("False", False), ("no", False), ("Off", False), ("0", False),
+    ])
+    def test_bool_words(self, word, value):
+        assert TrainConfig.from_text({"use_features": word}).use_features is value
+
+    @pytest.mark.parametrize("values", [
+        {"use_char": "maybe"}, {"epochs": "2.5"}, {"dropout": "half"}, {"zzz": "1"},
+    ])
+    def test_text_that_does_not_parse_is_rejected_naming_its_key(self, values):
+        with pytest.raises(ConfigError, match=repr(next(iter(values)))):
+            TrainConfig.from_text(values)
+
+    def test_overrides_are_put_over_the_text_and_checked_together(self):
+        config = TrainConfig.from_text({"variant": "crf", "seed": "4"}, use_char=False, seed=None)
+        assert (config.variant, config.use_char, config.seed) == ("crf", False, 4)
+        with pytest.raises(ConfigError, match="'use_char'"):
+            TrainConfig.from_text({"variant": "crf"})
 
 
 class TestDeriveScheme:
@@ -352,6 +413,12 @@ class TestCheckpointPersistence:
         path.write_bytes(payload + f"[checksum {digest}]\n".encode())
         with pytest.raises(UnsupportedVersionError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["blstm_crf_char", "crf_features"])
+    def test_saving_a_loaded_checkpoint_writes_its_bytes(self, name, tmp_path):
+        path = tmp_path / f"{name}.ckpt"
+        save_checkpoint(load_checkpoint(DATA / f"{name}.ckpt"), path)
+        assert path.read_bytes() == (DATA / f"{name}.ckpt").read_bytes()
 
     @pytest.mark.parametrize("name", ["blstm_crf_char", "crf_features"])
     def test_checkpoint_of_an_earlier_build_tags_as_it_did(self, name):
