@@ -40,6 +40,7 @@ from .training import (
     save_checkpoint,
     tag,
     train,
+    typed_fields,
 )
 
 EXIT_DATA = 2
@@ -144,22 +145,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _synth_spec_from_file(path: str | None, seed: int | None) -> SynthSpec:
-    overrides: dict = {}
-    if path:
-        values = read_kv_file(path)
-        casts = {
-            "density": float, "n_train": int, "n_test": int,
-            "head_fraction": float, "train_fraction": float,
-            "test_overlap": float, "seed": int,
-        }
-        for key, text in values.items():
-            if key == "length_range":
-                lo, _, hi = text.partition(",")
-                overrides[key] = (int(lo), int(hi))
-            elif key in casts:
-                overrides[key] = casts[key](text)
-            else:
-                raise ConfigError(f"unknown synth spec key {key!r}")
+    """The default spec with the keys of a spec file put over it; values
+    are typed by the :class:`SynthSpec` fields, sequences split at commas."""
+    overrides = typed_fields(SynthSpec, read_kv_file(path), ",", "synth spec") if path else {}
     if seed is not None:
         overrides["seed"] = seed
     return default_spec(**overrides)

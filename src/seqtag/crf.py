@@ -35,8 +35,8 @@ such a transition matrix, and a lattice whose scaling is not finite
 log-space recursions with the shifted logsumexp trick instead.  The
 pairwise marginals that the transition gradient sums are one
 (T-1, K, K) broadcast (Sutton & McCallum, §4).  Viterbi stays max-plus
-in log space; its backtrace reads a (T-1, K) table of best successors
-built with one argmax.
+in log space; it decodes a batch of end-aligned lattices with one (B, K, K)
+add and max per step, and ties go to the lexicographically smallest path.
 
 This module is pure numpy and serves both the standalone baseline
 (emissions built from input features via ``emission_weights``) and the
@@ -270,30 +270,48 @@ def input_nll_and_gradient(
     return nll, grads
 
 
-def viterbi(params: CrfParameters, emissions: np.ndarray) -> list[int]:
-    """Highest-scoring tag sequence.
+def viterbi(params: CrfParameters, emissions: np.ndarray, lengths=None) -> list[int]:
+    """Highest-scoring tag sequence of each lattice of a batch, stacked.
 
+    ``emissions`` stacks the (T_b, K) lattices of the batch on axis 0 and
+    ``lengths`` gives each T_b; without it, ``emissions`` is one lattice.
     Exact ties are broken toward the lexicographically smallest
     tag-index sequence: suffix maxima are computed right-to-left and
     tags chosen greedily left-to-right, taking the smallest index that
-    still attains the optimum.
+    still attains the optimum.  The lattices are aligned at their ends in
+    a time-first (L, B, K) array, so each of the L - 1 steps is one
+    (B, K, K) add and max, and one argmax makes the table of best successors.
     """
     _check_lattice(params, emissions)
     T, K = emissions.shape
-    trans = params.transitions
+    lengths = np.array([T] if lengths is None else lengths, dtype=np.intp)
+    if lengths.min() < 1 or lengths.sum() != T:
+        raise ValueError(f"lattice lengths {lengths.tolist()} do not split {T} rows")
+    B, L = len(lengths), int(lengths.max())
+    trans, pairs = params.transitions, params.transitions[:K, :K]
+    start = L - lengths  # the aligned step of each lattice's first position
+    steps = np.arange(T) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
+    lattice = np.zeros((L, B, K))  # the steps before a start are padding
+    lattice[steps, np.repeat(np.arange(B), lengths)] = emissions
 
-    # delta[t, k]: best score of the suffix starting at t given y_t = k
-    delta = np.empty((T, K))
-    delta[T - 1] = emissions[T - 1] + trans[:K, K]
-    for t in range(T - 2, -1, -1):
-        delta[t] = emissions[t] + np.max(trans[:K, :K] + delta[t + 1][None, :], axis=1)
+    # delta[s, b, k]: best score of lattice b's suffix from step s given tag k there
+    delta = np.empty((L, B, K))
+    delta[L - 1] = lattice[L - 1] + trans[:K, K]
+    scores = np.empty((B, K, K))
+    for s in range(L - 2, -1, -1):
+        np.add(pairs, delta[s + 1, :, None, :], out=scores)
+        np.maximum.reduce(scores, axis=2, out=delta[s])
+        delta[s] += lattice[s]
 
-    path = [int(np.argmax(trans[K, :K] + delta[0]))]
-    if T > 1:
-        # best[t - 1][j]: the smallest best tag at t after tag j at t - 1
-        best = np.argmax(trans[:K, :K][None] + delta[1:, None, :], axis=2).tolist()
-        for row in best:
-            path.append(row[path[-1]])
+    firsts = np.argmax(trans[K, :K] + delta[start, np.arange(B)], axis=1).tolist()
+    # best[b][s - 1][j]: the smallest best tag at step s after tag j at step s - 1
+    best = np.argmax(pairs + delta[1:, :, None, :], axis=3).transpose(1, 0, 2).tolist()
+    path = []
+    for y, rows, s in zip(firsts, best, start.tolist()):
+        path.append(y)
+        for row in rows[s:]:
+            y = row[y]
+            path.append(y)
     return path
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Iterable, Sequence
 
-from .corpus import Dataset, Sentence, TagScheme, extract_entities, repair_bio
+from .corpus import Dataset, EntitySpan, Sentence, TagScheme, extract_entities, repair_bio
 from .errors import DataError
 
 AGGREGATE = "aggregate"
@@ -70,7 +71,20 @@ def strict_counts(
     """
     if len(gold) != len(pred):
         raise DataError(f"gold has {len(gold)} sentences but predictions have {len(pred)}")
+    for idx, (gs, ps) in enumerate(zip(gold, pred)):
+        if gs.surfaces != ps.surfaces:
+            raise DataError(f"sentence {idx}: token mismatch between gold and prediction files")
+    gold_spans = [set(extract_entities(repair_bio(s.gold_tags))) for s in gold]  # type: ignore
+    return span_counts(gold_spans, [repair_bio(effective_pred_tags(s)) for s in pred], scheme)
 
+
+def span_counts(
+    gold_spans: Iterable[set[EntitySpan]],
+    pred_tags: Iterable[Sequence[str]],
+    scheme: TagScheme | None = None,
+) -> dict[str, ClassCounts]:
+    """Per-class strict matches of each repaired predicted tag sequence
+    against its sentence's gold spans; ``scheme`` orders the classes."""
     classes: list[str] = list(scheme.classes) if scheme is not None else []
     tp: dict[str, int] = {}
     fp: dict[str, int] = {}
@@ -81,18 +95,11 @@ def strict_counts(
             classes.append(cls)
         d[cls] = d.get(cls, 0) + 1
 
-    for idx, (gs, ps) in enumerate(zip(gold, pred)):
-        if gs.surfaces != ps.surfaces:
-            raise DataError(f"sentence {idx}: token mismatch between gold and prediction files")
-        gold_spans = set(extract_entities(repair_bio(gs.gold_tags)))  # type: ignore[arg-type]
-        pred_spans = set(extract_entities(repair_bio(effective_pred_tags(ps))))
-        for span in gold_spans:
+    for gold, tags in zip(gold_spans, pred_tags):
+        for span in gold:
             bump(true_entities, span.cls)
-        for span in pred_spans:
-            if span in gold_spans:
-                bump(tp, span.cls)
-            else:
-                bump(fp, span.cls)
+        for span in extract_entities(tags):
+            bump(tp if span in gold else fp, span.cls)
 
     return {
         c: ClassCounts(c, tp.get(c, 0), fp.get(c, 0), true_entities.get(c, 0)) for c in classes

@@ -22,7 +22,7 @@ in capitalization differ only in the case sub-vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -141,28 +141,23 @@ class FeatureEncoder:
         if self.total_dim != TOTAL_DIM:
             raise ValueError(f"feature families must total {TOTAL_DIM} dims, got {self.total_dim}")
 
-    def vector(self, family: FeatureFamily, surface: str) -> np.ndarray:
-        row = family.row_for(surface)
-        if row is not None:
-            return family.table[row]
-        return self._fallback(family, family.fn(surface))
-
     def _fallback(self, family: FeatureFamily, value: str) -> np.ndarray:
         return hashed_uniform(("feature", family.name, value), self.seed, family.dim)
 
-    def rows(self, surfaces: list[str]) -> tuple[FamilyRows, ...]:
+    def rows(self, surfaces: Sequence[str]) -> tuple[FamilyRows, ...]:
         """Each family's table rows for ``surfaces``, with unseen-value fallbacks.
 
-        The fallback vectors are computed here, once, so gathering the
-        rows later reads the live tables and computes no feature value.
+        Each family's value is computed once per distinct surface and each
+        unseen value's fallback once, so gathering reads only the tables.
         """
+        distinct = dict.fromkeys(surfaces)
         out = []
         for fam in self.families:
-            values = [fam.fn(s) for s in surfaces]
-            rows = [fam.index.get(v, -1) for v in values]
-            fallback = [self._fallback(fam, v) for v, r in zip(values, rows) if r < 0]
-            fallback = np.reshape(fallback, (-1, fam.dim))
-            out.append(FamilyRows(np.array(rows, dtype=np.intp), fallback))
+            value = {s: fam.fn(s) for s in distinct}
+            unseen = {v: self._fallback(fam, v) for v in set(value.values()) - fam.index.keys()}
+            rows = [fam.index.get(value[s], -1) for s in surfaces]
+            fallback = [unseen[value[s]] for s, r in zip(surfaces, rows) if r < 0]
+            out.append(FamilyRows(np.array(rows, dtype=np.intp), np.reshape(fallback, (-1, fam.dim))))
         return tuple(out)
 
 
@@ -186,5 +181,6 @@ def build_feature_encoder(surfaces: Iterable[str], seed: int) -> FeatureEncoder:
 
 def encode_surface(surface: str, encoder: FeatureEncoder) -> np.ndarray:
     """Concatenated 146-D feature vector for one token surface."""
-    return np.concatenate([encoder.vector(f, surface) for f in encoder.families])
+    rows = encoder.rows([surface])
+    return np.concatenate([r.gather(f.table)[0] for r, f in zip(rows, encoder.families)])
 

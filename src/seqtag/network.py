@@ -39,27 +39,27 @@ The dense parameters live in one flat float64 buffer.  Each BiLSTM
 stacks its weights by direction (forward, backward) and, within one, by
 gate (input, candidate, output; row blocks of H): ``W_x`` (2, 3H, D),
 ``W_h`` (2, 3H, H), ``b`` (2, 3H), ``w_ci`` and ``w_co`` (2, H).  The
-checkpoint names of :class:`LstmCellParameters` (``word_fwd.W_xi`` and
-so on) are views of those blocks.  A forward pass makes one leaf per
+per-direction, per-gate checkpoint names (``word_fwd.W_xi`` and so on)
+are views of those blocks.  A forward pass makes one leaf per
 stacked array and runs both directions of each BiLSTM as one fused tape
-node, :func:`seqtag.autograd.bilstm`: the word BiLSTM runs the sentence
-as a batch of one, forward and reversed, and the char BiLSTM runs all
-words as one batch whose carry mask stops a word at its last character.
-The backward pass accumulates straight into one flat gradient laid out
-like the buffer.
+node, :func:`seqtag.autograd.bilstm`: the char BiLSTM runs all words as
+one batch whose carry mask stops a word at its last character, and the
+word BiLSTM the sentences of a batch (:func:`batches`), forward and
+reversed, unmasked: a token reads its own step, before any padding.  The
+backward pass accumulates straight into one flat gradient like the buffer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import autograd as ag
 from .corpus import Sentence, TagScheme
-from .crf import CrfParameters, crf_nll_op, viterbi
+from .crf import CrfParameters, crf_nll_op, emissions_from_inputs, viterbi
 from .embeddings import EmbeddingTable, Vocabulary
 from .errors import ConfigError, TagValidationError
 from .features import FamilyRows, FeatureEncoder
@@ -75,30 +75,7 @@ VARIANTS = ("crf", "blstm", "blstm_crf")
 
 UNK_SWAP_RATE = 0.5  # chance that a training singleton reads <unk> (Lample et al. 2016, §4)
 
-
-@dataclass
-class LstmCellParameters:
-    """Weights of one directional cell; peepholes are diagonal (vectors)."""
-
-    W_xi: np.ndarray  # (H, D)
-    W_hi: np.ndarray  # (H, H)
-    w_ci: np.ndarray  # (H,)
-    W_xc: np.ndarray
-    W_hc: np.ndarray
-    W_xo: np.ndarray
-    W_ho: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_xi.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_xi.shape[1]
+BATCH_TOKENS = 2048  # padded tokens (sentences times the longest) of one decoding batch
 
 
 def _carve(layout: dict[str, tuple[int, ...]], flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -140,7 +117,7 @@ class ModelParameters:
     """Every trainable tensor of one tagger, plus its lookup vocabularies.
 
     ``layout`` names and shapes the stacked dense arrays in ``buffer``
-    order.  ``params``, the cells, ``projection`` and ``crf`` are views
+    order.  ``params``, ``projection`` and ``crf`` are views
     carved from ``buffer`` on each access, so a copy reads its own buffer.
     """
 
@@ -159,17 +136,6 @@ class ModelParameters:
     def params(self) -> dict[str, np.ndarray]:
         """Each stacked dense array by its layout name, as a view into ``buffer``."""
         return _carve(self.layout, self.buffer)
-
-    def _cell(self, name: str) -> LstmCellParameters | None:
-        views = dense_arrays(self)
-        if f"{name}.W_xi" not in views:
-            return None
-        return LstmCellParameters(**{f: views[f"{name}.{f}"] for f in CELL_FIELDS})
-
-    char_fwd = property(lambda self: self._cell("char_fwd"))
-    char_bwd = property(lambda self: self._cell("char_bwd"))
-    word_fwd = property(lambda self: self._cell("word_fwd"))
-    word_bwd = property(lambda self: self._cell("word_bwd"))
 
     @property
     def projection(self) -> np.ndarray | None:  # (2*H_w, K)
@@ -301,35 +267,40 @@ def _word_index(model: ModelParameters, surface: str) -> int:
     return idx
 
 
-def word_vector(model: ModelParameters, surface: str) -> np.ndarray:
-    """The word-table row of ``surface``; unseen words share the ``<unk>`` row."""
-    return model.word_table[_word_index(model, surface)]
-
-
 @dataclass(frozen=True)
 class EncodedSentence:
-    """A sentence as table rows: word rows, char rows and each feature family's rows.
+    """A sentence, or a batch of sentences end to end, as table rows: word
+    rows, char rows and each feature family's rows.
 
     It holds indices, not vectors, so every forward pass reads the live
     tables when it gathers.
     """
 
-    sentence: Sentence
+    surfaces: tuple[str, ...]
     words: np.ndarray  # (T,) word-table rows
     chars: np.ndarray  # every word's char-table rows, concatenated; empty without chars
     word_lengths: np.ndarray  # (T,) characters per word; empty without chars
     features: tuple[FamilyRows, ...]  # one per feature family; empty without features
+    lengths: np.ndarray  # (B,) tokens of each sentence, in order
 
     def __len__(self) -> int:
         return len(self.words)
 
 
-def encode(model: ModelParameters, sentence: Sentence) -> EncodedSentence:
-    """Map each token to its word-, char- and feature-table rows.
+def encode(model: ModelParameters, sentences: Sentence | Sequence[Sentence]) -> EncodedSentence:
+    """Map each token of a sentence, or of several end to end as one batch,
+    to its word-, char- and feature-table rows.
 
     A word or a character outside its vocabulary reads the ``<unk>`` row 0.
+    A tag outside the model's scheme raises :class:`TagValidationError`.
     """
-    surfaces = sentence.surfaces
+    batch = [sentences] if isinstance(sentences, Sentence) else sentences
+    surfaces = tuple(w for sent in batch for w in sent.surfaces)
+    for tag in (t for sent in batch for t in sent.gold_tags):
+        if tag is not None and tag not in model.scheme:
+            raise TagValidationError(
+                f"input tag {tag!r} does not belong to the model's tag scheme {model.scheme.classes}"
+            )
     words = np.array([_word_index(model, w) for w in surfaces], dtype=np.intp)
     chars = lengths = np.zeros(0, dtype=np.intp)
     if model.use_char:
@@ -337,11 +308,45 @@ def encode(model: ModelParameters, sentence: Sentence) -> EncodedSentence:
         chars = np.array([index.get(ch, 0) for w in surfaces for ch in w], dtype=np.intp)
         lengths = np.array([len(w) for w in surfaces], dtype=np.intp)
     features = model.feature_encoder.rows(surfaces) if model.use_features else ()
-    return EncodedSentence(sentence, words, chars, lengths, features)
+    sizes = np.array([len(sent) for sent in batch])
+    return EncodedSentence(surfaces, words, chars, lengths, features, sizes)
 
 
 def _encoded(model: ModelParameters, sentence: Sentence | EncodedSentence) -> EncodedSentence:
     return sentence if isinstance(sentence, EncodedSentence) else encode(model, sentence)
+
+
+def batches(
+    model: ModelParameters, items: Iterable[Sentence | EncodedSentence]
+) -> Iterator[EncodedSentence]:
+    """The decoding batches of ``items`` in input order: each encoded item,
+    and runs of sentences encoded in groups whose padded size, sentences
+    times the longest, is within :data:`BATCH_TOKENS` or one sentence."""
+    group, longest = [], 0
+    for item in items:
+        encoded = isinstance(item, EncodedSentence)
+        if encoded or (len(group) + 1) * max(longest, len(item)) > BATCH_TOKENS:
+            if group:
+                yield encode(model, group)
+            group, longest = [], 0
+        if encoded:
+            yield item
+        else:
+            group.append(item)
+            longest = max(longest, len(item))
+    if group:
+        yield encode(model, group)
+
+
+def _time_first(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, L, B) row each step of B sequences stored end to end reads,
+    forward and backward, and the (L, B) mask of steps within a sequence.
+    A masked step reads row 0 and passes it no gradient."""
+    steps = np.arange(lengths.max())[:, None]
+    mask = steps < lengths[None, :]
+    ends = np.cumsum(lengths)
+    rows = np.stack([ends - lengths + steps, ends - 1 - steps])
+    return np.where(mask, rows, 0), mask
 
 
 class _LeafSet:
@@ -391,17 +396,11 @@ def _char_final_states(model: ModelParameters, leaves: _LeafSet, enc: EncodedSen
     Each direction gathers a (max_len, T, d_c) batch with every word's
     characters, reversed for the backward direction, from step 0 on.
     The carry mask is 0 past a word's end, so that word's state stops
-    updating, and the last step holds each word's final state.  A padded
-    step re-reads the sentence's first character: a masked step passes
-    no gradient to its input, so padding adds no row to the gradient.
+    updating, and the last step holds each word's final state.
     """
     chars, index = leaves.table_rows("char_table", model.char_table, enc.chars)
-    lengths = enc.word_lengths
-    steps = np.arange(lengths.max())[:, None]
-    mask = steps < lengths[None, :]  # (max_len, T)
-    ends = np.cumsum(lengths)
-    positions = np.stack([ends - lengths + steps, ends - 1 - steps])  # (2, max_len, T)
-    states = leaves.bilstm("char", ag.take(chars, index[np.where(mask, positions, 0)]), mask)
+    rows, mask = _time_first(enc.word_lengths)
+    states = leaves.bilstm("char", ag.take(chars, index[rows]), mask)
     return ag.concat([ag.take(states, (0, -1)), ag.take(states, (1, -1))], axis=1)
 
 
@@ -418,7 +417,7 @@ def _representation_graph(
     words = enc.words
     if train and singletons:
         # only the word lookup becomes <unk>; the char BiLSTM sees the real word
-        swap = [t.surface in singletons and rng.random() < UNK_SWAP_RATE for t in enc.sentence]
+        swap = [w in singletons and rng.random() < UNK_SWAP_RATE for w in enc.surfaces]
         words = np.where(swap, 0, words)
     parts = [ag.take(*leaves.table_rows("word_table", model.word_table, words))]
     if model.use_char:
@@ -447,11 +446,12 @@ def _logits_graph(
     rep = _representation_graph(
         model, leaves, enc, train=train, dropout=dropout, rng=rng, singletons=singletons
     )
-    # each direction is a batch of one sequence; the backward one reads it reversed
-    steps = np.arange(len(enc))
-    order = np.stack([steps, steps[::-1]])
-    states = leaves.bilstm("word", ag.take(rep, order[:, :, None]), None)  # (2, T, 1, H_w)
-    hidden = ag.concat([ag.take(states, (d, order[d], 0)) for d in (0, 1)], axis=1)
+    # one sequence per sentence; the backward direction reads each reversed
+    rows, mask = _time_first(enc.lengths)
+    states = leaves.bilstm("word", ag.take(rep, rows), None)
+    sent, pos = np.nonzero(mask.T)  # each token's sentence and position, in token order
+    back = (0, pos, sent), (1, enc.lengths[sent] - 1 - pos, sent)
+    hidden = ag.concat([ag.take(states, index) for index in back], axis=1)
     return ag.matmul(hidden, leaves.dense_leaf("projection"))
 
 
@@ -533,7 +533,7 @@ def loss_and_gradients(
 
 
 def sentence_logits(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
-    """(T, K) emission/logit lattice with no dropout and no tape."""
+    """(T, K) emission/logit lattice with no dropout and no tape; a batch's are stacked."""
     with ag.no_grad():
         return _logits_graph(model, _LeafSet(model), _encoded(model, sentence)).data
 
@@ -556,13 +556,16 @@ def crf_inputs(model: ModelParameters, sentence: Sentence | EncodedSentence) -> 
 
 
 def predict_tag_ids(model: ModelParameters, sentence: Sentence | EncodedSentence) -> list[int]:
-    """Most likely tag indices; argmax per token or Viterbi per variant."""
+    """Most likely tag indices, argmax per token or Viterbi per variant; a
+    batch (see :func:`batches`) is decoded at once and its ids stacked."""
+    enc = _encoded(model, sentence)
     if model.variant == "crf":
-        from .crf import emissions_from_inputs
-
         crf = model.crf  # carved from the buffer and checked on each access
-        return viterbi(crf, emissions_from_inputs(crf, crf_inputs(model, sentence)))
-    logits = sentence_logits(model, sentence)
+        # one product per sentence: a batch's lattices are bitwise those of its sentences
+        inputs = np.split(crf_inputs(model, enc), np.cumsum(enc.lengths)[:-1])
+        lattice = np.concatenate([emissions_from_inputs(crf, x) for x in inputs])
+        return viterbi(crf, lattice, enc.lengths)
+    logits = sentence_logits(model, enc)
     if model.variant == "blstm":
-        return [int(k) for k in logits.argmax(axis=1)]
-    return viterbi(model.crf, logits)
+        return logits.argmax(axis=1).tolist()
+    return viterbi(model.crf, logits, enc.lengths)

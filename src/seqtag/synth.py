@@ -46,20 +46,19 @@ class SynthSpec:
                 if a & b:
                     raise ValueError(f"lexicons must be pairwise disjoint; shared: {a & b}")
         if not 0.0 <= self.density < 1.0:
-            raise ValueError("entity density must lie in [0, 1)")
-        lo, hi = self.length_range
-        if not 1 <= lo <= hi:
-            raise ValueError("invalid sentence length range")
+            raise ValueError("'density' must lie in [0, 1)")
+        if len(self.length_range) != 2 or not 1 <= self.length_range[0] <= self.length_range[1]:
+            raise ValueError(f"'length_range' must be lo,hi with 1 <= lo <= hi: {self.length_range}")
         if not self.filler:
-            raise ValueError("filler lexicon must be non-empty")
+            raise ValueError("'filler' must be non-empty")
         for frac, name in (
             (self.head_fraction, "head_fraction"),
             (self.train_fraction, "train_fraction"),
         ):
             if not 0.0 < frac <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
+                raise ValueError(f"{name!r} must lie in (0, 1]")
         if not 0.0 <= self.test_overlap <= 1.0:
-            raise ValueError("test_overlap must lie in [0, 1]")
+            raise ValueError("'test_overlap' must lie in [0, 1]")
 
 
 def _split(pool: tuple[str, ...], fraction: float) -> tuple[tuple[str, ...], tuple[str, ...]]:

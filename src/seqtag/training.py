@@ -11,8 +11,9 @@ they will be at test time: they read the ``<unk>`` row, which the
 recurrent taggers train by swapping learn-split singletons for
 ``<unk>`` (Lample et al. 2016, §4).  A run encodes its two splits to
 table rows once (:func:`seqtag.network.encode`), and every epoch's
-training and validation gather their inputs from those rows.  Runs are
-bitwise reproducible for a fixed seed.
+training and validation gather their inputs from those rows; the
+validation part is encoded in padded batches, and its gold spans are
+extracted once.  Runs are bitwise reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import checkpoint as container
-from .corpus import Dataset, Sentence, TagScheme, Token, repair_bio, split_train_valid
+from .corpus import (
+    Dataset, Sentence, TagScheme, Token, extract_entities, repair_bio, split_train_valid,
+)
 from .crf import input_nll_and_gradient
 from .embeddings import (
     EmbeddingTable,
@@ -37,7 +40,9 @@ from .embeddings import (
     random_table,
 )
 from .errors import ConfigError, DataError, TagValidationError, NumericError
-from .evaluation import effective_pred_tags, evaluate
+from .evaluation import Metrics, effective_pred_tags, span_counts
+# train scores through span_counts; evaluate stays bound because benchmarks/spans.py patches it here
+from .evaluation import evaluate  # noqa: F401
 from .features import FAMILY_SPECS, FeatureEncoder, FeatureFamily
 from .network import (
     VARIANTS,
@@ -45,6 +50,7 @@ from .network import (
     Gradients,
     ModelParameters,
     allocate_dense,
+    batches,
     crf_inputs,
     dense_arrays,
     encode,
@@ -75,6 +81,27 @@ def parse_kv_lines(lines: Iterable[str], source: str) -> dict[str, str]:
         if not sep:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         out[key.strip()] = value.strip()
+    return out
+
+
+def typed_fields(cls, values: dict[str, str], sep: str, what: str) -> dict:
+    """The value texts ``values`` typed by the fields of the dataclass
+    ``cls``, sequences split at ``sep``; an unknown key or a text that
+    does not parse raises :class:`ConfigError` naming the key."""
+    parsers = {
+        "bool": lambda text: BOOL_WORDS[text.lower()], "int": int, "float": float, "str": str,
+        "tuple[str, ...]": lambda text: tuple(p.strip() for p in text.split(sep) if p.strip()),
+        "tuple[int, int]": lambda text: tuple(int(p) for p in text.split(sep)),
+    }
+    types = {f.name: f.type for f in fields(cls) if f.type in parsers}
+    out = {}
+    for key, text in values.items():
+        if key not in types:
+            raise ConfigError(f"unknown {what} key {key!r}")
+        try:
+            out[key] = parsers[types[key]](text)
+        except (KeyError, ValueError):  # KeyError: not a bool word
+            raise ConfigError(f"{what} value {key!r} is not a {types[key]}: {text!r}") from None
     return out
 
 
@@ -131,24 +158,10 @@ class TrainConfig:
 
     @classmethod
     def from_text(cls, values: dict[str, str], sep: str = ",", **overrides) -> TrainConfig:
-        """The config of the value texts ``values``, typed by the fields,
-        with each keyword of ``overrides`` that is not None put over them."""
-        parsers = {
-            "bool": lambda text: BOOL_WORDS[text.lower()],
-            "int": int,
-            "float": float,
-            "str": str,
-            "tuple[str, ...]": lambda text: tuple(p.strip() for p in text.split(sep) if p.strip()),
-        }
-        types = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for key, text in values.items():
-            if key not in types:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                kwargs[key] = parsers[types[key]](text)
-            except (KeyError, ValueError):  # KeyError: not a bool word
-                raise ConfigError(f"config value {key!r} is not a {types[key]}: {text!r}") from None
+        """The config of the value texts ``values``, typed by the fields
+        (see :func:`typed_fields`), with each keyword of ``overrides`` that
+        is not None put over them."""
+        kwargs = typed_fields(cls, values, sep, "config")
         kwargs.update((key, value) for key, value in overrides.items() if value is not None)
         return cls(**kwargs)
 
@@ -264,28 +277,17 @@ def crf_baseline_loss_and_gradients(
     return loss, out
 
 
-def tag_with_model(model: ModelParameters, data: Iterable[Sentence | EncodedSentence]) -> Dataset:
-    """Predict, repair, and attach BIO tags to every sentence, plain or encoded."""
-    tagged = []
-    for inputs in data:
-        sent = inputs.sentence if isinstance(inputs, EncodedSentence) else inputs
-        for t in sent.gold_tags:
-            if t is not None and t not in model.scheme:
-                raise TagValidationError(
-                    f"input tag {t!r} does not belong to the model's tag scheme "
-                    f"{model.scheme.classes}"
-                )
-        ids = predict_tag_ids(model, inputs)
-        tags = repair_bio([model.scheme.tags[k] for k in ids])
-        tagged.append(
-            Sentence(
-                tuple(
-                    Token(tok.surface, tok.gold_tag, pred)
-                    for tok, pred in zip(sent.tokens, tags)
-                )
-            )
-        )
-    return Dataset(tuple(tagged))
+def tag_with_model(
+    model: ModelParameters, data: Iterable[Sentence | EncodedSentence]
+) -> list[list[str]]:
+    """The repaired predicted BIO tags of every sentence of ``data``,
+    decoded in the padded batches of :func:`seqtag.network.batches`."""
+    out = []
+    for batch in batches(model, data):
+        tags = [model.scheme.tags[k] for k in predict_tag_ids(model, batch)]
+        ends = np.cumsum(batch.lengths).tolist()
+        out += [repair_bio(tags[end - n : end]) for n, end in zip(batch.lengths.tolist(), ends)]
+    return out
 
 
 def train(
@@ -317,7 +319,8 @@ def train(
 
     model = build_model(config, scheme, learn)
     learn_encoded = [encode(model, s) for s in learn]
-    valid_encoded = [encode(model, s) for s in valid]
+    valid_batches = list(batches(model, valid))
+    valid_spans = [set(extract_entities(repair_bio(s.gold_tags))) for s in valid]
     counts = Counter(t.surface for s in learn for t in s)
     singletons = frozenset(w for w, n in counts.items() if n == 1)
 
@@ -331,7 +334,7 @@ def train(
         total_loss = 0.0
         for idx in order:
             sent = learn_encoded[int(idx)]
-            gold = list(sent.sentence.gold_tags)
+            gold = learn[int(idx)].gold_tags
             if config.variant == "crf":
                 loss, grads = crf_baseline_loss_and_gradients(model, sent, gold, config.crf_l2)
             else:
@@ -350,7 +353,7 @@ def train(
             total_loss += loss
             sgd_update(model, grads, config.learning_rate, config.clip_norm)
 
-        f1 = evaluate(valid, tag_with_model(model, valid_encoded), scheme).micro_f1()
+        f1 = Metrics(span_counts(valid_spans, tag_with_model(model, valid_batches), scheme)).micro_f1()
         history.append(f1)
         if f1 > best_f1:
             best_f1, best_epoch = f1, epoch
@@ -362,8 +365,11 @@ def train(
 
 
 def tag(checkpoint: Checkpoint, sentences: Dataset) -> Dataset:
-    """Decode (argmax or Viterbi per variant), then repair the tags."""
-    return tag_with_model(checkpoint.model, sentences)
+    """Decode (argmax or Viterbi per variant), repair the tags and attach them."""
+    return Dataset(tuple(
+        Sentence(tuple(Token(t.surface, t.gold_tag, p) for t, p in zip(sent, tags)))
+        for sent, tags in zip(sentences, tag_with_model(checkpoint.model, sentences))
+    ))
 
 
 # ---------------------------------------------------------------------------

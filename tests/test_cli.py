@@ -283,6 +283,38 @@ class TestTrainConfigFile:
         assert not (tmp_path / "model.ckpt").exists()
 
 
+class TestSynthSpecFile:
+    def synth(self, tmp_path, text):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(text, encoding="utf-8")
+        out = [str(tmp_path / "train.conll"), str(tmp_path / "test.conll")]
+        return main(["synth", "--spec", str(spec), "--out-train", out[0], "--out-test", out[1]])
+
+    def test_every_value_type(self, tmp_path, capsys):
+        text = "n_train = 3\nn_test = 1\nlength_range = 2, 4\ndensity = 0.5\nseed = 9\n"
+        assert self.synth(tmp_path, text) == 0
+        assert "wrote 3 train and 1 test sentences" in capsys.readouterr().out
+        sentences = (tmp_path / "train.conll").read_text(encoding="utf-8").strip().split("\n\n")
+        assert all(2 <= len(s.split("\n")) <= 4 for s in sentences)
+
+    @pytest.mark.parametrize("line, named", [
+        ("length_range = 4", "'length_range'"),
+        ("length_range = 4,x", "'length_range'"),
+        ("length_range = 5,2", "'length_range'"),
+        ("n_train = 2.5", "'n_train'"),
+        ("density = lots", "'density'"),
+        ("density = 1.5", "'density'"),
+        ("lexicons = a", "'lexicons'"),
+        ("zzz = 1", "'zzz'"),
+    ])
+    def test_invalid_line_exits_with_config_error_naming_the_key(self, tmp_path, capsys, line, named):
+        assert self.synth(tmp_path, line + "\n") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "train.conll").exists()
+
+
 class TestRawText:
     def test_tags_plain_text_into_a_file_that_evaluate_reads(
         self, trained_checkpoint, tmp_path, capsys

@@ -18,7 +18,7 @@ from seqtag.corpus import (
     tags_from_entities,
     write_conll,
 )
-from seqtag.errors import ParseError, TagValidationError
+from seqtag.errors import ParseError, SeqtagError, TagValidationError
 
 DRUG_SCHEME = TagScheme(("drug", "brand", "group", "drug_n"))
 CLINICAL_SCHEME = TagScheme(("problem", "test", "treatment"))
@@ -236,3 +236,29 @@ def test_gold_warning_not_raised_for_valid_data():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parse_conll("a\tB-drug\nb\tI-drug\nc\tO\n", DRUG_SCHEME)
+
+
+VALID_CONLL = (
+    "Aspirin\tB-treatment\tB-treatment\nfor\tO\tO\nchest\tB-problem\tO\npain\tI-problem\tO\n"
+    "\n"
+    "CT\tB-test\tB-test\nscan\tI-test\tI-test\n.\tO\tO\n"
+)
+# text that moves a line, a column, a tag or a sentence boundary
+CONLL_PIECES = ["", "\t", "\n", "\n\n", " ", "\r", " ", "\x1c", "\x85", "B-", "I-", "O",
+                "I-test", "B-zzz", "-", "\t\t\t"]
+
+
+@given(data=st.data())
+def test_mutated_conll_parses_or_raises_a_seqtag_error(data):
+    start = data.draw(st.integers(0, len(VALID_CONLL)), label="start")
+    end = data.draw(st.integers(start, min(start + 4, len(VALID_CONLL))), label="end")
+    insert = data.draw(st.sampled_from(CONLL_PIECES) | st.text(max_size=3), label="insert")
+    text = VALID_CONLL[:start] + insert + VALID_CONLL[end:]
+    scheme = data.draw(st.sampled_from([None, CLINICAL_SCHEME]), label="scheme")
+    source = data.draw(st.sampled_from([text, text.splitlines(keepends=True)]), label="source")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # invalid gold BIO only warns
+        try:
+            parse_conll(source, scheme)
+        except SeqtagError:
+            pass

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqtag import autograd as ag
 from seqtag import crf
@@ -366,6 +368,41 @@ class TestViterbi:
         for _ in range(1000):
             y = rng.integers(0, 4, size=8)
             assert sequence_score(params, emissions, y) <= best + 1e-12
+
+
+@st.composite
+def lattice_batches(draw):
+    """Transitions and a batch of lattices of mixed lengths, 1 included;
+    the scores are small integers, so exact ties are common."""
+    K = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+
+    def scores(n):
+        return np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+
+    trans = scores((K + 1) ** 2).reshape(K + 1, K + 1)
+    return CrfParameters(trans), scores(sum(lengths) * K).reshape(-1, K), lengths
+
+
+class TestBatchedViterbi:
+    @given(lattice_batches())
+    def test_each_lattice_decodes_as_alone_and_as_brute_force(self, batch):
+        params, emissions, lengths = batch
+        got = viterbi(params, emissions, lengths)
+        assert len(got) == len(emissions)
+        start = 0
+        for T in lengths:
+            lattice = emissions[start : start + T]
+            alone = viterbi(params, lattice)
+            assert got[start : start + T] == alone
+            if T <= 4:  # lexicographically smallest of the best sequences
+                assert alone == brute_best(params.transitions, lattice)[1]
+            start += T
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [0, 5], [6]])
+    def test_lengths_must_split_the_rows(self, lengths):
+        with pytest.raises(ValueError):
+            viterbi(CrfParameters(np.zeros((3, 3))), np.zeros((5, 2)), lengths)
 
 
 class TestInputPath:

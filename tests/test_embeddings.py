@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seqtag.embeddings import (
     PRETRAINED,
@@ -19,7 +21,7 @@ from seqtag.embeddings import (
     read_manifest,
     write_embedding_table,
 )
-from seqtag.errors import DataError, ParseError
+from seqtag.errors import DataError, ParseError, SeqtagError
 
 
 class TestVocabulary:
@@ -199,3 +201,23 @@ class TestPseudoCorpus:
         assert records == [("dose", "40, mg"), ("dose", "5")]
         with pytest.raises(DataError):
             list(csv_column_records(str(p), "missing"))
+
+
+VALID_TABLE = "aspirin 0.5 -1.25 3\nibuprofen 1e-3 2 0\n<unk> 0 0 -7.5\n"
+# text that moves a word, a component, a separator or a line
+TABLE_PIECES = ["", " ", "  ", "\n", "\t", "\r", " ", "\x1c", "e", "-", ".", "+", "0",
+                "nan", "inf", "1e999", "_", ","]
+
+
+@given(data=st.data())
+def test_mutated_table_parses_or_raises_a_seqtag_error(data):
+    start = data.draw(st.integers(0, len(VALID_TABLE)), label="start")
+    end = data.draw(st.integers(start, min(start + 4, len(VALID_TABLE))), label="end")
+    insert = data.draw(st.sampled_from(TABLE_PIECES) | st.text(max_size=3), label="insert")
+    text = VALID_TABLE[:start] + insert + VALID_TABLE[end:]
+    source = data.draw(st.sampled_from([text, io.StringIO(text)]), label="source")
+    try:
+        table = load_embedding_table(source)
+    except SeqtagError:
+        return
+    assert all(vec.shape == (table.dim,) for vec in table.entries.values())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqtag import features
 from seqtag.corpus import Sentence, TagScheme, Token
 from seqtag.embeddings import build_vocabulary, random_table
 from seqtag.features import (
@@ -17,6 +18,18 @@ from seqtag.training import TrainConfig
 
 def make_encoder(surfaces=("Aspirin", "40", "mg", "x-ray")):
     return build_feature_encoder(surfaces, seed=3)
+
+
+def reference_rows(encoder, surfaces):
+    """``FeatureEncoder.rows`` as a loop over tokens: every token computes
+    each family's value and, for an unseen value, draws its fallback."""
+    out = []
+    for fam in encoder.families:
+        values = [fam.fn(s) for s in surfaces]
+        rows = [fam.index.get(v, -1) for v in values]
+        fallback = [encoder._fallback(fam, v) for v, r in zip(values, rows) if r < 0]
+        out.append((np.array(rows, dtype=np.intp), np.reshape(fallback, (-1, fam.dim))))
+    return out
 
 
 class TestFamilyFunctions:
@@ -109,3 +122,35 @@ class TestEncoder:
         enc = make_encoder()
         for fam in enc.families:
             assert np.all(np.abs(fam.table) <= 1.0)
+
+
+class TestRows:
+    SURFACES = ["Aspirin", "aspirin", "ibuprofen", "40", "IBUPROFEN", "aspirin", "x-ray", "Zz9"]
+
+    def test_rows_equal_the_per_token_loop_bitwise(self):
+        encoder = make_encoder()
+        got = encoder.rows(self.SURFACES)
+        for rows, (ref_rows, ref_fallback) in zip(got, reference_rows(encoder, self.SURFACES)):
+            assert rows.rows.dtype == ref_rows.dtype
+            np.testing.assert_array_equal(rows.rows, ref_rows)
+            assert rows.fallback.shape == ref_fallback.shape
+            assert rows.fallback.tobytes() == ref_fallback.tobytes()
+
+    def test_each_value_and_fallback_is_computed_once_per_call(self, monkeypatch):
+        encoder = make_encoder()
+        surfaces = self.SURFACES * 3
+        calls, draws = [], []
+        for fam in encoder.families:
+            fn = fam.fn
+            fam.fn = lambda s, fn=fn, name=fam.name: calls.append((name, s)) or fn(s)
+        real = features.hashed_uniform
+        monkeypatch.setattr(
+            features, "hashed_uniform", lambda key, *a: draws.append(key) or real(key, *a)
+        )
+        encoder.rows(surfaces)
+        assert sorted(calls) == sorted({(f.name, s) for f in encoder.families for s in surfaces})
+        unseen = {
+            ("feature", f.name, f.fn(s)) for f in encoder.families for s in surfaces
+            if f.row_for(s) is None
+        }
+        assert unseen and sorted(draws) == sorted(unseen)

@@ -1,4 +1,5 @@
 import copy
+import functools
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -8,12 +9,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqtag import features
-from seqtag.corpus import Dataset, TagScheme, parse_conll, split_train_valid
+from seqtag import features, network, training
+from seqtag.corpus import (
+    Dataset,
+    Sentence,
+    TagScheme,
+    Token,
+    extract_entities,
+    parse_conll,
+    repair_bio,
+    split_train_valid,
+)
 from seqtag.embeddings import UNK
 from seqtag.errors import ConfigError, DataError, NumericError, TagValidationError
-from seqtag.evaluation import evaluate
-from seqtag.network import VARIANTS, dense_arrays, loss_and_gradients, table_arrays
+from seqtag.evaluation import evaluate, span_counts
+from seqtag.network import (
+    VARIANTS,
+    dense_arrays,
+    encode,
+    loss_and_gradients,
+    sentence_logits,
+    table_arrays,
+)
 from seqtag.synth import default_spec, generate
 from seqtag.training import (
     Checkpoint,
@@ -211,6 +228,13 @@ class TestTrainLoop:
         with pytest.raises(DataError):
             train(TrainConfig(epochs=1, **FAST), Dataset(()))
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_gold_tag_outside_a_given_scheme_is_rejected(self, variant):
+        data, _ = small_corpus(n_train=10)
+        cfg = TrainConfig(variant=variant, use_char=False, epochs=1, seed=0, **FAST)
+        with pytest.raises(TagValidationError, match="tag scheme"):
+            train(cfg, data, TagScheme(("problem",)))
+
     def test_empty_validation_split_rejected(self):
         data, _ = small_corpus(n_train=2)
         sliced = Dataset(data.sentences[:2])
@@ -345,6 +369,95 @@ class TestTag:
         other = parse_conll("x\tB-zzz\n", TagScheme(("zzz",)))
         with pytest.raises(TagValidationError):
             tag(ckpt, other)
+
+
+@functools.cache
+def trained_model(variant):
+    """A briefly trained model of ``variant`` and sentences of 1 to 9 tokens to tag."""
+    data, test_data = small_corpus(n_train=20, n_test=12, length_range=(1, 9))
+    cfg = TrainConfig(
+        variant=variant, use_char=variant != "crf", use_features=variant != "blstm",
+        epochs=2, seed=3, **FAST,
+    )
+    return train(cfg, data).model, test_data
+
+
+def record_batches(monkeypatch):
+    """Patch ``training.predict_tag_ids`` to log each batch it decodes; returns the log."""
+    seen = []
+    real = training.predict_tag_ids
+
+    def predict(model, batch):
+        seen.append(batch.lengths.tolist())
+        return real(model, batch)
+
+    monkeypatch.setattr(training, "predict_tag_ids", predict)
+    return seen
+
+
+class TestBatchedDecode:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_batch_tags_as_its_sentences_one_at_a_time(self, variant, monkeypatch):
+        model, data = trained_model(variant)
+        one_by_one = [tags for sent in data for tags in tag_with_model(model, [sent])]
+        seen = record_batches(monkeypatch)
+        assert tag_with_model(model, data) == one_by_one
+        assert seen == [[len(sent) for sent in data]]
+
+    @pytest.mark.parametrize("variant", ["blstm", "blstm_crf"])
+    def test_recurrent_logits_agree_with_the_batch_of_one(self, variant):
+        model, data = trained_model(variant)
+        batch = encode(model, list(data))
+        alone = np.concatenate([sentence_logits(model, sent) for sent in data])
+        np.testing.assert_allclose(sentence_logits(model, batch), alone, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_chunks_decode_as_one_batch(self, variant, monkeypatch):
+        model, data = trained_model(variant)
+        whole = tag_with_model(model, data)
+        monkeypatch.setattr(network, "BATCH_TOKENS", 20)
+        seen = record_batches(monkeypatch)
+        assert tag_with_model(model, data) == whole
+        assert len(seen) > 2
+        assert sum(seen, []) == [len(sent) for sent in data]
+        assert all(len(n) * max(n) <= 20 for n in seen)
+
+    def test_a_sentence_longer_than_the_bound_is_a_batch_alone(self, monkeypatch):
+        model, data = trained_model("blstm_crf")
+        monkeypatch.setattr(network, "BATCH_TOKENS", 3)
+        seen = record_batches(monkeypatch)
+        tag_with_model(model, data)
+        assert all(len(n) == 1 or len(n) * max(n) <= 3 for n in seen)
+        assert [n for n in seen if max(n) > 3] == [[len(s)] for s in data if len(s) > 3]
+
+    def test_ten_thousand_sentences_decode_in_bounded_batches_as_they_are_read(self, monkeypatch):
+        model, data = trained_model("crf")  # the fastest to decode
+        many = Dataset(tuple(data[i % len(data)] for i in range(10_000)))
+        each = tag_with_model(model, data)
+        seen = record_batches(monkeypatch)
+        encoded = []  # at each encoding, the batches decoded so far
+        real_encode = network.encode
+        monkeypatch.setattr(
+            network, "encode", lambda m, group: encoded.append(len(seen)) or real_encode(m, group)
+        )
+        tagged = tag_with_model(model, many)
+        assert tagged == [each[i % len(data)] for i in range(10_000)]
+        assert len(seen) > 1 and sum(len(n) for n in seen) == 10_000
+        assert all(len(n) * max(n) <= network.BATCH_TOKENS for n in seen)
+        # each batch is decoded before the next one is encoded
+        assert encoded == list(range(len(seen)))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_validation_scoring_equals_evaluate(self, variant):
+        model, data = trained_model(variant)
+        predicted = tag_with_model(model, data)
+        pred = Dataset(tuple(
+            Sentence(tuple(Token(t.surface, p) for t, p in zip(sent, tags)))
+            for sent, tags in zip(data, predicted)
+        ))
+        spans = [set(extract_entities(repair_bio(sent.gold_tags))) for sent in data]
+        counts = span_counts(spans, predicted, model.scheme)
+        assert counts == evaluate(data, pred, model.scheme).per_class
 
 
 class TestCheckpointPersistence:
