@@ -39,14 +39,19 @@ The dense parameters live in one flat float64 buffer.  Each BiLSTM
 stacks its weights by direction (forward, backward) and, within one, by
 gate (input, candidate, output; row blocks of H): ``W_x`` (2, 3H, D),
 ``W_h`` (2, 3H, H), ``b`` (2, 3H), ``w_ci`` and ``w_co`` (2, H).  The
-per-direction, per-gate checkpoint names (``word_fwd.W_xi`` and so on)
-are views of those blocks.  A forward pass makes one leaf per
+checkpoint names of :class:`LstmCellParameters` (``word_fwd.W_xi`` and
+so on) are views of those blocks.  A forward pass makes one leaf per
 stacked array and runs both directions of each BiLSTM as one fused tape
 node, :func:`seqtag.autograd.bilstm`: the char BiLSTM runs all words as
 one batch whose carry mask stops a word at its last character, and the
-word BiLSTM the sentences of a batch (:func:`batches`), forward and
-reversed, unmasked: a token reads its own step, before any padding.  The
-backward pass accumulates straight into one flat gradient like the buffer.
+word BiLSTM the sentences of a batch, forward and reversed, unmasked: a
+token reads its own step, before any padding.  The backward pass
+accumulates straight into one flat gradient laid out like the buffer.
+
+Training runs that forward pass on one sentence at a time; tagging and
+validation run it, once, on each batch of :func:`batches`, whose padded
+words and padded characters are capped by :data:`BATCH_TOKENS` and
+:data:`BATCH_CHARS`, so the arrays of a long input stay bounded.
 """
 
 from __future__ import annotations
@@ -75,7 +80,37 @@ VARIANTS = ("crf", "blstm", "blstm_crf")
 
 UNK_SWAP_RATE = 0.5  # chance that a training singleton reads <unk> (Lample et al. 2016, §4)
 
-BATCH_TOKENS = 2048  # padded tokens (sentences times the longest) of one decoding batch
+# Caps on one decoding batch (see batches): padded tokens (sentences times
+# the longest) and padded characters (words times the longest word).  At
+# the paper's dimensions they bound the word and char BiLSTM arrays of a
+# batch to about 47 MB and 23 MB; a larger cap tagged no faster.
+BATCH_TOKENS = 2048
+BATCH_CHARS = 4096
+
+
+@dataclass
+class LstmCellParameters:
+    """Weights of one directional cell; peepholes are diagonal (vectors)."""
+
+    W_xi: np.ndarray  # (H, D)
+    W_hi: np.ndarray  # (H, H)
+    w_ci: np.ndarray  # (H,)
+    W_xc: np.ndarray
+    W_hc: np.ndarray
+    W_xo: np.ndarray
+    W_ho: np.ndarray
+    w_co: np.ndarray
+    b_i: np.ndarray
+    b_c: np.ndarray
+    b_o: np.ndarray
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.W_xi.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.W_xi.shape[1]
 
 
 def _carve(layout: dict[str, tuple[int, ...]], flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -117,7 +152,7 @@ class ModelParameters:
     """Every trainable tensor of one tagger, plus its lookup vocabularies.
 
     ``layout`` names and shapes the stacked dense arrays in ``buffer``
-    order.  ``params``, ``projection`` and ``crf`` are views
+    order.  ``params``, the cells, ``projection`` and ``crf`` are views
     carved from ``buffer`` on each access, so a copy reads its own buffer.
     """
 
@@ -136,6 +171,17 @@ class ModelParameters:
     def params(self) -> dict[str, np.ndarray]:
         """Each stacked dense array by its layout name, as a view into ``buffer``."""
         return _carve(self.layout, self.buffer)
+
+    def _cell(self, name: str) -> LstmCellParameters | None:
+        views = dense_arrays(self)
+        if f"{name}.W_xi" not in views:
+            return None
+        return LstmCellParameters(**{f: views[f"{name}.{f}"] for f in CELL_FIELDS})
+
+    char_fwd = property(lambda self: self._cell("char_fwd"))
+    char_bwd = property(lambda self: self._cell("char_bwd"))
+    word_fwd = property(lambda self: self._cell("word_fwd"))
+    word_bwd = property(lambda self: self._cell("word_bwd"))
 
     @property
     def projection(self) -> np.ndarray | None:  # (2*H_w, K)
@@ -267,6 +313,11 @@ def _word_index(model: ModelParameters, surface: str) -> int:
     return idx
 
 
+def word_vector(model: ModelParameters, surface: str) -> np.ndarray:
+    """The word-table row of ``surface``; unseen words share the ``<unk>`` row."""
+    return model.word_table[_word_index(model, surface)]
+
+
 @dataclass(frozen=True)
 class EncodedSentence:
     """A sentence, or a batch of sentences end to end, as table rows: word
@@ -316,24 +367,27 @@ def _encoded(model: ModelParameters, sentence: Sentence | EncodedSentence) -> En
     return sentence if isinstance(sentence, EncodedSentence) else encode(model, sentence)
 
 
-def batches(
-    model: ModelParameters, items: Iterable[Sentence | EncodedSentence]
-) -> Iterator[EncodedSentence]:
-    """The decoding batches of ``items`` in input order: each encoded item,
-    and runs of sentences encoded in groups whose padded size, sentences
-    times the longest, is within :data:`BATCH_TOKENS` or one sentence."""
-    group, longest = [], 0
-    for item in items:
-        encoded = isinstance(item, EncodedSentence)
-        if encoded or (len(group) + 1) * max(longest, len(item)) > BATCH_TOKENS:
-            if group:
-                yield encode(model, group)
-            group, longest = [], 0
-        if encoded:
-            yield item
-        else:
-            group.append(item)
-            longest = max(longest, len(item))
+def batches(model: ModelParameters, sentences: Iterable[Sentence]) -> Iterator[EncodedSentence]:
+    """The decoding batches of ``sentences``, grouped in input order and
+    encoded one at a time.
+
+    A batch grows while both of its padded sizes stay within the caps:
+    sentences times the longest sentence within :data:`BATCH_TOKENS`, and,
+    for a char model, words times the longest word within
+    :data:`BATCH_CHARS`.  A sentence over either cap is a batch alone.
+    """
+    group, longest, words, longest_word = [], 0, 0, 0
+    for sent in sentences:
+        n = len(sent)
+        word = max(map(len, sent.surfaces), default=0) if model.use_char else 0
+        if group and (
+            (len(group) + 1) * max(longest, n) > BATCH_TOKENS
+            or (words + n) * max(longest_word, word) > BATCH_CHARS
+        ):
+            yield encode(model, group)
+            group, longest, words, longest_word = [], 0, 0, 0
+        group.append(sent)
+        longest, words, longest_word = max(longest, n), words + n, max(longest_word, word)
     if group:
         yield encode(model, group)
 

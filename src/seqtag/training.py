@@ -277,13 +277,18 @@ def crf_baseline_loss_and_gradients(
     return loss, out
 
 
-def tag_with_model(
-    model: ModelParameters, data: Iterable[Sentence | EncodedSentence]
-) -> list[list[str]]:
-    """The repaired predicted BIO tags of every sentence of ``data``,
-    decoded in the padded batches of :func:`seqtag.network.batches`."""
+def tag_with_model(model: ModelParameters, encoded: Iterable[EncodedSentence]) -> list[list[str]]:
+    """The repaired predicted BIO tags of every sentence of the decoding
+    batches ``encoded`` (see :func:`seqtag.network.batches`), in order.
+
+    The recurrent taggers' logits come from one forward pass per batch, so
+    they are bitwise reproducible for the same grouping of sentences into
+    batches only: BLAS rounds a product differently for another batch
+    size, and a near-tie may then decode differently.  Grouping is fixed
+    by the input order and the caps, so the same input gives the same tags.
+    """
     out = []
-    for batch in batches(model, data):
+    for batch in encoded:
         tags = [model.scheme.tags[k] for k in predict_tag_ids(model, batch)]
         ends = np.cumsum(batch.lengths).tolist()
         out += [repair_bio(tags[end - n : end]) for n, end in zip(batch.lengths.tolist(), ends)]
@@ -365,10 +370,15 @@ def train(
 
 
 def tag(checkpoint: Checkpoint, sentences: Dataset) -> Dataset:
-    """Decode (argmax or Viterbi per variant), repair the tags and attach them."""
+    """Decode (argmax or Viterbi per variant), repair the tags and attach them.
+
+    A tag of ``sentences`` outside the model's scheme raises
+    :class:`TagValidationError`.
+    """
+    model = checkpoint.model
     return Dataset(tuple(
         Sentence(tuple(Token(t.surface, t.gold_tag, p) for t, p in zip(sent, tags)))
-        for sent, tags in zip(sentences, tag_with_model(checkpoint.model, sentences))
+        for sent, tags in zip(sentences, tag_with_model(model, batches(model, sentences)))
     ))
 
 

@@ -5,50 +5,11 @@ dropout.  Words and characters outside their vocabularies read the
 ``<unk>`` row 0 of their table, as in :func:`seqtag.network.encode`.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
-from seqtag.network import CELL_FIELDS, ModelParameters, dense_arrays
-
-
-@dataclass
-class LstmCellParameters:
-    """Weights of one directional cell; peepholes are diagonal (vectors)."""
-
-    W_xi: np.ndarray  # (H, D)
-    W_hi: np.ndarray  # (H, H)
-    w_ci: np.ndarray  # (H,)
-    W_xc: np.ndarray
-    W_hc: np.ndarray
-    W_xo: np.ndarray
-    W_ho: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_xi.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_xi.shape[1]
-
-
-def cell(model: ModelParameters, name: str) -> LstmCellParameters:
-    """The cell ``name`` (``char_fwd``, ``word_bwd`` ...) as views of the model's buffer."""
-    views = dense_arrays(model)
-    return LstmCellParameters(**{f: views[f"{name}.{f}"] for f in CELL_FIELDS})
-
-
-def word_vector(model: ModelParameters, surface: str) -> np.ndarray:
-    """The word-table row of ``surface``: exact match, then lowercased, then ``<unk>``."""
-    index = model.vocab.index
-    return model.word_table[index.get(surface, index.get(surface.lower(), 0))]
+from seqtag.network import LstmCellParameters, ModelParameters, word_vector
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -105,8 +66,8 @@ def char_embed(word: str, model: ModelParameters) -> np.ndarray:
     if not model.use_char:
         raise ConfigError("model has no character-level components")
     vecs = [char_vector(model, ch) for ch in word]
-    fwd = run_lstm(cell(model, "char_fwd"), vecs)[-1]
-    bwd = run_lstm(cell(model, "char_bwd"), vecs[::-1])[-1]
+    fwd = run_lstm(model.char_fwd, vecs)[-1]
+    bwd = run_lstm(model.char_bwd, vecs[::-1])[-1]
     return np.concatenate([fwd, bwd])
 
 
@@ -123,5 +84,4 @@ def token_representation(model: ModelParameters, surface: str) -> np.ndarray:
 def sentence_logits(model: ModelParameters, surfaces) -> np.ndarray:
     """(T, K) logits: per-token representations, the word BiLSTM, the projection."""
     xs = [token_representation(model, w) for w in surfaces]
-    cells = cell(model, "word_fwd"), cell(model, "word_bwd")
-    return np.stack(bilstm(*cells, xs)) @ model.projection
+    return np.stack(bilstm(model.word_fwd, model.word_bwd, xs)) @ model.projection

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from reference import LstmCellParameters, run_lstm
+from reference import run_lstm
 
 from seqtag import autograd as ag
-from seqtag.network import CELL_FIELDS
+from seqtag.network import CELL_FIELDS, LstmCellParameters
 
 
 def finite_diff(fn, arrays, h=1e-6):

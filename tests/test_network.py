@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 from gradcheck import check_model_gradients, zero_everything
 from reference import (
-    LstmCellParameters,
     bilstm,
-    cell,
     char_embed,
     char_vector,
     lstm_step,
     run_lstm,
     token_representation,
-    word_vector,
 )
 from reference import sentence_logits as reference_logits
 from test_autograd import random_cell
@@ -24,6 +21,7 @@ from seqtag.embeddings import build_vocabulary, random_table
 from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
 from seqtag.network import (
+    LstmCellParameters,
     _LeafSet,
     _representation_graph,
     crf_inputs,
@@ -34,6 +32,7 @@ from seqtag.network import (
     loss_and_gradients,
     predict_tag_ids,
     sentence_logits,
+    word_vector,
 )
 from seqtag.training import TrainConfig
 
@@ -175,8 +174,8 @@ class TestCharEmbed:
     def test_single_character_word(self):
         model = make_model()
         vec = char_vector(model, "a")
-        h_f, _ = lstm_step(cell(model, "char_fwd"), vec, np.zeros(2), np.zeros(2))
-        h_b, _ = lstm_step(cell(model, "char_bwd"), vec, np.zeros(2), np.zeros(2))
+        h_f, _ = lstm_step(model.char_fwd, vec, np.zeros(2), np.zeros(2))
+        h_b, _ = lstm_step(model.char_bwd, vec, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(char_embed("a", model), np.concatenate([h_f, h_b]))
 
     def test_shared_reversed_prefix_gives_equal_backward_steps(self):
@@ -185,8 +184,8 @@ class TestCharEmbed:
         assert long.endswith(short)
         rev_short = [char_vector(model, ch) for ch in reversed(short)]
         rev_long = [char_vector(model, ch) for ch in reversed(long)]
-        states_short = run_lstm(cell(model, "char_bwd"), rev_short)
-        states_long = run_lstm(cell(model, "char_bwd"), rev_long)
+        states_short = run_lstm(model.char_bwd, rev_short)
+        states_long = run_lstm(model.char_bwd, rev_long)
         for a, b in zip(states_short, states_long):
             np.testing.assert_allclose(a, b, atol=1e-15)
         # and the final backward halves differ (extra prefix characters)

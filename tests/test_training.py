@@ -25,6 +25,7 @@ from seqtag.errors import ConfigError, DataError, NumericError, TagValidationErr
 from seqtag.evaluation import evaluate, span_counts
 from seqtag.network import (
     VARIANTS,
+    batches,
     dense_arrays,
     encode,
     loss_and_gradients,
@@ -382,27 +383,39 @@ def trained_model(variant):
     return train(cfg, data).model, test_data
 
 
+def tag_all(model, data):
+    return tag_with_model(model, batches(model, data))
+
+
 def record_batches(monkeypatch):
     """Patch ``training.predict_tag_ids`` to log each batch it decodes; returns the log."""
     seen = []
     real = training.predict_tag_ids
 
     def predict(model, batch):
-        seen.append(batch.lengths.tolist())
+        seen.append(batch)
         return real(model, batch)
 
     monkeypatch.setattr(training, "predict_tag_ids", predict)
     return seen
 
 
+def padded_tokens(batch):
+    return len(batch.lengths) * max(batch.lengths)
+
+
+def padded_chars(batch):
+    return len(batch.word_lengths) * max(batch.word_lengths)
+
+
 class TestBatchedDecode:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_a_batch_tags_as_its_sentences_one_at_a_time(self, variant, monkeypatch):
         model, data = trained_model(variant)
-        one_by_one = [tags for sent in data for tags in tag_with_model(model, [sent])]
+        one_by_one = [tags for sent in data for tags in tag_all(model, [sent])]
         seen = record_batches(monkeypatch)
-        assert tag_with_model(model, data) == one_by_one
-        assert seen == [[len(sent) for sent in data]]
+        assert tag_all(model, data) == one_by_one
+        assert [b.lengths.tolist() for b in seen] == [[len(sent) for sent in data]]
 
     @pytest.mark.parametrize("variant", ["blstm", "blstm_crf"])
     def test_recurrent_logits_agree_with_the_batch_of_one(self, variant):
@@ -414,43 +427,60 @@ class TestBatchedDecode:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_chunks_decode_as_one_batch(self, variant, monkeypatch):
         model, data = trained_model(variant)
-        whole = tag_with_model(model, data)
+        whole = tag_all(model, data)
         monkeypatch.setattr(network, "BATCH_TOKENS", 20)
         seen = record_batches(monkeypatch)
-        assert tag_with_model(model, data) == whole
+        assert tag_all(model, data) == whole
         assert len(seen) > 2
-        assert sum(seen, []) == [len(sent) for sent in data]
-        assert all(len(n) * max(n) <= 20 for n in seen)
+        assert sum((b.lengths.tolist() for b in seen), []) == [len(sent) for sent in data]
+        assert all(padded_tokens(b) <= 20 for b in seen)
+
+    def test_char_steps_bound_a_batch(self, monkeypatch):
+        model, data = trained_model("blstm_crf")
+        whole = tag_all(model, data)
+        monkeypatch.setattr(network, "BATCH_CHARS", 120)
+        seen = record_batches(monkeypatch)
+        assert tag_all(model, data) == whole
+        assert len(seen) > 2 and all(padded_tokens(b) <= network.BATCH_TOKENS for b in seen)
+        assert all(len(b.lengths) == 1 or padded_chars(b) <= 120 for b in seen)
+        assert any(len(b.lengths) > 1 for b in seen)
 
     def test_a_sentence_longer_than_the_bound_is_a_batch_alone(self, monkeypatch):
         model, data = trained_model("blstm_crf")
         monkeypatch.setattr(network, "BATCH_TOKENS", 3)
         seen = record_batches(monkeypatch)
-        tag_with_model(model, data)
-        assert all(len(n) == 1 or len(n) * max(n) <= 3 for n in seen)
-        assert [n for n in seen if max(n) > 3] == [[len(s)] for s in data if len(s) > 3]
+        tag_all(model, data)
+        assert all(len(b.lengths) == 1 or padded_tokens(b) <= 3 for b in seen)
+        assert [b.lengths.tolist() for b in seen if max(b.lengths) > 3] == [
+            [len(s)] for s in data if len(s) > 3
+        ]
 
-    def test_ten_thousand_sentences_decode_in_bounded_batches_as_they_are_read(self, monkeypatch):
-        model, data = trained_model("crf")  # the fastest to decode
+    @pytest.mark.parametrize("variant", ["crf", "blstm_crf"])
+    def test_ten_thousand_sentences_decode_in_bounded_batches_as_they_are_read(
+        self, variant, monkeypatch
+    ):
+        model, data = trained_model(variant)
         many = Dataset(tuple(data[i % len(data)] for i in range(10_000)))
-        each = tag_with_model(model, data)
+        each = tag_all(model, data)
         seen = record_batches(monkeypatch)
         encoded = []  # at each encoding, the batches decoded so far
         real_encode = network.encode
         monkeypatch.setattr(
             network, "encode", lambda m, group: encoded.append(len(seen)) or real_encode(m, group)
         )
-        tagged = tag_with_model(model, many)
+        tagged = tag_all(model, many)
         assert tagged == [each[i % len(data)] for i in range(10_000)]
-        assert len(seen) > 1 and sum(len(n) for n in seen) == 10_000
-        assert all(len(n) * max(n) <= network.BATCH_TOKENS for n in seen)
+        assert len(seen) > 1 and sum(len(b.lengths) for b in seen) == 10_000
+        assert all(padded_tokens(b) <= network.BATCH_TOKENS for b in seen)
+        if model.use_char:
+            assert all(padded_chars(b) <= network.BATCH_CHARS for b in seen)
         # each batch is decoded before the next one is encoded
         assert encoded == list(range(len(seen)))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_validation_scoring_equals_evaluate(self, variant):
         model, data = trained_model(variant)
-        predicted = tag_with_model(model, data)
+        predicted = tag_all(model, data)
         pred = Dataset(tuple(
             Sentence(tuple(Token(t.surface, p) for t, p in zip(sent, tags)))
             for sent, tags in zip(data, predicted)
