@@ -83,7 +83,7 @@ UNK_SWAP_RATE = 0.5  # chance that a training singleton reads <unk> (Lample et a
 # Caps on one decoding batch (see batches): padded tokens (sentences times
 # the longest) and padded characters (words times the longest word).  At
 # the paper's dimensions they bound the word and char BiLSTM arrays of a
-# batch to about 47 MB and 23 MB; a larger cap tagged no faster.
+# batch to about 47 MB and 23 MB; a larger cap tagged at most 10% faster.
 BATCH_TOKENS = 2048
 BATCH_CHARS = 4096
 
