@@ -281,13 +281,6 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor(loss, (logits,), bw, True)
 
 
-def rows_softmax(logits: np.ndarray) -> np.ndarray:
-    """Plain numpy row softmax (inference helper)."""
-    zmax = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - zmax)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(ancestor) into every tracked tensor's ``grad``."""
     if not loss.tracked:

@@ -189,15 +189,10 @@ def cmd_embed_train(args) -> int:
 
 
 def _vocab_from_conll(path: str):
-    surfaces = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.strip():
-                surfaces.append(line.split("\t")[0])
-    if not surfaces:
+    data = _load_conll(path, None, warn_invalid_gold=False)
+    if not len(data):
         raise DataError(f"{path} contains no tokens")
-    return build_vocabulary(surfaces)
+    return build_vocabulary(t.surface for sent in data for t in sent)
 
 
 def cmd_embed_concat(args) -> int:

@@ -193,20 +193,18 @@ def parse_conll(
 
 def _warn_on_invalid_gold(sentence: Sentence, sent_idx: int):
     # Gold tags are trusted as-is, but structurally invalid BIO (an I that
-    # does not continue a same-class entity) is flagged for the user.
+    # does not continue a same-class entity) is flagged for the user: it is
+    # where repair_bio changes a tag.
     tags = sentence.gold_tags
     if any(t is None for t in tags):
         return
-    prev_cls: str | None = None
-    for pos, tag in enumerate(tags):
-        prefix, cls = split_tag(tag)  # type: ignore[arg-type]
-        if prefix == "I" and cls != prev_cls:
+    for pos, (tag, repaired) in enumerate(zip(tags, repair_bio(tags))):  # type: ignore[arg-type]
+        if tag != repaired:
             warnings.warn(
                 f"sentence {sent_idx}: gold tag {tag} at position {pos} does not continue "
                 f"a same-class entity; kept as-is",
                 stacklevel=3,
             )
-        prev_cls = cls if prefix in ("B", "I") else None
 
 
 def write_conll(data: Dataset) -> str:
@@ -290,18 +288,6 @@ def extract_entities(tags: Sequence[str]) -> list[EntitySpan]:
             raise TagValidationError(f"unknown tag prefix in {tag!r} at position {pos}")
     close(len(tags))
     return spans
-
-
-def tags_from_entities(length: int, spans: Iterable[EntitySpan]) -> list[str]:
-    """Re-tag a token sequence of ``length`` from entity spans."""
-    tags = [OUTSIDE] * length
-    for span in spans:
-        if span.end > length:
-            raise ValueError(f"span {span} exceeds sentence length {length}")
-        tags[span.start] = f"B-{span.cls}"
-        for i in range(span.start + 1, span.end):
-            tags[i] = f"I-{span.cls}"
-    return tags
 
 
 def split_train_valid(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:

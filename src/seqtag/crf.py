@@ -38,56 +38,33 @@ pairwise marginals that the transition gradient sums are one
 in log space; it decodes a batch of end-aligned lattices with one (B, K, K)
 add and max per step, and ties go to the lexicographically smallest path.
 
-This module is pure numpy and serves both the standalone baseline
-(emissions built from input features via ``emission_weights``) and the
-recurrent taggers (emissions projected from hidden states, with
-gradients flowing back through :func:`crf_nll_op`).
+Every function takes the (K+1, K+1) transition matrix as a plain array,
+its first argument, and checks only shapes: parameter values are
+checked for finiteness where they enter the program (a loaded
+checkpoint, an epoch of training).  The module is pure numpy and serves
+both the standalone baseline, whose lattice is ``inputs @ weights.T``
+(:func:`input_nll_and_gradient`), and the recurrent taggers (emissions
+projected from hidden states, with gradients flowing back through
+:func:`crf_nll_op`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 
 
-@dataclass
-class CrfParameters:
-    """Transition scores plus, for the feature-input baseline, emission weights."""
-
-    transitions: np.ndarray  # (K+1, K+1), index K = virtual start/stop
-    emission_weights: np.ndarray | None = None  # (K, D)
-
-    @property
-    def num_tags(self) -> int:
-        return self.transitions.shape[0] - 1
-
-    def __post_init__(self):
-        t = self.transitions
-        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] < 2:
-            raise ValueError(f"transitions must be square (K+1, K+1), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("transitions must be finite")
-        if self.emission_weights is not None and self.emission_weights.shape[0] != self.num_tags:
-            raise ValueError("emission_weights rows must equal the tag count")
-
-
-@dataclass
-class CrfGradients:
-    emissions: np.ndarray  # (T, K)
-    transitions: np.ndarray  # (K+1, K+1)
-    emission_weights: np.ndarray | None = None
-
-
-def _check_lattice(params: CrfParameters, emissions: np.ndarray):
+def _check_lattice(trans: np.ndarray, emissions: np.ndarray):
+    if trans.ndim != 2 or trans.shape[0] != trans.shape[1] or trans.shape[0] < 2:
+        raise ValueError(f"transitions must be square (K+1, K+1), got {trans.shape}")
     if emissions.ndim != 2 or emissions.shape[0] < 1:
         raise ValueError(f"emission lattice must be (T, K) with T >= 1, got {emissions.shape}")
-    if emissions.shape[1] != params.num_tags:
+    if emissions.shape[1] != len(trans) - 1:
         raise ValueError(
-            f"lattice has {emissions.shape[1]} tags but transitions expect {params.num_tags}"
+            f"lattice has {emissions.shape[1]} tags but transitions expect {len(trans) - 1}"
         )
 
 
@@ -96,14 +73,13 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
 
 
-def sequence_score(params: CrfParameters, emissions: np.ndarray, y) -> float:
+def sequence_score(trans: np.ndarray, emissions: np.ndarray, y) -> float:
     """Unnormalized log-score of one tag sequence."""
-    _check_lattice(params, emissions)
+    _check_lattice(trans, emissions)
     y = np.asarray(y, dtype=np.int64)
     T, K = emissions.shape
     if len(y) != T:
         raise ValueError(f"tag sequence length {len(y)} != lattice length {T}")
-    trans = params.transitions
     score = float(emissions[np.arange(T), y].sum())
     score += trans[K, y[0]]
     score += float(trans[y[:-1], y[1:]].sum())
@@ -111,9 +87,8 @@ def sequence_score(params: CrfParameters, emissions: np.ndarray, y) -> float:
     return score
 
 
-def _forward(params: CrfParameters, emissions: np.ndarray) -> tuple[np.ndarray, float]:
+def _forward(trans: np.ndarray, emissions: np.ndarray) -> tuple[np.ndarray, float]:
     T, K = emissions.shape
-    trans = params.transitions
     alpha = np.empty((T, K))
     alpha[0] = trans[K, :K] + emissions[0]
     for t in range(1, T):
@@ -122,9 +97,8 @@ def _forward(params: CrfParameters, emissions: np.ndarray) -> tuple[np.ndarray, 
     return alpha, log_z
 
 
-def _backward_pass(params: CrfParameters, emissions: np.ndarray) -> np.ndarray:
+def _backward_pass(trans: np.ndarray, emissions: np.ndarray) -> np.ndarray:
     T, K = emissions.shape
-    trans = params.transitions
     beta = np.empty((T, K))
     beta[T - 1] = trans[:K, K]
     for t in range(T - 2, -1, -1):
@@ -133,13 +107,12 @@ def _backward_pass(params: CrfParameters, emissions: np.ndarray) -> np.ndarray:
 
 
 def _log_space_forward_backward(
-    params: CrfParameters, emissions: np.ndarray
+    trans: np.ndarray, emissions: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """What :func:`_forward_backward` returns, from the log-space recursions."""
     K = emissions.shape[1]
-    trans = params.transitions
-    alpha, log_z = _forward(params, emissions)
-    beta = _backward_pass(params, emissions)
+    alpha, log_z = _forward(trans, emissions)
+    beta = _backward_pass(trans, emissions)
     marginals = np.exp(alpha + beta - log_z)
     pairs = np.exp(
         alpha[:-1, :, None] + trans[:K, :K] + (emissions[1:] + beta[1:])[:, None, :] - log_z
@@ -157,7 +130,7 @@ _MAX_TRANSITION_RANGE = 300.0
 
 
 def _forward_backward(
-    params: CrfParameters, emissions: np.ndarray
+    trans: np.ndarray, emissions: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """log Z, the (T, K) marginals and the (T-1, K, K) pairwise marginals.
 
@@ -166,7 +139,6 @@ def _forward_backward(
     (see the module docstring).
     """
     T, K = emissions.shape
-    trans = params.transitions
     # the transition scores the model reads: every entry but the last,
     # trans[K, K] (start to stop), which no sequence uses
     read = trans.ravel()[:-1]
@@ -193,7 +165,7 @@ def _forward_backward(
             tail = scale[T] = a.dot(stop)
             log_z = float(np.log(scale).sum() + m.sum() + (T + 1) * shift)
     if not math.isfinite(log_z):
-        return _log_space_forward_backward(params, emissions)
+        return _log_space_forward_backward(trans, emissions)
 
     EX /= scale[:T, None, None]
     b = stop / tail
@@ -209,31 +181,25 @@ def _forward_backward(
     return log_z, marginals, pairs
 
 
-def log_partition(params: CrfParameters, emissions: np.ndarray) -> float:
-    """log sum over all K^T sequences of exp(sequence_score)."""
-    _check_lattice(params, emissions)
-    return _forward_backward(params, emissions)[0]
-
-
 def nll_and_gradient(
-    params: CrfParameters, emissions: np.ndarray, y
-) -> tuple[float, CrfGradients]:
-    """Conditional negative log-likelihood and its exact gradients.
+    trans: np.ndarray, emissions: np.ndarray, y
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Conditional negative log-likelihood and its exact gradients with
+    respect to the emissions and the transitions.
 
     Gradients are expected sufficient statistics minus the empirical
     ones, from the forward-backward marginals.  The emission gradient is
     returned so an upstream network can continue backpropagation.
     """
-    _check_lattice(params, emissions)
+    _check_lattice(trans, emissions)
     y = np.asarray(y, dtype=np.int64)
     T, K = emissions.shape
     if len(y) != T:
         raise ValueError(f"tag sequence length {len(y)} != lattice length {T}")
-    trans = params.transitions
 
-    log_z, marginals, pairs = _forward_backward(params, emissions)
+    log_z, marginals, pairs = _forward_backward(trans, emissions)
 
-    nll = log_z - sequence_score(params, emissions, y)
+    nll = log_z - sequence_score(trans, emissions, y)
 
     d_emissions = marginals.copy()
     d_emissions[np.arange(T), y] -= 1.0
@@ -246,31 +212,24 @@ def nll_and_gradient(
     d_trans[:K, K] += marginals[T - 1]
     d_trans[y[-1], K] -= 1.0
 
-    return nll, CrfGradients(d_emissions, d_trans)
-
-
-def emissions_from_inputs(params: CrfParameters, inputs: np.ndarray) -> np.ndarray:
-    """(T, K) lattice from per-token feature vectors via the emission weights."""
-    if params.emission_weights is None:
-        raise ValueError("this parameter set has no emission weights")
-    return inputs @ params.emission_weights.T
+    return nll, d_emissions, d_trans
 
 
 def input_nll_and_gradient(
-    params: CrfParameters, inputs: np.ndarray, y
-) -> tuple[float, CrfGradients]:
-    """NLL and gradients for the feature-input baseline.
+    trans: np.ndarray, inputs: np.ndarray, weights: np.ndarray, y
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """NLL and gradients, with respect to the emission weights and the
+    transitions, for the feature-input baseline.
 
-    ``inputs`` is (T, D); the lattice is ``inputs @ emission_weights.T``
-    and the emission-weight gradient is chained from the lattice one.
+    ``inputs`` is (T, D) and ``weights`` (K, D); the lattice is
+    ``inputs @ weights.T`` and the weight gradient is chained from the
+    lattice one.
     """
-    emissions = emissions_from_inputs(params, inputs)
-    nll, grads = nll_and_gradient(params, emissions, y)
-    grads.emission_weights = grads.emissions.T @ inputs
-    return nll, grads
+    nll, d_emissions, d_trans = nll_and_gradient(trans, inputs @ weights.T, y)
+    return nll, d_emissions.T @ inputs, d_trans
 
 
-def viterbi(params: CrfParameters, emissions: np.ndarray, lengths=None) -> list[int]:
+def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths=None) -> list[int]:
     """Highest-scoring tag sequence of each lattice of a batch, stacked.
 
     ``emissions`` stacks the (T_b, K) lattices of the batch on axis 0 and
@@ -282,13 +241,13 @@ def viterbi(params: CrfParameters, emissions: np.ndarray, lengths=None) -> list[
     a time-first (L, B, K) array, so each of the L - 1 steps is one
     (B, K, K) add and max, and one argmax makes the table of best successors.
     """
-    _check_lattice(params, emissions)
+    _check_lattice(trans, emissions)
     T, K = emissions.shape
     lengths = np.array([T] if lengths is None else lengths, dtype=np.intp)
     if lengths.min() < 1 or lengths.sum() != T:
         raise ValueError(f"lattice lengths {lengths.tolist()} do not split {T} rows")
     B, L = len(lengths), int(lengths.max())
-    trans, pairs = params.transitions, params.transitions[:K, :K]
+    pairs = trans[:K, :K]
     start = L - lengths  # the aligned step of each lattice's first position
     steps = np.arange(T) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
     lattice = np.zeros((L, B, K))  # the steps before a start are padding
@@ -322,15 +281,14 @@ def crf_nll_op(emissions: ag.Tensor, transitions: ag.Tensor, y) -> ag.Tensor:
     emission gradient into the upstream graph and accumulates the
     transition gradient on its leaf.
     """
-    params = CrfParameters(transitions.data)
-    nll, grads = nll_and_gradient(params, emissions.data, y)
+    nll, d_emissions, d_trans = nll_and_gradient(transitions.data, emissions.data, y)
     if not (emissions.tracked or transitions.tracked):
         return ag.Tensor(nll)
 
     def bw(g):
         if emissions.tracked:
-            emissions.accumulate(g * grads.emissions)
+            emissions.accumulate(g * d_emissions)
         if transitions.tracked:
-            transitions.accumulate(g * grads.transitions)
+            transitions.accumulate(g * d_trans)
 
     return ag.Tensor(nll, (emissions, transitions), bw, True)

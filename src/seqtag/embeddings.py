@@ -97,7 +97,8 @@ class CoverageStats:
 
 
 def load_embedding_table(source: str | Iterable[str] | TextIO) -> EmbeddingTable:
-    """Read a text-format table; every line is ``word v1 v2 ... vd``."""
+    """Read a text-format table; every line is ``word v1 v2 ... vd``, each
+    component a finite number (``nan``, ``inf`` and ``1e999`` are rejected)."""
     if isinstance(source, str):
         lines = source.splitlines()
     else:
@@ -123,6 +124,8 @@ def load_embedding_table(source: str | Iterable[str] | TextIO) -> EmbeddingTable
             vec = np.array([float(c) for c in components], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"non-numeric vector component ({exc})", lineno) from None
+        if not np.isfinite(vec).all():
+            raise ParseError("vector component is not a finite number", lineno)
         entries[word] = vec
 
     if dim is None:

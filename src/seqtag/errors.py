@@ -41,4 +41,4 @@ class ConfigError(SeqtagError):
 
 
 class NumericError(SeqtagError):
-    """Training produced a non-finite loss and was aborted."""
+    """Training produced a non-finite loss or parameter and was aborted."""

@@ -141,9 +141,6 @@ class Metrics:
     def aggregate(self) -> ClassCounts:
         return pooled(self.per_class)
 
-    def entry(self, cls: str) -> MetricsEntry:
-        return prf(self.per_class[cls] if cls != AGGREGATE else self.aggregate)
-
     def micro_f1(self) -> float:
         return prf(self.aggregate).f1
 

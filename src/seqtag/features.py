@@ -104,9 +104,6 @@ class FeatureFamily:
     index: dict[str, int]
     table: np.ndarray  # (len(values), dim)
 
-    def row_for(self, surface: str) -> int | None:
-        return self.index.get(self.fn(surface))
-
 
 @dataclass(frozen=True)
 class FamilyRows:

@@ -39,14 +39,15 @@ The dense parameters live in one flat float64 buffer.  Each BiLSTM
 stacks its weights by direction (forward, backward) and, within one, by
 gate (input, candidate, output; row blocks of H): ``W_x`` (2, 3H, D),
 ``W_h`` (2, 3H, H), ``b`` (2, 3H), ``w_ci`` and ``w_co`` (2, H).  The
-checkpoint names of :class:`LstmCellParameters` (``word_fwd.W_xi`` and
-so on) are views of those blocks.  A forward pass makes one leaf per
-stacked array and runs both directions of each BiLSTM as one fused tape
-node, :func:`seqtag.autograd.bilstm`: the char BiLSTM runs all words as
-one batch whose carry mask stops a word at its last character, and the
-word BiLSTM the sentences of a batch, forward and reversed, unmasked: a
-token reads its own step, before any padding.  The backward pass
-accumulates straight into one flat gradient laid out like the buffer.
+checkpoint names that :func:`dense_arrays` gives each direction's gate
+weights (``word_fwd.W_xi`` and so on) are views of those blocks.  A
+forward pass makes one leaf per stacked array and runs both directions
+of each BiLSTM as one fused tape node, :func:`seqtag.autograd.bilstm`:
+the char BiLSTM runs all words as one batch whose carry mask stops a
+word at its last character, and the word BiLSTM the sentences of a
+batch, forward and reversed, unmasked: a token reads its own step,
+before any padding.  The backward pass accumulates straight into one
+flat gradient laid out like the buffer.
 
 Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import autograd as ag
 from .corpus import Sentence, TagScheme
-from .crf import CrfParameters, crf_nll_op, emissions_from_inputs, viterbi
+from .crf import crf_nll_op, viterbi
 from .embeddings import EmbeddingTable, Vocabulary
 from .errors import ConfigError, TagValidationError
 from .features import FamilyRows, FeatureEncoder
@@ -86,31 +87,6 @@ UNK_SWAP_RATE = 0.5  # chance that a training singleton reads <unk> (Lample et a
 # batch to about 47 MB and 23 MB; a larger cap tagged at most 10% faster.
 BATCH_TOKENS = 2048
 BATCH_CHARS = 4096
-
-
-@dataclass
-class LstmCellParameters:
-    """Weights of one directional cell; peepholes are diagonal (vectors)."""
-
-    W_xi: np.ndarray  # (H, D)
-    W_hi: np.ndarray  # (H, H)
-    w_ci: np.ndarray  # (H,)
-    W_xc: np.ndarray
-    W_hc: np.ndarray
-    W_xo: np.ndarray
-    W_ho: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_xi.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_xi.shape[1]
 
 
 def _carve(layout: dict[str, tuple[int, ...]], flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -152,8 +128,8 @@ class ModelParameters:
     """Every trainable tensor of one tagger, plus its lookup vocabularies.
 
     ``layout`` names and shapes the stacked dense arrays in ``buffer``
-    order.  ``params``, the cells, ``projection`` and ``crf`` are views
-    carved from ``buffer`` on each access, so a copy reads its own buffer.
+    order.  ``params`` holds views carved from ``buffer`` on each access,
+    so a copy reads its own buffer.
     """
 
     scheme: TagScheme
@@ -171,28 +147,6 @@ class ModelParameters:
     def params(self) -> dict[str, np.ndarray]:
         """Each stacked dense array by its layout name, as a view into ``buffer``."""
         return _carve(self.layout, self.buffer)
-
-    def _cell(self, name: str) -> LstmCellParameters | None:
-        views = dense_arrays(self)
-        if f"{name}.W_xi" not in views:
-            return None
-        return LstmCellParameters(**{f: views[f"{name}.{f}"] for f in CELL_FIELDS})
-
-    char_fwd = property(lambda self: self._cell("char_fwd"))
-    char_bwd = property(lambda self: self._cell("char_bwd"))
-    word_fwd = property(lambda self: self._cell("word_fwd"))
-    word_bwd = property(lambda self: self._cell("word_bwd"))
-
-    @property
-    def projection(self) -> np.ndarray | None:  # (2*H_w, K)
-        return self.params.get("projection")
-
-    @property
-    def crf(self) -> CrfParameters | None:
-        params = self.params
-        if "crf.transitions" not in params:
-            return None
-        return CrfParameters(params["crf.transitions"], params.get("crf.emission_weights"))
 
     @property
     def d_w(self) -> int:
@@ -311,11 +265,6 @@ def _word_index(model: ModelParameters, surface: str) -> int:
     if idx is None:
         idx = model.vocab.index.get(surface.lower(), 0)
     return idx
-
-
-def word_vector(model: ModelParameters, surface: str) -> np.ndarray:
-    """The word-table row of ``surface``; unseen words share the ``<unk>`` row."""
-    return model.word_table[_word_index(model, surface)]
 
 
 @dataclass(frozen=True)
@@ -515,9 +464,6 @@ class TableRows(NamedTuple):
     index: np.ndarray  # (n,) table rows, ascending
     grad: np.ndarray  # (n, dim)
 
-    def items(self):  # (row, gradient) pairs
-        return zip(self.index.tolist(), self.grad)
-
 
 @dataclass
 class Gradients:
@@ -592,13 +538,6 @@ def sentence_logits(model: ModelParameters, sentence: Sentence | EncodedSentence
         return _logits_graph(model, _LeafSet(model), _encoded(model, sentence)).data
 
 
-def forward_blstm(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
-    """(T, K) per-token class posteriors; rows sum to one."""
-    if model.variant != "blstm":
-        raise ConfigError("forward_blstm applies to the softmax-output variant only")
-    return ag.rows_softmax(sentence_logits(model, sentence))
-
-
 def crf_inputs(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
     """(T, D) feature matrix for the transition-baseline tagger; one gather per table."""
     enc = _encoded(model, sentence)
@@ -613,13 +552,14 @@ def predict_tag_ids(model: ModelParameters, sentence: Sentence | EncodedSentence
     """Most likely tag indices, argmax per token or Viterbi per variant; a
     batch (see :func:`batches`) is decoded at once and its ids stacked."""
     enc = _encoded(model, sentence)
+    params = model.params
     if model.variant == "crf":
-        crf = model.crf  # carved from the buffer and checked on each access
+        weights = params["crf.emission_weights"].T
         # one product per sentence: a batch's lattices are bitwise those of its sentences
         inputs = np.split(crf_inputs(model, enc), np.cumsum(enc.lengths)[:-1])
-        lattice = np.concatenate([emissions_from_inputs(crf, x) for x in inputs])
-        return viterbi(crf, lattice, enc.lengths)
+        return viterbi(params["crf.transitions"], np.concatenate([x @ weights for x in inputs]),
+                       enc.lengths)
     logits = sentence_logits(model, enc)
     if model.variant == "blstm":
         return logits.argmax(axis=1).tolist()
-    return viterbi(model.crf, logits, enc.lengths)
+    return viterbi(params["crf.transitions"], logits, enc.lengths)

@@ -257,6 +257,12 @@ def sgd_update(model: ModelParameters, grads: Gradients, lr: float, clip_norm: f
         tables[name][index] -= step * grad
 
 
+def _non_finite(model: ModelParameters) -> list[str]:
+    """The names of ``model``'s parameter tensors that hold a NaN or an infinity."""
+    arrays = {**dense_arrays(model), **table_arrays(model)}
+    return [name for name, arr in arrays.items() if not np.isfinite(arr).all()]
+
+
 def crf_baseline_loss_and_gradients(
     model: ModelParameters, sentence: Sentence | EncodedSentence, gold_tags, l2: float
 ) -> tuple[float, Gradients]:
@@ -266,14 +272,14 @@ def crf_baseline_loss_and_gradients(
     """
     gold = [model.scheme.index[t] for t in gold_tags]
     inputs = crf_inputs(model, sentence)
-    crf = model.crf
-    nll, grads = input_nll_and_gradient(crf, inputs, gold)
-    trans, weights = crf.transitions, crf.emission_weights
+    params = model.params
+    trans, weights = params["crf.transitions"], params["crf.emission_weights"]
+    nll, d_weights, d_trans = input_nll_and_gradient(trans, inputs, weights, gold)
     loss = nll + 0.5 * l2 * (float((trans * trans).sum()) + float((weights * weights).sum()))
     out = Gradients(np.empty_like(model.buffer), {}, model.layout)
     dense = out.dense
-    np.add(grads.transitions, l2 * trans, out=dense["crf.transitions"])
-    np.add(grads.emission_weights, l2 * weights, out=dense["crf.emission_weights"])
+    np.add(d_trans, l2 * trans, out=dense["crf.transitions"])
+    np.add(d_weights, l2 * weights, out=dense["crf.emission_weights"])
     return loss, out
 
 
@@ -309,8 +315,9 @@ def train(
     ``<unk>`` with probability one half, drawn ahead of the dropout
     masks from the sentence's ``(seed, epoch, index)`` generator.
 
-    ``progress``, when given, is called after each epoch with
-    ``(epoch, mean training loss, validation F1)``.
+    A non-finite loss, or an epoch that leaves a non-finite parameter,
+    raises :class:`NumericError`.  ``progress``, when given, is called
+    after each epoch with ``(epoch, mean training loss, validation F1)``.
     """
     if len(train_data) == 0:
         raise DataError("training dataset is empty")
@@ -357,6 +364,9 @@ def train(
                 )
             total_loss += loss
             sgd_update(model, grads, config.learning_rate, config.clip_norm)
+        bad = _non_finite(model)
+        if bad:
+            raise NumericError(f"epoch {epoch} left non-finite values in {', '.join(bad)}")
 
         f1 = Metrics(span_counts(valid_spans, tag_with_model(model, valid_batches), scheme)).micro_f1()
         history.append(f1)
@@ -453,6 +463,8 @@ def _vocabulary_table(tensors: dict[str, np.ndarray], name: str, vocab: Vocabula
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path``; contents that do not fit together, or a
+    non-finite parameter value, raise :class:`DataError` naming them."""
     sections, tensors = container.read_container(path)
     for required in ("config", "scheme", "vocab", "meta"):
         if required not in sections:
@@ -498,4 +510,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"scheme and vocabularies give it {slot.shape}"
             )
         slot[...] = tensor
+    bad = _non_finite(model)
+    if bad:
+        raise DataError(f"checkpoint tensor {bad[0]!r} holds a non-finite value")
     return Checkpoint(container.VERSION, config, model, best_epoch, history)

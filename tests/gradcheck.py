@@ -51,7 +51,8 @@ def check_model_gradients(model, sentence, gold, h=1e-5):
             checked += 1
 
     for table_name, matrix in table_arrays(model).items():
-        for idx, row_grad in grads.rows.get(table_name, {}).items():
+        index, row_grads = grads.rows.get(table_name, ((), ()))
+        for idx, row_grad in zip(index, row_grads):
             row = matrix[idx]
             for j in range(row.size):
                 numeric = central_diff(loss_fn, row, j, h)

@@ -9,7 +9,7 @@ import numpy as np
 
 from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
-from seqtag.network import LstmCellParameters, ModelParameters, word_vector
+from seqtag.network import CELL_FIELDS, ModelParameters, dense_arrays
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -17,26 +17,29 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def lstm_step(
-    cell: LstmCellParameters, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+    cell: dict[str, np.ndarray], x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One recurrence step on plain numpy vectors; returns (h_t, c_t)."""
+    """One recurrence step on plain numpy vectors; returns (h_t, c_t).
+
+    ``cell`` holds one direction's weights by the names of ``CELL_FIELDS``.
+    """
     x, h_prev, c_prev = np.asarray(x), np.asarray(h_prev), np.asarray(c_prev)
-    if x.shape != (cell.input_dim,) or h_prev.shape != (cell.hidden_dim,) or c_prev.shape != (cell.hidden_dim,):
+    H, D = cell["W_xi"].shape
+    if x.shape != (D,) or h_prev.shape != (H,) or c_prev.shape != (H,):
         raise ValueError(
-            f"expected x ({cell.input_dim},), h and c ({cell.hidden_dim},); "
-            f"got {x.shape}, {h_prev.shape}, {c_prev.shape}"
+            f"expected x ({D},), h and c ({H},); got {x.shape}, {h_prev.shape}, {c_prev.shape}"
         )
-    i = _sigmoid(cell.W_xi @ x + cell.W_hi @ h_prev + cell.w_ci * c_prev + cell.b_i)
-    c = (1.0 - i) * c_prev + i * np.tanh(cell.W_xc @ x + cell.W_hc @ h_prev + cell.b_c)
-    o = _sigmoid(cell.W_xo @ x + cell.W_ho @ h_prev + cell.w_co * c + cell.b_o)
+    i = _sigmoid(cell["W_xi"] @ x + cell["W_hi"] @ h_prev + cell["w_ci"] * c_prev + cell["b_i"])
+    c = (1.0 - i) * c_prev + i * np.tanh(cell["W_xc"] @ x + cell["W_hc"] @ h_prev + cell["b_c"])
+    o = _sigmoid(cell["W_xo"] @ x + cell["W_ho"] @ h_prev + cell["w_co"] * c + cell["b_o"])
     h = o * np.tanh(c)
     return h, c
 
 
-def run_lstm(cell: LstmCellParameters, xs) -> list[np.ndarray]:
+def run_lstm(cell: dict[str, np.ndarray], xs) -> list[np.ndarray]:
     """Hidden states over a sequence, starting from zero states."""
-    h = np.zeros(cell.hidden_dim)
-    c = np.zeros(cell.hidden_dim)
+    h = np.zeros(len(cell["W_xi"]))
+    c = np.zeros(len(cell["W_xi"]))
     states = []
     for x in xs:
         h, c = lstm_step(cell, x, h, c)
@@ -44,7 +47,7 @@ def run_lstm(cell: LstmCellParameters, xs) -> list[np.ndarray]:
     return states
 
 
-def bilstm(cell_fwd: LstmCellParameters, cell_bwd: LstmCellParameters, xs) -> list[np.ndarray]:
+def bilstm(cell_fwd: dict, cell_bwd: dict, xs) -> list[np.ndarray]:
     """Per-position concatenation of forward and backward hidden states."""
     xs = list(xs)
     if not xs:
@@ -66,14 +69,15 @@ def char_embed(word: str, model: ModelParameters) -> np.ndarray:
     if not model.use_char:
         raise ConfigError("model has no character-level components")
     vecs = [char_vector(model, ch) for ch in word]
-    fwd = run_lstm(model.char_fwd, vecs)[-1]
-    bwd = run_lstm(model.char_bwd, vecs[::-1])[-1]
-    return np.concatenate([fwd, bwd])
+    views = dense_arrays(model)
+    fwd, bwd = ({f: views[f"char_{d}.{f}"] for f in CELL_FIELDS} for d in ("fwd", "bwd"))
+    return np.concatenate([run_lstm(fwd, vecs)[-1], run_lstm(bwd, vecs[::-1])[-1]])
 
 
 def token_representation(model: ModelParameters, surface: str) -> np.ndarray:
     """Input vector of one token at inference: word ++ char-level vector ++ features."""
-    parts = [word_vector(model, surface)]
+    index = model.vocab.index  # exact match, then lowercased, then <unk>
+    parts = [model.word_table[index.get(surface, index.get(surface.lower(), 0))]]
     if model.use_char:
         parts.append(char_embed(surface, model))
     if model.use_features:
@@ -84,4 +88,6 @@ def token_representation(model: ModelParameters, surface: str) -> np.ndarray:
 def sentence_logits(model: ModelParameters, surfaces) -> np.ndarray:
     """(T, K) logits: per-token representations, the word BiLSTM, the projection."""
     xs = [token_representation(model, w) for w in surfaces]
-    return np.stack(bilstm(model.word_fwd, model.word_bwd, xs)) @ model.projection
+    views = dense_arrays(model)
+    fwd, bwd = ({f: views[f"word_{d}.{f}"] for f in CELL_FIELDS} for d in ("fwd", "bwd"))
+    return np.stack(bilstm(fwd, bwd, xs)) @ model.params["projection"]

@@ -186,6 +186,20 @@ class TestInconsistentCheckpoint:
         assert code == EXIT_DATA
         assert named in err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", [
+        "crf.transitions", "word_table", "char_table", "projection", "feature:suffix3",
+    ])
+    def test_non_finite_tensor(self, tmp_path, capsys, name, bad):
+        def edit(sections, tensors):
+            tensors[name] = tensors[name].copy()
+            tensors[name].flat[-1] = bad
+
+        source = CRF_CHECKPOINT if name.startswith("feature:") else DATA / "blstm_crf_char.ckpt"
+        code, err = tag_with_edited_checkpoint(source, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert repr(name) in err and "non-finite" in err
+
     def test_bool_word_in_any_case_loads(self, trained_checkpoint, tmp_path, capsys):
         def edit(sections, tensors):
             sections["config"] = [ln.replace("= True", "= true") for ln in sections["config"]]
@@ -281,6 +295,65 @@ class TestTrainConfigFile:
         assert code == EXIT_CONFIG
         assert err.startswith("config error: ") and named in err
         assert not (tmp_path / "model.ckpt").exists()
+
+
+class TestDivergingTraining:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["crf", "blstm", "blstm_crf"])
+    def test_exits_with_numeric_abort(self, tmp_path, capsys, train_file, variant):
+        config = tmp_path / "train.cfg"
+        config.write_text(
+            TestTrainConfigFile.SMALL + "learning_rate = 1e308\nclip_norm = 0\n", encoding="utf-8"
+        )
+        code = main(["train", "--config", str(config), "--train", str(train_file),
+                     "--model", str(tmp_path / "model.ckpt"), "--variant", variant, "--no-char"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric abort: ") and "Traceback" not in err
+        assert not (tmp_path / "model.ckpt").exists()
+
+
+class TestEmbeddingTables:
+    """``seqtag embed-concat`` and ``seqtag coverage`` over a CoNLL vocabulary."""
+
+    def run(self, tmp_path, command, vocab_text, table_text):
+        vocab, table = tmp_path / "vocab.conll", tmp_path / "table.txt"
+        vocab.write_text(vocab_text, encoding="utf-8")
+        table.write_text(table_text, encoding="utf-8")
+        argv = [command, "--tables", str(table), "--vocab-from", str(vocab)]
+        if command == "embed-concat":
+            argv += ["--out", str(tmp_path / "out.txt")]
+        return main(argv)
+
+    def test_coverage_line(self, tmp_path, capsys):
+        vocab = "aspirin\tB-drug\ntwice\tO\n\nAspirin\tB-drug\n\n"
+        assert self.run(tmp_path, "coverage", vocab, "aspirin 0.1 0.2\n") == 0
+        assert capsys.readouterr().out == "2/3 words covered (66.67%)\n"
+
+    def test_concatenated_table(self, tmp_path, capsys):
+        vocab = "aspirin\tB-drug\ntwice\tO\n\n"
+        assert self.run(tmp_path, "embed-concat", vocab, "aspirin 0.1 0.2\n") == 0
+        assert capsys.readouterr().out == "assembled 3 vectors of dim 2; coverage 50.00%\n"
+        lines = (tmp_path / "out.txt").read_text(encoding="utf-8").splitlines()
+        assert [ln.split(" ")[0] for ln in lines] == ["<unk>", "aspirin", "twice"]
+        assert lines[1] == "aspirin 0.1 0.2"
+
+    @pytest.mark.parametrize("command", ["embed-concat", "coverage"])
+    @pytest.mark.parametrize("vocab, table", [
+        ("aspirin\tB-drug\ntwice\n\n", "aspirin 0.1 0.2\n"),  # columns change at line 2
+        ("aspirin\tB-drug\ntwice\tO\n\n", "aspirin 0.1 0.2\ntwice nan 1\n"),
+    ], ids=["columns", "nan"])
+    def test_bad_line_exits_with_data_error_naming_it(self, tmp_path, capsys, command, vocab,
+                                                      table):
+        assert self.run(tmp_path, command, vocab, table) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("command", ["embed-concat", "coverage"])
+    def test_vocabulary_without_tokens(self, tmp_path, capsys, command):
+        assert self.run(tmp_path, command, "\n\n", "aspirin 0.1 0.2\n") == EXIT_DATA
+        assert "contains no tokens" in capsys.readouterr().err
 
 
 class TestSynthSpecFile:

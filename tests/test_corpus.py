@@ -15,7 +15,6 @@ from seqtag.corpus import (
     parse_conll,
     repair_bio,
     split_train_valid,
-    tags_from_entities,
     write_conll,
 )
 from seqtag.errors import ParseError, SeqtagError, TagValidationError
@@ -202,7 +201,12 @@ class TestExtractEntities:
         assert sorted(spans) == spans  # ordered by start, non-overlapping
         for a, b in zip(spans, spans[1:]):
             assert a.end <= b.start
-        assert tags_from_entities(len(repaired), spans) == repaired
+        # the spans cover every tag but O, each a B-c followed by I-c
+        for span in spans:
+            assert repaired[span.start : span.end] == (
+                [f"B-{span.cls}"] + [f"I-{span.cls}"] * (span.end - span.start - 1)
+            )
+        assert sum(span.end - span.start for span in spans) == len(repaired) - repaired.count("O")
 
 
 class TestSplitTrainValid:

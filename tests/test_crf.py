@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from seqtag import autograd as ag
 from seqtag import crf
 from seqtag.crf import (
-    CrfParameters,
     _forward_backward,
     _log_space_forward_backward,
     crf_nll_op,
-    emissions_from_inputs,
     input_nll_and_gradient,
-    log_partition,
     nll_and_gradient,
     sequence_score,
     viterbi,
@@ -64,91 +61,90 @@ def brute_best(trans, emissions):
 def random_instance(rng, T, K):
     trans = rng.normal(scale=1.5, size=(K + 1, K + 1))
     emissions = rng.normal(scale=1.5, size=(T, K))
-    return CrfParameters(trans), emissions
+    return trans, emissions
 
 
 class TestSequenceScore:
     def test_zero_params_score_zero(self):
-        params = CrfParameters(np.zeros((4, 4)))
+        trans = np.zeros((4, 4))
         emissions = np.zeros((5, 3))
         for y in ([0, 1, 2, 0, 1], [2, 2, 2, 2, 2]):
-            assert sequence_score(params, emissions, y) == 0.0
+            assert sequence_score(trans, emissions, y) == 0.0
 
     def test_single_token_zero_transitions(self):
-        params = CrfParameters(np.zeros((4, 4)))
+        trans = np.zeros((4, 4))
         emissions = np.array([[1.5, -2.0, 0.25]])
         for k in range(3):
-            assert sequence_score(params, emissions, [k]) == emissions[0, k]
+            assert sequence_score(trans, emissions, [k]) == emissions[0, k]
 
     def test_matches_hand_summed_factors(self):
         rng = np.random.default_rng(0)
-        params, emissions = random_instance(rng, T=3, K=3)
+        trans, emissions = random_instance(rng, T=3, K=3)
         for y in all_sequences(3, 3):
-            assert sequence_score(params, emissions, list(y)) == pytest.approx(
-                brute_score(params.transitions, emissions, y), abs=1e-12
+            assert sequence_score(trans, emissions, list(y)) == pytest.approx(
+                brute_score(trans, emissions, y), abs=1e-12
             )
 
     def test_length_mismatch(self):
-        params = CrfParameters(np.zeros((3, 3)))
+        trans = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            sequence_score(params, np.zeros((2, 2)), [0])
+            sequence_score(trans, np.zeros((2, 2)), [0])
 
 
 class TestLogPartition:
     def test_uniform_model_counts_sequences(self):
-        params = CrfParameters(np.zeros((4, 4)))
-        assert log_partition(params, np.zeros((2, 3))) == pytest.approx(math.log(9))
+        trans = np.zeros((4, 4))
+        assert _forward_backward(trans, np.zeros((2, 3)))[0] == pytest.approx(math.log(9))
 
     def test_single_position_reduces_to_logsumexp(self):
         rng = np.random.default_rng(1)
-        params, emissions = random_instance(rng, T=1, K=4)
-        trans = params.transitions
+        trans, emissions = random_instance(rng, T=1, K=4)
         expected = math.log(
             sum(math.exp(trans[4, k] + emissions[0, k] + trans[k, 4]) for k in range(4))
         )
-        assert log_partition(params, emissions) == pytest.approx(expected, abs=1e-10)
+        assert _forward_backward(trans, emissions)[0] == pytest.approx(expected, abs=1e-10)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             T, K = int(rng.integers(1, 6)), int(rng.integers(2, 5))
-            params, emissions = random_instance(rng, T, K)
-            assert log_partition(params, emissions) == pytest.approx(
-                brute_log_partition(params.transitions, emissions), abs=1e-8
+            trans, emissions = random_instance(rng, T, K)
+            assert _forward_backward(trans, emissions)[0] == pytest.approx(
+                brute_log_partition(trans, emissions), abs=1e-8
             )
 
     def test_column_shift_property(self):
         rng = np.random.default_rng(3)
-        params, emissions = random_instance(rng, T=4, K=3)
-        z0 = log_partition(params, emissions)
+        trans, emissions = random_instance(rng, T=4, K=3)
+        z0 = _forward_backward(trans, emissions)[0]
         y = [2, 0, 1, 1]
-        s0 = sequence_score(params, emissions, y)
-        v0 = viterbi(params, emissions)
+        s0 = sequence_score(trans, emissions, y)
+        v0 = viterbi(trans, emissions)
         shifted = emissions.copy()
         shifted[2] += 0.75
-        assert log_partition(params, shifted) == pytest.approx(z0 + 0.75, abs=1e-10)
-        assert sequence_score(params, shifted, y) == pytest.approx(s0 + 0.75, abs=1e-10)
-        assert viterbi(params, shifted) == v0
+        assert _forward_backward(trans, shifted)[0] == pytest.approx(z0 + 0.75, abs=1e-10)
+        assert sequence_score(trans, shifted, y) == pytest.approx(s0 + 0.75, abs=1e-10)
+        assert viterbi(trans, shifted) == v0
 
 
 class TestNllAndGradient:
     def test_uniform_model_nll(self):
-        params = CrfParameters(np.zeros((4, 4)))
-        nll, _ = nll_and_gradient(params, np.zeros((2, 3)), [0, 1])
+        trans = np.zeros((4, 4))
+        nll = nll_and_gradient(trans, np.zeros((2, 3)), [0, 1])[0]
         assert nll == pytest.approx(2 * math.log(3))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        params, emissions = random_instance(rng, T=4, K=3)
+        trans, emissions = random_instance(rng, T=4, K=3)
         y = [0, 2, 1, 2]
-        _, grads = nll_and_gradient(params, emissions, y)
+        _, d_emissions, d_trans = nll_and_gradient(trans, emissions, y)
 
         h = 1e-5
 
         def nll_at():
-            return nll_and_gradient(params, emissions, y)[0]
+            return nll_and_gradient(trans, emissions, y)[0]
 
-        for arr, g in ((params.transitions, grads.transitions), (emissions, grads.emissions)):
+        for arr, g in ((trans, d_trans), (emissions, d_emissions)):
             flat, gflat = arr.ravel(), g.ravel()
             for i in range(flat.size):
                 orig = flat[i]
@@ -166,11 +162,10 @@ class TestNllAndGradient:
         # T=1 has no adjacent pair, T=2 one; [0, 0, 0, 1] repeats a gold pair
         for y in ([1, 0, 2], [2], [0, 2], [0, 0, 0, 1]):
             T = len(y)
-            params, emissions = random_instance(rng, T=T, K=3)
-            _, grads = nll_and_gradient(params, emissions, y)
+            trans, emissions = random_instance(rng, T=T, K=3)
+            d_trans = nll_and_gradient(trans, emissions, y)[2]
 
             # oracle: expected pair counts under the enumerated distribution
-            trans = params.transitions
             log_z = brute_log_partition(trans, emissions)
             expected = np.zeros_like(trans)
             for seq in all_sequences(T, 3):
@@ -184,31 +179,31 @@ class TestNllAndGradient:
             for t in range(1, T):
                 observed[y[t - 1], y[t]] += 1
             observed[y[-1], 3] += 1
-            np.testing.assert_allclose(grads.transitions, expected - observed, atol=1e-8)
+            np.testing.assert_allclose(d_trans, expected - observed, atol=1e-8)
 
     def test_probabilities_normalize(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
             T, K = int(rng.integers(1, 5)), int(rng.integers(2, 4))
-            params, emissions = random_instance(rng, T, K)
-            log_z = log_partition(params, emissions)
+            trans, emissions = random_instance(rng, T, K)
+            log_z = _forward_backward(trans, emissions)[0]
             total = sum(
-                math.exp(sequence_score(params, emissions, list(y)) - log_z)
+                math.exp(sequence_score(trans, emissions, list(y)) - log_z)
                 for y in all_sequences(T, K)
             )
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_score_bounded_by_partition(self):
         rng = np.random.default_rng(7)
-        params, emissions = random_instance(rng, T=4, K=3)
-        log_z = log_partition(params, emissions)
+        trans, emissions = random_instance(rng, T=4, K=3)
+        log_z = _forward_backward(trans, emissions)[0]
         for y in all_sequences(4, 3):
-            assert sequence_score(params, emissions, list(y)) < log_z
+            assert sequence_score(trans, emissions, list(y)) < log_z
         # K = 1: the only sequence carries all the mass
-        params1 = CrfParameters(np.array([[0.3, -1.0], [2.0, 0.1]]))
+        trans1 = np.array([[0.3, -1.0], [2.0, 0.1]])
         emissions1 = np.array([[0.5], [1.5], [-0.25]])
-        assert sequence_score(params1, emissions1, [0, 0, 0]) == pytest.approx(
-            log_partition(params1, emissions1), abs=1e-12
+        assert sequence_score(trans1, emissions1, [0, 0, 0]) == pytest.approx(
+            _forward_backward(trans1, emissions1)[0], abs=1e-12
         )
 
 
@@ -217,18 +212,18 @@ def fallbacks(monkeypatch):
     """Records each call of the log-space fallback made by _forward_backward."""
     calls = []
 
-    def counting(params, emissions):
+    def counting(trans, emissions):
         calls.append(emissions.shape)
-        return _log_space_forward_backward(params, emissions)
+        return _log_space_forward_backward(trans, emissions)
 
     monkeypatch.setattr(crf, "_log_space_forward_backward", counting)
     return calls
 
 
 class TestScaledForwardBackward:
-    def assert_matches_log_space(self, params, emissions):
-        log_z, marginals, pairs = _forward_backward(params, emissions)
-        want_z, want_marginals, want_pairs = _log_space_forward_backward(params, emissions)
+    def assert_matches_log_space(self, trans, emissions):
+        log_z, marginals, pairs = _forward_backward(trans, emissions)
+        want_z, want_marginals, want_pairs = _log_space_forward_backward(trans, emissions)
         T, K = emissions.shape
         assert marginals.shape == (T, K) and pairs.shape == (T - 1, K, K)
         assert log_z == pytest.approx(want_z, rel=1e-12)
@@ -238,9 +233,9 @@ class TestScaledForwardBackward:
     @pytest.mark.parametrize("T", [1, 2, 12, 300])
     def test_matches_log_space_recursions(self, fallbacks, T):
         rng = np.random.default_rng(100 + T)
-        params = CrfParameters(rng.normal(scale=1.5, size=(8, 8)))
+        trans = rng.normal(scale=1.5, size=(8, 8))
         emissions = rng.normal(scale=3.0, size=(T, 7))
-        self.assert_matches_log_space(params, emissions)
+        self.assert_matches_log_space(trans, emissions)
         assert fallbacks == []
 
     def test_emission_spread_above_700(self, fallbacks):
@@ -249,24 +244,24 @@ class TestScaledForwardBackward:
         emissions[::3, 1] += 400.0
         emissions[::3, 3] -= 400.0
         assert (np.exp(emissions - emissions.max(axis=1, keepdims=True)) == 0.0).any()
-        params = CrfParameters(rng.normal(scale=1.5, size=(6, 6)))
-        self.assert_matches_log_space(params, emissions)
+        trans = rng.normal(scale=1.5, size=(6, 6))
+        self.assert_matches_log_space(trans, emissions)
         assert fallbacks == []
 
     def test_transitions_at_minus_800(self, fallbacks):
         rng = np.random.default_rng(13)
-        params = CrfParameters(-800.0 + rng.normal(scale=0.5, size=(6, 6)))
+        trans = -800.0 + rng.normal(scale=0.5, size=(6, 6))
         emissions = rng.normal(scale=3.0, size=(15, 5))
-        self.assert_matches_log_space(params, emissions)
+        self.assert_matches_log_space(trans, emissions)
         assert fallbacks == []
 
     def test_unused_start_to_stop_entry_does_not_matter(self, fallbacks):
         rng = np.random.default_rng(14)
         trans = rng.normal(size=(4, 4))
         emissions = rng.normal(size=(6, 3))
-        want = _forward_backward(CrfParameters(trans), emissions)
+        want = _forward_backward(trans, emissions)
         trans[3, 3] = 5000.0
-        got = _forward_backward(CrfParameters(trans), emissions)
+        got = _forward_backward(trans, emissions)
         assert got[0] == want[0]
         np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(got[2], want[2])
@@ -281,16 +276,15 @@ class TestScaledForwardBackward:
         trans[K, :] = trans[:, K] = 0.0
         emissions = np.full((T, K), -2000.0)
         emissions[np.arange(T), np.arange(T) % K] = 0.0
-        params = CrfParameters(trans)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log_z, marginals, pairs = _forward_backward(params, emissions)
-            nll, grads = nll_and_gradient(params, emissions, [0, 1, 2, 0])
+            log_z, marginals, pairs = _forward_backward(trans, emissions)
+            nll, _, d_trans = nll_and_gradient(trans, emissions, [0, 1, 2, 0])
         assert fallbacks
         assert log_z == pytest.approx(brute_log_partition(trans, emissions), rel=1e-12)
         assert log_z == pytest.approx(-2700.0, rel=1e-12)
         np.testing.assert_allclose(marginals.sum(axis=1), 1.0, atol=1e-12)
-        assert np.isfinite(nll) and np.all(np.isfinite(grads.transitions))
+        assert np.isfinite(nll) and np.all(np.isfinite(d_trans))
 
     @staticmethod
     def revival_instance(gap):
@@ -300,74 +294,74 @@ class TestScaledForwardBackward:
         # while the path through the lost A -> B term carries log Z ~ -900.
         trans = np.array([[0.0, -gap, 0.0], [0.0, 0.0, 0.0], [0.0, -gap - 100.0, 0.0]])
         emissions = np.array([[0.0, 0.0], [-600.0, 0.0], [-600.0, 0.0]])
-        return CrfParameters(trans), emissions
+        return trans, emissions
 
     def test_lost_path_that_small_scale_factors_revive_falls_back(self, fallbacks):
-        params, emissions = self.revival_instance(900.0)
+        trans, emissions = self.revival_instance(900.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log_z = log_partition(params, emissions)
+            log_z = _forward_backward(trans, emissions)[0]
         assert fallbacks
-        assert log_z == pytest.approx(brute_log_partition(params.transitions, emissions), rel=1e-12)
+        assert log_z == pytest.approx(brute_log_partition(trans, emissions), rel=1e-12)
         assert log_z == pytest.approx(-900.0, abs=1e-6)
 
     def test_transition_spread_just_inside_the_limit_stays_scaled(self, fallbacks):
         # the same shape with a spread of 299 nats: exp(-299) survives, so
         # nothing is lost and the scaled pass is exact
-        params, emissions = self.revival_instance(199.0)
-        self.assert_matches_log_space(params, emissions)
-        assert log_partition(params, emissions) == pytest.approx(
-            brute_log_partition(params.transitions, emissions), rel=1e-12
+        trans, emissions = self.revival_instance(199.0)
+        self.assert_matches_log_space(trans, emissions)
+        assert _forward_backward(trans, emissions)[0] == pytest.approx(
+            brute_log_partition(trans, emissions), rel=1e-12
         )
         assert fallbacks == []
 
     def test_non_finite_lattice_gives_non_finite_loss(self, fallbacks):
-        params = CrfParameters(np.zeros((4, 4)))
+        trans = np.zeros((4, 4))
         for bad in (np.nan, np.inf):
             emissions = np.zeros((3, 3))
             emissions[1, 2] = bad
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                nll, _ = nll_and_gradient(params, emissions, [0, 1, 2])
+                nll = nll_and_gradient(trans, emissions, [0, 1, 2])[0]
             assert not np.isfinite(nll)
         assert len(fallbacks) == 2
 
 
 class TestViterbi:
     def test_zero_params_tie_break_to_lowest_index(self):
-        params = CrfParameters(np.zeros((5, 5)))
-        assert viterbi(params, np.zeros((4, 4))) == [0, 0, 0, 0]
+        trans = np.zeros((5, 5))
+        assert viterbi(trans, np.zeros((4, 4))) == [0, 0, 0, 0]
 
     def test_zero_transitions_factorizes(self):
-        params = CrfParameters(np.zeros((4, 4)))
+        trans = np.zeros((4, 4))
         emissions = np.array([[0.0, 2.0, 1.0], [3.0, 0.0, -1.0], [0.0, 0.5, 4.0]])
-        assert viterbi(params, emissions) == [1, 0, 2]
+        assert viterbi(trans, emissions) == [1, 0, 2]
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             T, K = int(rng.integers(1, 7)), int(rng.integers(2, 5))
-            params, emissions = random_instance(rng, T, K)
-            best_score, best_seq = brute_best(params.transitions, emissions)
-            got = viterbi(params, emissions)
-            assert sequence_score(params, emissions, got) == pytest.approx(
+            trans, emissions = random_instance(rng, T, K)
+            best_score, best_seq = brute_best(trans, emissions)
+            got = viterbi(trans, emissions)
+            assert sequence_score(trans, emissions, got) == pytest.approx(
                 best_score, abs=1e-9
             )
             assert got == best_seq
 
     def test_ties_prefer_lexicographically_smallest(self):
         # two tags made fully symmetric: every maximizer has a mirror
-        params = CrfParameters(np.zeros((3, 3)))
+        trans = np.zeros((3, 3))
         emissions = np.tile(np.array([[1.0, 1.0]]), (3, 1))
-        assert viterbi(params, emissions) == [0, 0, 0]
+        assert viterbi(trans, emissions) == [0, 0, 0]
 
     def test_beats_random_sequences(self):
         rng = np.random.default_rng(9)
-        params, emissions = random_instance(rng, T=8, K=4)
-        best = sequence_score(params, emissions, viterbi(params, emissions))
+        trans, emissions = random_instance(rng, T=8, K=4)
+        best = sequence_score(trans, emissions, viterbi(trans, emissions))
         for _ in range(1000):
             y = rng.integers(0, 4, size=8)
-            assert sequence_score(params, emissions, y) <= best + 1e-12
+            assert sequence_score(trans, emissions, y) <= best + 1e-12
 
 
 @st.composite
@@ -381,64 +375,80 @@ def lattice_batches(draw):
         return np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
 
     trans = scores((K + 1) ** 2).reshape(K + 1, K + 1)
-    return CrfParameters(trans), scores(sum(lengths) * K).reshape(-1, K), lengths
+    return trans, scores(sum(lengths) * K).reshape(-1, K), lengths
 
 
 class TestBatchedViterbi:
     @given(lattice_batches())
     def test_each_lattice_decodes_as_alone_and_as_brute_force(self, batch):
-        params, emissions, lengths = batch
-        got = viterbi(params, emissions, lengths)
+        trans, emissions, lengths = batch
+        got = viterbi(trans, emissions, lengths)
         assert len(got) == len(emissions)
         start = 0
         for T in lengths:
             lattice = emissions[start : start + T]
-            alone = viterbi(params, lattice)
+            alone = viterbi(trans, lattice)
             assert got[start : start + T] == alone
             if T <= 4:  # lexicographically smallest of the best sequences
-                assert alone == brute_best(params.transitions, lattice)[1]
+                assert alone == brute_best(trans, lattice)[1]
             start += T
 
     @pytest.mark.parametrize("lengths", [[2, 2], [0, 5], [6]])
     def test_lengths_must_split_the_rows(self, lengths):
         with pytest.raises(ValueError):
-            viterbi(CrfParameters(np.zeros((3, 3))), np.zeros((5, 2)), lengths)
+            viterbi(np.zeros((3, 3)), np.zeros((5, 2)), lengths)
 
 
 class TestInputPath:
     def test_emission_weight_gradient_by_finite_differences(self):
         rng = np.random.default_rng(10)
         K, D, T = 3, 5, 4
-        params = CrfParameters(
-            rng.normal(size=(K + 1, K + 1)), rng.normal(size=(K, D))
-        )
+        trans, weights = rng.normal(size=(K + 1, K + 1)), rng.normal(size=(K, D))
         inputs = rng.normal(size=(T, D))
         y = [0, 2, 1, 1]
-        _, grads = input_nll_and_gradient(params, inputs, y)
+        _, d_weights, _ = input_nll_and_gradient(trans, inputs, weights, y)
 
         h = 1e-5
-        flat = params.emission_weights.ravel()
-        gflat = grads.emission_weights.ravel()
+        flat = weights.ravel()
+        gflat = d_weights.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            hi = input_nll_and_gradient(params, inputs, y)[0]
+            hi = input_nll_and_gradient(trans, inputs, weights, y)[0]
             flat[i] = orig - h
-            lo = input_nll_and_gradient(params, inputs, y)[0]
+            lo = input_nll_and_gradient(trans, inputs, weights, y)[0]
             flat[i] = orig
             numeric = (hi - lo) / (2 * h)
             denom = max(abs(numeric), abs(gflat[i]), 1e-8)
             assert abs(numeric - gflat[i]) / denom < 1e-4
 
     def test_lattice_shape(self):
-        params = CrfParameters(np.zeros((3, 3)), np.ones((2, 4)))
-        lattice = emissions_from_inputs(params, np.ones((5, 4)))
-        assert lattice.shape == (5, 2)
+        # the lattice is inputs @ weights.T: (5, 4) inputs and (2, 4) weights give (5, 2)
+        rng = np.random.default_rng(15)
+        trans, weights, inputs = np.zeros((3, 3)), rng.normal(size=(2, 4)), rng.normal(size=(5, 4))
+        nll, d_weights, d_trans = input_nll_and_gradient(trans, inputs, weights, [0, 1, 1, 0, 1])
+        assert d_weights.shape == (2, 4) and d_trans.shape == (3, 3)
+        want = nll_and_gradient(trans, inputs @ weights.T, [0, 1, 1, 0, 1])
+        assert nll == want[0] and d_trans.tobytes() == want[2].tobytes()
 
-    def test_missing_weights_rejected(self):
-        params = CrfParameters(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            emissions_from_inputs(params, np.ones((2, 4)))
+    def test_weight_rows_must_match_the_tag_count(self):
+        with pytest.raises(ValueError, match="lattice has 3 tags but transitions expect 2"):
+            input_nll_and_gradient(np.zeros((3, 3)), np.ones((2, 4)), np.ones((3, 4)), [0, 1])
+
+
+class TestLatticeChecks:
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 1), (3,)])
+    def test_transitions_must_be_square_and_hold_a_tag(self, shape):
+        with pytest.raises(ValueError, match="transitions must be square"):
+            viterbi(np.zeros(shape), np.zeros((2, 2)))
+
+    def test_non_finite_transitions_are_not_checked_here(self):
+        # values are checked where they enter: a loaded checkpoint, an epoch of training
+        trans = np.zeros((3, 3))
+        trans[0, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert not np.isfinite(nll_and_gradient(trans, np.zeros((2, 2)), [0, 1])[0])
 
 
 class TestGraphOp:
@@ -459,9 +469,9 @@ class TestGraphOp:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                hi = nll_and_gradient(CrfParameters(trans), emissions, y)[0]
+                hi = nll_and_gradient(trans, emissions, y)[0]
                 flat[i] = orig - h
-                lo = nll_and_gradient(CrfParameters(trans), emissions, y)[0]
+                lo = nll_and_gradient(trans, emissions, y)[0]
                 flat[i] = orig
                 numeric = (hi - lo) / (2 * h)
                 assert abs(numeric - gflat[i]) / max(abs(numeric), abs(gflat[i]), 1e-8) < 1e-4

@@ -53,6 +53,12 @@ class TestLoadEmbeddingTable:
         with pytest.raises(ParseError):
             load_embedding_table("w 0.1 sprocket\n")
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_component_reports_line(self, component):
+        with pytest.raises(ParseError, match="finite") as err:
+            load_embedding_table(f"a 0 1\nb {component} 2\n")
+        assert err.value.line == 2
+
     def test_empty_file_rejected(self):
         with pytest.raises(DataError):
             load_embedding_table("")
@@ -221,3 +227,4 @@ def test_mutated_table_parses_or_raises_a_seqtag_error(data):
     except SeqtagError:
         return
     assert all(vec.shape == (table.dim,) for vec in table.entries.values())
+    assert all(np.isfinite(vec).all() for vec in table.entries.values())

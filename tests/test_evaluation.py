@@ -157,7 +157,7 @@ class TestReport:
         )
         metrics = evaluate(gold, pred, SCHEME)
         for cls in ("problem", "test"):
-            e = metrics.entry(cls)
+            e = prf(metrics.per_class[cls])
             assert (e.precision, e.recall, e.f1) == (0.0, 0.0, 0.0)
         assert "0.00" in report(metrics)
 
@@ -182,7 +182,7 @@ class TestReport:
         agg = metrics.aggregate
         assert (agg.tp, agg.fp, agg.fn) == (tp, fp, fn)
         oracle = prf(ClassCounts(AGGREGATE, tp, fp, tp + fn))
-        assert metrics.entry(AGGREGATE) == oracle
+        assert prf(metrics.aggregate) == oracle
 
     def test_mapping_has_all_fields(self):
         gold, pred = sentences([([("a", "B-problem")], ["B-problem"])])
@@ -224,7 +224,7 @@ class TestInvariants:
         metrics = evaluate(gold, pred)
         for cls, c in metrics.per_class.items():
             if c.true_entities:
-                e = metrics.entry(cls)
+                e = prf(c)
                 assert e.precision == e.recall == e.f1 == 1.0
 
     def test_pooled_helper(self):

@@ -151,6 +151,6 @@ class TestRows:
         assert sorted(calls) == sorted({(f.name, s) for f in encoder.families for s in surfaces})
         unseen = {
             ("feature", f.name, f.fn(s)) for f in encoder.families for s in surfaces
-            if f.row_for(s) is None
+            if f.fn(s) not in f.index
         }
         assert unseen and sorted(draws) == sorted(unseen)

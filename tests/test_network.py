@@ -21,18 +21,16 @@ from seqtag.embeddings import build_vocabulary, random_table
 from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
 from seqtag.network import (
-    LstmCellParameters,
+    CELL_FIELDS,
     _LeafSet,
     _representation_graph,
     crf_inputs,
     dense_arrays,
     encode,
-    forward_blstm,
     init_model,
     loss_and_gradients,
     predict_tag_ids,
     sentence_logits,
-    word_vector,
 )
 from seqtag.training import TrainConfig
 
@@ -66,13 +64,8 @@ def make_model(
 
 
 def zero_cell(hidden, inputs):
-    z = lambda *s: np.zeros(s)  # noqa: E731
-    return LstmCellParameters(
-        W_xi=z(hidden, inputs), W_hi=z(hidden, hidden), w_ci=z(hidden),
-        W_xc=z(hidden, inputs), W_hc=z(hidden, hidden),
-        W_xo=z(hidden, inputs), W_ho=z(hidden, hidden), w_co=z(hidden),
-        b_i=z(hidden), b_c=z(hidden), b_o=z(hidden),
-    )
+    shapes = {"W_x": (hidden, inputs), "W_h": (hidden, hidden)}
+    return {f: np.zeros(shapes.get(f[:3], (hidden,))) for f in CELL_FIELDS}
 
 
 def sigmoid(v):
@@ -99,7 +92,7 @@ class TestLstmStep:
 
     def test_input_peephole_reads_previous_cell(self):
         cell = zero_cell(1, 1)
-        cell.w_ci[0] = 1.0
+        cell["w_ci"][0] = 1.0
         h, c = lstm_step(cell, np.zeros(1), np.zeros(1), np.ones(1))
         i = sigmoid(1.0)  # gate sees w_ci * c_prev = 1
         assert c[0] == pytest.approx((1 - i) * 1.0, abs=1e-12)
@@ -107,7 +100,7 @@ class TestLstmStep:
 
     def test_output_peephole_reads_new_cell(self):
         cell = zero_cell(1, 1)
-        cell.w_co[0] = 2.0
+        cell["w_co"][0] = 2.0
         h, c = lstm_step(cell, np.zeros(1), np.zeros(1), np.ones(1))
         assert c[0] == pytest.approx(0.5, abs=1e-12)
         o = sigmoid(2.0 * 0.5)  # o reads c_t = 0.5, not c_prev = 1
@@ -174,8 +167,9 @@ class TestCharEmbed:
     def test_single_character_word(self):
         model = make_model()
         vec = char_vector(model, "a")
-        h_f, _ = lstm_step(model.char_fwd, vec, np.zeros(2), np.zeros(2))
-        h_b, _ = lstm_step(model.char_bwd, vec, np.zeros(2), np.zeros(2))
+        views = dense_arrays(model)
+        cells = ({f: views[f"char_{d}.{f}"] for f in CELL_FIELDS} for d in ("fwd", "bwd"))
+        h_f, h_b = (lstm_step(cell, vec, np.zeros(2), np.zeros(2))[0] for cell in cells)
         np.testing.assert_allclose(char_embed("a", model), np.concatenate([h_f, h_b]))
 
     def test_shared_reversed_prefix_gives_equal_backward_steps(self):
@@ -184,8 +178,10 @@ class TestCharEmbed:
         assert long.endswith(short)
         rev_short = [char_vector(model, ch) for ch in reversed(short)]
         rev_long = [char_vector(model, ch) for ch in reversed(long)]
-        states_short = run_lstm(model.char_bwd, rev_short)
-        states_long = run_lstm(model.char_bwd, rev_long)
+        views = dense_arrays(model)
+        char_bwd = {f: views[f"char_bwd.{f}"] for f in CELL_FIELDS}
+        states_short = run_lstm(char_bwd, rev_short)
+        states_long = run_lstm(char_bwd, rev_long)
         for a, b in zip(states_short, states_long):
             np.testing.assert_allclose(a, b, atol=1e-15)
         # and the final backward halves differ (extra prefix characters)
@@ -235,18 +231,12 @@ class TestTokenRepresentation:
 
 
 class TestForwardBlstm:
-    def test_rows_sum_to_one(self):
-        model = make_model(variant="blstm")
-        sent = make_sentence(["felbatol", "was", "given"])
-        posts = forward_blstm(model, sent)
-        np.testing.assert_allclose(posts.sum(axis=1), np.ones(3), atol=1e-10)
-
     def test_zero_parameters_give_uniform_posteriors(self):
+        # equal logits in a row: its softmax is uniform
         model = make_model(variant="blstm")
         zero_everything(model)
         sent = make_sentence(["was", "given"])
-        posts = forward_blstm(model, sent)
-        np.testing.assert_allclose(posts, np.full((2, 3), 1 / 3), atol=1e-12)
+        np.testing.assert_array_equal(sentence_logits(model, sent), np.zeros((2, 3)))
 
     def test_batched_path_matches_public_op_composition(self):
         # oracle: per-token representations -> bilstm -> projection -> softmax
@@ -264,14 +254,9 @@ class TestForwardBlstm:
         surfaces = ["daily", "Quokka", "was", "daily", "FELBATOL"]
         families = {fam.name: fam for fam in model.feature_encoder.families}
         assert "Quokka" not in model.vocab.index and "q" not in model.char_vocab.index
-        assert families["prefix3"].row_for("Quokka") is None
+        assert "quo" not in families["prefix3"].index
         logits = sentence_logits(model, make_sentence(surfaces))
         np.testing.assert_allclose(logits, reference_logits(model, surfaces), atol=1e-12)
-
-    def test_wrong_variant_rejected(self):
-        model = make_model(variant="blstm_crf")
-        with pytest.raises(ConfigError):
-            forward_blstm(model, make_sentence(["was"]))
 
 
 class TestLossAndGradients:
@@ -316,7 +301,8 @@ class TestLossAndGradients:
         assert set(grads.rows["word_table"].index) == {
             0, model.vocab.index["felbatol"], model.vocab.index["daily"]
         }
-        assert np.any(dict(grads.rows["word_table"].items())[0] != 0.0)
+        rows = grads.rows["word_table"]  # ascending, so the <unk> row comes first
+        assert rows.index[0] == 0 and np.any(rows.grad[0] != 0.0)
 
     def test_unseen_character_reads_and_trains_the_char_unk_row(self):
         model = make_model()
@@ -329,7 +315,8 @@ class TestLossAndGradients:
         assert not np.array_equal(after[1], before[1])
         _, grads = loss_and_gradients(model, sent, ["B-x", "O", "O"])
         assert 0 in grads.rows["char_table"].index
-        assert np.any(dict(grads.rows["char_table"].items())[0] != 0.0)
+        rows = grads.rows["char_table"]
+        assert rows.index[0] == 0 and np.any(rows.grad[0] != 0.0)
         # with every character seen, exactly the characters read get a row
         _, grads = loss_and_gradients(model, make_sentence(["felbatol", "was"]), ["B-x", "O"])
         assert set(grads.rows["char_table"].index) == {
@@ -417,13 +404,15 @@ class TestCrfInputs:
         sent = make_sentence(["felbatol", "WAS", "givily", "Quokka"])
         assert "WAS" not in model.vocab.index and "givily" not in model.vocab.index
         for name in ("prefix3", "suffix3"):
-            assert families[name].row_for("givily") is not None
-            assert families[name].row_for("Quokka") is None
+            fam = families[name]
+            assert fam.fn("givily") in fam.index and fam.fn("Quokka") not in fam.index
+        # felbatol reads its own row, WAS the row of was, and the unseen words <unk>
+        words = [model.vocab.index["felbatol"], model.vocab.index["was"], 0, 0]
 
         def reference():
             return np.stack([
-                np.concatenate([word_vector(model, w), encode_surface(w, model.feature_encoder)])
-                for w in ("felbatol", "WAS", "givily", "Quokka")
+                np.concatenate([model.word_table[row], encode_surface(w, model.feature_encoder)])
+                for row, w in zip(words, ("felbatol", "WAS", "givily", "Quokka"))
             ])
 
         encoded = encode(model, sent)
@@ -432,7 +421,7 @@ class TestCrfInputs:
 
         before = crf_inputs(model, encoded)
         prefix = families["prefix3"]
-        prefix.table[prefix.row_for("felbatol")] += 0.5
+        prefix.table[prefix.index["fel"]] += 0.5
         after = crf_inputs(model, encoded)
         np.testing.assert_array_equal(after, reference())
         assert not np.array_equal(after[0], before[0])
@@ -449,8 +438,7 @@ class TestPrediction:
         model = make_model(variant="blstm_crf")
         zero_everything(model)
         # bias transitions so tag 1 always wins from the start state
-        model.crf.transitions[3, 1] = 5.0
-        model.crf.transitions[1, 1] = 5.0
+        model.params["crf.transitions"][[3, 1], 1] = 5.0
         sent = make_sentence(["was", "given"])
         assert predict_tag_ids(model, sent) == [1, 1]
 
@@ -470,16 +458,12 @@ class TestPrediction:
 class TestWordLookup:
     def test_lowercase_fallback(self):
         model = make_model()
-        np.testing.assert_array_equal(
-            word_vector(model, "FELBATOL"), word_vector(model, "felbatol")
-        )
+        words = encode(model, make_sentence(["FELBATOL", "felbatol"])).words
+        assert words.tolist() == [model.vocab.index["felbatol"]] * 2
 
     def test_oov_deterministic_in_range(self):
         model = make_model()
-        a = word_vector(model, "never-seen")
-        b = word_vector(model, "never-seen")
-        np.testing.assert_array_equal(a, b)
-        assert np.all(np.abs(a) <= 1.0)
         # every unseen word reads the shared <unk> row
-        np.testing.assert_array_equal(a, model.word_table[0])
-        np.testing.assert_array_equal(word_vector(model, "also-unseen"), model.word_table[0])
+        sent = make_sentence(["never-seen", "never-seen", "also-unseen"])
+        assert encode(model, sent).words.tolist() == [0, 0, 0]
+        assert np.all(np.abs(model.word_table[0]) <= 1.0)

@@ -217,12 +217,25 @@ class TestTrainLoop:
         pred = tag(ckpt, test_data)
         assert evaluate(test_data, pred, ckpt.scheme).micro_f1() > 0.3
 
-    def test_non_finite_loss_aborts_with_sentence_index(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_finite_loss_aborts_with_sentence_index(self, variant):
         data, _ = small_corpus(n_train=10)
         cfg = TrainConfig(
-            variant="blstm", epochs=1, seed=0, learning_rate=1e308, clip_norm=0.0, **FAST
+            variant=variant, use_char=variant != "crf", epochs=1, seed=0, learning_rate=1e308,
+            clip_norm=0.0, **FAST,
         )
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="sentence index"):
+            train(cfg, data)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_epoch_that_leaves_non_finite_parameters_aborts(self, variant):
+        # one learn sentence: its step diverges, and no later loss would show it
+        data, _ = small_corpus(n_train=2)
+        cfg = TrainConfig(
+            variant=variant, use_char=variant != "crf", epochs=1, seed=0, split_ratio=0.5,
+            learning_rate=1e308, clip_norm=0.0, **dict(FAST, init="uniform"),
+        )
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 0 left non-fin"):
             train(cfg, data)
 
     def test_empty_dataset_rejected(self):
@@ -270,7 +283,7 @@ class TestCrfBaseline:
             model, sent, list(sent.gold_tags), l2=0.0
         )
         assert loss_l2 > loss_0
-        trans = model.crf.transitions
+        trans = model.params["crf.transitions"]
         np.testing.assert_allclose(
             grads_l2.dense["crf.transitions"] - grads_0.dense["crf.transitions"], trans
         )
