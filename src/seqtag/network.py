@@ -552,8 +552,8 @@ def predict_tag_ids(model: ModelParameters, sentence: Sentence | EncodedSentence
     """Most likely tag indices, argmax per token or Viterbi per variant; a
     batch (see :func:`batches`) is decoded at once and its ids stacked."""
     enc = _encoded(model, sentence)
-    params = model.params
     if model.variant == "crf":
+        params = model.params
         weights = params["crf.emission_weights"].T
         # one product per sentence: a batch's lattices are bitwise those of its sentences
         inputs = np.split(crf_inputs(model, enc), np.cumsum(enc.lengths)[:-1])
@@ -562,4 +562,4 @@ def predict_tag_ids(model: ModelParameters, sentence: Sentence | EncodedSentence
     logits = sentence_logits(model, enc)
     if model.variant == "blstm":
         return logits.argmax(axis=1).tolist()
-    return viterbi(params["crf.transitions"], logits, enc.lengths)
+    return viterbi(model.params["crf.transitions"], logits, enc.lengths)

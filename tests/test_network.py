@@ -239,7 +239,7 @@ class TestForwardBlstm:
         np.testing.assert_array_equal(sentence_logits(model, sent), np.zeros((2, 3)))
 
     def test_batched_path_matches_public_op_composition(self):
-        # oracle: per-token representations -> bilstm -> projection -> softmax
+        # oracle: per-token representations -> bilstm -> projection
         model = make_model(variant="blstm", use_features=True)
         surfaces = ["felbatol", "unseen-word", "daily"]
         logits = reference_logits(model, surfaces)
