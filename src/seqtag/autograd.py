@@ -3,8 +3,9 @@
 A :class:`Tensor` records the operation that produced it and its input
 tensors; :func:`backward` walks the tape in reverse topological order and
 accumulates gradients into every tracked ancestor.  Only the operations
-the taggers need are implemented; shapes follow a row convention where
-batches and sequences sit on axis 0.
+the taggers call exist, and every operand is a :class:`Tensor`.  Nothing
+broadcasts: :func:`mul` takes two operands of the same shape.  Shapes
+follow a row convention where batches and sequences sit on axis 0.
 
 Gradient recording can be suspended with :func:`no_grad` for inference,
 in which case the same functions compute values without building a tape.
@@ -51,73 +52,28 @@ class Tensor:
         else:
             self.grad += g
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 def leaf(data) -> Tensor:
     """A tracked graph input (parameter or parameter row)."""
     return Tensor(data, tracked=_grad_enabled)
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    out = a.data + b.data
-    if not (_grad_enabled and (a.tracked or b.tracked)):
-        return Tensor(out)
-
-    def bw(g):
-        if a.tracked:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.tracked:
-            b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor(out, (a, b), bw, True)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """The elementwise product of two tensors of the same shape."""
     out = a.data * b.data
     if not (_grad_enabled and (a.tracked or b.tracked)):
         return Tensor(out)
 
     def bw(g):
         if a.tracked:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a.accumulate(g * b.data)
         if b.tracked:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b.accumulate(g * a.data)
 
     return Tensor(out, (a, b), bw, True)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
     if not (_grad_enabled and (a.tracked or b.tracked)):
         return Tensor(out)
@@ -133,7 +89,6 @@ def matmul(a, b) -> Tensor:
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
     """Join tensors along ``axis``; each part gets its slice of the gradient."""
-    parts = [_coerce(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
     if not (_grad_enabled and any(p.tracked for p in parts)):
         return Tensor(out)
@@ -161,7 +116,7 @@ def take(a: Tensor, index) -> Tensor:
     return Tensor(out, (a,), bw, True)
 
 
-def bilstm(xs, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tensor:
+def bilstm(xs: Tensor, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tensor:
     """Hidden states of both directions of a coupled-gate peephole BiLSTM.
 
     Each weight stacks the forward and backward directions on axis 0,
@@ -176,8 +131,7 @@ def bilstm(xs, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tensor:
     runs both directions, and the hand-written BPTT makes each stacked
     weight gradient with one batched GEMM.
     """
-    xs = _coerce(xs)
-    params = tuple(_coerce(p) for p in (W_x, W_h, b, w_ci, w_co))
+    params = (W_x, W_h, b, w_ci, w_co)
     w_x, w_h, bias, ci, co = (p.data for p in params)
     _, L, B, D = xs.data.shape
     H = ci.shape[1]

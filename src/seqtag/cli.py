@@ -29,7 +29,7 @@ from .embeddings import (
 )
 from .errors import ConfigError, DataError, NumericError, SeqtagError
 from .evaluation import evaluate, report, to_mapping
-from .glove import GloveParams, train_glove
+from .glove import GloveParams, fit_glove
 from .synth import SynthSpec, default_spec, generate
 from .training import (
     TrainConfig,
@@ -51,17 +51,17 @@ EXIT_NUMERIC = 4
 def read_kv_file(path: str) -> dict[str, str]:
     """The ``key = value`` lines of a config file (see :func:`parse_kv_lines`)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_kv_lines(fh, path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
 
 def _load_conll(path: str, scheme: TagScheme | None, **kw) -> Dataset:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_conll(fh, scheme, **kw)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
@@ -87,6 +87,9 @@ def cmd_train(args) -> int:
     )
 
     data = _load_conll(args.train, None)
+    model_dir = os.path.dirname(args.model) or "."
+    if not os.path.isdir(model_dir):
+        raise DataError(f"cannot write {args.model}: directory {model_dir} does not exist")
 
     def progress(epoch, loss, f1):
         print(f"epoch {epoch:3d}  train loss {loss:8.4f}  validation F1 {f1:.4f}", flush=True)
@@ -109,7 +112,7 @@ def cmd_tag(args) -> int:
     scheme = ckpt.scheme
     if args.raw_text:
         sentences = []
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             for line in fh:
                 words = line.split()
                 if words:
@@ -165,7 +168,7 @@ def cmd_synth(args) -> int:
 
 
 def _read_token_lines(path: str) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return [line.split() for line in fh if line.strip()]
 
 
@@ -181,7 +184,7 @@ def cmd_embed_train(args) -> int:
         min_count=args.min_count,
         seed=args.seed,
     )
-    table = train_glove(corpus, params)
+    table, _ = fit_glove(corpus, params)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_embedding_table(table, fh)
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")

@@ -50,9 +50,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
 
 def build_vocabulary(words: Iterable[str]) -> Vocabulary:
     """Unique words in first-seen order, behind the reserved ``<unk>`` slot."""
@@ -67,9 +64,6 @@ class EmbeddingTable:
     dim: int
     entries: dict[str, np.ndarray]
     provenance: dict[str, str]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -229,7 +223,7 @@ def read_manifest(lines: Iterable[str]) -> list[tuple[str, str]]:
 
 def csv_column_records(path: str, column: str) -> Iterator[tuple[str, str]]:
     """Yield (column, cell) records from one column of an RFC-4180 CSV file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or column not in reader.fieldnames:
             raise DataError(f"{path}: no column named {column!r}")
@@ -239,7 +233,7 @@ def csv_column_records(path: str, column: str) -> Iterator[tuple[str, str]]:
 
 def pseudo_corpus_from_manifest(manifest_path: str) -> Iterator[list[str]]:
     """All pseudo-sentences named by a manifest file, in manifest order."""
-    with open(manifest_path, encoding="utf-8") as fh:
+    with open(manifest_path, encoding="utf-8-sig") as fh:
         targets = read_manifest(fh)
     for table_path, column in targets:
         yield from build_pseudo_corpus(csv_column_records(table_path, column))

@@ -187,8 +187,3 @@ def fit_glove(
 
     entries = {w: table[i, :dim] + table[i + n, :dim] for w, i in index.items()}
     return EmbeddingTable(dim, entries, {w: PRETRAINED for w in vocab}), history
-
-
-def train_glove(corpus: Iterable[Sequence[str]], params: GloveParams) -> EmbeddingTable:
-    table, _ = fit_glove(corpus, params)
-    return table

@@ -136,7 +136,6 @@ class ModelParameters:
     variant: str
     vocab: Vocabulary
     word_table: np.ndarray  # (V, d_w)
-    seed: int  # keys only the checkpoint meta and the feature fallbacks
     char_vocab: Vocabulary | None = None
     char_table: np.ndarray | None = None  # (C, d_c)
     feature_encoder: FeatureEncoder | None = None
@@ -212,7 +211,7 @@ def init_model(
     """
     rng = np.random.default_rng(config.seed)
     matrix = np.stack([word_table.entries[w] for w in vocab.words])
-    model = ModelParameters(scheme, config.variant, vocab, matrix, config.seed)
+    model = ModelParameters(scheme, config.variant, vocab, matrix)
     if config.use_features:
         from .features import build_feature_encoder
 
@@ -287,16 +286,15 @@ class EncodedSentence:
         return len(self.words)
 
 
-def encode(model: ModelParameters, sentences: Sentence | Sequence[Sentence]) -> EncodedSentence:
-    """Map each token of a sentence, or of several end to end as one batch,
-    to its word-, char- and feature-table rows.
+def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSentence:
+    """Map each token of ``sentences``, end to end as one batch, to its
+    word-, char- and feature-table rows.
 
     A word or a character outside its vocabulary reads the ``<unk>`` row 0.
     A tag outside the model's scheme raises :class:`TagValidationError`.
     """
-    batch = [sentences] if isinstance(sentences, Sentence) else sentences
-    surfaces = tuple(w for sent in batch for w in sent.surfaces)
-    for tag in (t for sent in batch for t in sent.gold_tags):
+    surfaces = tuple(w for sent in sentences for w in sent.surfaces)
+    for tag in (t for sent in sentences for t in sent.gold_tags):
         if tag is not None and tag not in model.scheme:
             raise TagValidationError(
                 f"input tag {tag!r} does not belong to the model's tag scheme {model.scheme.classes}"
@@ -308,12 +306,8 @@ def encode(model: ModelParameters, sentences: Sentence | Sequence[Sentence]) -> 
         chars = np.array([index.get(ch, 0) for w in surfaces for ch in w], dtype=np.intp)
         lengths = np.array([len(w) for w in surfaces], dtype=np.intp)
     features = model.feature_encoder.rows(surfaces) if model.use_features else ()
-    sizes = np.array([len(sent) for sent in batch])
+    sizes = np.array([len(sent) for sent in sentences])
     return EncodedSentence(surfaces, words, chars, lengths, features, sizes)
-
-
-def _encoded(model: ModelParameters, sentence: Sentence | EncodedSentence) -> EncodedSentence:
-    return sentence if isinstance(sentence, EncodedSentence) else encode(model, sentence)
 
 
 def batches(model: ModelParameters, sentences: Iterable[Sentence]) -> Iterator[EncodedSentence]:
@@ -432,7 +426,7 @@ def _representation_graph(
     rep = ag.concat(parts, axis=1)
     if train and dropout > 0.0:
         mask = (rng.random(rep.shape) >= dropout) / (1.0 - dropout)
-        rep = rep * ag.Tensor(mask)
+        rep = ag.mul(rep, ag.Tensor(mask))
     return rep
 
 
@@ -492,7 +486,7 @@ def _gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
 
 def loss_and_gradients(
     model: ModelParameters,
-    sentence: Sentence | EncodedSentence,
+    sentence: EncodedSentence,
     gold_tags,
     *,
     dropout: float = 0.0,
@@ -520,7 +514,7 @@ def loss_and_gradients(
     leaves = _LeafSet(model, grad)
     rng = np.random.default_rng(dropout_seed) if dropout > 0.0 or singletons else None
     logits = _logits_graph(
-        model, leaves, _encoded(model, sentence),
+        model, leaves, sentence,
         train=True, dropout=dropout, rng=rng, singletons=singletons,
     )
     if model.variant == "blstm":
@@ -532,15 +526,14 @@ def loss_and_gradients(
     return float(loss.data), Gradients(grad, rows, model.layout)
 
 
-def sentence_logits(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
+def sentence_logits(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
     """(T, K) emission/logit lattice with no dropout and no tape; a batch's are stacked."""
     with ag.no_grad():
-        return _logits_graph(model, _LeafSet(model), _encoded(model, sentence)).data
+        return _logits_graph(model, _LeafSet(model), enc).data
 
 
-def crf_inputs(model: ModelParameters, sentence: Sentence | EncodedSentence) -> np.ndarray:
+def crf_inputs(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
     """(T, D) feature matrix for the transition-baseline tagger; one gather per table."""
-    enc = _encoded(model, sentence)
     parts = [model.word_table[enc.words]]
     if model.use_features:
         families = model.feature_encoder.families
@@ -548,10 +541,9 @@ def crf_inputs(model: ModelParameters, sentence: Sentence | EncodedSentence) -> 
     return np.concatenate(parts, axis=1)
 
 
-def predict_tag_ids(model: ModelParameters, sentence: Sentence | EncodedSentence) -> list[int]:
+def predict_tag_ids(model: ModelParameters, enc: EncodedSentence) -> list[int]:
     """Most likely tag indices, argmax per token or Viterbi per variant; a
     batch (see :func:`batches`) is decoded at once and its ids stacked."""
-    enc = _encoded(model, sentence)
     if model.variant == "crf":
         params = model.params
         weights = params["crf.emission_weights"].T

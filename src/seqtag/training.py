@@ -216,8 +216,11 @@ def load_embedding_tables(paths) -> list[EmbeddingTable]:
     """Read each text-format embedding table in ``paths``."""
     tables = []
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            tables.append(load_embedding_table(fh))
+        try:
+            with open(path, encoding="utf-8-sig") as fh:
+                tables.append(load_embedding_table(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from None
     return tables
 
 
@@ -264,12 +267,9 @@ def _non_finite(model: ModelParameters) -> list[str]:
 
 
 def crf_baseline_loss_and_gradients(
-    model: ModelParameters, sentence: Sentence | EncodedSentence, gold_tags, l2: float
+    model: ModelParameters, sentence: EncodedSentence, gold_tags, l2: float
 ) -> tuple[float, Gradients]:
-    """Regularized NLL for the feature-input baseline (embeddings frozen).
-
-    ``sentence`` may be already encoded (see :func:`seqtag.network.encode`).
-    """
+    """Regularized NLL for the feature-input baseline (embeddings frozen)."""
     gold = [model.scheme.index[t] for t in gold_tags]
     inputs = crf_inputs(model, sentence)
     params = model.params
@@ -301,6 +301,7 @@ def tag_with_model(model: ModelParameters, encoded: Iterable[EncodedSentence]) -
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # NumericError reports divergence
 def train(
     config: TrainConfig,
     train_data: Dataset,
@@ -330,7 +331,7 @@ def train(
         raise DataError("validation split is empty; lower split_ratio or add sentences")
 
     model = build_model(config, scheme, learn)
-    learn_encoded = [encode(model, s) for s in learn]
+    learn_encoded = [encode(model, [s]) for s in learn]
     valid_batches = list(batches(model, valid))
     valid_spans = [set(extract_entities(repair_bio(s.gold_tags))) for s in valid]
     counts = Counter(t.surface for s in learn for t in s)
@@ -418,7 +419,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "meta": _kv_lines({
             "best_epoch": ckpt.best_epoch,
             "history": " ".join(repr(v) for v in ckpt.history),
-            "seed": model.seed,
+            "seed": ckpt.config.seed,
             "variant": model.variant,
         }),
     }
@@ -488,7 +489,7 @@ def load_checkpoint(path) -> Checkpoint:
     features = _rebuild_features(sections, tensors, config.seed) if config.use_features else None
     model = ModelParameters(
         scheme, config.variant, vocab, _vocabulary_table(tensors, "word_table", vocab),
-        config.seed, feature_encoder=features,
+        feature_encoder=features,
     )
     if config.use_char:
         if char_vocab is None:

@@ -28,7 +28,8 @@ def coordinate_ok(analytic, numeric, rtol=1e-4):
 
 
 def check_model_gradients(model, sentence, gold, h=1e-5):
-    """Check every parameter coordinate of a model against central differences.
+    """Check every parameter coordinate of a model against central differences
+    of its loss on the encoded ``sentence``.
 
     Returns (worst relative error, number of coordinates checked); raises
     AssertionError naming the offending parameter on failure.

@@ -57,6 +57,24 @@ class TestHeaderNumbers:
         }
 
 
+class TestIntegrity:
+    def test_flipped_tensor_byte_fails_the_checksum(self, tmp_path, payload):
+        path = tmp_path / "flipped.ckpt"
+        rewrite(path, payload)
+        blob = bytearray(path.read_bytes())
+        header = b"\nw 2 2 3\n"
+        blob[payload.index(header) + len(header) + 11] ^= 0x01  # the second value of w
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IntegrityError, match="checksum mismatch"):
+            read_container(path)
+
+    def test_file_shorter_than_magic_and_trailer(self, tmp_path, payload):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(payload[:CHECKSUM_LEN])
+        with pytest.raises(IntegrityError, match="too short"):
+            read_container(path)
+
+
 @given(data=st.data())
 def test_mutated_container_reads_or_raises_a_seqtag_error(tmp_path_factory, payload, data):
     start = data.draw(st.integers(0, len(payload)), label="start")

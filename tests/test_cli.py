@@ -10,9 +10,15 @@ import pytest
 import seqtag
 from seqtag.checkpoint import read_container, write_container
 from seqtag.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
-from seqtag.corpus import write_conll
+from seqtag.corpus import parse_conll, write_conll
+from seqtag.embeddings import load_embedding_table
+from seqtag.errors import DataError
+from seqtag.evaluation import evaluate, report
+from seqtag.glove import GloveParams, fit_glove
 from seqtag.synth import default_spec, generate
-from seqtag.training import TrainConfig, load_checkpoint, save_checkpoint, train
+from seqtag.training import (
+    TrainConfig, load_checkpoint, load_embedding_tables, save_checkpoint, tag, train,
+)
 
 
 class TestMissingFiles:
@@ -200,6 +206,49 @@ class TestInconsistentCheckpoint:
         assert code == EXIT_DATA
         assert repr(name) in err and "non-finite" in err
 
+    @pytest.mark.parametrize("section, source", [
+        ("meta", DATA / "blstm_crf_char.ckpt"),
+        ("charvocab", DATA / "blstm_crf_char.ckpt"),
+        ("feature-values:case", CRF_CHECKPOINT),
+    ])
+    def test_missing_section(self, tmp_path, capsys, section, source):
+        def edit(sections, tensors):
+            del sections[section]
+
+        code, err = tag_with_edited_checkpoint(source, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert repr(section) in err
+
+    def test_feature_table_that_mismatches_its_value_list(self, tmp_path, capsys):
+        def edit(sections, tensors):
+            sections["feature-values:case"] = sections["feature-values:case"][:-1]
+
+        code, err = tag_with_edited_checkpoint(CRF_CHECKPOINT, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert "feature table 'case' does not match its value list" in err
+
+    def test_word_table_missing(self, trained_checkpoint, tmp_path, capsys):
+        def edit(sections, tensors):
+            del tensors["word_table"]
+
+        code, err = tag_with_edited_checkpoint(trained_checkpoint, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert "'word_table'" in err
+
+    @pytest.mark.parametrize("words, problem", [
+        (lambda words: [words[1], words[0], *words[2:]], "must reserve '<unk>' at index 0"),
+        (lambda words: [*words[:-1], words[1]], "must be unique"),
+    ], ids=["unk-not-first", "duplicate"])
+    def test_vocab_section_that_is_no_vocabulary(
+        self, trained_checkpoint, tmp_path, capsys, words, problem
+    ):
+        def edit(sections, tensors):
+            sections["vocab"] = words(sections["vocab"])
+
+        code, err = tag_with_edited_checkpoint(trained_checkpoint, tmp_path, capsys, edit)
+        assert code == EXIT_DATA
+        assert "vocabulary" in err and problem in err
+
     def test_bool_word_in_any_case_loads(self, trained_checkpoint, tmp_path, capsys):
         def edit(sections, tensors):
             sections["config"] = [ln.replace("= True", "= true") for ln in sections["config"]]
@@ -281,6 +330,37 @@ class TestTrainConfigFile:
         assert code == 0
         assert config.seed == 3
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys, train_file):
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\nvariant = crf\nuse_char = no\n", encoding="utf-8-sig")
+        assert config.read_bytes().startswith(b"\xef\xbb\xbfepochs")
+        code = main(["train", "--config", str(config), "--train", str(train_file),
+                     "--model", str(tmp_path / "model.ckpt")])
+        assert code == 0
+        assert load_checkpoint(tmp_path / "model.ckpt").config.epochs == 1
+
+    @pytest.mark.parametrize("content", [None, b"epochs = 1\nseed = \xff\n"],
+                             ids=["missing", "not-utf-8"])
+    def test_unreadable_config_exits_with_config_error(self, tmp_path, capsys, train_file,
+                                                      content):
+        config = tmp_path / "train.cfg"
+        if content is not None:
+            config.write_bytes(content)
+        code = main(["train", "--config", str(config), "--train", str(train_file),
+                     "--model", str(tmp_path / "model.ckpt")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: cannot read config file") and str(config) in err
+
+    def test_seed_from_the_environment_must_be_an_integer(
+        self, tmp_path, capsys, train_file, monkeypatch
+    ):
+        monkeypatch.setenv("SEQTAG_SEED", "1.5")
+        code, _ = self.train(tmp_path, train_file, self.SMALL)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: ") and "SEQTAG_SEED" in err
+
     @pytest.mark.parametrize("line, named", [
         ("zzz = 1", "'zzz'"),
         ("epochs = many", "'epochs'"),
@@ -298,7 +378,8 @@ class TestTrainConfigFile:
 
 
 class TestDivergingTraining:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # numpy's floating-point warnings would go to stderr ahead of the abort line
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("variant", ["crf", "blstm", "blstm_crf"])
     def test_exits_with_numeric_abort(self, tmp_path, capsys, train_file, variant):
         config = tmp_path / "train.cfg"
@@ -449,3 +530,111 @@ class TestEvaluatePredictedClasses:
         assert metrics["test"]["fp"] == 1
         assert metrics["aggregate"]["precision"] < 1.0
         assert metrics["aggregate"]["recall"] == 1.0
+
+
+class TestTrainRun:
+    """``seqtag train`` on the inputs around the training itself."""
+
+    SMALL = TestTrainConfigFile.SMALL + "variant = crf\nuse_char = no\n"
+
+    def run(self, tmp_path, train, *flags, model=None):
+        config = tmp_path / "train.cfg"
+        config.write_text(self.SMALL, encoding="utf-8")
+        model = model or tmp_path / "model.ckpt"
+        return main(["train", "--config", str(config), "--train", str(train),
+                     "--model", str(model), *flags])
+
+    def test_test_file_is_scored_after_training(self, tmp_path, capsys, train_file):
+        assert self.run(tmp_path, train_file, "--test", str(train_file)) == 0
+        out = capsys.readouterr().out
+        ckpt = load_checkpoint(tmp_path / "model.ckpt")
+        test_data = parse_conll(train_file.read_text(encoding="utf-8"), ckpt.scheme)
+        expected = report(evaluate(test_data, tag(ckpt, test_data), ckpt.scheme))
+        assert out.endswith(f"checkpoint written to {tmp_path / 'model.ckpt'}\n{expected}\n")
+
+    def test_missing_train_file_exits_with_data_error(self, tmp_path, capsys):
+        code = self.run(tmp_path, tmp_path / "missing.conll")
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("error: cannot read ") and "missing.conll" in err
+
+    def test_missing_model_directory_exits_before_training(self, tmp_path, capsys, train_file):
+        model = tmp_path / "absent" / "model.ckpt"
+        code = self.run(tmp_path, train_file, model=model)
+        out, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert "directory" in err and str(tmp_path / "absent") in err
+        assert "epoch" not in out  # not one epoch ran
+        assert not model.parent.exists()
+
+    @pytest.mark.parametrize("text, flags", [
+        ("aspirin\tO\ntwice\tO\n\n", []), ("aspirin twice\n", ["--raw-text"]),
+    ], ids=["conll", "raw-text"])
+    def test_byte_order_mark_is_not_part_of_the_first_surface(
+        self, trained_checkpoint, tmp_path, capsys, text, flags
+    ):
+        source = tmp_path / "in.txt"
+        source.write_text(text, encoding="utf-8-sig")
+        out = tmp_path / "out.conll"
+        code = main(["tag", "--model", str(trained_checkpoint), "--input", str(source),
+                     "--output", str(out), *flags])
+        assert code == 0
+        assert out.read_text(encoding="utf-8").startswith("aspirin\t")
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_conll_file_that_is_not_utf_8_exits_with_data_error(self, tmp_path, capsys, command):
+        gold = tmp_path / "gold.conll"
+        gold.write_bytes(b"aspirin\tB-drug\ntwice\xff\tO\n\n")
+        if command == "train":
+            code = self.run(tmp_path, gold)
+        else:
+            code = main(["evaluate", "--gold", str(gold), "--pred", str(gold)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: cannot read {gold}: ") and "Traceback" not in err
+
+
+class TestEmbeddingCommands:
+    def test_embed_train_writes_a_table_that_loads(self, tmp_path, capsys):
+        text = "aspirin twice daily\nibuprofen once daily\n" * 5
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text, encoding="utf-8-sig")  # the mark is not part of a word
+        out = tmp_path / "vectors.txt"
+        code = main(["embed-train", "--corpus", str(corpus), "--out", str(out),
+                     "--dim", "8", "--window", "3", "--iterations", "4", "--seed", "2"])
+        assert code == 0
+        assert capsys.readouterr().out == f"trained 5 vectors of dim 8 -> {out}\n"
+        with open(out, encoding="utf-8") as fh:
+            table = load_embedding_table(fh)
+        sentences = [line.split() for line in text.splitlines()]
+        fitted, _ = fit_glove(sentences, GloveParams(dim=8, window=3, iterations=4, seed=2))
+        assert list(table.entries) == list(fitted.entries)
+        for word, vec in fitted.entries.items():
+            np.testing.assert_allclose(table.entries[word], vec, rtol=1e-7)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_pseudo_corpus_from_a_manifest_and_a_csv_file(self, tmp_path, capsys, encoding):
+        table = tmp_path / "notes.csv"
+        table.write_text(
+            'Chief Complaint,id\nChest pain,1\n,2\n"Fever, chills",3\n', encoding=encoding
+        )
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"# table and column\n{table}\tChief Complaint\n", encoding=encoding)
+        out = tmp_path / "pseudo.txt"
+        assert main(["pseudo-corpus", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 pseudo-sentences to {out}\n"
+        assert out.read_text(encoding="utf-8") == (
+            "chief complaint chest pain\nchief complaint fever, chills\n"
+        )
+
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("aspirin 0.1 0.2\ntwice 0.3 0.4\n", encoding="utf-8-sig")
+        (table,) = load_embedding_tables([path])
+        assert list(table.entries) == ["aspirin", "twice"]
+
+    def test_table_that_is_not_utf_8_names_its_file(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_bytes(b"aspirin 0.1 0.2\ntw\xffice 0.3 0.4\n")
+        with pytest.raises(DataError, match="cannot read .*table.txt"):
+            load_embedding_tables([path])

@@ -83,7 +83,7 @@ class TestEncoder:
         config = TrainConfig(variant="crf", use_char=False, use_features=True, d_w=4, seed=3)
         model = init_model(config, TagScheme(("x",)), vocab, random_table(vocab, 4, 3), surfaces)
         sent = Sentence((Token("mg", "O"), Token("of", "O"), Token("mg", "O")))
-        inputs = crf_inputs(model, encode(model, sent))
+        inputs = crf_inputs(model, encode(model, [sent]))
         a = inputs[0, model.d_w:]
         b = inputs[2, model.d_w:]
         np.testing.assert_array_equal(a, b)

@@ -13,7 +13,6 @@ from seqtag.glove import (
     build_cooccurrence,
     count_vocabulary,
     fit_glove,
-    train_glove,
 )
 
 
@@ -138,21 +137,21 @@ class TestCooccurrence:
 class TestTraining:
     def test_minimal_two_word_corpus(self):
         params = GloveParams(dim=4, window=1, iterations=5, seed=0)
-        table = train_glove([["a", "b"]] * 3, params)
+        table, _ = fit_glove([["a", "b"]] * 3, params)
         assert set(table.entries) == {"a", "b"}
         assert table.dim == 4
 
     def test_output_dimensionality(self):
         params = GloveParams(dim=50, window=2, iterations=2, seed=0)
-        table = train_glove([["a", "b", "c", "a"]] * 2, params)
+        table, _ = fit_glove([["a", "b", "c", "a"]] * 2, params)
         for vec in table.entries.values():
             assert vec.shape == (50,)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
-            train_glove([], GloveParams())
+            fit_glove([], GloveParams())
         with pytest.raises(DataError):
-            train_glove([["rare"]], GloveParams(min_count=2))
+            fit_glove([["rare"]], GloveParams(min_count=2))
 
     def test_deterministic_for_fixed_seed(self):
         sentences, _ = twin_corpus(seed=4, n_sentences=30)
@@ -178,7 +177,7 @@ class TestTraining:
     def test_twins_end_up_similar(self):
         sentences, contexts = twin_corpus(seed=6)
         params = GloveParams(dim=16, window=5, iterations=40, seed=2)
-        table = train_glove(sentences, params)
+        table, _ = fit_glove(sentences, params)
         a, b = table.entries["twina"], table.entries["twinb"]
         twin_sim = cosine(a, b)
         others = [cosine(a, table.entries[c]) for c in contexts]

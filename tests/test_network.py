@@ -210,7 +210,7 @@ class TestTokenRepresentation:
         sent = make_sentence(["was", "given"])
         a, b = (
             _representation_graph(
-                model, _LeafSet(model), encode(model, sent), train=False, dropout=0.5, rng=None
+                model, _LeafSet(model), encode(model, [sent]), train=False, dropout=0.5, rng=None
             )
             for _ in range(2)
         )
@@ -221,7 +221,7 @@ class TestTokenRepresentation:
         model = make_model()
         sent = make_sentence(["felbatol"])
         rep = _representation_graph(
-            model, _LeafSet(model), encode(model, sent),
+            model, _LeafSet(model), encode(model, [sent]),
             train=True, dropout=0.5, rng=np.random.default_rng(4),
         ).data[0]
         base = token_representation(model, "felbatol")
@@ -235,7 +235,7 @@ class TestForwardBlstm:
         # equal logits in a row: its softmax is uniform
         model = make_model(variant="blstm")
         zero_everything(model)
-        sent = make_sentence(["was", "given"])
+        sent = encode(model, [make_sentence(["was", "given"])])
         np.testing.assert_array_equal(sentence_logits(model, sent), np.zeros((2, 3)))
 
     def test_batched_path_matches_public_op_composition(self):
@@ -243,7 +243,7 @@ class TestForwardBlstm:
         model = make_model(variant="blstm", use_features=True)
         surfaces = ["felbatol", "unseen-word", "daily"]
         logits = reference_logits(model, surfaces)
-        logits_now = sentence_logits(model, make_sentence(surfaces))
+        logits_now = sentence_logits(model, encode(model, [make_sentence(surfaces)]))
         np.testing.assert_allclose(logits_now, logits, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["blstm", "blstm_crf"])
@@ -255,7 +255,7 @@ class TestForwardBlstm:
         families = {fam.name: fam for fam in model.feature_encoder.families}
         assert "Quokka" not in model.vocab.index and "q" not in model.char_vocab.index
         assert "quo" not in families["prefix3"].index
-        logits = sentence_logits(model, make_sentence(surfaces))
+        logits = sentence_logits(model, encode(model, [make_sentence(surfaces)]))
         np.testing.assert_allclose(logits, reference_logits(model, surfaces), atol=1e-12)
 
 
@@ -263,7 +263,7 @@ class TestLossAndGradients:
     def test_blstm_zero_parameters_uniform_loss(self):
         model = make_model(variant="blstm")
         zero_everything(model)
-        sent = make_sentence(["felbatol", "was", "given", "daily"])
+        sent = encode(model, [make_sentence(["felbatol", "was", "given", "daily"])])
         loss, _ = loss_and_gradients(model, sent, ["O", "O", "B-x", "I-x"])
         assert loss == pytest.approx(4 * math.log(3), abs=1e-12)
 
@@ -271,7 +271,7 @@ class TestLossAndGradients:
     def test_gradients_match_finite_differences(self, variant):
         model = make_model(variant=variant)
         # "never-seen" is outside the vocabulary, so the <unk> row is checked too
-        sent = make_sentence(["felbatol", "was", "never-seen", "given", "daily"])
+        sent = encode(model, [make_sentence(["felbatol", "was", "never-seen", "given", "daily"])])
         gold = ["B-x", "I-x", "O", "O", "B-x"]
         worst, checked = check_model_gradients(model, sent, gold)
         assert checked > 300
@@ -279,7 +279,7 @@ class TestLossAndGradients:
 
     def test_feature_encoding_gradients(self):
         model = make_model(variant="blstm", use_char=False, use_features=True, d_w=3)
-        sent = make_sentence(["felbatol", "40"])
+        sent = encode(model, [make_sentence(["felbatol", "40"])])
         _, grads = loss_and_gradients(model, sent, ["B-x", "O"])
         assert any(name.startswith("feature:") for name in grads.rows)
         worst, _ = check_model_gradients(model, sent, ["B-x", "O"])
@@ -287,7 +287,7 @@ class TestLossAndGradients:
 
     def test_absent_word_has_no_gradient(self):
         model = make_model()
-        sent = make_sentence(["felbatol", "was"])
+        sent = encode(model, [make_sentence(["felbatol", "was"])])
         _, grads = loss_and_gradients(model, sent, ["B-x", "O"])
         spare = model.vocab.index["spare"]
         assert spare not in grads.rows["word_table"].index
@@ -296,7 +296,7 @@ class TestLossAndGradients:
 
     def test_unseen_word_trains_unk_row(self):
         model = make_model()
-        sent = make_sentence(["felbatol", "never-seen", "daily"])
+        sent = encode(model, [make_sentence(["felbatol", "never-seen", "daily"])])
         _, grads = loss_and_gradients(model, sent, ["B-x", "I-x", "O"])
         assert set(grads.rows["word_table"].index) == {
             0, model.vocab.index["felbatol"], model.vocab.index["daily"]
@@ -306,7 +306,7 @@ class TestLossAndGradients:
 
     def test_unseen_character_reads_and_trains_the_char_unk_row(self):
         model = make_model()
-        sent = make_sentence(["felbatol", "zq", "daily"])
+        sent = encode(model, [make_sentence(["felbatol", "zq", "daily"])])
         assert "z" not in model.char_vocab.index and "q" not in model.char_vocab.index
         np.testing.assert_array_equal(char_vector(model, "z"), model.char_table[0])
         before = sentence_logits(model, sent)
@@ -318,14 +318,15 @@ class TestLossAndGradients:
         rows = grads.rows["char_table"]
         assert rows.index[0] == 0 and np.any(rows.grad[0] != 0.0)
         # with every character seen, exactly the characters read get a row
-        _, grads = loss_and_gradients(model, make_sentence(["felbatol", "was"]), ["B-x", "O"])
+        sent = encode(model, [make_sentence(["felbatol", "was"])])
+        _, grads = loss_and_gradients(model, sent, ["B-x", "O"])
         assert set(grads.rows["char_table"].index) == {
             model.char_vocab.index[ch] for ch in "felbatowas"
         }
 
     def test_singleton_swap_replaces_only_the_word_lookup(self):
         model = make_model()
-        sent = make_sentence(["felbatol", "was", "given"])
+        sent = encode(model, [make_sentence(["felbatol", "was", "given"])])
         gold = ["B-x", "O", "O"]
         felbatol = model.vocab.index["felbatol"]
         # the same model with felbatol's own row overwritten by the <unk> row:
@@ -351,7 +352,7 @@ class TestLossAndGradients:
 
     def test_fixed_dropout_seed_is_bitwise_reproducible(self):
         model = make_model()
-        sent = make_sentence(["felbatol", "was", "given"])
+        sent = encode(model, [make_sentence(["felbatol", "was", "given"])])
         gold = ["B-x", "O", "O"]
         l1, g1 = loss_and_gradients(model, sent, gold, dropout=0.5, dropout_seed=7)
         l2, g2 = loss_and_gradients(model, sent, gold, dropout=0.5, dropout_seed=7)
@@ -361,7 +362,7 @@ class TestLossAndGradients:
 
     def test_different_dropout_seeds_differ(self):
         model = make_model()
-        sent = make_sentence(["felbatol", "was", "given"])
+        sent = encode(model, [make_sentence(["felbatol", "was", "given"])])
         gold = ["B-x", "O", "O"]
         l1, _ = loss_and_gradients(model, sent, gold, dropout=0.5, dropout_seed=1)
         l2, _ = loss_and_gradients(model, sent, gold, dropout=0.5, dropout_seed=2)
@@ -370,7 +371,7 @@ class TestLossAndGradients:
     def test_crf_variant_not_handled_here(self):
         model = make_model(variant="crf", use_char=False, use_features=True)
         with pytest.raises(ConfigError):
-            loss_and_gradients(model, make_sentence(["was"]), ["O"])
+            loss_and_gradients(model, encode(model, [make_sentence(["was"])]), ["O"])
 
 
 class TestTapeSize:
@@ -383,7 +384,7 @@ class TestTapeSize:
         monkeypatch.setattr(ag, "backward", lambda loss: (losses.append(loss), backward(loss)))
 
         def tape_nodes(n):
-            loss_and_gradients(model, make_sentence(words[:n]), ["O"] * n)
+            loss_and_gradients(model, encode(model, [make_sentence(words[:n])]), ["O"] * n)
             seen, todo = set(), [losses.pop()]
             while todo:
                 node = todo.pop()
@@ -415,7 +416,7 @@ class TestCrfInputs:
                 for row, w in zip(words, ("felbatol", "WAS", "givily", "Quokka"))
             ])
 
-        encoded = encode(model, sent)
+        encoded = encode(model, [sent])
         assert len(encoded) == 4
         np.testing.assert_array_equal(crf_inputs(model, encoded), reference())
 
@@ -431,7 +432,7 @@ class TestPrediction:
     def test_blstm_argmax_ties_break_low(self):
         model = make_model(variant="blstm")
         zero_everything(model)
-        sent = make_sentence(["was", "given"])
+        sent = encode(model, [make_sentence(["was", "given"])])
         assert predict_tag_ids(model, sent) == [0, 0]
 
     def test_blstm_crf_uses_viterbi(self):
@@ -439,12 +440,12 @@ class TestPrediction:
         zero_everything(model)
         # bias transitions so tag 1 always wins from the start state
         model.params["crf.transitions"][[3, 1], 1] = 5.0
-        sent = make_sentence(["was", "given"])
+        sent = encode(model, [make_sentence(["was", "given"])])
         assert predict_tag_ids(model, sent) == [1, 1]
 
     def test_crf_baseline_inputs_and_prediction(self):
         model = make_model(variant="crf", use_char=False, use_features=True, d_w=3)
-        sent = make_sentence(["felbatol", "was"])
+        sent = encode(model, [make_sentence(["felbatol", "was"])])
         inputs = crf_inputs(model, sent)
         assert inputs.shape == (2, 3 + 146)
         ids = predict_tag_ids(model, sent)
@@ -458,12 +459,12 @@ class TestPrediction:
 class TestWordLookup:
     def test_lowercase_fallback(self):
         model = make_model()
-        words = encode(model, make_sentence(["FELBATOL", "felbatol"])).words
+        words = encode(model, [make_sentence(["FELBATOL", "felbatol"])]).words
         assert words.tolist() == [model.vocab.index["felbatol"]] * 2
 
     def test_oov_deterministic_in_range(self):
         model = make_model()
         # every unseen word reads the shared <unk> row
         sent = make_sentence(["never-seen", "never-seen", "also-unseen"])
-        assert encode(model, sent).words.tolist() == [0, 0, 0]
+        assert encode(model, [sent]).words.tolist() == [0, 0, 0]
         assert np.all(np.abs(model.word_table[0]) <= 1.0)

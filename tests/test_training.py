@@ -275,13 +275,9 @@ class TestCrfBaseline:
         scheme = derive_scheme(data)
         cfg = TrainConfig(variant="crf", use_char=False, d_w=8, seed=0)
         model = build_model(cfg, scheme, data)
-        sent = data[0]
-        loss_l2, grads_l2 = crf_baseline_loss_and_gradients(
-            model, sent, list(sent.gold_tags), l2=1.0
-        )
-        loss_0, grads_0 = crf_baseline_loss_and_gradients(
-            model, sent, list(sent.gold_tags), l2=0.0
-        )
+        sent, gold = encode(model, [data[0]]), list(data[0].gold_tags)
+        loss_l2, grads_l2 = crf_baseline_loss_and_gradients(model, sent, gold, l2=1.0)
+        loss_0, grads_0 = crf_baseline_loss_and_gradients(model, sent, gold, l2=0.0)
         assert loss_l2 > loss_0
         trans = model.params["crf.transitions"]
         np.testing.assert_allclose(
@@ -295,7 +291,9 @@ class TestCrfBaseline:
         model = build_model(cfg, scheme, data)
         word_before = model.word_table.copy()
         sent = data[0]
-        _, grads = crf_baseline_loss_and_gradients(model, sent, list(sent.gold_tags), 1e-4)
+        _, grads = crf_baseline_loss_and_gradients(
+            model, encode(model, [sent]), list(sent.gold_tags), 1e-4
+        )
         sgd_update(model, grads, 0.01, 5.0)
         np.testing.assert_array_equal(model.word_table, word_before)
 
@@ -434,7 +432,7 @@ class TestBatchedDecode:
     def test_recurrent_logits_agree_with_the_batch_of_one(self, variant):
         model, data = trained_model(variant)
         batch = encode(model, list(data))
-        alone = np.concatenate([sentence_logits(model, sent) for sent in data])
+        alone = np.concatenate([sentence_logits(model, encode(model, [sent])) for sent in data])
         np.testing.assert_allclose(sentence_logits(model, batch), alone, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -604,7 +602,7 @@ class TestDenseBuffer:
             views = dense_arrays(model)
             for name, arr in views.items():
                 assert np.shares_memory(arr, model.buffer), (source, name)
-            _, grads = loss_and_gradients(model, sent, list(sent.gold_tags))
+            _, grads = loss_and_gradients(model, encode(model, [sent]), list(sent.gold_tags))
             expected = {name: views[name] - 0.01 * g for name, g in grads.dense.items()}
             sgd_update(model, grads, 0.01, 0.0)
             for name, arr in views.items():
