@@ -10,6 +10,13 @@ overrides the seed from either source, and the merged config is then
 checked once.
 
 Exit codes: 0 success, 2 data error, 3 config error, 4 numeric abort.
+The class of the exception alone picks the code: a failure the user
+caused is a :class:`~seqtag.errors.SeqtagError` (2 for a
+:class:`~seqtag.errors.DataError`, 3 for a
+:class:`~seqtag.errors.ConfigError`, 4 for a
+:class:`~seqtag.errors.NumericError`), and an ``OSError`` from a binary
+checkpoint or an output file exits 2.  Anything else is a fault of the
+program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .corpus import Dataset, Sentence, TagScheme, Token, parse_conll, write_conll
 from .embeddings import (
@@ -27,7 +35,7 @@ from .embeddings import (
     pseudo_corpus_from_manifest,
     write_embedding_table,
 )
-from .errors import ConfigError, DataError, NumericError, SeqtagError
+from .errors import ConfigError, DataError, NumericError, SeqtagError, read_lines
 from .evaluation import evaluate, report, to_mapping
 from .glove import GloveParams, fit_glove
 from .synth import SynthSpec, default_spec, generate
@@ -50,19 +58,16 @@ EXIT_NUMERIC = 4
 
 def read_kv_file(path: str) -> dict[str, str]:
     """The ``key = value`` lines of a config file (see :func:`parse_kv_lines`)."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return parse_kv_lines(fh, path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_kv_lines(read_lines(path, config=True), path)
 
 
 def _load_conll(path: str, scheme: TagScheme | None, **kw) -> Dataset:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return parse_conll(fh, scheme, **kw)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+    return parse_conll(read_lines(path), scheme, **kw)
+
+
+def _read_token_lines(path: str) -> list[list[str]]:
+    """The whitespace-separated words of each non-blank line of ``path``."""
+    return [line.split() for line in read_lines(path) if line.strip()]
 
 
 def cmd_train(args) -> int:
@@ -87,41 +92,38 @@ def cmd_train(args) -> int:
     )
 
     data = _load_conll(args.train, None)
+    scheme = derive_scheme(data)
+    test_data = _load_conll(args.test, scheme) if args.test else None
+    if test_data is not None and any(None in sent.gold_tags for sent in test_data):
+        raise DataError(f"{args.test} has no gold tags to score against")
     model_dir = os.path.dirname(args.model) or "."
-    if not os.path.isdir(model_dir):
-        raise DataError(f"cannot write {args.model}: directory {model_dir} does not exist")
+    if not os.path.isdir(model_dir) or os.path.isdir(args.model):
+        raise DataError(f"cannot write {args.model}: not a file path in an existing directory")
 
     def progress(epoch, loss, f1):
         print(f"epoch {epoch:3d}  train loss {loss:8.4f}  validation F1 {f1:.4f}", flush=True)
 
-    ckpt = train(config, data, progress=progress)
+    ckpt = train(config, data, scheme, progress=progress)
     print(f"best epoch {ckpt.best_epoch} (validation F1 {max(ckpt.history):.4f})")
     save_checkpoint(ckpt, args.model)
     print(f"checkpoint written to {args.model}")
 
-    if args.test:
-        test_data = _load_conll(args.test, ckpt.scheme)
-        pred = tag(ckpt, test_data)
-        metrics = evaluate(test_data, pred, ckpt.scheme)
-        print(report(metrics))
+    if test_data is not None:
+        print(report(evaluate(test_data, tag(ckpt, test_data), scheme)))
     return 0
 
 
 def cmd_tag(args) -> int:
     ckpt = load_checkpoint(args.model)
-    scheme = ckpt.scheme
     if args.raw_text:
-        sentences = []
-        with open(args.input, encoding="utf-8-sig") as fh:
-            for line in fh:
-                words = line.split()
-                if words:
-                    sentences.append(Sentence(tuple(Token(w) for w in words)))
-        data = Dataset(tuple(sentences))
+        data = Dataset(tuple(
+            Sentence(tuple(map(Token, words))) for words in _read_token_lines(args.input)
+        ))
     else:
-        data = _load_conll(args.input, scheme)
+        data = _load_conll(args.input, ckpt.scheme)
     tagged = tag(ckpt, data)
-    if args.raw_text:  # two columns, the prediction in the tag column
+    if any(t.gold_tag is None for sent in data for t in sent):
+        # no gold column: two columns, the prediction in the tag column
         tagged = Dataset(tuple(
             Sentence(tuple(Token(t.surface, t.pred_tag) for t in sent)) for sent in tagged
         ))
@@ -167,23 +169,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _read_token_lines(path: str) -> list[list[str]]:
-    with open(path, encoding="utf-8-sig") as fh:
-        return [line.split() for line in fh if line.strip()]
-
-
 def cmd_embed_train(args) -> int:
     corpus = _read_token_lines(args.corpus)
-    params = GloveParams(
-        dim=args.dim,
-        window=args.window,
-        x_max=args.x_max,
-        alpha=args.alpha,
-        learning_rate=args.learning_rate,
-        iterations=args.iterations,
-        min_count=args.min_count,
-        seed=args.seed,
-    )
+    # the flags given override the GloveParams defaults
+    flags = {f.name: getattr(args, f.name) for f in fields(GloveParams)}
+    params = GloveParams(**{name: value for name, value in flags.items() if value is not None})
     table, _ = fit_glove(corpus, params)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_embedding_table(table, fh)
@@ -279,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed-train", help="train word vectors on a token corpus")
     p.add_argument("--corpus", required=True, help="text file, one sentence per line")
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--window", type=int, default=10)
-    p.add_argument("--x-max", dest="x_max", type=float, default=100.0)
-    p.add_argument("--alpha", type=float, default=0.75)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
-    p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--min-count", dest="min_count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--x-max", dest="x_max", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--min-count", dest="min_count", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_embed_train)
 
     p = sub.add_parser("embed-concat", help="concatenate tables over a corpus vocabulary")
@@ -319,12 +309,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, SeqtagError, OSError) as exc:
+    except (SeqtagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

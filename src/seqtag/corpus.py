@@ -123,10 +123,6 @@ class EntitySpan:
     end: int
     cls: str
 
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid span boundaries ({self.start}, {self.end})")
-
 
 def split_tag(tag: str) -> tuple[str, str | None]:
     """Split a BIO tag into prefix and class, e.g. ``B-drug`` -> (``B``, ``drug``)."""
@@ -296,10 +292,6 @@ def split_train_valid(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, 
     The first part receives ``ceil(ratio * N)`` sentences.  The split is
     deterministic for a fixed seed.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"split ratio must lie strictly between 0 and 1, got {ratio}")
-    if len(data) == 0:
-        raise ValueError("cannot split an empty dataset")
     n_first = math.ceil(ratio * len(data))
     order = np.random.default_rng(seed).permutation(len(data))
     first = Dataset(tuple(data[i] for i in order[:n_first]))

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, read_lines
 
 UNK = "<unk>"
 
@@ -81,18 +81,15 @@ class CoverageStats:
     total_words: int
     covered: int
 
-    def __post_init__(self):
-        if self.covered > self.total_words:
-            raise ValueError("covered count cannot exceed the vocabulary size")
-
     @property
     def percentage(self) -> float:
         return self.covered / self.total_words if self.total_words else 0.0
 
 
-def load_embedding_table(source: str | Iterable[str] | TextIO) -> EmbeddingTable:
+def load_embedding_table(source: str | Iterable[str], path: str | None = None) -> EmbeddingTable:
     """Read a text-format table; every line is ``word v1 v2 ... vd``, each
-    component a finite number (``nan``, ``inf`` and ``1e999`` are rejected)."""
+    component a finite number (``nan``, ``inf`` and ``1e999`` are rejected).
+    An error names the line, and ``path`` when given."""
     if isinstance(source, str):
         lines = source.splitlines()
     else:
@@ -108,22 +105,22 @@ def load_embedding_table(source: str | Iterable[str] | TextIO) -> EmbeddingTable
         word, components = parts[0], parts[1:]
         if dim is None:
             if not components:
-                raise ParseError("entry has no vector components", lineno)
+                raise ParseError("entry has no vector components", lineno, path)
             dim = len(components)
         elif len(components) != dim:
             raise ParseError(
-                f"expected {dim} vector components, got {len(components)}", lineno
+                f"expected {dim} vector components, got {len(components)}", lineno, path
             )
         try:
             vec = np.array([float(c) for c in components], dtype=np.float64)
         except ValueError as exc:
-            raise ParseError(f"non-numeric vector component ({exc})", lineno) from None
+            raise ParseError(f"non-numeric vector component: {exc}", lineno, path) from None
         if not np.isfinite(vec).all():
-            raise ParseError("vector component is not a finite number", lineno)
+            raise ParseError("vector component is not a finite number", lineno, path)
         entries[word] = vec
 
     if dim is None:
-        raise DataError("embedding file contains no entries")
+        raise DataError(f"{path or 'embedding file'} contains no entries")
     return EmbeddingTable(dim, entries, {w: PRETRAINED for w in entries})
 
 
@@ -156,8 +153,6 @@ def assemble(vocab: Vocabulary, tables: Sequence[EmbeddingTable], seed: int) -> 
     """
     if not tables:
         raise ValueError("assemble needs at least one source table")
-    if len(vocab) == 0:
-        raise ValueError("assemble needs a non-empty vocabulary")
 
     dim = sum(t.dim for t in tables)
     entries: dict[str, np.ndarray] = {}
@@ -201,7 +196,7 @@ def build_pseudo_corpus(records: Iterable[tuple[str, str]]) -> Iterator[list[str
     """
     for title, cell in records:
         if not title.strip():
-            raise ValueError("column title must be non-empty")
+            raise DataError("column title must be non-empty")
         if not cell.strip():
             continue
         yield title.lower().split() + cell.lower().split()
@@ -222,18 +217,20 @@ def read_manifest(lines: Iterable[str]) -> list[tuple[str, str]]:
 
 
 def csv_column_records(path: str, column: str) -> Iterator[tuple[str, str]]:
-    """Yield (column, cell) records from one column of an RFC-4180 CSV file."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+    """Yield (column, cell) records from one column of an RFC-4180 CSV file;
+    a file the csv module cannot parse raises :class:`DataError` naming it."""
+    reader = csv.DictReader(read_lines(path, newline=""))
+    try:
         if reader.fieldnames is None or column not in reader.fieldnames:
             raise DataError(f"{path}: no column named {column!r}")
         for row in reader:
             yield column, row[column] or ""
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def pseudo_corpus_from_manifest(manifest_path: str) -> Iterator[list[str]]:
     """All pseudo-sentences named by a manifest file, in manifest order."""
-    with open(manifest_path, encoding="utf-8-sig") as fh:
-        targets = read_manifest(fh)
+    targets = read_manifest(read_lines(manifest_path))
     for table_path, column in targets:
         yield from build_pseudo_corpus(csv_column_records(table_path, column))

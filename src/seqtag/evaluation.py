@@ -32,12 +32,6 @@ class ClassCounts:
     def fn(self) -> int:
         return self.true_entities - self.tp
 
-    def __post_init__(self):
-        if self.tp > self.true_entities:
-            raise ValueError("true positives cannot exceed the number of gold entities")
-        if min(self.tp, self.fp, self.true_entities) < 0:
-            raise ValueError("counts must be non-negative")
-
 
 @dataclass(frozen=True)
 class MetricsEntry:
@@ -74,6 +68,8 @@ def strict_counts(
     for idx, (gs, ps) in enumerate(zip(gold, pred)):
         if gs.surfaces != ps.surfaces:
             raise DataError(f"sentence {idx}: token mismatch between gold and prediction files")
+        if None in gs.gold_tags:
+            raise DataError(f"sentence {idx}: gold sentence has untagged tokens")
     gold_spans = [set(extract_entities(repair_bio(s.gold_tags))) for s in gold]  # type: ignore
     return span_counts(gold_spans, [repair_bio(effective_pred_tags(s)) for s in pred], scheme)
 

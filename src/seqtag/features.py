@@ -134,10 +134,6 @@ class FeatureEncoder:
     def total_dim(self) -> int:
         return sum(f.dim for f in self.families)
 
-    def __post_init__(self):
-        if self.total_dim != TOTAL_DIM:
-            raise ValueError(f"feature families must total {TOTAL_DIM} dims, got {self.total_dim}")
-
     def _fallback(self, family: FeatureFamily, value: str) -> np.ndarray:
         return hashed_uniform(("feature", family.name, value), self.seed, family.dim)
 

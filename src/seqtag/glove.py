@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embeddings import PRETRAINED, EmbeddingTable
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_fields
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,12 @@ class GloveParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1 or self.window < 1 or self.iterations < 1:
-            raise ValueError("dim, window, and iterations must be positive")
-        for name in ("x_max", "alpha", "learning_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.x_max <= 0 or self.learning_rate <= 0:
-            raise ValueError("x_max and learning_rate must be positive")
+        check_fields(self, (
+            (("dim", "window", "iterations"), lambda v: v >= 1, "at least 1"),
+            (("x_max", "learning_rate"), lambda v: 0.0 < v < math.inf, "positive and finite"),
+            (("alpha",), math.isfinite, "finite"),
+            (("seed",), lambda v: v >= 0, "at least 0"),
+        ))
 
 
 def count_vocabulary(corpus: Iterable[Sequence[str]], min_count: int) -> list[str]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, Sentence, Token
+from .errors import ConfigError, check_fields
 
 ENTITY_LENGTH_WEIGHTS = ((1, 0.6), (2, 0.3), (3, 0.1))
 
@@ -44,21 +45,18 @@ class SynthSpec:
         for i, a in enumerate(pools):
             for b in pools[i + 1 :]:
                 if a & b:
-                    raise ValueError(f"lexicons must be pairwise disjoint; shared: {a & b}")
-        if not 0.0 <= self.density < 1.0:
-            raise ValueError("'density' must lie in [0, 1)")
+                    raise ConfigError(f"'lexicons' and 'filler' must be disjoint; shared: {a & b}")
+        if any(word.split() != [word] for pool in pools for word in pool):
+            raise ConfigError("'lexicons' and 'filler' words must be non-empty and whitespace-free")
         if len(self.length_range) != 2 or not 1 <= self.length_range[0] <= self.length_range[1]:
-            raise ValueError(f"'length_range' must be lo,hi with 1 <= lo <= hi: {self.length_range}")
-        if not self.filler:
-            raise ValueError("'filler' must be non-empty")
-        for frac, name in (
-            (self.head_fraction, "head_fraction"),
-            (self.train_fraction, "train_fraction"),
-        ):
-            if not 0.0 < frac <= 1.0:
-                raise ValueError(f"{name!r} must lie in (0, 1]")
-        if not 0.0 <= self.test_overlap <= 1.0:
-            raise ValueError("'test_overlap' must lie in [0, 1]")
+            raise ConfigError(f"'length_range' must be lo,hi with 1 <= lo <= hi: {self.length_range}")
+        check_fields(self, (
+            (("filler",), len, "non-empty"),
+            (("density",), lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+            (("head_fraction", "train_fraction"), lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            (("test_overlap",), lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            (("n_train", "n_test", "seed"), lambda v: v >= 0, "at least 0"),
+        ))
 
 
 def _split(pool: tuple[str, ...], fraction: float) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -39,7 +39,9 @@ from .embeddings import (
     load_embedding_table,
     random_table,
 )
-from .errors import ConfigError, DataError, TagValidationError, NumericError
+from .errors import (
+    ConfigError, DataError, NumericError, TagValidationError, check_fields, read_lines,
+)
 from .evaluation import Metrics, effective_pred_tags, span_counts
 # train scores through span_counts; evaluate stays bound because benchmarks/spans.py patches it here
 from .evaluation import evaluate  # noqa: F401
@@ -93,7 +95,7 @@ def typed_fields(cls, values: dict[str, str], sep: str, what: str) -> dict:
         "tuple[str, ...]": lambda text: tuple(p.strip() for p in text.split(sep) if p.strip()),
         "tuple[int, int]": lambda text: tuple(int(p) for p in text.split(sep)),
     }
-    types = {f.name: f.type for f in fields(cls) if f.type in parsers}
+    types = {f.name: t for f in fields(cls) if (t := f.type.removesuffix(" | None")) in parsers}
     out = {}
     for key, text in values.items():
         if key not in types:
@@ -115,12 +117,13 @@ class TrainConfig:
     value`` line per field, in config files and in a checkpoint's config
     section alike.  A bool is one of :data:`BOOL_WORDS` (any case) and
     ``embeddings`` lists its paths split by a separator: ``,`` in config
-    files and a tab in checkpoints.
+    files and a tab in checkpoints.  ``use_char`` defaults to false for the
+    ``crf`` baseline, which reads no characters, and to true otherwise.
     """
 
     variant: str = "blstm_crf"
     embeddings: tuple[str, ...] = ()  # paths of pretrained tables to concatenate
-    use_char: bool = True
+    use_char: bool | None = None  # None: the variant's default
     use_features: bool = False
     d_w: int = 300  # used when no pretrained tables are given
     d_c: int = 25
@@ -136,6 +139,8 @@ class TrainConfig:
     init: str = "uniform"  # or "scaled" (faster desk-scale convergence)
 
     def __post_init__(self):
+        if self.use_char is None:
+            object.__setattr__(self, "use_char", self.variant != "crf")
         self.validate()
 
     def validate(self):
@@ -144,15 +149,12 @@ class TrainConfig:
             raise ConfigError(f"'variant' must be one of {VARIANTS}, got {self.variant!r}")
         if self.init not in ("uniform", "scaled"):
             raise ConfigError(f"'init' must be 'uniform' or 'scaled', got {self.init!r}")
-        for keys, ok, rule in (
+        check_fields(self, (
             (("epochs", "d_w", "d_c", "H_w", "H_c"), lambda v: v >= 1, "at least 1"),
             (("dropout", "split_ratio"), lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
             (("learning_rate",), lambda v: 0.0 < v < math.inf, "positive and finite"),
             (("seed", "clip_norm", "crf_l2"), lambda v: 0 <= v < math.inf, "finite, not negative"),
-        ):
-            for key in keys:
-                if not ok(getattr(self, key)):
-                    raise ConfigError(f"{key!r} must be {rule}, got {getattr(self, key)!r}")
+        ))
         if self.variant == "crf" and self.use_char:
             raise ConfigError("'use_char' must be false for the crf variant, which reads no chars")
 
@@ -213,15 +215,8 @@ def derive_scheme(data: Dataset, predictions: Dataset | None = None) -> TagSchem
 
 
 def load_embedding_tables(paths) -> list[EmbeddingTable]:
-    """Read each text-format embedding table in ``paths``."""
-    tables = []
-    for path in paths:
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                tables.append(load_embedding_table(fh))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from None
-    return tables
+    """Read each text-format embedding table in ``paths``; an error names its file."""
+    return [load_embedding_table(read_lines(path), path) for path in paths]
 
 
 def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelParameters:

@@ -366,7 +366,7 @@ class TestTrainConfigFile:
         ("epochs = many", "'epochs'"),
         ("use_char = maybe", "'use_char'"),
         ("dropout = 7", "'dropout'"),
-        ("variant = crf", "'use_char'"),
+        pytest.param("variant = crf\nuse_char = true", "'use_char'", id="crf-with-chars"),
         ("no equals sign", "train.cfg:6"),
     ])
     def test_invalid_line_exits_with_config_error(self, tmp_path, capsys, train_file, line, named):
@@ -431,6 +431,23 @@ class TestEmbeddingTables:
         assert err.startswith("error: line 2: ") and "Traceback" not in err
         assert not (tmp_path / "out.txt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "embed-concat", "coverage"])
+    def test_bad_line_of_the_second_table_names_its_file(self, tmp_path, capsys, train_file,
+                                                           command):
+        tables = [tmp_path / "general.txt", tmp_path / "domain.txt"]
+        tables[0].write_text("aspirin 0.1 0.2\ntwice 0.3 0.4\n", encoding="utf-8")
+        tables[1].write_text("aspirin 0.5\ntwice x\n", encoding="utf-8")
+        argv = ["--tables", *map(str, tables), "--vocab-from", str(train_file)]
+        if command == "train":
+            argv = ["--train", str(train_file), "--model", str(tmp_path / "m.ckpt"),
+                    "--embeddings", *map(str, tables)]
+        elif command == "embed-concat":
+            argv += ["--out", str(tmp_path / "out.txt")]
+        assert main([command, *argv]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: non-numeric vector component")
+        assert str(tables[1]) in err and str(tables[0]) not in err
+
     @pytest.mark.parametrize("command", ["embed-concat", "coverage"])
     def test_vocabulary_without_tokens(self, tmp_path, capsys, command):
         assert self.run(tmp_path, command, "\n\n", "aspirin 0.1 0.2\n") == EXIT_DATA
@@ -494,6 +511,30 @@ class TestRawText:
         assert "Traceback" not in capsys.readouterr().err
 
 
+class TestOneColumnInput:
+    """CoNLL input without a gold column: 'unlabeled input for tagging'."""
+
+    def test_tag_writes_one_predicted_tag_per_token(self, trained_checkpoint, tmp_path, capsys):
+        words = [["aspirin", "twice", "daily"], ["no", "fever"]]
+        source = tmp_path / "in.conll"
+        source.write_text("".join("\n".join(s) + "\n\n" for s in words), encoding="utf-8")
+        out = tmp_path / "out.conll"
+        code = main(["tag", "--model", str(trained_checkpoint), "--input", str(source),
+                     "--output", str(out)])
+        assert code == 0
+        scheme = load_checkpoint(trained_checkpoint).scheme
+        tagged = parse_conll(out.read_text(encoding="utf-8"), scheme)
+        assert [s.surfaces for s in tagged] == words
+        assert all(t.gold_tag is not None and t.pred_tag is None for s in tagged for t in s)
+
+    def test_evaluate_against_it_exits_with_data_error(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text("aspirin\ntwice\n\n", encoding="utf-8")
+        pred.write_text("aspirin\tB-drug\ntwice\tO\n\n", encoding="utf-8")
+        assert main(["evaluate", "--gold", str(gold), "--pred", str(pred)]) == EXIT_DATA
+        assert "untagged" in capsys.readouterr().err
+
+
 class TestMalformedGoldTag:
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_bare_prefix_exits_with_data_error(self, tmp_path, capsys, command):
@@ -552,6 +593,27 @@ class TestTrainRun:
         expected = report(evaluate(test_data, tag(ckpt, test_data), ckpt.scheme))
         assert out.endswith(f"checkpoint written to {tmp_path / 'model.ckpt'}\n{expected}\n")
 
+    @pytest.mark.parametrize("text", [None, "aspirin\ntwice\n\n"], ids=["missing", "untagged"])
+    def test_unusable_test_file_exits_before_training(self, tmp_path, capsys, train_file, text):
+        test = tmp_path / "test.conll"
+        if text is not None:
+            test.write_text(text, encoding="utf-8")
+        code = self.run(tmp_path, train_file, "--test", str(test))
+        out, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and str(test) in err
+        assert "epoch" not in out
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_crf_variant_reads_no_chars_by_default(self, tmp_path, capsys, train_file):
+        config = tmp_path / "train.cfg"
+        config.write_text(TestTrainConfigFile.SMALL, encoding="utf-8")
+        model = tmp_path / "model.ckpt"
+        code = main(["train", "--config", str(config), "--train", str(train_file),
+                     "--model", str(model), "--variant", "crf"])
+        assert code == 0
+        assert load_checkpoint(model).config.use_char is False
+
     def test_missing_train_file_exits_with_data_error(self, tmp_path, capsys):
         code = self.run(tmp_path, tmp_path / "missing.conll")
         err = capsys.readouterr().err
@@ -566,6 +628,13 @@ class TestTrainRun:
         assert "directory" in err and str(tmp_path / "absent") in err
         assert "epoch" not in out  # not one epoch ran
         assert not model.parent.exists()
+
+    def test_model_path_that_is_a_directory_exits_before_training(self, tmp_path, capsys,
+                                                                 train_file):
+        code = self.run(tmp_path, train_file, model=tmp_path)
+        out, err = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: cannot write {tmp_path}: ") and "epoch" not in out
 
     @pytest.mark.parametrize("text, flags", [
         ("aspirin\tO\ntwice\tO\n\n", []), ("aspirin twice\n", ["--raw-text"]),
@@ -638,3 +707,52 @@ class TestEmbeddingCommands:
         path.write_bytes(b"aspirin 0.1 0.2\ntw\xffice 0.3 0.4\n")
         with pytest.raises(DataError, match="cannot read .*table.txt"):
             load_embedding_tables([path])
+
+    def test_embed_train_defaults_are_the_glove_params_defaults(self, tmp_path, capsys):
+        text = "aspirin twice daily\nibuprofen once daily\n" * 3
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "vectors.txt"
+        corpus.write_text(text, encoding="utf-8")
+        assert main(["embed-train", "--corpus", str(corpus), "--out", str(out),
+                     "--iterations", "2"]) == 0
+        with open(out, encoding="utf-8") as fh:
+            table = load_embedding_table(fh)
+        fitted, _ = fit_glove([line.split() for line in text.splitlines()],
+                              GloveParams(iterations=2))
+        assert table.dim == GloveParams().dim == fitted.dim
+        for word, vec in fitted.entries.items():
+            np.testing.assert_allclose(table.entries[word], vec, rtol=1e-7)
+
+    @pytest.mark.parametrize("title, cell", [("", "x"), ("a" * 200_000, "x"), ("a", "x" * 200_000)],
+                             ids=["empty-title", "long-title", "long-cell"])
+    def test_csv_that_is_no_table_exits_with_data_error(self, tmp_path, capsys, title, cell):
+        table = tmp_path / "notes.csv"
+        table.write_text(f"id,{title}\n1,{cell}\n", encoding="utf-8")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{table}\t{title}\n", encoding="utf-8")
+        out = tmp_path / "pseudo.txt"
+        assert main(["pseudo-corpus", "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestTextThatIsNotUtf8:
+    """Every text input names its file when a byte does not decode, and exits 2."""
+
+    BAD = b"aspirin daily\ntw\xffice daily\n"
+
+    @pytest.mark.parametrize("name", ["raw-text", "corpus", "manifest", "csv"])
+    def test_exits_with_data_error_naming_the_file(self, trained_checkpoint, tmp_path, capsys,
+                                                   name):
+        bad = tmp_path / f"bad-{name}.txt"
+        bad.write_bytes(self.BAD)
+        out = str(tmp_path / "out.txt")
+        argv = {
+            "raw-text": ["tag", "--model", str(trained_checkpoint), "--input", str(bad),
+                         "--raw-text"],
+            "corpus": ["embed-train", "--corpus", str(bad), "--out", out],
+            "manifest": ["pseudo-corpus", "--manifest", str(bad), "--out", out],
+            "csv": ["pseudo-corpus", "--manifest", str(tmp_path / "manifest.txt"), "--out", out],
+        }[name]
+        (tmp_path / "manifest.txt").write_text(f"{bad}\taspirin daily\n", encoding="utf-8")
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")

@@ -230,11 +230,6 @@ class TestSplitTrainValid:
         assert combined == sorted(s.tokens[0].surface for s in data)
         assert len(train) + len(valid) == len(data)
 
-    def test_ratio_out_of_range(self):
-        for ratio in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                split_train_valid(self._toy(4), ratio, seed=0)
-
 
 def test_gold_warning_not_raised_for_valid_data():
     with warnings.catch_warnings():

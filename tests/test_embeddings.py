@@ -191,7 +191,7 @@ class TestPseudoCorpus:
         assert sents == [["dose", "val", "rx", "40", "mg"]]
 
     def test_empty_title_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             list(build_pseudo_corpus([("", "x")]))
 
     def test_manifest_parsing(self):

@@ -136,12 +136,6 @@ class TestPrf:
         # published per-class row: P=81.69, R=87.88 -> F1=84.67
         assert abs(f1_score(0.8169, 0.8788) - 0.8467) < 1e-4
 
-    def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            ClassCounts("c", tp=3, fp=0, true_entities=2)
-        with pytest.raises(ValueError):
-            ClassCounts("c", tp=-1, fp=0, true_entities=2)
-
 
 class TestReport:
     def test_single_class_aggregate_equals_row(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqtag.errors import DataError, NumericError
+from seqtag.errors import ConfigError, DataError, NumericError
 from seqtag.glove import (
     GloveParams,
     _row_disjoint_groups,
@@ -238,7 +238,7 @@ class TestNumericGuards:
     @pytest.mark.parametrize("field", ["x_max", "alpha", "learning_rate"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_params_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigError, match=field):
             GloveParams(**{field: value})
 
     def test_divergence_names_the_iteration(self):

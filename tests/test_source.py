@@ -44,3 +44,18 @@ def test_every_definition_is_referenced_in_the_package():
         if not referenced[name]
     ]
     assert unused == []
+
+
+def test_cli_main_lets_only_toolkit_and_os_errors_pick_the_exit_code():
+    """A handler of ``ValueError``, ``Exception`` or everything would turn a
+    program fault into an exit code instead of a traceback."""
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    caught = []
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught += [ast.unparse(t) if t is not None else "<bare>" for t in types]
+    assert caught, "cli.main handles no exception"
+    assert not set(caught) & {"ValueError", "Exception", "BaseException", "<bare>"}

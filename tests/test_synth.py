@@ -1,6 +1,7 @@
 import pytest
 
 from seqtag.corpus import TagScheme, extract_entities, parse_conll, repair_bio, write_conll
+from seqtag.errors import ConfigError
 from seqtag.synth import SynthSpec, default_spec, generate
 
 
@@ -76,17 +77,17 @@ class TestGenerate:
 
 class TestSpecValidation:
     def test_overlapping_lexicons_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthSpec(lexicons={"a": ("x",), "b": ("x",)}, filler=("f",))
 
     def test_filler_overlap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthSpec(lexicons={"a": ("x",)}, filler=("x",))
 
     def test_density_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthSpec(lexicons={"a": ("x",)}, filler=("f",), density=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SynthSpec(lexicons={"a": ("x",)}, filler=("f",), density=-0.1)
 
     def test_default_spec_is_valid_and_sized(self):

@@ -151,7 +151,7 @@ class TestTrainConfig:
         config = TrainConfig.from_text({"variant": "crf", "seed": "4"}, use_char=False, seed=None)
         assert (config.variant, config.use_char, config.seed) == ("crf", False, 4)
         with pytest.raises(ConfigError, match="'use_char'"):
-            TrainConfig.from_text({"variant": "crf"})
+            TrainConfig.from_text({"variant": "crf", "use_char": "true"})
 
 
 class TestDeriveScheme:
