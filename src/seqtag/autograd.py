@@ -116,7 +116,7 @@ def take(a: Tensor, index) -> Tensor:
     return Tensor(out, (a,), bw, True)
 
 
-def bilstm(xs: Tensor, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tensor:
+def bilstm(xs: Tensor, W_x, W_h, b, w_ci, w_co) -> Tensor:
     """Hidden states of both directions of a coupled-gate peephole BiLSTM.
 
     Each weight stacks the forward and backward directions on axis 0,
@@ -124,12 +124,13 @@ def bilstm(xs: Tensor, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tens
     row blocks of H: ``W_x`` (2, 3H, D), ``W_h`` (2, 3H, H), ``b``
     (2, 3H); the diagonal peepholes ``w_ci`` and ``w_co`` are (2, H).
     ``xs`` (2, L, B, D) holds each direction's time-first padded batch,
-    so the backward direction gets its input already reversed.  Where
-    the (L, B) carry ``mask`` is 0, that row of both directions keeps
-    its previous h and c.  Returns the (2, L, B, H) hidden states as one
-    tape node.  One batched GEMM makes every input projection, one loop
-    runs both directions, and the hand-written BPTT makes each stacked
-    weight gradient with one batched GEMM.
+    so the backward direction gets its input already reversed.  Every
+    row runs all L steps, so a shorter sequence is read at its own last
+    step: padding after it changes none of its states up to there, and
+    a state nobody reads gets a zero gradient.  Returns the (2, L, B, H)
+    hidden states as one tape node.  One batched GEMM makes every input
+    projection, one loop runs both directions, and the hand-written BPTT
+    makes each stacked weight gradient with one batched GEMM.
     """
     params = (W_x, W_h, b, w_ci, w_co)
     w_x, w_h, bias, ci, co = (p.data for p in params)
@@ -139,7 +140,6 @@ def bilstm(xs: Tensor, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tens
     w_hT = w_h.transpose(0, 2, 1)
     pre = xs.data.reshape(2, L * B, D) @ w_x.transpose(0, 2, 1) + bias[:, None, :]
     pre = pre.reshape(2, L, B, 3 * H)
-    keep = None if mask is None else np.asarray(mask, dtype=bool)[:, :, None]
     record = _grad_enabled and (xs.tracked or any(p.tracked for p in params))
 
     hs = np.zeros((2, L + 1, B, H))
@@ -155,12 +155,7 @@ def bilstm(xs: Tensor, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tens
         c_new = (1.0 - i) * c + i * g
         o = 1.0 / (1.0 + np.exp(-(z[..., 2 * H :] + c_new * co)))
         tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        if keep is None:
-            hs[:, t + 1], cs[:, t + 1] = h_new, c_new
-        else:
-            hs[:, t + 1] = np.where(keep[t], h_new, h)
-            cs[:, t + 1] = np.where(keep[t], c_new, c)
+        hs[:, t + 1], cs[:, t + 1] = o * tanh_c, c_new
         if record:
             gate = gates[:, t]
             gate[..., :H], gate[..., H : 2 * H], gate[..., 2 * H :] = i, g, o
@@ -175,27 +170,17 @@ def bilstm(xs: Tensor, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tens
         dc = np.zeros((2, B, H))
         for t in range(L - 1, -1, -1):
             dh = dh + g_out[:, t]
-            if keep is None:
-                dh_new, dc_new = dh, dc
-            else:
-                # a kept row passes its gradient straight to the previous step
-                dh_new, dc_new = np.where(keep[t], dh, 0.0), np.where(keep[t], dc, 0.0)
-                dh, dc = np.where(keep[t], 0.0, dh), np.where(keep[t], 0.0, dc)
             gate, d = gates[:, t], d_pre[:, t]
             i, g, o = gate[..., :H], gate[..., H : 2 * H], gate[..., 2 * H :]
             tanh_c = tanh_cs[:, t]
-            da_o = dh_new * tanh_c * o * (1.0 - o)
-            dc_total = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c) + da_o * co
+            da_o = dh * tanh_c * o * (1.0 - o)
+            dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c) + da_o * co
             da_i = dc_total * (g - cs[:, t]) * i * (1.0 - i)
             d[..., :H] = da_i
             d[..., H : 2 * H] = dc_total * i * (1.0 - g * g)
             d[..., 2 * H :] = da_o
-            dc_prev = dc_total * (1.0 - i) + da_i * ci
-            dh_prev = d @ w_h
-            if keep is None:
-                dh, dc = dh_prev, dc_prev
-            else:
-                dh, dc = dh + dh_prev, dc + dc_prev
+            dc = dc_total * (1.0 - i) + da_i * ci
+            dh = d @ w_h
         flat = d_pre.reshape(2, L * B, 3 * H)
         if xs.tracked:
             xs.accumulate((flat @ w_x).reshape(2, L, B, D))
@@ -205,7 +190,6 @@ def bilstm(xs: Tensor, mask: np.ndarray | None, W_x, W_h, b, w_ci, w_co) -> Tens
             flat_t @ hs[:, :-1].reshape(2, L * B, H),
             flat.sum(axis=1),
             (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2)),
-            # a kept row has a zero d_pre, so cs[:, 1:] may stand for c_new
             (d_pre[..., 2 * H :] * cs[:, 1:]).sum(axis=(1, 2)),
         )
         for param, grad in zip(params, grads):

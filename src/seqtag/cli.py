@@ -210,11 +210,18 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_pseudo_corpus(args) -> int:
+    # written beside --out and renamed over it, so a failing input leaves --out as it was
+    partial = f"{args.out}.{os.getpid()}.partial"
     count = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for sentence in pseudo_corpus_from_manifest(args.manifest):
-            fh.write(" ".join(sentence) + "\n")
-            count += 1
+    try:
+        with open(partial, "x", encoding="utf-8") as fh:
+            for sentence in pseudo_corpus_from_manifest(args.manifest):
+                fh.write(" ".join(sentence) + "\n")
+                count += 1
+        os.replace(partial, args.out)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
     print(f"wrote {count} pseudo-sentences to {args.out}")
     return 0
 

@@ -43,11 +43,11 @@ checkpoint names that :func:`dense_arrays` gives each direction's gate
 weights (``word_fwd.W_xi`` and so on) are views of those blocks.  A
 forward pass makes one leaf per stacked array and runs both directions
 of each BiLSTM as one fused tape node, :func:`seqtag.autograd.bilstm`:
-the char BiLSTM runs all words as one batch whose carry mask stops a
-word at its last character, and the word BiLSTM the sentences of a
-batch, forward and reversed, unmasked: a token reads its own step,
-before any padding.  The backward pass accumulates straight into one
-flat gradient laid out like the buffer.
+the char BiLSTM runs the distinct spellings, and the word BiLSTM the
+sentences, of a batch, each forward and reversed and unmasked: a word
+reads its final states at its last character, and a token its states
+at its own step, before any padding.  The backward pass accumulates
+straight into one flat gradient laid out like the buffer.
 
 Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
@@ -269,7 +269,7 @@ def _word_index(model: ModelParameters, surface: str) -> int:
 @dataclass(frozen=True)
 class EncodedSentence:
     """A sentence, or a batch of sentences end to end, as table rows: word
-    rows, char rows and each feature family's rows.
+    rows, char rows (none without chars) and each feature family's rows.
 
     It holds indices, not vectors, so every forward pass reads the live
     tables when it gathers.
@@ -277,8 +277,9 @@ class EncodedSentence:
 
     surfaces: tuple[str, ...]
     words: np.ndarray  # (T,) word-table rows
-    chars: np.ndarray  # every word's char-table rows, concatenated; empty without chars
-    word_lengths: np.ndarray  # (T,) characters per word; empty without chars
+    chars: np.ndarray  # each distinct spelling's char-table rows, concatenated
+    word_lengths: np.ndarray  # (S,) characters of each distinct spelling, first seen first
+    spellings: np.ndarray  # (T,) each token's spelling, as its entry in word_lengths
     features: tuple[FamilyRows, ...]  # one per feature family; empty without features
     lengths: np.ndarray  # (B,) tokens of each sentence, in order
 
@@ -290,8 +291,10 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
     """Map each token of ``sentences``, end to end as one batch, to its
     word-, char- and feature-table rows.
 
-    A word or a character outside its vocabulary reads the ``<unk>`` row 0.
-    A tag outside the model's scheme raises :class:`TagValidationError`.
+    A recurring spelling's characters are stored once, so the char BiLSTM
+    runs each distinct spelling once.  A word or a character outside its
+    vocabulary reads the ``<unk>`` row 0.  A tag outside the model's
+    scheme raises :class:`TagValidationError`.
     """
     surfaces = tuple(w for sent in sentences for w in sent.surfaces)
     for tag in (t for sent in sentences for t in sent.gold_tags):
@@ -300,14 +303,16 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
                 f"input tag {tag!r} does not belong to the model's tag scheme {model.scheme.classes}"
             )
     words = np.array([_word_index(model, w) for w in surfaces], dtype=np.intp)
-    chars = lengths = np.zeros(0, dtype=np.intp)
+    chars = lengths = spellings = np.zeros(0, dtype=np.intp)
     if model.use_char:
+        first: dict[str, int] = {}  # each distinct spelling's row, in first-seen order
+        spellings = np.array([first.setdefault(w, len(first)) for w in surfaces], dtype=np.intp)
         index = model.char_vocab.index
-        chars = np.array([index.get(ch, 0) for w in surfaces for ch in w], dtype=np.intp)
-        lengths = np.array([len(w) for w in surfaces], dtype=np.intp)
+        chars = np.array([index.get(ch, 0) for w in first for ch in w], dtype=np.intp)
+        lengths = np.array([len(w) for w in first], dtype=np.intp)
     features = model.feature_encoder.rows(surfaces) if model.use_features else ()
     sizes = np.array([len(sent) for sent in sentences])
-    return EncodedSentence(surfaces, words, chars, lengths, features, sizes)
+    return EncodedSentence(surfaces, words, chars, lengths, spellings, features, sizes)
 
 
 def batches(model: ModelParameters, sentences: Iterable[Sentence]) -> Iterator[EncodedSentence]:
@@ -318,6 +323,9 @@ def batches(model: ModelParameters, sentences: Iterable[Sentence]) -> Iterator[E
     sentences times the longest sentence within :data:`BATCH_TOKENS`, and,
     for a char model, words times the longest word within
     :data:`BATCH_CHARS`.  A sentence over either cap is a batch alone.
+    The char cap counts every word, not only the distinct spellings the
+    char BiLSTM runs: that keeps the grouping, and so the word BiLSTM's
+    products, which BLAS rounds by batch size, bitwise as they were.
     """
     group, longest, words, longest_word = [], 0, 0, 0
     for sent in sentences:
@@ -338,7 +346,8 @@ def batches(model: ModelParameters, sentences: Iterable[Sentence]) -> Iterator[E
 def _time_first(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (2, L, B) row each step of B sequences stored end to end reads,
     forward and backward, and the (L, B) mask of steps within a sequence.
-    A masked step reads row 0 and passes it no gradient."""
+    A step past a sequence's end reads row 0 and, read by no caller,
+    passes it no gradient."""
     steps = np.arange(lengths.max())[:, None]
     mask = steps < lengths[None, :]
     ends = np.cumsum(lengths)
@@ -362,10 +371,10 @@ class _LeafSet:
         leaf.grad = self.grads.get(name)
         return leaf
 
-    def bilstm(self, prefix: str, xs: ag.Tensor, mask: np.ndarray | None) -> ag.Tensor:
+    def bilstm(self, prefix: str, xs: ag.Tensor) -> ag.Tensor:
         """:func:`seqtag.autograd.bilstm` over the stacked weights of BiLSTM ``prefix``."""
         weights = (self.dense_leaf(f"{prefix}.{k}") for k in ("W_x", "W_h", "b", "w_ci", "w_co"))
-        return ag.bilstm(xs, mask, *weights)
+        return ag.bilstm(xs, *weights)
 
     def table_rows(
         self, name: str, matrix: np.ndarray, rows: np.ndarray, fallback: np.ndarray | None = None
@@ -390,15 +399,15 @@ class _LeafSet:
 def _char_final_states(model: ModelParameters, leaves: _LeafSet, enc: EncodedSentence) -> ag.Tensor:
     """(T, 2*H_c) final char-BiLSTM states for all tokens, from one fused op.
 
-    Each direction gathers a (max_len, T, d_c) batch with every word's
-    characters, reversed for the backward direction, from step 0 on.
-    The carry mask is 0 past a word's end, so that word's state stops
-    updating, and the last step holds each word's final state.
+    Each direction gathers a (longest, S, d_c) batch with the characters
+    of every distinct spelling, reversed for the backward direction,
+    from step 0 on.  A token reads both directions' states of its
+    spelling at that spelling's last step, before any padding.
     """
     chars, index = leaves.table_rows("char_table", model.char_table, enc.chars)
-    rows, mask = _time_first(enc.word_lengths)
-    states = leaves.bilstm("char", ag.take(chars, index[rows]), mask)
-    return ag.concat([ag.take(states, (0, -1)), ag.take(states, (1, -1))], axis=1)
+    states = leaves.bilstm("char", ag.take(chars, index[_time_first(enc.word_lengths)[0]]))
+    ends = (enc.word_lengths - 1)[enc.spellings]
+    return ag.concat([ag.take(states, (d, ends, enc.spellings)) for d in (0, 1)], axis=1)
 
 
 def _representation_graph(
@@ -445,7 +454,7 @@ def _logits_graph(
     )
     # one sequence per sentence; the backward direction reads each reversed
     rows, mask = _time_first(enc.lengths)
-    states = leaves.bilstm("word", ag.take(rep, rows), None)
+    states = leaves.bilstm("word", ag.take(rep, rows))
     sent, pos = np.nonzero(mask.T)  # each token's sentence and position, in token order
     back = (0, pos, sent), (1, enc.lengths[sent] - 1 - pos, sent)
     hidden = ag.concat([ag.take(states, index) for index in back], axis=1)

@@ -282,11 +282,11 @@ def tag_with_model(model: ModelParameters, encoded: Iterable[EncodedSentence]) -
     """The repaired predicted BIO tags of every sentence of the decoding
     batches ``encoded`` (see :func:`seqtag.network.batches`), in order.
 
-    The recurrent taggers' logits come from one forward pass per batch, so
-    they are bitwise reproducible for the same grouping of sentences into
-    batches only: BLAS rounds a product differently for another batch
-    size, and a near-tie may then decode differently.  Grouping is fixed
-    by the input order and the caps, so the same input gives the same tags.
+    Each batch is one forward pass, with one char-BiLSTM row per distinct
+    spelling, so recurrent logits are bitwise reproducible for the same
+    grouping of sentences only: BLAS rounds a product by its batch size,
+    and a near-tie may then decode differently.  The input order and the
+    caps fix the grouping, so the same input gives the same tags.
     """
     out = []
     for batch in encoded:

@@ -134,51 +134,65 @@ def bilstm_inputs(L=4, B=3, D=2, H=3, seed=11):
     return rng.normal(size=(2, L, B, D)), cells
 
 
+def last_steps(lengths):
+    """The (direction, step, row) index of each sequence's final states, both directions."""
+    rows = np.tile(np.arange(len(lengths)), 2)
+    return np.repeat([0, 1], len(lengths)), np.tile(np.asarray(lengths) - 1, 2), rows
+
+
 class TestLstm:
-    # ragged: column 0 runs 4 steps, column 1 stops after 2, column 2 skips steps 1 and 2
-    MASK = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0], [1, 0, 1]], dtype=bool)
+    # ragged: column 0 runs all 4 steps, column 1 ends after 2 and column 2 after 1
+    LENGTHS = (4, 2, 1)
 
     def test_gradients_of_every_input_match_finite_differences(self):
+        # each sequence is read at its own last step only, as the char BiLSTM reads words
         xs, cells = bilstm_inputs()
-        L, B = self.MASK.shape
-        dirs = np.repeat([0, 1], L * B)
-        steps = np.tile(np.repeat(np.arange(L), B), 2)
-        rows = np.tile(np.arange(B), 2 * L)
-        targets = np.arange(2 * L * B) % 3
+        targets = np.arange(2 * len(self.LENGTHS)) % 3
 
         def build(leaves):
-            states = ag.bilstm(leaves[0], self.MASK, *leaves[1:])
-            return ag.softmax_cross_entropy(ag.take(states, (dirs, steps, rows)), targets)
+            states = ag.bilstm(*leaves)
+            return ag.softmax_cross_entropy(ag.take(states, last_steps(self.LENGTHS)), targets)
 
         check_grads(build, [xs, *stacked(*cells)])
 
-    def test_masked_row_keeps_its_state(self):
+    def test_padding_after_the_end_changes_no_state_up_to_the_last_step(self):
         xs, cells = bilstm_inputs()
-        states = ag.bilstm(ag.Tensor(xs), self.MASK, *map(ag.Tensor, stacked(*cells))).data
-        for d in (0, 1):
-            np.testing.assert_array_equal(states[d, 3, 1], states[d, 1, 1])
-            np.testing.assert_array_equal(states[d, 2, 2], states[d, 0, 2])
-            assert not np.array_equal(states[d, 3, 2], states[d, 2, 2])
+        weights = [ag.Tensor(w) for w in stacked(*cells)]
+        other = xs.copy()
+        for b, n in enumerate(self.LENGTHS):
+            other[:, n:, b] = np.random.default_rng(b).normal(size=other[:, n:, b].shape)
+        states = ag.bilstm(ag.Tensor(xs), *weights).data
+        padded = ag.bilstm(ag.Tensor(other), *weights).data
+        for b, n in enumerate(self.LENGTHS):
+            assert states[:, :n, b].tobytes() == padded[:, :n, b].tobytes()
+        assert not np.array_equal(states[:, 2:, 1], padded[:, 2:, 1])
+
+    def test_a_step_past_the_end_gets_a_zero_gradient(self):
+        xs, cells = bilstm_inputs()
+        leaves = [ag.leaf(xs), *map(ag.leaf, stacked(*cells))]
+        states = ag.bilstm(*leaves)
+        targets = np.zeros(2 * len(self.LENGTHS), dtype=np.intp)
+        ag.backward(ag.softmax_cross_entropy(ag.take(states, last_steps(self.LENGTHS)), targets))
+        for b, n in enumerate(self.LENGTHS):
+            assert not np.any(leaves[0].grad[:, n:, b])
+            assert np.all(np.any(leaves[0].grad[:, :n, b], axis=-1))
 
     def test_no_grad_output_is_bitwise_equal_to_taped_output(self):
         xs, cells = bilstm_inputs()
-        taped = ag.bilstm(ag.leaf(xs), self.MASK, *map(ag.leaf, stacked(*cells)))
+        taped = ag.bilstm(ag.leaf(xs), *map(ag.leaf, stacked(*cells)))
         with ag.no_grad():
-            plain = ag.bilstm(ag.leaf(xs), self.MASK, *map(ag.leaf, stacked(*cells)))
+            plain = ag.bilstm(ag.leaf(xs), *map(ag.leaf, stacked(*cells)))
         assert taped.tracked and not plain.tracked
         assert taped.data.tobytes() == plain.data.tobytes()
 
     def test_each_direction_matches_the_reference_lstm(self):
-        # each batch column of each direction is one reference pass over its active steps
+        # each column of each direction, up to its last step, is one reference pass over it
         xs, cells = bilstm_inputs(L=5, B=3, D=4, H=3, seed=13)
-        mask = np.array([[1, 1, 1], [1, 1, 0], [1, 0, 0], [1, 0, 1], [1, 0, 1]], dtype=bool)
-        for m in (None, mask):
-            states = ag.bilstm(ag.Tensor(xs), m, *map(ag.Tensor, stacked(*cells))).data
-            for d, cell in enumerate(cells):
-                for b in range(3):
-                    active = np.flatnonzero(mask[:, b]) if m is not None else np.arange(5)
-                    expected = run_lstm(cell, xs[d, active, b])
-                    np.testing.assert_allclose(states[d, active, b], expected, atol=1e-12)
+        states = ag.bilstm(ag.Tensor(xs), *map(ag.Tensor, stacked(*cells))).data
+        for d, cell in enumerate(cells):
+            for b, n in enumerate((5, 2, 1)):
+                expected = run_lstm(cell, xs[d, :n, b])
+                np.testing.assert_allclose(states[d, :n, b], expected, atol=1e-12)
 
     def test_take_with_repeated_index_adds_gradients(self):
         rng = np.random.default_rng(12)

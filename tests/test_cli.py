@@ -756,3 +756,22 @@ class TestTextThatIsNotUtf8:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("existing", [None, "earlier output\n"], ids=["new", "existing"])
+    def test_pseudo_corpus_that_fails_leaves_its_output_as_it_was(self, tmp_path, capsys,
+                                                                  existing):
+        # the first table is good, so a partial output would hold its sentences
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("note\nchest pain\n", encoding="utf-8")
+        bad.write_bytes(b"note\n" + self.BAD)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{good}\tnote\n{bad}\tnote\n", encoding="utf-8")
+        out = tmp_path / "pseudo.txt"
+        if existing is not None:
+            out.write_text(existing, encoding="utf-8")
+        assert main(["pseudo-corpus", "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["good.csv", "bad.csv", "manifest.txt"] + (["pseudo.txt"] if existing else []))
+        if existing is not None:
+            assert out.read_text(encoding="utf-8") == existing

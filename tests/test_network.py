@@ -13,6 +13,8 @@ from reference import (
     token_representation,
 )
 from reference import sentence_logits as reference_logits
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_autograd import random_cell
 
 from seqtag import autograd as ag
@@ -22,6 +24,7 @@ from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
 from seqtag.network import (
     CELL_FIELDS,
+    _char_final_states,
     _LeafSet,
     _representation_graph,
     crf_inputs,
@@ -194,6 +197,41 @@ class TestCharEmbed:
         np.testing.assert_array_equal(a, b)
 
 
+# spellings from the model's characters plus z and q, which are outside its char
+# vocabulary; a pool of six per example, so sentences repeat words
+SPELLINGS = st.text(alphabet="felbatowasgivndyzq", min_size=1, max_size=7)
+
+
+def char_states(model, sentences):
+    return _char_final_states(model, _LeafSet(model), encode(model, sentences)).data
+
+
+class TestDistinctSpellings:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_each_spelling_is_encoded_once_and_tokens_read_their_own(self, data):
+        model = make_model()
+        pool = data.draw(st.lists(SPELLINGS, min_size=1, max_size=6, unique=True), "pool")
+        word = st.sampled_from(pool + ["a", "z"])  # with a seen and an unseen 1-character word
+        sentences = [make_sentence(s) for s in data.draw(
+            st.lists(st.lists(word, min_size=1, max_size=8), min_size=1, max_size=3), "sentences")]
+        surfaces = [w for sent in sentences for w in sent.surfaces]
+        enc = encode(model, sentences)
+        distinct = list(dict.fromkeys(surfaces))
+        assert enc.word_lengths.tolist() == [len(w) for w in distinct]
+        index = model.char_vocab.index
+        assert enc.chars.tolist() == [index.get(ch, 0) for w in distinct for ch in w]
+        assert [distinct[k] for k in enc.spellings] == surfaces
+        states = char_states(model, sentences)
+        alone = {w: char_states(model, [make_sentence([w])])[0] for w in distinct}
+        np.testing.assert_allclose(states, [alone[w] for w in surfaces], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(states, [char_embed(w, model) for w in surfaces], atol=1e-12)
+
+    def test_a_model_without_chars_encodes_no_spellings(self):
+        enc = encode(make_model(use_char=False), [make_sentence(["was", "was"])])
+        assert enc.chars.size == enc.word_lengths.size == enc.spellings.size == 0
+
+
 class TestTokenRepresentation:
     def test_word_plus_char_dimension(self):
         model = make_model(d_w=4, H_c=2)
@@ -275,6 +313,14 @@ class TestLossAndGradients:
         gold = ["B-x", "I-x", "O", "O", "B-x"]
         worst, checked = check_model_gradients(model, sent, gold)
         assert checked > 300
+        assert worst < 1e-4
+
+    def test_char_gradients_of_a_repeated_word_match_finite_differences(self):
+        # both "daily" tokens read one spelling, so their gradients add up in it
+        model = make_model()
+        sent = encode(model, [make_sentence(["daily", "was", "daily", "a"])])
+        assert sent.spellings.tolist() == [0, 1, 0, 2]
+        worst, _ = check_model_gradients(model, sent, ["B-x", "O", "B-x", "O"])
         assert worst < 1e-4
 
     def test_feature_encoding_gradients(self):

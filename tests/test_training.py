@@ -416,7 +416,8 @@ def padded_tokens(batch):
 
 
 def padded_chars(batch):
-    return len(batch.word_lengths) * max(batch.word_lengths)
+    # the char cap counts every word, though the char BiLSTM runs each spelling once
+    return len(batch) * max(batch.word_lengths)
 
 
 class TestBatchedDecode:
