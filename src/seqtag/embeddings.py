@@ -220,6 +220,7 @@ def csv_column_records(path: str, column: str) -> Iterator[tuple[str, str]]:
     """Yield (column, cell) records from one column of an RFC-4180 CSV file;
     a file the csv module cannot parse raises :class:`DataError` naming it."""
     reader = csv.DictReader(read_lines(path, newline=""))
+    limit = csv.field_size_limit(2**31 - 1)  # free-text cells outgrow the default limit
     try:
         if reader.fieldnames is None or column not in reader.fieldnames:
             raise DataError(f"{path}: no column named {column!r}")
@@ -227,6 +228,8 @@ def csv_column_records(path: str, column: str) -> Iterator[tuple[str, str]]:
             yield column, row[column] or ""
     except csv.Error as exc:
         raise DataError(f"{path}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def pseudo_corpus_from_manifest(manifest_path: str) -> Iterator[list[str]]:

@@ -1,8 +1,9 @@
 """Word-vector training from windowed co-occurrence counts.
 
 Counts are collected symmetrically over a fixed window with 1/distance
-weighting, then word and context vectors plus biases are fitted by
-minimizing the weighted least-squares objective
+weighting in one vectorized pass, each pair's events summed in corpus
+order, into a (word, context, count) array.  Word and context vectors
+plus biases are then fitted by minimizing the weighted least-squares objective
 
     J = 1/2 * sum_ij f(X_ij) (w_i . c_j + b_i + b_j - log X_ij)^2,
     f(x) = min(1, (x / x_max)^alpha)
@@ -34,9 +35,12 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import PRETRAINED, EmbeddingTable
 from .errors import DataError, NumericError, check_fields
+
+PAIRS = np.dtype([("word", np.int64), ("context", np.int64), ("count", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class GloveParams:
 
     def __post_init__(self):
         check_fields(self, (
-            (("dim", "window", "iterations"), lambda v: v >= 1, "at least 1"),
+            (("dim", "window", "iterations", "min_count"), lambda v: v >= 1, "at least 1"),
             (("x_max", "learning_rate"), lambda v: 0.0 < v < math.inf, "positive and finite"),
             (("alpha",), math.isfinite, "finite"),
             (("seed",), lambda v: v >= 0, "at least 0"),
@@ -71,44 +75,51 @@ def count_vocabulary(corpus: Iterable[Sequence[str]], min_count: int) -> list[st
 
 def build_cooccurrence(
     corpus: Iterable[Sequence[str]], index: dict[str, int], window: int
-) -> dict[tuple[int, int], float]:
-    """Symmetric windowed counts with 1/distance weighting.
+) -> np.ndarray:
+    """Symmetric windowed counts with 1/distance weighting: a ``PAIRS`` array
+    of the distinct (word, context) pairs, sorted by word, then context.
 
     Windows do not cross sentence boundaries.  Words missing from
     ``index`` are skipped but still occupy positions (distance is
-    positional, not filtered).
+    positional, not filtered).  Each (position, distance) event adds
+    1/distance to (word, other), then to (other, word); ``np.bincount``
+    sums each count's events in that order from 0.0, as a loop would.
     """
-    counts: dict[tuple[int, int], float] = {}
-    for sentence in corpus:
-        ids = [index.get(w) for w in sentence]
-        for pos, wid in enumerate(ids):
-            if wid is None:
-                continue
-            for dist in range(1, window + 1):
-                other = pos + dist
-                if other >= len(ids):
-                    break
-                oid = ids[other]
-                if oid is None:
-                    continue
-                weight = 1.0 / dist
-                counts[(wid, oid)] = counts.get((wid, oid), 0.0) + weight
-                counts[(oid, wid)] = counts.get((oid, wid), 0.0) + weight
-    return counts
+    pad = [-1] * window  # ends a sentence's windows
+    ids = np.array([index.get(w, -1) for s in corpus for w in chain(s, pad)], dtype=np.int64)
+    ahead = sliding_window_view(np.append(ids, pad), window)[1:]  # ahead[p, d - 1] = ids[p + d]
+    event = (ids[:, None] >= 0) & (ahead >= 0)  # row-major is (position, distance) order
+    first, other = np.broadcast_to(ids[:, None], event.shape)[event], ahead[event]
+    n = max(index.values(), default=0) + 1
+    keys = np.minimum(first, other) * n + np.maximum(first, other)
+    del first, other  # few live temporaries keep the heap small
+    twice = 1 + (keys % (n + 1) == 0)  # key w * (n + 1): a word next to itself, events twice
+    keys = np.repeat(keys, twice)
+    weights = np.repeat(np.broadcast_to(1.0 / np.arange(1, window + 1), event.shape)[event], twice)
+    unique = np.sort(keys)  # np.unique would hash, and its small allocations grow the heap
+    unique = unique[np.diff(unique, prepend=-1) != 0]  # keys are at least 0
+    sums = np.bincount(np.searchsorted(unique, keys), weights, len(unique))
+    mirror = unique % (n + 1) != 0  # two words' other order has the same events, same sum
+    keys = np.concatenate([unique, unique[mirror] % n * n + unique[mirror] // n])
+    order = np.argsort(keys)
+    pairs = np.empty(len(keys), PAIRS)
+    pairs["word"], pairs["context"] = np.divmod(keys[order], n)
+    pairs["count"] = np.concatenate([sums, sums[mirror]])[order]
+    return pairs
 
 
 def _weights(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
     return np.minimum(1.0, (x / x_max) ** alpha)
 
 
-def _row_disjoint_groups(rows: np.ndarray, order: np.ndarray) -> list[np.ndarray]:
+def _row_disjoint_groups(rows: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split ``order`` into a sequence of groups in which no row occurs twice.
 
     ``rows[k]`` holds the parameter rows that pair ``k`` updates.  Walking
     ``order`` once, each pair joins the group after the last one that
     touched any of its rows.  So pairs that share a row keep their order
-    across groups, and the pairs of one group touch distinct rows.  Each
-    returned group is a subsequence of ``order``.
+    across groups, and the pairs of one group touch distinct rows.
+    Returns ``order`` stably sorted by group, and each group's size.
     """
     last = [-1] * (int(rows.max()) + 1)
     group = []
@@ -118,8 +129,7 @@ def _row_disjoint_groups(rows: np.ndarray, order: np.ndarray) -> list[np.ndarray
         last[a] = last[b] = g = (la if la > lb else lb) + 1
         group.append(g)
     group = np.array(group, dtype=np.int64)
-    grouped = order[np.argsort(group, kind="stable")]
-    return np.split(grouped, np.cumsum(np.bincount(group))[:-1])
+    return order[np.argsort(group, kind="stable")], np.bincount(group)
 
 
 def fit_glove(
@@ -136,17 +146,13 @@ def fit_glove(
         raise DataError("corpus is empty after minimum-count filtering")
     index = {w: i for i, w in enumerate(vocab)}
     cooc = build_cooccurrence(sentences, index, params.window)
-    if not cooc:
+    if len(cooc) == 0:
         raise DataError("no co-occurrence pairs; corpus may be all length-1 sentences")
 
     n, dim, lr = len(vocab), params.dim, params.learning_rate
-    keys = np.fromiter(chain.from_iterable(cooc), dtype=np.int64, count=2 * len(cooc))
-    keys = keys.reshape(-1, 2)
-    sort = np.lexsort((keys[:, 1], keys[:, 0]))
-    rows = keys[sort] + [0, n]  # word row i, context row n + j
-    xs = np.fromiter(cooc.values(), dtype=np.float64, count=len(cooc))[sort]
-    logx = np.log(xs)
-    fx = _weights(xs, params.x_max, params.alpha)
+    rows = np.stack([cooc["word"], cooc["context"] + n])  # word row i, context row n + j
+    logx = np.log(cooc["count"])
+    fx = _weights(cooc["count"], params.x_max, params.alpha)
 
     rng = np.random.default_rng(params.seed)
     scale = 0.5 / (dim + 1)
@@ -155,7 +161,7 @@ def fit_glove(
     table[:, :dim] = rng.uniform(-scale, scale, (2 * n, dim))
     table[:, dim] = rng.uniform(-scale, scale, 2 * n)
     grad_sq = np.ones_like(table)
-    word_rows, ctx_rows = rows[:, 0], rows[:, 1]
+    word_rows, ctx_rows = rows
 
     def objective() -> float:
         dots = np.einsum("ij,ij->i", table[word_rows, :dim], table[ctx_rows, :dim])
@@ -165,18 +171,19 @@ def fit_glove(
     history: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         for iteration in range(params.iterations):
-            for ks in _row_disjoint_groups(rows, rng.permutation(len(rows))):
-                m = len(ks)
-                both = np.concatenate([word_rows[ks], ctx_rows[ks]])
-                p = table[both]
-                w, c = p[:m], p[m:]
+            ks, sizes = _row_disjoint_groups(rows.T, rng.permutation(len(fx)))
+            group_rows, group_fx, group_logx = rows[:, ks], fx[ks], logx[ks]
+            ends = np.cumsum(sizes)
+            for a, b in zip((ends - sizes).tolist(), ends.tolist()):
+                both = group_rows[:, a:b]  # the group's word rows, then its context rows
+                p = table.take(both, axis=0)
+                w, c = p
                 dots = (w[:, None, :dim] @ c[:, :dim, None])[:, 0, 0]
-                fdiff = fx[ks] * (dots + w[:, dim] + c[:, dim] - logx[ks])
+                fdiff = group_fx[a:b] * (dots + w[:, dim] + c[:, dim] - group_logx[a:b])
                 # each row's gradient is fdiff times its partner row, 1 for the bias
-                grad = np.concatenate([c, w])
-                grad[:, dim] = 1.0
-                grad *= np.concatenate([fdiff, fdiff])[:, None]
-                acc = grad_sq[both]
+                grad = p[::-1] * fdiff[:, None]
+                grad[:, :, dim] = fdiff
+                acc = grad_sq.take(both, axis=0)
                 # a group's rows are distinct, so each scatter writes a row once
                 table[both] = p - lr * grad / np.sqrt(acc)
                 grad_sq[both] = acc + grad * grad

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -48,6 +49,7 @@ class TestEmbedTrainNumerics:
     @pytest.mark.parametrize("flag, value, code", [
         ("--learning-rate", "1e6", EXIT_NUMERIC),
         ("--alpha", "nan", EXIT_CONFIG),
+        ("--min-count", "0", EXIT_CONFIG),
     ])
     def test_bad_numbers_exit_cleanly_without_output(self, tmp_path, capsys, flag, value, code):
         corpus = tmp_path / "corpus.txt"
@@ -58,6 +60,15 @@ class TestEmbedTrainNumerics:
         err = capsys.readouterr().err
         assert got == code
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_corpus_of_one_word_lines_exits_with_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("aspirin\ndaily\naspirin\n", encoding="utf-8")
+        out = tmp_path / "vectors.txt"
+        assert main(["embed-train", "--corpus", str(corpus), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "no co-occurrence pairs" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -722,8 +733,7 @@ class TestEmbeddingCommands:
         for word, vec in fitted.entries.items():
             np.testing.assert_allclose(table.entries[word], vec, rtol=1e-7)
 
-    @pytest.mark.parametrize("title, cell", [("", "x"), ("a" * 200_000, "x"), ("a", "x" * 200_000)],
-                             ids=["empty-title", "long-title", "long-cell"])
+    @pytest.mark.parametrize("title, cell", [("", "x")], ids=["empty-title"])
     def test_csv_that_is_no_table_exits_with_data_error(self, tmp_path, capsys, title, cell):
         table = tmp_path / "notes.csv"
         table.write_text(f"id,{title}\n1,{cell}\n", encoding="utf-8")
@@ -732,6 +742,20 @@ class TestEmbeddingCommands:
         out = tmp_path / "pseudo.txt"
         assert main(["pseudo-corpus", "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("title, cell", [("a" * 200_000, "x"), ("a", "x" * 200_000)],
+                             ids=["long-title", "long-cell"])
+    def test_csv_field_longer_than_the_csv_default_limit_is_read(self, tmp_path, capsys,
+                                                                 title, cell):
+        table = tmp_path / "notes.csv"
+        table.write_text(f"id,{title}\n1,{cell}\n", encoding="utf-8")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{table}\t{title}\n", encoding="utf-8")
+        out = tmp_path / "pseudo.txt"
+        limit = csv.field_size_limit()
+        assert main(["pseudo-corpus", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert csv.field_size_limit() == limit
+        assert out.read_text(encoding="utf-8") == f"{title} {cell}\n"
 
 
 class TestTextThatIsNotUtf8:

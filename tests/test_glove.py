@@ -46,6 +46,35 @@ def hub_corpus(seed=0, n_sentences=120, n_words=25):
     return sentences
 
 
+def reference_cooccurrence(corpus, index, window):
+    """One event at a time: the loop whose sums build_cooccurrence must equal bitwise.
+
+    Returns a dict from (word, context) to its count.
+    """
+    counts = {}
+    for sentence in corpus:
+        ids = [index.get(w) for w in sentence]
+        for pos, wid in enumerate(ids):
+            if wid is None:
+                continue
+            for dist in range(1, window + 1):
+                other = pos + dist
+                if other >= len(ids):
+                    break
+                oid = ids[other]
+                if oid is None:
+                    continue
+                weight = 1.0 / dist
+                counts[(wid, oid)] = counts.get((wid, oid), 0.0) + weight
+                counts[(oid, wid)] = counts.get((oid, wid), 0.0) + weight
+    return counts
+
+
+def as_dict(cooc):
+    """The (word, context) -> count mapping of a build_cooccurrence array."""
+    return {(w, c): x for w, c, x in cooc.tolist()}
+
+
 def reference_fit(corpus, params):
     """One co-occurrence pair per step: the sequential loop fit_glove must reproduce.
 
@@ -56,8 +85,8 @@ def reference_fit(corpus, params):
     index = {w: i for i, w in enumerate(vocab)}
     cooc = build_cooccurrence(sentences, index, params.window)
     n = len(vocab)
-    pairs = np.array(sorted(cooc), dtype=np.int64)
-    xs = np.array([cooc[tuple(p)] for p in pairs], dtype=np.float64)
+    pairs = np.stack([cooc["word"], cooc["context"]], axis=1)
+    xs = cooc["count"]
     logx = np.log(xs)
     fx = _weights(xs, params.x_max, params.alpha)
 
@@ -98,28 +127,41 @@ def cosine(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
+@st.composite
+def corpora(draw):
+    """Sentences over a small vocabulary, with an index that misses some words.
+
+    Small vocabularies make a word next to itself likely; empty sentences
+    and sentences shorter than the window are drawn as well.
+    """
+    words = [f"w{i}" for i in range(draw(st.integers(1, 6)))]
+    sentences = draw(st.lists(st.lists(st.sampled_from(words), max_size=12), max_size=8))
+    indexed = draw(st.lists(st.sampled_from(words), unique=True))
+    return sentences, {w: i for i, w in enumerate(indexed)}, draw(st.integers(1, 6))
+
+
 class TestCooccurrence:
     def test_adjacent_pair_counts(self):
         index = {"a": 0, "b": 1}
-        cooc = build_cooccurrence([["a", "b"]], index, window=1)
+        cooc = as_dict(build_cooccurrence([["a", "b"]], index, window=1))
         assert cooc[(0, 1)] == 1.0 and cooc[(1, 0)] == 1.0
 
     def test_inverse_distance_weighting(self):
         index = {"a": 0, "b": 1, "c": 2}
-        cooc = build_cooccurrence([["a", "b", "c"]], index, window=5)
+        cooc = as_dict(build_cooccurrence([["a", "b", "c"]], index, window=5))
         assert cooc[(0, 2)] == pytest.approx(0.5)
         assert cooc[(0, 1)] == pytest.approx(1.0)
 
     def test_window_does_not_cross_sentences(self):
         index = {"a": 0, "b": 1}
         cooc = build_cooccurrence([["a"], ["b"]], index, window=5)
-        assert cooc == {}
+        assert len(cooc) == 0
 
     def test_symmetry(self):
         sentences, _ = twin_corpus(seed=1, n_sentences=20)
         vocab = count_vocabulary(sentences, 1)
         index = {w: i for i, w in enumerate(vocab)}
-        cooc = build_cooccurrence(sentences, index, window=4)
+        cooc = as_dict(build_cooccurrence(sentences, index, window=4))
         for (i, j), x in cooc.items():
             assert cooc[(j, i)] == pytest.approx(x)
 
@@ -127,11 +169,19 @@ class TestCooccurrence:
         sentences, _ = twin_corpus(seed=2, n_sentences=50)
         vocab = count_vocabulary(sentences, 1)
         index = {w: i for i, w in enumerate(vocab)}
-        cooc = build_cooccurrence(sentences, index, window=10)
+        cooc = as_dict(build_cooccurrence(sentences, index, window=10))
         a, b = index["twina"], index["twinb"]
         row_a = {j: x for (i, j), x in cooc.items() if i == a and j not in (a, b)}
         row_b = {j: x for (i, j), x in cooc.items() if i == b and j not in (a, b)}
         assert row_a == row_b
+
+    @given(corpora())
+    def test_matches_the_one_event_loop_bitwise(self, case):
+        sentences, index, window = case
+        cooc = build_cooccurrence(sentences, index, window)
+        expected = sorted(reference_cooccurrence(sentences, index, window).items())
+        assert [(w, c) for w, c, _ in cooc.tolist()] == [pair for pair, _ in expected]
+        assert [x.hex() for x in cooc["count"].tolist()] == [x.hex() for _, x in expected]
 
 
 class TestTraining:
@@ -217,9 +267,10 @@ class TestRowDisjointGroups:
     @given(pair_lists())
     def test_partition_without_repeats_keeping_order(self, case):
         rows, order = case
-        groups = _row_disjoint_groups(rows, order)
-        flat = np.concatenate(groups)
-        assert sorted(flat.tolist()) == list(range(len(rows)))
+        grouped, sizes = _row_disjoint_groups(rows, order)
+        assert sizes.sum() == len(grouped)
+        groups = np.split(grouped, np.cumsum(sizes)[:-1])
+        assert sorted(grouped.tolist()) == list(range(len(rows)))
         group_of = {}
         for g, ks in enumerate(groups):
             assert len(ks) > 0
@@ -240,6 +291,11 @@ class TestNumericGuards:
     def test_non_finite_params_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             GloveParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_min_count_below_one_rejected(self, value):
+        with pytest.raises(ConfigError, match="min_count"):
+            GloveParams(min_count=value)
 
     def test_divergence_names_the_iteration(self):
         sentences, _ = twin_corpus(seed=3, n_sentences=10)
