@@ -25,6 +25,7 @@ UNK = "<unk>"
 
 PRETRAINED = "pretrained"
 RANDOM = "random"
+CSV_FIELD_LIMIT = 2**31 - 1  # free-text cells outgrow the csv module's default limit
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def csv_column_records(path: str, column: str) -> Iterator[tuple[str, str]]:
     """Yield (column, cell) records from one column of an RFC-4180 CSV file;
     a file the csv module cannot parse raises :class:`DataError` naming it."""
     reader = csv.DictReader(read_lines(path, newline=""))
-    limit = csv.field_size_limit(2**31 - 1)  # free-text cells outgrow the default limit
+    limit = csv.field_size_limit(CSV_FIELD_LIMIT)
     try:
         if reader.fieldnames is None or column not in reader.fieldnames:
             raise DataError(f"{path}: no column named {column!r}")

@@ -733,8 +733,12 @@ class TestEmbeddingCommands:
         for word, vec in fitted.entries.items():
             np.testing.assert_allclose(table.entries[word], vec, rtol=1e-7)
 
-    @pytest.mark.parametrize("title, cell", [("", "x")], ids=["empty-title"])
-    def test_csv_that_is_no_table_exits_with_data_error(self, tmp_path, capsys, title, cell):
+    @pytest.mark.parametrize("title, cell", [("", "x"), ("a" * 200_000, "x"), ("a", "x" * 200_000)],
+                             ids=["empty-title", "long-title", "long-cell"])
+    def test_csv_that_is_no_table_exits_with_data_error(self, tmp_path, capsys, monkeypatch,
+                                                        title, cell):
+        # a field over the reader's limit is no table; lower the limit below the long fields
+        monkeypatch.setattr(seqtag.embeddings, "CSV_FIELD_LIMIT", 100_000)
         table = tmp_path / "notes.csv"
         table.write_text(f"id,{title}\n1,{cell}\n", encoding="utf-8")
         manifest = tmp_path / "manifest.txt"
