@@ -116,11 +116,20 @@ class FamilyRows:
         """(T, dim) vectors: table rows, and the fallback where a value is unseen."""
         if not len(self.fallback):
             return table[self.rows]
-        seen = self.rows >= 0
-        out = np.empty((len(self.rows), table.shape[1]))
-        out[seen] = table[self.rows[seen]]
-        out[~seen] = self.fallback
+        if len(self.fallback) == len(self.rows):  # every value unseen; the table may be empty
+            return self.fallback.copy()
+        out = table.take(self.rows, axis=0, mode="clip")  # a row -1 reads row 0 until replaced
+        out[self.rows < 0] = self.fallback
         return out
+
+    def split(self, bounds: list[int]) -> list[FamilyRows]:
+        """The rows of each token span ``bounds[i]:bounds[i + 1]``, each
+        with only its own fallback rows."""
+        unseen = [0] * len(bounds)
+        if len(self.fallback):
+            unseen = np.concatenate(([0], np.cumsum(self.rows < 0)))[bounds].tolist()
+        spans = zip(bounds, bounds[1:], unseen, unseen[1:])
+        return [FamilyRows(self.rows[a:b], self.fallback[u:v]) for a, b, u, v in spans]
 
 
 @dataclass

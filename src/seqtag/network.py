@@ -52,7 +52,10 @@ straight into one flat gradient laid out like the buffer.
 Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
 words and padded characters are capped by :data:`BATCH_TOKENS` and
-:data:`BATCH_CHARS`, so the arrays of a long input stay bounded.
+:data:`BATCH_CHARS`, so the arrays of a long input stay bounded.  The
+crf baseline has no recurrent pass: it decodes a batch with one Viterbi
+call, but gathers one sentence's inputs at a time (:func:`crf_inputs`),
+so no array of the batch's tokens times the input width is built.
 """
 
 from __future__ import annotations
@@ -542,7 +545,8 @@ def sentence_logits(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
 
 
 def crf_inputs(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
-    """(T, D) feature matrix for the transition-baseline tagger; one gather per table."""
+    """(T, D) inputs of the crf baseline: word vectors, then feature vectors;
+    one gather per table.  Training and decoding both pass it one sentence."""
     parts = [model.word_table[enc.words]]
     if model.use_features:
         families = model.feature_encoder.families
@@ -550,16 +554,33 @@ def crf_inputs(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
+def _sentences(enc: EncodedSentence) -> Iterator[EncodedSentence]:
+    """Each sentence of the batch ``enc`` as an encoding of its own: its
+    words and, per feature family, its rows with only its own fallback
+    rows.  The char fields pass through, so it serves a crf model, whose
+    encodings hold no char rows."""
+    bounds = np.concatenate(([0], np.cumsum(enc.lengths))).tolist()
+    families = [rows.split(bounds) for rows in enc.features]
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        yield EncodedSentence(
+            enc.surfaces[a:b], enc.words[a:b], enc.chars, enc.word_lengths, enc.spellings,
+            tuple(fam[i] for fam in families), enc.lengths[i : i + 1],
+        )
+
+
 def predict_tag_ids(model: ModelParameters, enc: EncodedSentence) -> list[int]:
     """Most likely tag indices, argmax per token or Viterbi per variant; a
-    batch (see :func:`batches`) is decoded at once and its ids stacked."""
+    batch (see :func:`batches`) is decoded at once and its ids stacked.
+
+    The crf baseline gathers and weighs one sentence's inputs at a time,
+    then decodes the batch's lattices with one Viterbi call.
+    """
     if model.variant == "crf":
         params = model.params
         weights = params["crf.emission_weights"].T
         # one product per sentence: a batch's lattices are bitwise those of its sentences
-        inputs = np.split(crf_inputs(model, enc), np.cumsum(enc.lengths)[:-1])
-        return viterbi(params["crf.transitions"], np.concatenate([x @ weights for x in inputs]),
-                       enc.lengths)
+        lattices = [crf_inputs(model, sent) @ weights for sent in _sentences(enc)]
+        return viterbi(params["crf.transitions"], np.concatenate(lattices), enc.lengths)
     logits = sentence_logits(model, enc)
     if model.variant == "blstm":
         return logits.argmax(axis=1).tolist()

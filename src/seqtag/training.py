@@ -18,7 +18,6 @@ extracted once.  Runs are bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -334,7 +333,9 @@ def train(
 
     best_f1 = -1.0
     best_epoch = -1
-    best_state: ModelParameters | None = None
+    # the arrays that training updates in place, and their values at the best epoch
+    state = [model.buffer, *table_arrays(model).values()]
+    best_state = [np.empty_like(arr) for arr in state]
     history: list[float] = []
 
     for epoch in range(config.epochs):
@@ -368,11 +369,14 @@ def train(
         history.append(f1)
         if f1 > best_f1:
             best_f1, best_epoch = f1, epoch
-            best_state = copy.deepcopy(model)
+            for arr, kept in zip(state, best_state):
+                np.copyto(kept, arr)
         if progress is not None:
             progress(epoch, total_loss / len(learn), f1)
 
-    return Checkpoint(container.VERSION, config, best_state, best_epoch, history)
+    for arr, kept in zip(state, best_state):
+        np.copyto(arr, kept)
+    return Checkpoint(container.VERSION, config, model, best_epoch, history)
 
 
 def tag(checkpoint: Checkpoint, sentences: Dataset) -> Dataset:

@@ -136,6 +136,17 @@ class TestRows:
             assert rows.fallback.shape == ref_fallback.shape
             assert rows.fallback.tobytes() == ref_fallback.tobytes()
 
+    @pytest.mark.parametrize("built_from", [("Aspirin", "40", "mg", "x-ray"), ()])
+    def test_gather_reads_each_token_from_its_table_row_or_fallback(self, built_from):
+        # built from no surfaces, every table is empty and every value unseen
+        encoder = build_feature_encoder(built_from, seed=3)
+        for fam, rows in zip(encoder.families, encoder.rows(self.SURFACES)):
+            expected = np.stack([
+                fam.table[fam.index[v]] if v in fam.index else encoder._fallback(fam, v)
+                for v in map(fam.fn, self.SURFACES)
+            ])
+            assert rows.gather(fam.table).tobytes() == expected.tobytes()
+
     def test_each_value_and_fallback_is_computed_once_per_call(self, monkeypatch):
         encoder = make_encoder()
         surfaces = self.SURFACES * 3

@@ -1,7 +1,8 @@
 import copy
 import functools
+import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,19 @@ class TestTrainLoop:
         assert ckpt.history[ckpt.best_epoch] == max(ckpt.history)
         # earliest epoch wins ties
         assert all(f1 < ckpt.history[ckpt.best_epoch] for f1 in ckpt.history[: ckpt.best_epoch])
+
+    @pytest.mark.parametrize("variant", ["crf", "blstm_crf"])
+    def test_the_model_holds_the_best_epoch_parameters(self, variant):
+        data, _ = small_corpus(n_train=20)
+        cfg = TrainConfig(
+            variant=variant, use_char=variant != "crf", use_features=True, epochs=4, seed=1, **FAST
+        )
+        ckpt = train(cfg, data)
+        assert ckpt.best_epoch < cfg.epochs - 1  # later epochs moved the parameters on
+        # a run that stops at the best epoch ends with its parameters, tables included
+        stopped = train(replace(cfg, epochs=ckpt.best_epoch + 1), data)
+        assert stopped.history == ckpt.history[: ckpt.best_epoch + 1]
+        assert model_bytes(ckpt.model) == model_bytes(stopped.model)
 
     def test_training_does_not_mutate_input(self):
         data, _ = small_corpus()
@@ -428,6 +442,39 @@ class TestBatchedDecode:
         seen = record_batches(monkeypatch)
         assert tag_all(model, data) == one_by_one
         assert [b.lengths.tolist() for b in seen] == [[len(sent) for sent in data]]
+
+    def test_crf_inputs_of_a_batch_are_those_of_its_sentences_alone(self, monkeypatch):
+        model, data = trained_model("crf")
+        alone = [encode(model, [sent]) for sent in data]
+        fams = [i for i, fam in enumerate(model.feature_encoder.families)
+                if fam.name in ("prefix3", "suffix3")]
+        # several sentences read fallback rows for unseen prefixes or suffixes
+        assert sum(any(len(enc.features[i].fallback) for i in fams) for enc in alone) > 2
+        real, gathered = network.crf_inputs, []
+        monkeypatch.setattr(
+            network, "crf_inputs", lambda m, enc: gathered.append(real(m, enc)) or gathered[-1]
+        )
+        network.predict_tag_ids(model, encode(model, list(data)))
+        assert len(gathered) == len(data)  # one gather per sentence
+        for inputs, enc in zip(gathered, alone):
+            expected = real(model, enc)
+            assert inputs.shape == expected.shape and inputs.tobytes() == expected.tobytes()
+
+    def test_crf_decoding_builds_no_batch_wide_input_matrix(self):
+        model, data = trained_model("crf")
+        longest = [sent for sent in data if len(sent) == max(map(len, data))]
+        many = Dataset(tuple(longest[i % len(longest)] for i in range(5000)))
+        batch = next(batches(model, many))
+        assert padded_tokens(batch) > network.BATCH_TOKENS - max(batch.lengths)
+        width = model.d_w + model.feature_encoder.total_dim
+        network.predict_tag_ids(model, batch)  # one-time costs, such as lazy imports, go first
+        tracemalloc.start()
+        try:
+            network.predict_tag_ids(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(batch) * width * 8  # one (T, D) float64 matrix
 
     @pytest.mark.parametrize("variant", ["blstm", "blstm_crf"])
     def test_recurrent_logits_agree_with_the_batch_of_one(self, variant):
