@@ -121,13 +121,7 @@ def cmd_tag(args) -> int:
         ))
     else:
         data = _load_conll(args.input, ckpt.scheme)
-    tagged = tag(ckpt, data)
-    if any(t.gold_tag is None for sent in data for t in sent):
-        # no gold column: two columns, the prediction in the tag column
-        tagged = Dataset(tuple(
-            Sentence(tuple(Token(t.surface, t.pred_tag) for t in sent)) for sent in tagged
-        ))
-    text = write_conll(tagged)
+    text = write_conll(tag(ckpt, data))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -138,7 +132,7 @@ def cmd_tag(args) -> int:
 
 def cmd_evaluate(args) -> int:
     gold = _load_conll(args.gold, None)
-    pred = _load_conll(args.pred, None, warn_invalid_gold=False)
+    pred = _load_conll(args.pred, None, predictions=True)
     # the scheme takes the predicted classes too: one the gold lacks scores as false positives
     metrics = evaluate(gold, pred, derive_scheme(gold, pred))
     print(report(metrics))
@@ -182,7 +176,7 @@ def cmd_embed_train(args) -> int:
 
 
 def _vocab_from_conll(path: str):
-    data = _load_conll(path, None, warn_invalid_gold=False)
+    data = _load_conll(path, None, predictions=True)
     if not len(data):
         raise DataError(f"{path} contains no tokens")
     return build_vocabulary(t.surface for sent in data for t in sent)

@@ -5,10 +5,11 @@ a single tab, sentences separated by blank lines.  Files carry one, two, or
 three columns::
 
     surface                     unlabeled input for tagging
-    surface<TAB>tag             gold-annotated data
+    surface<TAB>tag             gold-annotated data, or predicted tags
     surface<TAB>tag<TAB>pred    gold plus predicted tags
 
-Column count must be consistent across a file.
+Column count must be consistent across a file.  A two-column file read
+as a prediction file (see :func:`parse_conll`) holds predicted tags.
 """
 
 from __future__ import annotations
@@ -133,16 +134,17 @@ def split_tag(tag: str) -> tuple[str, str | None]:
 
 
 def parse_conll(
-    source: str | Iterable[str], scheme: TagScheme | None, *, warn_invalid_gold: bool = True
+    source: str | Iterable[str], scheme: TagScheme | None, *, predictions: bool = False
 ) -> Dataset:
     """Parse CoNLL-style text into a :class:`Dataset`.
 
     ``source`` may be a whole document string or an iterable of lines
     (e.g. an open file).  Every tag is validated against ``scheme``
     unless it is None (to derive a scheme from the tags afterwards); the
-    column count is fixed by the first non-blank line.  Pass
-    ``warn_invalid_gold=False`` when the tag column holds raw predictions
-    rather than gold annotation.
+    column count is fixed by the first non-blank line.  Invalid gold BIO
+    warns (see :func:`repair_bio`).  With ``predictions`` the file is a
+    prediction file: the tag column of a two-column file holds predicted
+    tags, a three-column file reads as it always does, and no tag warns.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -156,7 +158,7 @@ def parse_conll(
     def flush():
         if tokens:
             sent = Sentence(tuple(tokens))
-            if warn_invalid_gold:
+            if not predictions:
                 _warn_on_invalid_gold(sent, len(sentences))
             sentences.append(sent)
             tokens.clear()
@@ -178,6 +180,8 @@ def parse_conll(
             raise ParseError(f"bad surface form {surface!r} (empty or contains whitespace)", lineno)
         gold = fields[1] if ncols >= 2 else None
         pred = fields[2] if ncols >= 3 else None
+        if predictions and ncols == 2:
+            gold, pred = None, gold
         for tag in (gold, pred):
             if scheme is not None and tag is not None and tag not in scheme:
                 raise TagValidationError(f"line {lineno}: unknown tag {tag!r}")
@@ -206,8 +210,9 @@ def _warn_on_invalid_gold(sentence: Sentence, sent_idx: int):
 def write_conll(data: Dataset) -> str:
     """Serialize a dataset back to CoNLL text (inverse of :func:`parse_conll`).
 
-    Emits 1, 2, or 3 columns depending on which tags are present; the
-    dataset must be uniform in that respect.
+    Each token's row is its surface, then its gold tag and its predicted
+    tag where present, so predicted tags without gold tags make a
+    two-column prediction file.  Every token must have the same tags.
     """
     all_tokens = [t for s in data for t in s]
     has_gold = [t.gold_tag is not None for t in all_tokens]
@@ -216,8 +221,6 @@ def write_conll(data: Dataset) -> str:
         raise ValueError("cannot serialize a dataset with partially present gold tags")
     if any(has_pred) and not all(has_pred):
         raise ValueError("cannot serialize a dataset with partially present predicted tags")
-    if any(has_pred) and not all(has_gold):
-        raise ValueError("predicted tags require gold tags in the three-column format")
 
     out: list[str] = []
     for sent in data:

@@ -229,11 +229,11 @@ def input_nll_and_gradient(
     return nll, d_emissions.T @ inputs, d_trans
 
 
-def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths=None) -> list[int]:
+def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths) -> list[int]:
     """Highest-scoring tag sequence of each lattice of a batch, stacked.
 
     ``emissions`` stacks the (T_b, K) lattices of the batch on axis 0 and
-    ``lengths`` gives each T_b; without it, ``emissions`` is one lattice.
+    ``lengths`` gives each T_b.
     Exact ties are broken toward the lexicographically smallest
     tag-index sequence: suffix maxima are computed right-to-left and
     tags chosen greedily left-to-right, taking the smallest index that
@@ -243,7 +243,7 @@ def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths=None) -> list[int]
     """
     _check_lattice(trans, emissions)
     T, K = emissions.shape
-    lengths = np.array([T] if lengths is None else lengths, dtype=np.intp)
+    lengths = np.array(lengths, dtype=np.intp)
     if lengths.min() < 1 or lengths.sum() != T:
         raise ValueError(f"lattice lengths {lengths.tolist()} do not split {T} rows")
     B, L = len(lengths), int(lengths.max())

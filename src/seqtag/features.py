@@ -107,29 +107,22 @@ class FeatureFamily:
 
 @dataclass(frozen=True)
 class FamilyRows:
-    """One family's rows for a token sequence; row -1 marks an unseen value."""
+    """One family's rows for a token sequence: a table row, or, for a
+    value the table lacks, ``-1 - k`` where ``k`` is that value's row in
+    ``fallback``."""
 
-    rows: np.ndarray  # (T,) table rows
-    fallback: np.ndarray  # (number of unseen tokens, dim), in token order
+    rows: np.ndarray  # (T,)
+    fallback: np.ndarray  # (number of distinct unseen values, dim), first seen first
 
     def gather(self, table: np.ndarray) -> np.ndarray:
         """(T, dim) vectors: table rows, and the fallback where a value is unseen."""
         if not len(self.fallback):
             return table[self.rows]
-        if len(self.fallback) == len(self.rows):  # every value unseen; the table may be empty
-            return self.fallback.copy()
-        out = table.take(self.rows, axis=0, mode="clip")  # a row -1 reads row 0 until replaced
-        out[self.rows < 0] = self.fallback
+        unseen = self.rows < 0
+        out = np.empty((len(self.rows), self.fallback.shape[1]))
+        out[~unseen] = table[self.rows[~unseen]]
+        out[unseen] = self.fallback[-1 - self.rows[unseen]]
         return out
-
-    def split(self, bounds: list[int]) -> list[FamilyRows]:
-        """The rows of each token span ``bounds[i]:bounds[i + 1]``, each
-        with only its own fallback rows."""
-        unseen = [0] * len(bounds)
-        if len(self.fallback):
-            unseen = np.concatenate(([0], np.cumsum(self.rows < 0)))[bounds].tolist()
-        spans = zip(bounds, bounds[1:], unseen, unseen[1:])
-        return [FamilyRows(self.rows[a:b], self.fallback[u:v]) for a, b, u, v in spans]
 
 
 @dataclass
@@ -155,11 +148,13 @@ class FeatureEncoder:
         distinct = dict.fromkeys(surfaces)
         out = []
         for fam in self.families:
-            value = {s: fam.fn(s) for s in distinct}
-            unseen = {v: self._fallback(fam, v) for v in set(value.values()) - fam.index.keys()}
-            rows = [fam.index.get(value[s], -1) for s in surfaces]
-            fallback = [unseen[value[s]] for s, r in zip(surfaces, rows) if r < 0]
-            out.append(FamilyRows(np.array(rows, dtype=np.intp), np.reshape(fallback, (-1, fam.dim))))
+            unseen: dict[str, int] = {}  # each unseen value's fallback row, first seen first
+            row = {}
+            for s in distinct:
+                v = fam.fn(s)
+                row[s] = fam.index[v] if v in fam.index else -1 - unseen.setdefault(v, len(unseen))
+            fallback = np.reshape([self._fallback(fam, v) for v in unseen], (-1, fam.dim))
+            out.append(FamilyRows(np.array([row[s] for s in surfaces], dtype=np.intp), fallback))
         return tuple(out)
 
 

@@ -69,9 +69,9 @@ import numpy as np
 from . import autograd as ag
 from .corpus import Sentence, TagScheme
 from .crf import crf_nll_op, viterbi
-from .embeddings import EmbeddingTable, Vocabulary
+from .embeddings import EmbeddingTable, Vocabulary, build_vocabulary
 from .errors import ConfigError, TagValidationError
-from .features import FamilyRows, FeatureEncoder
+from .features import FamilyRows, FeatureEncoder, build_feature_encoder
 # no tagger calls encode_surface; it stays bound because benchmarks/spans.py patches it here
 from .features import encode_surface  # noqa: F401
 
@@ -197,8 +197,8 @@ def init_model(
     scheme: TagScheme,
     vocab: Vocabulary,
     word_table: EmbeddingTable,
-    feature_surfaces=(),
-    char_alphabet=(),
+    feature_surfaces: Iterable[str],
+    char_alphabet: Iterable[str],
 ) -> ModelParameters:
     """Build the model that ``config`` describes; the default
     initialization is uniform [-1, 1].
@@ -216,12 +216,8 @@ def init_model(
     matrix = np.stack([word_table.entries[w] for w in vocab.words])
     model = ModelParameters(scheme, config.variant, vocab, matrix)
     if config.use_features:
-        from .features import build_feature_encoder
-
         model.feature_encoder = build_feature_encoder(feature_surfaces, config.seed)
     if config.use_char:
-        from .embeddings import build_vocabulary
-
         model.char_vocab = build_vocabulary(char_alphabet)
         model.char_table = rng.uniform(-1.0, 1.0, (len(model.char_vocab), config.d_c))
     allocate_dense(model, config.H_c, config.H_w)
@@ -384,7 +380,7 @@ class _LeafSet:
     ) -> tuple[ag.Tensor, np.ndarray]:
         """The leaf of the distinct ``rows`` of ``matrix``, and where each row sits in it.
 
-        A row of -1 reads the next row of the untracked ``fallback``,
+        A row ``-1 - k`` reads row ``k`` of the untracked ``fallback``,
         which is stacked under the leaf.
         """
         seen = rows >= 0
@@ -393,9 +389,8 @@ class _LeafSet:
         self.tables[name] = (distinct, leaf)
         if len(inverse) == len(rows):
             return leaf, inverse
-        index = np.empty(len(rows), dtype=np.intp)
+        index = len(distinct) - 1 - rows  # fallback row k sits at len(distinct) + k
         index[seen] = inverse
-        index[~seen] = len(distinct) + np.arange(len(fallback))
         return ag.concat([leaf, ag.Tensor(fallback)], axis=0), index
 
 
@@ -556,15 +551,15 @@ def crf_inputs(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
 
 def _sentences(enc: EncodedSentence) -> Iterator[EncodedSentence]:
     """Each sentence of the batch ``enc`` as an encoding of its own: its
-    words and, per feature family, its rows with only its own fallback
-    rows.  The char fields pass through, so it serves a crf model, whose
-    encodings hold no char rows."""
+    words and, per feature family, its rows, which read the batch's
+    fallback.  The char fields pass through, so it serves a crf model,
+    whose encodings hold no char rows."""
     bounds = np.concatenate(([0], np.cumsum(enc.lengths))).tolist()
-    families = [rows.split(bounds) for rows in enc.features]
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        features = tuple(FamilyRows(f.rows[a:b], f.fallback) for f in enc.features)
         yield EncodedSentence(
             enc.surfaces[a:b], enc.words[a:b], enc.chars, enc.word_lengths, enc.spellings,
-            tuple(fam[i] for fam in families), enc.lengths[i : i + 1],
+            features, enc.lengths[i : i + 1],
         )
 
 

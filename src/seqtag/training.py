@@ -41,7 +41,7 @@ from .embeddings import (
 from .errors import (
     ConfigError, DataError, NumericError, TagValidationError, check_fields, read_lines,
 )
-from .evaluation import Metrics, effective_pred_tags, span_counts
+from .evaluation import Metrics, span_counts
 # train scores through span_counts; evaluate stays bound because benchmarks/spans.py patches it here
 from .evaluation import evaluate  # noqa: F401
 from .features import FAMILY_SPECS, FeatureEncoder, FeatureFamily
@@ -198,7 +198,7 @@ def derive_scheme(data: Dataset, predictions: Dataset | None = None) -> TagSchem
     """
     rows = [sent.gold_tags for sent in data]
     if predictions is not None:
-        rows += [effective_pred_tags(sent) for sent in predictions]
+        rows += [sent.pred_tags for sent in predictions]
     classes = set()
     for tags in rows:
         for tag in tags:

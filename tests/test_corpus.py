@@ -116,6 +116,17 @@ class TestParseConll:
             data = parse_conll("a\tB-drug\nb\tI-brand\n", DRUG_SCHEME)
         assert data[0].gold_tags == ["B-drug", "I-brand"]
 
+    def test_two_column_prediction_file_holds_predicted_tags(self):
+        data = parse_conll("aspirin\tB-drug\n", DRUG_SCHEME, predictions=True)
+        assert data[0].tokens[0] == Token("aspirin", None, "B-drug")
+
+    @pytest.mark.parametrize("text", ["a\tB-drug\nb\tI-brand\n", "a\tB-drug\tO\nb\tI-brand\tO\n"])
+    def test_invalid_bio_in_a_prediction_file_does_not_warn(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = parse_conll(text, DRUG_SCHEME, predictions=True)
+        assert data[0].surfaces == ["a", "b"]
+
 
 class TestWriteRoundTrip:
     def test_round_trip_two_columns(self):
@@ -128,6 +139,21 @@ class TestWriteRoundTrip:
         text = "a\tB-drug\tB-drug\nb\tI-drug\tO\n\n"
         data = parse_conll(text, DRUG_SCHEME)
         assert parse_conll(write_conll(data), DRUG_SCHEME) == data
+
+    @pytest.mark.parametrize("predictions", [False, True])
+    @pytest.mark.parametrize("ncols", [1, 2, 3])
+    @given(rows=st.lists(
+        st.lists(st.tuples(st.sampled_from(["a", "Felbatol", "5-mg/dl", "x-ray"]),
+                           st.sampled_from(DRUG_SCHEME.tags), st.sampled_from(DRUG_SCHEME.tags)),
+                 min_size=1, max_size=5),
+        max_size=4,
+    ))
+    def test_write_returns_the_parsed_text(self, ncols, predictions, rows):
+        text = "".join("".join("\t".join(tok[:ncols]) + "\n" for tok in s) + "\n" for s in rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # drawn gold tags may be invalid BIO
+            data = parse_conll(text, None, predictions=predictions)
+        assert write_conll(data) == text
 
     def test_rejects_mixed_tag_presence(self):
         mixed = Dataset((Sentence((Token("a", "O"), Token("b"))),))

@@ -119,12 +119,12 @@ class TestLogPartition:
         z0 = _forward_backward(trans, emissions)[0]
         y = [2, 0, 1, 1]
         s0 = sequence_score(trans, emissions, y)
-        v0 = viterbi(trans, emissions)
+        v0 = viterbi(trans, emissions, [len(emissions)])
         shifted = emissions.copy()
         shifted[2] += 0.75
         assert _forward_backward(trans, shifted)[0] == pytest.approx(z0 + 0.75, abs=1e-10)
         assert sequence_score(trans, shifted, y) == pytest.approx(s0 + 0.75, abs=1e-10)
-        assert viterbi(trans, shifted) == v0
+        assert viterbi(trans, shifted, [len(shifted)]) == v0
 
 
 class TestNllAndGradient:
@@ -330,12 +330,12 @@ class TestScaledForwardBackward:
 class TestViterbi:
     def test_zero_params_tie_break_to_lowest_index(self):
         trans = np.zeros((5, 5))
-        assert viterbi(trans, np.zeros((4, 4))) == [0, 0, 0, 0]
+        assert viterbi(trans, np.zeros((4, 4)), [4]) == [0, 0, 0, 0]
 
     def test_zero_transitions_factorizes(self):
         trans = np.zeros((4, 4))
         emissions = np.array([[0.0, 2.0, 1.0], [3.0, 0.0, -1.0], [0.0, 0.5, 4.0]])
-        assert viterbi(trans, emissions) == [1, 0, 2]
+        assert viterbi(trans, emissions, [len(emissions)]) == [1, 0, 2]
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(8)
@@ -343,7 +343,7 @@ class TestViterbi:
             T, K = int(rng.integers(1, 7)), int(rng.integers(2, 5))
             trans, emissions = random_instance(rng, T, K)
             best_score, best_seq = brute_best(trans, emissions)
-            got = viterbi(trans, emissions)
+            got = viterbi(trans, emissions, [len(emissions)])
             assert sequence_score(trans, emissions, got) == pytest.approx(
                 best_score, abs=1e-9
             )
@@ -353,12 +353,12 @@ class TestViterbi:
         # two tags made fully symmetric: every maximizer has a mirror
         trans = np.zeros((3, 3))
         emissions = np.tile(np.array([[1.0, 1.0]]), (3, 1))
-        assert viterbi(trans, emissions) == [0, 0, 0]
+        assert viterbi(trans, emissions, [len(emissions)]) == [0, 0, 0]
 
     def test_beats_random_sequences(self):
         rng = np.random.default_rng(9)
         trans, emissions = random_instance(rng, T=8, K=4)
-        best = sequence_score(trans, emissions, viterbi(trans, emissions))
+        best = sequence_score(trans, emissions, viterbi(trans, emissions, [len(emissions)]))
         for _ in range(1000):
             y = rng.integers(0, 4, size=8)
             assert sequence_score(trans, emissions, y) <= best + 1e-12
@@ -387,7 +387,7 @@ class TestBatchedViterbi:
         start = 0
         for T in lengths:
             lattice = emissions[start : start + T]
-            alone = viterbi(trans, lattice)
+            alone = viterbi(trans, lattice, [len(lattice)])
             assert got[start : start + T] == alone
             if T <= 4:  # lexicographically smallest of the best sequences
                 assert alone == brute_best(trans, lattice)[1]
@@ -440,7 +440,7 @@ class TestLatticeChecks:
     @pytest.mark.parametrize("shape", [(3, 4), (1, 1), (3,)])
     def test_transitions_must_be_square_and_hold_a_tag(self, shape):
         with pytest.raises(ValueError, match="transitions must be square"):
-            viterbi(np.zeros(shape), np.zeros((2, 2)))
+            viterbi(np.zeros(shape), np.zeros((2, 2)), [2])
 
     def test_non_finite_transitions_are_not_checked_here(self):
         # values are checked where they enter: a loaded checkpoint, an epoch of training

@@ -1,16 +1,14 @@
 import pytest
 
-from seqtag.corpus import TagScheme, parse_conll
+from seqtag.corpus import EntitySpan, TagScheme, parse_conll
 from seqtag.errors import DataError
 from seqtag.evaluation import (
     AGGREGATE,
     ClassCounts,
+    Metrics,
     evaluate,
-    f1_score,
-    pooled,
-    prf,
     report,
-    strict_counts,
+    span_counts,
     to_mapping,
 )
 
@@ -27,8 +25,12 @@ def sentences(pairs):
         gold_lines.append("")
         pred_lines.append("")
     gold = parse_conll("\n".join(gold_lines), SCHEME)
-    pred = parse_conll("\n".join(pred_lines), SCHEME, warn_invalid_gold=False)
+    pred = parse_conll("\n".join(pred_lines), SCHEME, predictions=True)
     return gold, pred
+
+
+def strict_counts(gold, pred):
+    return evaluate(gold, pred, SCHEME).per_class
 
 
 class TestStrictCounts:
@@ -84,7 +86,7 @@ class TestStrictCounts:
                 ),
             ]
         )
-        counts = strict_counts(gold, pred, SCHEME)
+        counts = strict_counts(gold, pred)
         assert (counts["problem"].tp, counts["problem"].fp, counts["problem"].fn) == (1, 0, 0)
         assert (counts["test"].tp, counts["test"].fp, counts["test"].fn) == (0, 1, 2)
         assert (counts["treatment"].tp, counts["treatment"].fp, counts["treatment"].fn) == (0, 1, 0)
@@ -123,24 +125,49 @@ class TestStrictCounts:
         assert counts.fn == counts.true_entities - counts.tp == 2
 
 
-class TestPrf:
+class TestScoreProperties:
     def test_balanced_counts(self):
-        entry = prf(ClassCounts("c", tp=1, fp=1, true_entities=2))
-        assert entry.precision == entry.recall == entry.f1 == 0.5
+        c = ClassCounts("c", tp=1, fp=1, true_entities=2)
+        assert c.precision == c.recall == c.f1 == 0.5
 
     def test_zero_tp_convention(self):
-        entry = prf(ClassCounts("c", tp=0, fp=0, true_entities=0))
-        assert (entry.precision, entry.recall, entry.f1) == (0.0, 0.0, 0.0)
+        c = ClassCounts("c", tp=0, fp=0, true_entities=0)
+        assert (c.precision, c.recall, c.f1) == (0.0, 0.0, 0.0)
 
     def test_reported_row_consistency(self):
         # published per-class row: P=81.69, R=87.88 -> F1=84.67
-        assert abs(f1_score(0.8169, 0.8788) - 0.8467) < 1e-4
+        tp = 8169 * 8788
+        c = ClassCounts("c", tp=tp, fp=8788 * 10000 - tp, true_entities=8169 * 10000)
+        assert (c.precision, c.recall) == (0.8169, 0.8788)
+        assert abs(c.f1 - 0.8467) < 1e-4
+
+
+class TestRows:
+    def test_evaluate_rows_are_the_scheme_classes_in_order(self):
+        # only "test" occurs; "problem" and "treatment" are all-zero rows
+        gold, pred = sentences([([("a", "B-test"), ("b", "O")], ["B-test", "O"])])
+        metrics = evaluate(gold, pred, SCHEME)
+        assert list(metrics.per_class) == list(SCHEME.classes)
+        assert [c.cls for c in metrics.rows()] == [*SCHEME.classes, AGGREGATE]
+        assert metrics.per_class["problem"] == ClassCounts("problem", 0, 0, 0)
+
+    def test_span_counts_rows_are_the_scheme_classes_in_order(self):
+        scheme = TagScheme(("zeta", "alpha", "mid"))
+        gold = [{EntitySpan(0, 1, "mid")}, set()]
+        counts = span_counts(gold, [["B-mid", "O"], ["O", "B-zeta"]], scheme)
+        assert list(counts) == ["zeta", "alpha", "mid"]
+        assert counts == {
+            "zeta": ClassCounts("zeta", 0, 1, 0),
+            "alpha": ClassCounts("alpha", 0, 0, 0),
+            "mid": ClassCounts("mid", 1, 0, 1),
+        }
 
 
 class TestReport:
     def test_single_class_aggregate_equals_row(self):
         gold, pred = sentences([([("a", "B-problem")], ["B-problem"])])
-        metrics = evaluate(gold, pred)
+        metrics = evaluate(gold, pred, TagScheme(("problem",)))
+        assert metrics.aggregate == ClassCounts(AGGREGATE, 1, 0, 1)
         assert metrics.aggregate.tp == metrics.per_class["problem"].tp
         text = report(metrics)
         assert "problem" in text and AGGREGATE in text
@@ -151,8 +178,8 @@ class TestReport:
         )
         metrics = evaluate(gold, pred, SCHEME)
         for cls in ("problem", "test"):
-            e = prf(metrics.per_class[cls])
-            assert (e.precision, e.recall, e.f1) == (0.0, 0.0, 0.0)
+            c = metrics.per_class[cls]
+            assert (c.precision, c.recall, c.f1) == (0.0, 0.0, 0.0)
         assert "0.00" in report(metrics)
 
     def test_micro_average_matches_pooled_count_oracle(self):
@@ -168,15 +195,17 @@ class TestReport:
                 ),
             ]
         )
-        metrics = evaluate(gold, pred)
+        metrics = evaluate(gold, pred, SCHEME)
         counts = metrics.per_class
         tp = sum(c.tp for c in counts.values())
         fp = sum(c.fp for c in counts.values())
         fn = sum(c.fn for c in counts.values())
         agg = metrics.aggregate
         assert (agg.tp, agg.fp, agg.fn) == (tp, fp, fn)
-        oracle = prf(ClassCounts(AGGREGATE, tp, fp, tp + fn))
-        assert prf(metrics.aggregate) == oracle
+        precision, recall = tp / (tp + fp), tp / (tp + fn)
+        assert (agg.precision, agg.recall) == (precision, recall)
+        assert agg.f1 == 2 * precision * recall / (precision + recall)
+        assert metrics.micro_f1() == agg.f1
 
     def test_mapping_has_all_fields(self):
         gold, pred = sentences([([("a", "B-problem")], ["B-problem"])])
@@ -207,7 +236,7 @@ class TestInvariants:
         ]
         gold, pred = sentences(pairs)
         gold_r, pred_r = sentences(pairs[::-1])
-        assert evaluate(gold, pred).micro_f1() == evaluate(gold_r, pred_r).micro_f1()
+        assert evaluate(gold, pred, SCHEME).micro_f1() == evaluate(gold_r, pred_r, SCHEME).micro_f1()
 
     def test_gold_against_itself_is_perfect(self):
         rows = [
@@ -215,16 +244,15 @@ class TestInvariants:
             ([("c", "B-test"), ("d", "O")], ["B-test", "O"]),
         ]
         gold, pred = sentences(rows)
-        metrics = evaluate(gold, pred)
+        metrics = evaluate(gold, pred, SCHEME)
         for cls, c in metrics.per_class.items():
             if c.true_entities:
-                e = prf(c)
-                assert e.precision == e.recall == e.f1 == 1.0
+                assert c.precision == c.recall == c.f1 == 1.0
 
-    def test_pooled_helper(self):
+    def test_aggregate_sums_the_class_counts(self):
         counts = {
             "a": ClassCounts("a", 2, 1, 3),
             "b": ClassCounts("b", 0, 2, 1),
         }
-        agg = pooled(counts)
-        assert (agg.tp, agg.fp, agg.fn, agg.true_entities) == (2, 3, 2, 4)
+        agg = Metrics(counts).aggregate
+        assert (agg.cls, agg.tp, agg.fp, agg.fn, agg.true_entities) == (AGGREGATE, 2, 3, 2, 4)

@@ -22,12 +22,20 @@ def make_encoder(surfaces=("Aspirin", "40", "mg", "x-ray")):
 
 def reference_rows(encoder, surfaces):
     """``FeatureEncoder.rows`` as a loop over tokens: every token computes
-    each family's value and, for an unseen value, draws its fallback."""
+    each family's value; the k-th distinct unseen value met reads row
+    -1 - k and draws its fallback when first met."""
     out = []
     for fam in encoder.families:
-        values = [fam.fn(s) for s in surfaces]
-        rows = [fam.index.get(v, -1) for v in values]
-        fallback = [encoder._fallback(fam, v) for v, r in zip(values, rows) if r < 0]
+        rows, fallback, unseen = [], [], {}
+        for s in surfaces:
+            value = fam.fn(s)
+            if value in fam.index:
+                rows.append(fam.index[value])
+                continue
+            if value not in unseen:
+                unseen[value] = len(unseen)
+                fallback.append(encoder._fallback(fam, value))
+            rows.append(-1 - unseen[value])
         out.append((np.array(rows, dtype=np.intp), np.reshape(fallback, (-1, fam.dim))))
     return out
 
@@ -81,7 +89,9 @@ class TestEncoder:
         surfaces = ("Aspirin", "40", "mg", "x-ray")
         vocab = build_vocabulary(surfaces)
         config = TrainConfig(variant="crf", use_char=False, use_features=True, d_w=4, seed=3)
-        model = init_model(config, TagScheme(("x",)), vocab, random_table(vocab, 4, 3), surfaces)
+        model = init_model(
+            config, TagScheme(("x",)), vocab, random_table(vocab, 4, 3), surfaces, ()
+        )
         sent = Sentence((Token("mg", "O"), Token("of", "O"), Token("mg", "O")))
         inputs = crf_inputs(model, encode(model, [sent]))
         a = inputs[0, model.d_w:]
@@ -135,6 +145,8 @@ class TestRows:
             np.testing.assert_array_equal(rows.rows, ref_rows)
             assert rows.fallback.shape == ref_fallback.shape
             assert rows.fallback.tobytes() == ref_fallback.tobytes()
+        # "ibuprofen" and "IBUPROFEN" share unseen values, and so their fallback rows
+        assert any(len(rows.fallback) < np.count_nonzero(rows.rows < 0) for rows in got)
 
     @pytest.mark.parametrize("built_from", [("Aspirin", "40", "mg", "x-ray"), ()])
     def test_gather_reads_each_token_from_its_table_row_or_fallback(self, built_from):

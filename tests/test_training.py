@@ -168,10 +168,14 @@ class TestDeriveScheme:
             derive_scheme(data)
 
     @pytest.mark.parametrize("tag", ["B", "I-", "X-drug", "drug"])
+    @pytest.mark.filterwarnings("ignore:sentence 0")  # "I-" does not continue an entity
     def test_malformed_tag_rejected(self, tag):
-        data = parse_conll(f"a\tB-drug\nb\t{tag}\n", None, warn_invalid_gold=False)
+        text = f"a\tB-drug\nb\t{tag}\n"
         with pytest.raises(TagValidationError, match=repr(tag)):
-            derive_scheme(data)
+            derive_scheme(parse_conll(text, None))
+        predictions = parse_conll(text, None, predictions=True)
+        with pytest.raises(TagValidationError, match=repr(tag)):
+            derive_scheme(parse_conll("a\tB-drug\nb\tO\n", None), predictions)
 
 
 class TestTrainLoop:
@@ -541,7 +545,7 @@ class TestBatchedDecode:
         model, data = trained_model(variant)
         predicted = tag_all(model, data)
         pred = Dataset(tuple(
-            Sentence(tuple(Token(t.surface, p) for t, p in zip(sent, tags)))
+            Sentence(tuple(Token(t.surface, pred_tag=p) for t, p in zip(sent, tags)))
             for sent, tags in zip(data, predicted)
         ))
         spans = [set(extract_entities(repair_bio(sent.gold_tags))) for sent in data]
