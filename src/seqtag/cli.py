@@ -4,10 +4,10 @@ Subcommands: train, tag, evaluate, synth, embed-train, embed-concat,
 coverage, pseudo-corpus.  Config files are flat ``key = value`` text,
 one :class:`~seqtag.training.TrainConfig` field per line, in the format
 a checkpoint's config section uses: bools are words such as ``true`` or
-``no``, and ``embeddings`` separates its paths by commas.  Command-line
-flags override config keys, the ``SEQTAG_SEED`` environment variable
-overrides the seed from either source, and the merged config is then
-checked once.
+``no``, and ``embeddings`` separates its paths by commas.  Settings come
+from the file, then the flags that are set, then ``SEQTAG_SEED`` for the
+seed, each put over the ones before, and are then checked once;
+``synth --spec`` and ``embed-train`` take theirs the same way.
 
 Exit codes: 0 success, 2 data error, 3 config error, 4 numeric abort.
 The class of the exception alone picks the code: a failure the user
@@ -56,11 +56,6 @@ EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 
 
-def read_kv_file(path: str) -> dict[str, str]:
-    """The ``key = value`` lines of a config file (see :func:`parse_kv_lines`)."""
-    return parse_kv_lines(read_lines(path, config=True), path)
-
-
 def _load_conll(path: str, scheme: TagScheme | None, **kw) -> Dataset:
     return parse_conll(read_lines(path), scheme, **kw)
 
@@ -70,26 +65,26 @@ def _read_token_lines(path: str) -> list[list[str]]:
     return [line.split() for line in read_lines(path) if line.strip()]
 
 
+def _settings(cls, args, path=None, build=None, what="config"):
+    """The ``key = value`` file at ``path`` typed by the fields of the
+    dataclass ``cls``, with every flag of ``args`` that is set and names a
+    field put over it; ``build`` (``cls`` when None) makes the result."""
+    lines = read_lines(path, config=True) if path else []
+    values = typed_fields(cls, parse_kv_lines(lines, path), ",", what)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    values.update((name, value) for name, value in flags.items() if value is not None)
+    return (build or cls)(**values)
+
+
 def cmd_train(args) -> int:
-    seed = args.seed
     if "SEQTAG_SEED" in os.environ:
         try:
-            seed = int(os.environ["SEQTAG_SEED"])
+            args.seed = int(os.environ["SEQTAG_SEED"])
         except ValueError:
             raise ConfigError("SEQTAG_SEED must be an integer") from None
-    config = TrainConfig.from_text(
-        read_kv_file(args.config) if args.config else {},
-        variant=args.variant,
-        embeddings=tuple(args.embeddings) if args.embeddings else None,
-        epochs=args.epochs,
-        seed=seed,
-        learning_rate=args.learning_rate,
-        dropout=args.dropout,
-        split_ratio=args.split_ratio,
-        use_char=args.use_char,
-        use_features=args.use_features,
-        init=args.init,
-    )
+    # --embeddings with no paths leaves the file's value in place
+    args.embeddings = tuple(args.embeddings) if args.embeddings else None
+    config = _settings(TrainConfig, args, args.config)
 
     data = _load_conll(args.train, None)
     scheme = derive_scheme(data)
@@ -143,17 +138,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _synth_spec_from_file(path: str | None, seed: int | None) -> SynthSpec:
-    """The default spec with the keys of a spec file put over it; values
-    are typed by the :class:`SynthSpec` fields, sequences split at commas."""
-    overrides = typed_fields(SynthSpec, read_kv_file(path), ",", "synth spec") if path else {}
-    if seed is not None:
-        overrides["seed"] = seed
-    return default_spec(**overrides)
-
-
 def cmd_synth(args) -> int:
-    spec = _synth_spec_from_file(args.spec, args.seed)
+    spec = _settings(SynthSpec, args, args.spec, default_spec, "synth spec")
     train_data, test_data = generate(spec)
     with open(args.out_train, "w", encoding="utf-8") as fh:
         fh.write(write_conll(train_data))
@@ -165,12 +151,9 @@ def cmd_synth(args) -> int:
 
 def cmd_embed_train(args) -> int:
     corpus = _read_token_lines(args.corpus)
-    # the flags given override the GloveParams defaults
-    flags = {f.name: getattr(args, f.name) for f in fields(GloveParams)}
-    params = GloveParams(**{name: value for name, value in flags.items() if value is not None})
-    table, _ = fit_glove(corpus, params)
+    table, _ = fit_glove(corpus, _settings(GloveParams, args))
     with open(args.out, "w", encoding="utf-8") as fh:
-        write_embedding_table(table, fh)
+        write_embedding_table(table.entries.items(), fh)
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")
     return 0
 
@@ -184,12 +167,13 @@ def _vocab_from_conll(path: str):
 
 def cmd_embed_concat(args) -> int:
     vocab = _vocab_from_conll(args.vocab_from)
-    combined = assemble(vocab, load_embedding_tables(args.tables), args.seed)
+    tables = load_embedding_tables(args.tables)
+    matrix = assemble(vocab, tables, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
-        write_embedding_table(combined, fh)
-    stats = coverage_report(vocab, combined)
+        write_embedding_table(zip(vocab.words, matrix), fh)
+    stats = coverage_report(vocab, tables)
     print(
-        f"assembled {len(combined)} vectors of dim {combined.dim}; "
+        f"assembled {len(matrix)} vectors of dim {matrix.shape[1]}; "
         f"coverage {stats.percentage:.2%}"
     )
     return 0
@@ -197,8 +181,7 @@ def cmd_embed_concat(args) -> int:
 
 def cmd_coverage(args) -> int:
     vocab = _vocab_from_conll(args.vocab_from)
-    combined = assemble(vocab, load_embedding_tables(args.tables), seed=0)
-    stats = coverage_report(vocab, combined)
+    stats = coverage_report(vocab, load_embedding_tables(args.tables))
     print(f"{stats.covered}/{stats.total_words} words covered ({stats.percentage:.2%})")
     return 0
 

@@ -1,13 +1,14 @@
 """Word-embedding tables: loading, concatenation, backfill, and coverage.
 
 Tables are plain text, one entry per line: the word followed by its vector
-components, all space-separated.  A model's vocabulary holds the words of
-its learning split behind a reserved ``<unk>`` slot.  Vocabulary words
-(``<unk>`` included) missing from every source table receive a per-word
-deterministic random vector with coordinates in [-1, 1], so the
-assembled table never depends on insertion order.  Words outside the
-vocabulary get no vector of their own: they read the ``<unk>`` row,
-which the recurrent taggers train.
+components, all space-separated.  A word reads a table entry, or a
+vocabulary row, by one rule (:func:`find`): exact match, then lowercased.
+A model's vocabulary holds the words of its learning split behind a
+reserved ``<unk>`` slot.  A table segment that misses a vocabulary word
+(``<unk>`` included) is a per-word deterministic random vector in
+[-1, 1], so the assembled matrix never depends on insertion order.  Words
+outside the vocabulary read the ``<unk>`` row: the recurrent taggers
+train it.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import DataError, ParseError, read_lines
 
 UNK = "<unk>"
-
-PRETRAINED = "pretrained"
-RANDOM = "random"
 CSV_FIELD_LIMIT = 2**31 - 1  # free-text cells outgrow the csv module's default limit
 
 
@@ -58,23 +56,21 @@ def build_vocabulary(words: Iterable[str]) -> Vocabulary:
     return Vocabulary((UNK, *seen))
 
 
+def find(mapping: Mapping, word: str, default=None):
+    """``mapping[word]``, else ``mapping[word.lower()]``, else ``default``."""
+    value = mapping.get(word)
+    return mapping.get(word.lower(), default) if value is None else value
+
+
 @dataclass
 class EmbeddingTable:
-    """word -> vector lookup with per-word provenance."""
+    """word -> vector lookup; every vector has ``dim`` components."""
 
     dim: int
     entries: dict[str, np.ndarray]
-    provenance: dict[str, str]
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def lookup(self, word: str) -> np.ndarray | None:
-        """Exact match first, then lowercased; None when both miss."""
-        vec = self.entries.get(word)
-        if vec is None:
-            vec = self.entries.get(word.lower())
-        return vec
 
 
 @dataclass(frozen=True)
@@ -122,11 +118,12 @@ def load_embedding_table(source: str | Iterable[str], path: str | None = None) -
 
     if dim is None:
         raise DataError(f"{path or 'embedding file'} contains no entries")
-    return EmbeddingTable(dim, entries, {w: PRETRAINED for w in entries})
+    return EmbeddingTable(dim, entries)
 
 
-def write_embedding_table(table: EmbeddingTable, out: TextIO):
-    for word, vec in table.entries.items():
+def write_embedding_table(pairs: Iterable[tuple[str, np.ndarray]], out: TextIO):
+    """Write each ``(word, vector)`` pair as one line that :func:`load_embedding_table` reads."""
+    for word, vec in pairs:
         out.write(word + " " + " ".join(f"{v:.8g}" for v in vec) + "\n")
 
 
@@ -142,50 +139,43 @@ def hashed_uniform(key: Sequence[object], seed: int, dim: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, dim)
 
 
-def assemble(vocab: Vocabulary, tables: Sequence[EmbeddingTable], seed: int) -> EmbeddingTable:
-    """Concatenate source tables over a vocabulary, backfilling gaps.
+def assemble(vocab: Vocabulary, tables: Sequence[EmbeddingTable], seed: int) -> np.ndarray:
+    """The ``(len(vocab), sum of the table dims)`` matrix of the source
+    tables concatenated over a vocabulary, one row per word in vocabulary
+    order.
 
-    The output dimensionality is the sum of the source dims.  Each
-    word's segment is copied from the corresponding table when present
-    (exact match, then lowercased) and otherwise drawn uniformly from
-    [-1, 1] by a deterministic per-(word, segment, seed) generator.  A
-    word found in no table is fully random; provenance is ``pretrained``
-    iff at least one segment was copied.
+    A row's segment is copied from the corresponding table when
+    :func:`find` finds the word there, and otherwise drawn uniformly from
+    [-1, 1] by a deterministic per-(word, segment, seed) generator.
     """
     if not tables:
         raise ValueError("assemble needs at least one source table")
 
-    dim = sum(t.dim for t in tables)
-    entries: dict[str, np.ndarray] = {}
-    provenance: dict[str, str] = {}
-    for word in vocab.words:
-        segments = []
-        copied = False
-        for seg, table in enumerate(tables):
-            vec = table.lookup(word)
-            if vec is not None:
-                segments.append(vec)
-                copied = True
-            else:
-                segments.append(hashed_uniform(("word-segment", word, seg), seed, table.dim))
-        entries[word] = np.concatenate(segments)
-        provenance[word] = PRETRAINED if copied else RANDOM
-    return EmbeddingTable(dim, entries, provenance)
+    matrix = np.empty((len(vocab), sum(t.dim for t in tables)))
+    start = 0
+    for seg, table in enumerate(tables):
+        for row, word in zip(matrix[:, start:start + table.dim], vocab.words):
+            vec = find(table.entries, word)
+            if vec is None:
+                vec = hashed_uniform(("word-segment", word, seg), seed, table.dim)
+            row[:] = vec
+        start += table.dim
+    return matrix
 
 
-def random_table(vocab: Vocabulary, dim: int, seed: int) -> EmbeddingTable:
-    """Fully random table over a vocabulary (no pretrained sources)."""
-    entries = {w: hashed_uniform(("word-segment", w, 0), seed, dim) for w in vocab.words}
-    return EmbeddingTable(dim, entries, {w: RANDOM for w in vocab.words})
+def random_table(vocab: Vocabulary, dim: int, seed: int) -> np.ndarray:
+    """The random ``(len(vocab), dim)`` matrix: :func:`assemble` over one empty table."""
+    return assemble(vocab, [EmbeddingTable(dim, {})], seed)
 
 
-def coverage_report(vocab: Vocabulary, table: EmbeddingTable) -> CoverageStats:
-    """How much of the vocabulary carries pretrained vectors.
+def coverage_report(vocab: Vocabulary, tables: Sequence[EmbeddingTable]) -> CoverageStats:
+    """How many vocabulary words :func:`find` finds in some source table.
 
-    The reserved ``<unk>`` slot is not a corpus word and is excluded.
+    The reserved ``<unk>`` slot is not a corpus word and is excluded.  The
+    coverage of one table is ``coverage_report(vocab, [table])``.
     """
     words = [w for w in vocab.words if w != UNK]
-    covered = sum(1 for w in words if table.provenance.get(w) == PRETRAINED)
+    covered = sum(1 for w in words if any(find(t.entries, w) is not None for t in tables))
     return CoverageStats(total_words=len(words), covered=covered)
 
 

@@ -28,8 +28,6 @@ import numpy as np
 
 from .embeddings import hashed_uniform
 
-TOTAL_DIM = 146
-
 
 def case_pattern(surface: str) -> str:
     letters = [ch for ch in surface if ch.isalpha()]

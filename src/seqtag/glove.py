@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .embeddings import PRETRAINED, EmbeddingTable
+from .embeddings import EmbeddingTable
 from .errors import DataError, NumericError, check_fields
 
 PAIRS = np.dtype([("word", np.int64), ("context", np.int64), ("count", np.float64)])
@@ -79,12 +79,15 @@ def build_cooccurrence(
     """Symmetric windowed counts with 1/distance weighting: a ``PAIRS`` array
     of the distinct (word, context) pairs, sorted by word, then context.
 
-    Windows do not cross sentence boundaries.  Words missing from
-    ``index`` are skipped but still occupy positions (distance is
+    Windows do not cross sentence boundaries, so a window past the
+    longest sentence less one is cut to it (same events).  Words missing
+    from ``index`` are skipped but still occupy positions (distance is
     positional, not filtered).  Each (position, distance) event adds
     1/distance to (word, other), then to (other, word); ``np.bincount``
     sums each count's events in that order from 0.0, as a loop would.
     """
+    corpus = list(corpus)
+    window = min(window, max(1, max(map(len, corpus), default=0) - 1))
     pad = [-1] * window  # ends a sentence's windows
     ids = np.array([index.get(w, -1) for s in corpus for w in chain(s, pad)], dtype=np.int64)
     ahead = sliding_window_view(np.append(ids, pad), window)[1:]  # ahead[p, d - 1] = ids[p + d]
@@ -192,4 +195,4 @@ def fit_glove(
                 raise NumericError(f"non-finite GloVe objective at iteration {iteration}")
 
     entries = {w: table[i, :dim] + table[i + n, :dim] for w, i in index.items()}
-    return EmbeddingTable(dim, entries, {w: PRETRAINED for w in vocab}), history
+    return EmbeddingTable(dim, entries), history

@@ -17,11 +17,11 @@ the final forward and final backward states over a word's characters.
 Two output couplings are supported: per-token softmax (``blstm``) and a
 transition-structured output layer decoded with Viterbi (``blstm_crf``).
 
-A word that misses the vocabulary, even after a lowercase fallback,
-reads the ``<unk>`` row at index 0 of the word table.  That row is a
-trainable parameter like any other; training keeps it informed by
-swapping learn-split singletons for ``<unk>`` at random (see
-:func:`loss_and_gradients`).
+A word that misses the vocabulary, even after the lowercase fallback of
+:func:`seqtag.embeddings.find`, reads the ``<unk>`` row at index 0 of the
+word table.  That row is a trainable parameter like any other; training
+keeps it informed by swapping learn-split singletons for ``<unk>`` at
+random (see :func:`loss_and_gradients`).
 
 Every tagger reads a sentence through :func:`encode`, which maps each
 token to its word-table row, its characters' char-table rows and its
@@ -69,7 +69,7 @@ import numpy as np
 from . import autograd as ag
 from .corpus import Sentence, TagScheme
 from .crf import crf_nll_op, viterbi
-from .embeddings import EmbeddingTable, Vocabulary, build_vocabulary
+from .embeddings import Vocabulary, build_vocabulary, find
 from .errors import ConfigError, TagValidationError
 from .features import FamilyRows, FeatureEncoder, build_feature_encoder
 # no tagger calls encode_surface; it stays bound because benchmarks/spans.py patches it here
@@ -196,14 +196,15 @@ def init_model(
     config: TrainConfig,
     scheme: TagScheme,
     vocab: Vocabulary,
-    word_table: EmbeddingTable,
+    word_table: np.ndarray,
     feature_surfaces: Iterable[str],
     char_alphabet: Iterable[str],
 ) -> ModelParameters:
     """Build the model that ``config`` describes; the default
     initialization is uniform [-1, 1].
 
-    Word vectors are copied from the (already assembled) ``word_table``;
+    The model's word table is ``word_table`` itself, not a copy: one row
+    per word of ``vocab``, in order (see :func:`seqtag.embeddings.assemble`);
     everything else, including feature-value encodings, is random.
     Lookup tables always use [-1, 1] regardless of the ``init`` mode;
     ``init="scaled"`` switches the network weights to fan-scaled ranges:
@@ -213,8 +214,7 @@ def init_model(
     :func:`dense_arrays`.
     """
     rng = np.random.default_rng(config.seed)
-    matrix = np.stack([word_table.entries[w] for w in vocab.words])
-    model = ModelParameters(scheme, config.variant, vocab, matrix)
+    model = ModelParameters(scheme, config.variant, vocab, word_table)
     if config.use_features:
         model.feature_encoder = build_feature_encoder(feature_surfaces, config.seed)
     if config.use_char:
@@ -257,14 +257,6 @@ def table_arrays(model: ModelParameters) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _word_index(model: ModelParameters, surface: str) -> int:
-    """Exact match, then lowercased; the ``<unk>`` row (0) when both miss."""
-    idx = model.vocab.index.get(surface)
-    if idx is None:
-        idx = model.vocab.index.get(surface.lower(), 0)
-    return idx
-
-
 @dataclass(frozen=True)
 class EncodedSentence:
     """A sentence, or a batch of sentences end to end, as table rows: word
@@ -301,7 +293,7 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
             raise TagValidationError(
                 f"input tag {tag!r} does not belong to the model's tag scheme {model.scheme.classes}"
             )
-    words = np.array([_word_index(model, w) for w in surfaces], dtype=np.intp)
+    words = np.array([find(model.vocab.index, w, 0) for w in surfaces], dtype=np.intp)
     chars = lengths = spellings = np.zeros(0, dtype=np.intp)
     if model.use_char:
         first: dict[str, int] = {}  # each distinct spelling's row, in first-seen order

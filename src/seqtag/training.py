@@ -158,13 +158,10 @@ class TrainConfig:
             raise ConfigError("'use_char' must be false for the crf variant, which reads no chars")
 
     @classmethod
-    def from_text(cls, values: dict[str, str], sep: str = ",", **overrides) -> TrainConfig:
+    def from_text(cls, values: dict[str, str], sep: str = ",") -> TrainConfig:
         """The config of the value texts ``values``, typed by the fields
-        (see :func:`typed_fields`), with each keyword of ``overrides`` that
-        is not None put over them."""
-        kwargs = typed_fields(cls, values, sep, "config")
-        kwargs.update((key, value) for key, value in overrides.items() if value is not None)
-        return cls(**kwargs)
+        (see :func:`typed_fields`)."""
+        return cls(**typed_fields(cls, values, sep, "config"))
 
     def to_text(self, sep: str = ",") -> dict[str, str]:
         """The value text of each field, in field order, as :meth:`from_text` reads it."""

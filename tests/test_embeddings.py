@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import seqtag.embeddings
+from seqtag.cli import main
 from seqtag.embeddings import (
-    PRETRAINED,
-    RANDOM,
     UNK,
     EmbeddingTable,
     assemble,
@@ -15,6 +15,7 @@ from seqtag.embeddings import (
     build_vocabulary,
     coverage_report,
     csv_column_records,
+    find,
     hashed_uniform,
     load_embedding_table,
     random_table,
@@ -41,7 +42,7 @@ class TestLoadEmbeddingTable:
         assert table.dim == 3
         assert len(table) == 2
         np.testing.assert_allclose(table.entries["dog"], [1.0, 2.0, 3.0])
-        assert table.provenance["cat"] == PRETRAINED
+        assert coverage_report(build_vocabulary(["cat"]), [table]).covered == 1
 
     def test_inconsistent_dim_reports_line(self):
         lines = "w " + " ".join(["0.0"] * 300) + "\nv " + " ".join(["0.0"] * 299) + "\n"
@@ -66,7 +67,7 @@ class TestLoadEmbeddingTable:
     def test_write_read_round_trip(self):
         table = load_embedding_table("a 0.25 -1\nb 3 0.0625\n")
         buf = io.StringIO()
-        write_embedding_table(table, buf)
+        write_embedding_table(table.entries.items(), buf)
         again = load_embedding_table(buf.getvalue())
         for w in table.entries:
             np.testing.assert_array_equal(table.entries[w], again.entries[w])
@@ -93,89 +94,125 @@ def two_tables():
     return cc, mimic
 
 
+class TestFind:
+    def test_exact_match_first_then_lowercased(self):
+        mapping = {"Aspirin": 1, "aspirin": 2, "twice": 3}
+        assert find(mapping, "Aspirin") == 1
+        assert find(mapping, "ASPIRIN") == 2
+        assert find(mapping, "Twice") == 3
+
+    def test_default_when_both_miss(self):
+        assert find({"a": 0}, "B") is None
+        assert find({"a": 0}, "B", 0) == 0
+        assert find({"a": 0}, "A", 7) == 0
+
+
 class TestAssemble:
     def test_word_in_both_tables_concatenates(self):
         cc, mimic = two_tables()
         vocab = build_vocabulary(["shared"])
         out = assemble(vocab, [cc, mimic], seed=0)
-        assert out.dim == 6
-        np.testing.assert_array_equal(out.entries["shared"], [1, 2, 3, -1, -2, -3])
-        assert out.provenance["shared"] == PRETRAINED
+        assert out.shape == (2, 6)
+        np.testing.assert_array_equal(out[vocab.index["shared"]], [1, 2, 3, -1, -2, -3])
+        assert coverage_report(vocab, [cc, mimic]).covered == 1
 
     def test_word_in_one_table_backfills_other_segment(self):
         cc, mimic = two_tables()
         vocab = build_vocabulary(["only-cc"])
         out = assemble(vocab, [cc, mimic], seed=0)
-        vec = out.entries["only-cc"]
+        vec = out[vocab.index["only-cc"]]
         np.testing.assert_array_equal(vec[:3], [4, 5, 6])
         assert np.all(np.abs(vec[3:]) <= 1.0)
         np.testing.assert_array_equal(
             vec[3:], hashed_uniform(("word-segment", "only-cc", 1), 0, 3)
         )
-        assert out.provenance["only-cc"] == PRETRAINED
+        assert coverage_report(vocab, [cc, mimic]).covered == 1
 
     def test_word_in_no_table_is_fully_random(self):
         cc, mimic = two_tables()
         vocab = build_vocabulary(["neither"])
         out = assemble(vocab, [cc, mimic], seed=0)
-        vec = out.entries["neither"]
+        vec = out[vocab.index["neither"]]
         assert np.all(np.abs(vec) <= 1.0)
-        assert out.provenance["neither"] == RANDOM
+        assert coverage_report(vocab, [cc, mimic]).covered == 0
 
     def test_lowercase_fallback(self):
         cc, mimic = two_tables()
         vocab = build_vocabulary(["LOWER"])
         out = assemble(vocab, [cc, mimic], seed=0)
-        np.testing.assert_array_equal(out.entries["LOWER"][:3], [9, 9, 9])
-        assert out.provenance["LOWER"] == PRETRAINED
+        np.testing.assert_array_equal(out[vocab.index["LOWER"]][:3], [9, 9, 9])
+        assert coverage_report(vocab, [cc, mimic]).covered == 1
 
     def test_bitwise_deterministic(self):
         cc, mimic = two_tables()
         vocab = build_vocabulary(["shared", "only-cc", "neither", "w2"])
         a = assemble(vocab, [cc, mimic], seed=42)
         b = assemble(vocab, [cc, mimic], seed=42)
-        for w in vocab.words:
-            assert a.entries[w].tobytes() == b.entries[w].tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_requires_tables_and_vocab(self):
         with pytest.raises(ValueError):
             assemble(build_vocabulary(["a"]), [], seed=0)
 
+    def test_rows_follow_the_vocabulary(self):
+        cc, mimic = two_tables()
+        vocab = build_vocabulary(["only-mimic", "shared", "only-cc"])
+        out = assemble(vocab, [cc, mimic], seed=3)
+        for word in vocab.words:
+            alone = assemble(build_vocabulary([word]), [cc, mimic], seed=3)
+            assert out[vocab.index[word]].tobytes() == alone[-1].tobytes()
+
+    def test_random_table_is_the_per_word_backfill(self):
+        vocab = build_vocabulary(["a", "B", "c"])
+        expected = np.stack([hashed_uniform(("word-segment", w, 0), 5, 4) for w in vocab.words])
+        assert random_table(vocab, 4, seed=5).tobytes() == expected.tobytes()
+
 
 class TestCoverage:
     def test_full_coverage(self):
         words = [f"w{i}" for i in range(10)]
-        table = EmbeddingTable(
-            1,
-            {w: np.zeros(1) for w in words},
-            {w: PRETRAINED for w in words},
-        )
-        stats = coverage_report(build_vocabulary(words), table)
+        table = EmbeddingTable(1, {w: np.zeros(1) for w in words})
+        stats = coverage_report(build_vocabulary(words), [table])
         assert stats.percentage == 1.0
         assert f"{stats.percentage:.2%}" == "100.00%"
 
     def test_half_coverage(self):
         words = [f"w{i}" for i in range(10)]
-        prov = {w: (PRETRAINED if i < 5 else RANDOM) for i, w in enumerate(words)}
-        table = EmbeddingTable(1, {w: np.zeros(1) for w in words}, prov)
-        stats = coverage_report(build_vocabulary(words), table)
+        table = EmbeddingTable(1, {w: np.zeros(1) for w in words[:5]})
+        stats = coverage_report(build_vocabulary(words), [table])
         assert stats.covered == 5 and stats.total_words == 10
         assert stats.percentage == 0.5
 
     def test_covered_plus_uncovered_is_total(self):
         cc, mimic = two_tables()
         vocab = build_vocabulary(["shared", "only-cc", "nope", "only-mimic"])
-        out = assemble(vocab, [cc, mimic], seed=1)
-        stats = coverage_report(vocab, out)
+        stats = coverage_report(vocab, [cc, mimic])
         uncovered = sum(
-            1 for w in vocab.words if w != UNK and out.provenance[w] == RANDOM
+            1 for w in vocab.words
+            if w != UNK and all(find(t.entries, w) is None for t in (cc, mimic))
         )
         assert stats.covered + uncovered == stats.total_words == 4
 
     def test_random_table_has_zero_coverage(self):
         vocab = build_vocabulary(["a", "b"])
-        stats = coverage_report(vocab, random_table(vocab, 4, seed=0))
+        stats = coverage_report(vocab, [EmbeddingTable(4, {})])
         assert stats.covered == 0
+
+    def test_word_a_table_holds_only_in_lowercase_is_covered(self):
+        table = load_embedding_table("aspirin 0.1 0.2\n")
+        stats = coverage_report(build_vocabulary(["Aspirin", "ASPIRIN", "twice"]), [table])
+        assert (stats.covered, stats.total_words) == (2, 3)
+
+    def test_coverage_command_draws_no_backfill(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("coverage drew a backfill vector")
+
+        monkeypatch.setattr(seqtag.embeddings, "hashed_uniform", no_draws)
+        vocab, table = tmp_path / "vocab.conll", tmp_path / "table.txt"
+        vocab.write_text("aspirin\tB-drug\ntwice\tO\n\nAspirin\tB-drug\n\n", encoding="utf-8")
+        table.write_text("aspirin 0.1 0.2\n", encoding="utf-8")
+        assert main(["coverage", "--tables", str(table), "--vocab-from", str(vocab)]) == 0
+        assert capsys.readouterr().out == "2/3 words covered (66.67%)\n"
 
 
 class TestPseudoCorpus:

@@ -6,7 +6,6 @@ from seqtag.corpus import Sentence, TagScheme, Token
 from seqtag.embeddings import build_vocabulary, random_table
 from seqtag.features import (
     FAMILY_SPECS,
-    TOTAL_DIM,
     build_feature_encoder,
     case_pattern,
     encode_surface,
@@ -78,7 +77,7 @@ class TestFamilyFunctions:
 class TestEncoder:
     def test_total_dim_is_146(self):
         enc = make_encoder()
-        assert enc.total_dim == TOTAL_DIM == 146
+        assert enc.total_dim == 146
         assert sum(dim for _, dim, _ in FAMILY_SPECS) == 146
 
     def test_output_length(self):

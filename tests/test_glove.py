@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ class TestCooccurrence:
         row_a = {j: x for (i, j), x in cooc.items() if i == a and j not in (a, b)}
         row_b = {j: x for (i, j), x in cooc.items() if i == b and j not in (a, b)}
         assert row_a == row_b
+
+    def test_a_window_past_the_longest_sentence_is_cut_to_it(self):
+        sentences = [["a", "b", "c"], ["b", "c", "a", "d"], ["d", "a", "b"]]
+        index = {w: i for i, w in enumerate("abcd")}
+        tracemalloc.start()
+        try:
+            wide = build_cooccurrence(sentences, index, window=3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert wide.tobytes() == build_cooccurrence(sentences, index, window=3).tobytes()
 
     @given(corpora())
     def test_matches_the_one_event_loop_bitwise(self, case):

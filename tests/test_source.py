@@ -1,7 +1,8 @@
 """Source hygiene: everything ``src/seqtag`` defines is used by ``src/seqtag``.
 
-A top-level function or class, or a method that is not a dunder, that no
-other line of the package names is code only the tests reach.
+A top-level function or class, a method that is not a dunder, or a
+module-level name assigned outside the dunders, that no other line of the
+package names or reads is code only the tests reach.
 """
 
 import ast
@@ -13,10 +14,16 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, bare name) of each top-level definition and each method."""
+    """(qualified name, bare name) of each top-level definition, each
+    method and each name a module-level assignment binds."""
     for node in tree.body:
         if isinstance(node, DEFINITIONS):
             yield node.name, node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if not name.startswith("__"):
+                    yield name, name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, DEFINITIONS) and not item.name.startswith("__"):
@@ -26,7 +33,7 @@ def _definitions(tree: ast.Module):
 def _references(tree: ast.Module):
     """Every name the module reads or imports, and every attribute it reads."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr

