@@ -35,8 +35,9 @@ such a transition matrix, and a lattice whose scaling is not finite
 log-space recursions with the shifted logsumexp trick instead.  The
 pairwise marginals that the transition gradient sums are one
 (T-1, K, K) broadcast (Sutton & McCallum, §4).  Viterbi stays max-plus
-in log space; it decodes a batch of end-aligned lattices with one (B, K, K)
-add and max per step, and ties go to the lexicographically smallest path.
+in log space; it decodes a batch of end-aligned lattices with one add into
+a (K, B, K) block per step, the next tag on its leading axis, and one max
+over that axis, and ties go to the lexicographically smallest path.
 
 Every function takes the (K+1, K+1) transition matrix as a plain array,
 its first argument, and checks only shapes: parameter values are
@@ -238,8 +239,10 @@ def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths) -> list[int]:
     tag-index sequence: suffix maxima are computed right-to-left and
     tags chosen greedily left-to-right, taking the smallest index that
     still attains the optimum.  The lattices are aligned at their ends in
-    a time-first (L, B, K) array, so each of the L - 1 steps is one
-    (B, K, K) add and max, and one argmax makes the table of best successors.
+    a time-first (L, B, K) array.  Each of the L - 1 steps adds into a
+    (K, B, K) block whose leading axis is the next tag, so its max is an
+    elementwise maximum of K contiguous (B, K) slabs; one argmax then
+    makes the table of best successors.
     """
     _check_lattice(trans, emissions)
     T, K = emissions.shape
@@ -256,10 +259,10 @@ def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths) -> list[int]:
     # delta[s, b, k]: best score of lattice b's suffix from step s given tag k there
     delta = np.empty((L, B, K))
     delta[L - 1] = lattice[L - 1] + trans[:K, K]
-    scores = np.empty((B, K, K))
+    scores = np.empty((K, B, K))  # scores[j, b, i]: tag i at step s, then j
     for s in range(L - 2, -1, -1):
-        np.add(pairs, delta[s + 1, :, None, :], out=scores)
-        np.maximum.reduce(scores, axis=2, out=delta[s])
+        np.add(pairs.T[:, None, :], delta[s + 1].T[:, :, None], out=scores)
+        np.maximum.reduce(scores, axis=0, out=delta[s])
         delta[s] += lattice[s]
 
     firsts = np.argmax(trans[K, :K] + delta[start, np.arange(B)], axis=1).tolist()

@@ -17,12 +17,19 @@ get table rows that training updates; values first seen later fall back
 to a deterministic per-(family, value, seed) random vector.  All families
 except the case pattern are case-insensitive, so surfaces differing only
 in capitalization differ only in the case sub-vector.
+
+A value's table row never changes once the encoder exists (training
+updates the vectors, not the rows), so the encoder keeps each vocabulary
+word's six rows the first time it meets the word and reads them from then
+on.  Only exact vocabulary words whose six values all have rows are kept:
+a fallback row ``-1 - k`` belongs to one call.  What is kept is one row
+per vocabulary word, so the vocabulary bounds it, whatever the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,10 +132,25 @@ class FamilyRows:
 
 @dataclass
 class FeatureEncoder:
-    """All six families plus the seed for unseen-value fallbacks."""
+    """All six families plus the seed for unseen-value fallbacks.
+
+    ``kept`` holds the six table rows of each word met so far of the last
+    vocabulary that :meth:`rows` was given: row ``i`` belongs to word
+    ``i`` and reads -1 until the word is met, and an extra last row stays
+    -1 for the surfaces outside the vocabulary.  Its size is the
+    vocabulary's, whatever the input, and as one integer array it leaves
+    no small Python objects behind each call to fragment the heap.
+    Nothing is kept for unseen values: their fallback rows index one
+    call's draws.
+    """
 
     families: list[FeatureFamily]
     seed: int
+    kept: np.ndarray = field(init=False, repr=False, compare=False)
+    kept_for: Mapping[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.kept = np.full((1, len(self.families)), -1, dtype=np.intp)
 
     @property
     def total_dim(self) -> int:
@@ -137,23 +159,37 @@ class FeatureEncoder:
     def _fallback(self, family: FeatureFamily, value: str) -> np.ndarray:
         return hashed_uniform(("feature", family.name, value), self.seed, family.dim)
 
-    def rows(self, surfaces: Sequence[str]) -> tuple[FamilyRows, ...]:
+    def rows(
+        self, surfaces: Sequence[str], vocab: Mapping[str, int] = {}
+    ) -> tuple[FamilyRows, ...]:
         """Each family's table rows for ``surfaces``, with unseen-value fallbacks.
 
-        Each family's value is computed once per distinct surface and each
-        unseen value's fallback once, so gathering reads only the tables.
+        ``vocab`` maps each vocabulary word to its index.  The family values
+        of each distinct surface with no kept rows are computed once, and
+        each unseen value's fallback once, so gathering reads only the
+        tables.  A word of ``vocab`` whose values all have table rows is kept.
         """
-        distinct = dict.fromkeys(surfaces)
-        out = []
-        for fam in self.families:
-            unseen: dict[str, int] = {}  # each unseen value's fallback row, first seen first
-            row = {}
-            for s in distinct:
-                v = fam.fn(s)
-                row[s] = fam.index[v] if v in fam.index else -1 - unseen.setdefault(v, len(unseen))
-            fallback = np.reshape([self._fallback(fam, v) for v in unseen], (-1, fam.dim))
-            out.append(FamilyRows(np.array([row[s] for s in surfaces], dtype=np.intp), fallback))
-        return tuple(out)
+        if vocab and vocab is not self.kept_for:  # kept rows belong to one vocabulary
+            self.kept_for = vocab
+            self.kept = np.full((len(vocab) + 1, len(self.families)), -1, dtype=np.intp)
+        distinct = list(dict.fromkeys(surfaces))
+        words = np.array([vocab.get(s, -1) for s in distinct], dtype=np.intp)
+        grid = self.kept[words]  # each distinct surface's rows, -1 where none are kept
+        unseen: list[dict[str, int]] = [{} for _ in self.families]  # first seen first
+        for k in np.flatnonzero(grid[:, 0] < 0).tolist():
+            s = distinct[k]
+            grid[k] = [
+                fam.index[v] if (v := fam.fn(s)) in fam.index else -1 - u.setdefault(v, len(u))
+                for fam, u in zip(self.families, unseen)
+            ]
+        keep = (words >= 0) & (grid >= 0).all(axis=1)
+        self.kept[words[keep]] = grid[keep]
+        order = {s: k for k, s in enumerate(distinct)}
+        columns = grid[[order[s] for s in surfaces]].T.copy()
+        return tuple(
+            FamilyRows(rows, np.reshape([self._fallback(fam, v) for v in u], (-1, fam.dim)))
+            for rows, fam, u in zip(columns, self.families, unseen)
+        )
 
 
 def build_feature_encoder(surfaces: Iterable[str], seed: int) -> FeatureEncoder:

@@ -284,8 +284,11 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
 
     A recurring spelling's characters are stored once, so the char BiLSTM
     runs each distinct spelling once.  A word or a character outside its
-    vocabulary reads the ``<unk>`` row 0.  A tag outside the model's
-    scheme raises :class:`TagValidationError`.
+    vocabulary reads the ``<unk>`` row 0.  The feature rows of an exact
+    vocabulary word are kept by the encoder the first time they are met
+    (see :meth:`FeatureEncoder.rows`), so a later batch computes family
+    values only for the other surfaces.  A tag outside the model's scheme
+    raises :class:`TagValidationError`.
     """
     surfaces = tuple(w for sent in sentences for w in sent.surfaces)
     for tag in (t for sent in sentences for t in sent.gold_tags):
@@ -301,7 +304,7 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
         index = model.char_vocab.index
         chars = np.array([index.get(ch, 0) for w in first for ch in w], dtype=np.intp)
         lengths = np.array([len(w) for w in first], dtype=np.intp)
-    features = model.feature_encoder.rows(surfaces) if model.use_features else ()
+    features = model.feature_encoder.rows(surfaces, model.vocab.index) if model.use_features else ()
     sizes = np.array([len(sent) for sent in sentences])
     return EncodedSentence(surfaces, words, chars, lengths, spellings, features, sizes)
 

@@ -440,9 +440,11 @@ def _rebuild_features(
         table = tensors.get(f"feature:{name}", np.zeros((0, dim))).copy()
         if table.shape != (len(values), dim):
             raise DataError(f"feature table {name!r} does not match its value list")
-        families.append(
-            FeatureFamily(name, dim, fn, list(values), {v: i for i, v in enumerate(values)}, table)
-        )
+        index = {v: i for i, v in enumerate(values)}
+        if len(index) != len(values):  # a repeated value would leave a row that is never read
+            twice = next(v for i, v in enumerate(values) if index[v] != i)
+            raise DataError(f"checkpoint feature values of {name!r} list {twice!r} twice")
+        families.append(FeatureFamily(name, dim, fn, list(values), index, table))
     return FeatureEncoder(families, seed)
 
 

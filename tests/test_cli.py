@@ -238,6 +238,16 @@ class TestInconsistentCheckpoint:
         assert code == EXIT_DATA
         assert "feature table 'case' does not match its value list" in err
 
+    def test_feature_value_listed_twice(self, tmp_path, capsys):
+        def edit(sections, tensors):
+            values = sections["feature-values:prefix3"]
+            values[-1] = values[0]
+
+        code, err = tag_with_edited_checkpoint(CRF_CHECKPOINT, tmp_path, capsys, edit)
+        first = read_container(CRF_CHECKPOINT)[0]["feature-values:prefix3"][0]
+        assert code == EXIT_DATA
+        assert "'prefix3'" in err and f"{first!r} twice" in err
+
     def test_word_table_missing(self, trained_checkpoint, tmp_path, capsys):
         def edit(sections, tensors):
             del tensors["word_table"]

@@ -3,7 +3,7 @@ import pytest
 
 from seqtag import features
 from seqtag.corpus import Sentence, TagScheme, Token
-from seqtag.embeddings import build_vocabulary, random_table
+from seqtag.embeddings import UNK, build_vocabulary, random_table
 from seqtag.features import (
     FAMILY_SPECS,
     build_feature_encoder,
@@ -136,14 +136,19 @@ class TestEncoder:
 class TestRows:
     SURFACES = ["Aspirin", "aspirin", "ibuprofen", "40", "IBUPROFEN", "aspirin", "x-ray", "Zz9"]
 
-    def test_rows_equal_the_per_token_loop_bitwise(self):
-        encoder = make_encoder()
-        got = encoder.rows(self.SURFACES)
-        for rows, (ref_rows, ref_fallback) in zip(got, reference_rows(encoder, self.SURFACES)):
+    @staticmethod
+    def assert_reference_rows(encoder, surfaces, vocab=None):
+        got = encoder.rows(surfaces, vocab.index if vocab else {})
+        for rows, (ref_rows, ref_fallback) in zip(got, reference_rows(encoder, surfaces)):
             assert rows.rows.dtype == ref_rows.dtype
             np.testing.assert_array_equal(rows.rows, ref_rows)
             assert rows.fallback.shape == ref_fallback.shape
             assert rows.fallback.tobytes() == ref_fallback.tobytes()
+        return got
+
+    def test_rows_equal_the_per_token_loop_bitwise(self):
+        encoder = make_encoder()
+        got = self.assert_reference_rows(encoder, self.SURFACES)
         # "ibuprofen" and "IBUPROFEN" share unseen values, and so their fallback rows
         assert any(len(rows.fallback) < np.count_nonzero(rows.rows < 0) for rows in got)
 
@@ -176,3 +181,75 @@ class TestRows:
             if f.fn(s) not in f.index
         }
         assert unseen and sorted(draws) == sorted(unseen)
+
+    # built from, and with a vocabulary of, these words: "ASPIRIN" reads the word
+    # row of "aspirin" through the lowercase fallback, but its case value is unseen
+    BUILT = ("Aspirin", "aspirin", "40", "mg", "x-ray")
+    MIXED = ["Aspirin", "ASPIRIN", "mg", "ibuprofen", "40", "Aspirin", "MG", "aspirin", "Zz9", "mg"]
+
+    @staticmethod
+    def kept_words(encoder, vocab):
+        assert encoder.kept.shape == (len(vocab) + 1, len(encoder.families))
+        assert (encoder.kept[-1] == -1).all()
+        return {vocab.words[i] for i in np.flatnonzero(encoder.kept[:, 0] >= 0)}
+
+    def test_rows_kept_from_one_call_serve_the_next_bitwise(self):
+        encoder = make_encoder(self.BUILT)
+        vocab = build_vocabulary(self.BUILT)
+        for _ in range(2):
+            self.assert_reference_rows(encoder, self.MIXED, vocab)
+        assert self.kept_words(encoder, vocab) == {"Aspirin", "aspirin", "40", "mg"}
+        # rows kept under one vocabulary's indices are not read under another's
+        other = build_vocabulary(("x-ray", "mg", "40", "aspirin", "Aspirin"))
+        for _ in range(2):
+            self.assert_reference_rows(encoder, self.MIXED, other)
+        assert self.kept_words(encoder, other) == {"Aspirin", "aspirin", "40", "mg"}
+
+    def test_only_exact_vocabulary_words_are_kept(self):
+        encoder = make_encoder(self.BUILT)
+        vocab = build_vocabulary(self.BUILT)
+        variants = [v for w in vocab.words[1:] for v in (w, w.upper(), w.title(), w + "s")]
+        encoder.rows(variants + self.MIXED, vocab.index)
+        encoder.rows(variants[::-1], vocab.index)
+        kept = self.kept_words(encoder, vocab)
+        assert kept <= set(vocab.words) - {UNK}
+        assert len(kept) <= len(vocab) - 1
+        aspirin, capitalized = (encoder.kept[vocab.index[w]] for w in ("aspirin", "Aspirin"))
+        assert (aspirin != capitalized).tolist() == [True, False, False, False, False, False]
+        encoder = make_encoder(self.BUILT)
+        encoder.rows(self.MIXED)  # without a vocabulary nothing is kept
+        assert (encoder.kept == -1).all()
+
+    def test_a_vocabulary_word_with_an_unseen_value_is_not_kept(self):
+        # "aspiren" has every value of "aspirin" but its suffix
+        encoder = make_encoder(("aspirin", "ibuprofen"))
+        vocab = build_vocabulary(("aspirin", "ibuprofen", "aspiren"))
+        surfaces = ["aspiren", "aspirin", "aspiren"]
+        for _ in range(2):
+            got = self.assert_reference_rows(encoder, surfaces, vocab)
+            assert [np.count_nonzero(rows.rows < 0) for rows in got] == [0, 0, 0, 0, 2, 0]
+        assert self.kept_words(encoder, vocab) == {"aspirin"}
+
+    def test_a_second_encode_computes_values_only_for_words_outside_the_vocabulary(self):
+        surfaces = ("Aspirin", "40", "mg", "x-ray")
+        vocab = build_vocabulary(surfaces)
+        config = TrainConfig(variant="crf", use_char=False, use_features=True, d_w=4, seed=3)
+        model = init_model(
+            config, TagScheme(("x",)), vocab, random_table(vocab, 4, 3), surfaces, ()
+        )
+        words = ["mg", "of", "Aspirin", "MG", "mg", "of", "x-ray", "aspirin", "40"]
+        batch = [Sentence(tuple(Token(w, "O") for w in words[:5])),
+                 Sentence(tuple(Token(w, "O") for w in words[5:]))]
+        calls = []
+        for fam in model.feature_encoder.families:
+            fn = fam.fn
+            fam.fn = lambda s, fn=fn, name=fam.name: calls.append((name, s)) or fn(s)
+        first = encode(model, batch)
+        calls.clear()
+        second = encode(model, batch)
+        outside = {"of", "MG", "aspirin"}
+        assert sorted(calls) == sorted((f.name, s) for f in model.feature_encoder.families
+                                       for s in outside)
+        for a, b in zip(first.features, second.features):
+            np.testing.assert_array_equal(a.rows, b.rows)
+            assert a.fallback.tobytes() == b.fallback.tobytes()

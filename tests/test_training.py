@@ -621,8 +621,23 @@ class TestCheckpointPersistence:
     @pytest.mark.parametrize("name", ["blstm_crf_char", "crf_features"])
     def test_saving_a_loaded_checkpoint_writes_its_bytes(self, name, tmp_path):
         path = tmp_path / f"{name}.ckpt"
-        save_checkpoint(load_checkpoint(DATA / f"{name}.ckpt"), path)
+        ckpt = load_checkpoint(DATA / f"{name}.ckpt")
+        save_checkpoint(ckpt, path)
         assert path.read_bytes() == (DATA / f"{name}.ckpt").read_bytes()
+        # the feature rows kept while tagging are not written
+        text = (DATA / "compat_input.conll").read_text(encoding="utf-8")
+        tag(ckpt, parse_conll(text, ckpt.scheme))
+        save_checkpoint(ckpt, path)
+        assert path.read_bytes() == (DATA / f"{name}.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("name", ["blstm_crf_char", "crf_features"])
+    def test_a_model_that_has_tagged_tags_as_a_fresh_one(self, name):
+        text = (DATA / "compat_input.conll").read_text(encoding="utf-8")
+        used = load_checkpoint(DATA / f"{name}.ckpt")
+        first = tag(used, parse_conll(text, used.scheme))
+        fresh = load_checkpoint(DATA / f"{name}.ckpt")
+        assert tag(used, parse_conll(text, used.scheme)) == first
+        assert tag(fresh, parse_conll(text, fresh.scheme)) == first
 
     @pytest.mark.parametrize("name", ["blstm_crf_char", "crf_features"])
     def test_checkpoint_of_an_earlier_build_tags_as_it_did(self, name):
