@@ -2,7 +2,11 @@
 
 A :class:`Tensor` records the operation that produced it and its input
 tensors; :func:`backward` walks the tape in reverse topological order and
-accumulates gradients into every tracked ancestor.  Only the operations
+accumulates gradients into every tracked ancestor.  The first contribution
+to a gradient is assigned and later ones are added.  A leaf may be given
+its gradient's storage up front, marked ``unwritten``: the first
+contribution is then written into it, with no zero fill before it, and a
+caller zero-fills what no operation reached.  Only the operations
 the taggers call exist, and every operand is a :class:`Tensor`.  Nothing
 broadcasts: :func:`mul` takes two operands of the same shape.  Shapes
 follow a row convention where batches and sequences sit on axis 0.
@@ -33,11 +37,12 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "bw", "tracked")
+    __slots__ = ("data", "grad", "unwritten", "parents", "bw", "tracked")
 
     def __init__(self, data, parents=(), bw=None, tracked=False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.unwritten = False  # ``grad`` is preset storage that holds no value yet
         self.parents = parents
         self.bw = bw
         self.tracked = tracked
@@ -47,10 +52,26 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g):
+        """Add ``g`` to the gradient.  The first contribution is assigned:
+        copied into a new array, or into an unwritten preset ``grad``.
+        Later ones are added in place."""
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)
+        elif self.unwritten:
+            np.copyto(self.grad, g)
+            self.unwritten = False
         else:
             self.grad += g
+
+    def write(self, make):
+        """Accumulate the array ``make(out)`` returns.  An unwritten preset
+        ``grad`` is passed as ``out``, so the first contribution is made
+        straight into it; otherwise ``out`` is None."""
+        if self.unwritten:
+            make(self.grad)
+            self.unwritten = False
+        else:
+            self.accumulate(make(None))
 
 
 def leaf(data) -> Tensor:
@@ -111,6 +132,9 @@ def take(a: Tensor, index) -> Tensor:
     def bw(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
+        elif a.unwritten:
+            a.grad.fill(0.0)
+            a.unwritten = False
         np.add.at(a.grad, index, g)
 
     return Tensor(out, (a,), bw, True)
@@ -130,7 +154,9 @@ def bilstm(xs: Tensor, W_x, W_h, b, w_ci, w_co) -> Tensor:
     a state nobody reads gets a zero gradient.  Returns the (2, L, B, H)
     hidden states as one tape node.  One batched GEMM makes every input
     projection, one loop runs both directions, and the hand-written BPTT
-    makes each stacked weight gradient with one batched GEMM.
+    makes each stacked weight gradient with one batched GEMM or one
+    reduction, once per call.  A weight's first gradient is written
+    straight into its unwritten preset ``grad``; a later one is added.
     """
     params = (W_x, W_h, b, w_ci, w_co)
     w_x, w_h, bias, ci, co = (p.data for p in params)
@@ -186,15 +212,15 @@ def bilstm(xs: Tensor, W_x, W_h, b, w_ci, w_co) -> Tensor:
             xs.accumulate((flat @ w_x).reshape(2, L, B, D))
         flat_t = flat.transpose(0, 2, 1)
         grads = (
-            flat_t @ xs.data.reshape(2, L * B, D),
-            flat_t @ hs[:, :-1].reshape(2, L * B, H),
-            flat.sum(axis=1),
-            (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2)),
-            (d_pre[..., 2 * H :] * cs[:, 1:]).sum(axis=(1, 2)),
+            lambda out: np.matmul(flat_t, xs.data.reshape(2, L * B, D), out=out),
+            lambda out: np.matmul(flat_t, hs[:, :-1].reshape(2, L * B, H), out=out),
+            lambda out: flat.sum(axis=1, out=out),
+            lambda out: (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2), out=out),
+            lambda out: (d_pre[..., 2 * H :] * cs[:, 1:]).sum(axis=(1, 2), out=out),
         )
         for param, grad in zip(params, grads):
             if param.tracked:
-                param.accumulate(grad)
+                param.write(grad)
 
     return Tensor(out, (xs, *params), bw, True)
 

@@ -31,11 +31,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, NumericError, check_fields
@@ -79,26 +77,31 @@ def build_cooccurrence(
     """Symmetric windowed counts with 1/distance weighting: a ``PAIRS`` array
     of the distinct (word, context) pairs, sorted by word, then context.
 
-    Windows do not cross sentence boundaries, so a window past the
-    longest sentence less one is cut to it (same events).  Words missing
+    Windows do not cross sentence boundaries: each position gets only
+    the distances ``1 .. min(window, tokens left in its sentence)``, so
+    one long sentence costs the short ones nothing.  Words missing
     from ``index`` are skipped but still occupy positions (distance is
     positional, not filtered).  Each (position, distance) event adds
     1/distance to (word, other), then to (other, word); ``np.bincount``
     sums each count's events in that order from 0.0, as a loop would.
     """
     corpus = list(corpus)
-    window = min(window, max(1, max(map(len, corpus), default=0) - 1))
-    pad = [-1] * window  # ends a sentence's windows
-    ids = np.array([index.get(w, -1) for s in corpus for w in chain(s, pad)], dtype=np.int64)
-    ahead = sliding_window_view(np.append(ids, pad), window)[1:]  # ahead[p, d - 1] = ids[p + d]
-    event = (ids[:, None] >= 0) & (ahead >= 0)  # row-major is (position, distance) order
-    first, other = np.broadcast_to(ids[:, None], event.shape)[event], ahead[event]
+    lengths = np.array([len(s) for s in corpus], dtype=np.int64)
+    ids = np.array([index.get(w, -1) for s in corpus for w in s], dtype=np.int64)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(ids)) - 1
+    spans = np.minimum(window, left)  # each position's distances, in its own sentence
+    position = np.repeat(np.arange(len(ids)), spans)  # (position, distance) order
+    distance = np.arange(1, len(position) + 1) - np.repeat(np.cumsum(spans) - spans, spans)
+    first, other = ids[position], ids[position + distance]
+    del position, left, spans  # few live temporaries keep the heap small
+    event = (first >= 0) & (other >= 0)
+    first, other, distance = first[event], other[event], distance[event]
     n = max(index.values(), default=0) + 1
     keys = np.minimum(first, other) * n + np.maximum(first, other)
-    del first, other  # few live temporaries keep the heap small
+    del first, other, event
     twice = 1 + (keys % (n + 1) == 0)  # key w * (n + 1): a word next to itself, events twice
     keys = np.repeat(keys, twice)
-    weights = np.repeat(np.broadcast_to(1.0 / np.arange(1, window + 1), event.shape)[event], twice)
+    weights = np.repeat(1.0 / distance, twice)
     unique = np.sort(keys)  # np.unique would hash, and its small allocations grow the heap
     unique = unique[np.diff(unique, prepend=-1) != 0]  # keys are at least 0
     sums = np.bincount(np.searchsorted(unique, keys), weights, len(unique))

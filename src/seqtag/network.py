@@ -46,8 +46,11 @@ of each BiLSTM as one fused tape node, :func:`seqtag.autograd.bilstm`:
 the char BiLSTM runs the distinct spellings, and the word BiLSTM the
 sentences, of a batch, each forward and reversed and unmasked: a word
 reads its final states at its last character, and a token its states
-at its own step, before any padding.  The backward pass accumulates
-straight into one flat gradient laid out like the buffer.
+at its own step, before any padding.  The backward pass writes straight
+into one flat gradient laid out like the buffer.  It starts unfilled:
+each dense array's first contribution is written into its view and later
+ones are added, and a view that no operation reached is zero-filled
+before the gradient is returned.
 
 Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
@@ -352,18 +355,30 @@ def _time_first(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _LeafSet:
     """Parameter leaves of one forward pass: one per stacked dense array, and
     for each lookup table one leaf of the distinct rows the sentence reads.
-    Given a flat gradient, each dense leaf's gradient is preset to its view
-    of it, so the backward pass accumulates straight into it."""
+    Given an unfilled flat gradient, each dense leaf's gradient is preset to
+    its view of it, marked unwritten, so the backward pass writes straight
+    into it; :meth:`zero_unwritten` then fills the views nothing reached."""
 
     def __init__(self, model: ModelParameters, grad: np.ndarray | None = None):
         self.params = model.params
         self.grads = {} if grad is None else _carve(model.layout, grad)
+        self.dense: dict[str, ag.Tensor] = {}  # one leaf per name: a view has one writer
         self.tables: dict[str, tuple[np.ndarray, ag.Tensor]] = {}
 
     def dense_leaf(self, name: str) -> ag.Tensor:
-        leaf = ag.leaf(self.params[name])
-        leaf.grad = self.grads.get(name)
+        leaf = self.dense.get(name)
+        if leaf is None:
+            leaf = self.dense[name] = ag.leaf(self.params[name])
+            leaf.grad = self.grads.get(name)
+            leaf.unwritten = leaf.grad is not None
         return leaf
+
+    def zero_unwritten(self):
+        """Zero-fill each view of the flat gradient that no operation wrote."""
+        for name, view in self.grads.items():
+            leaf = self.dense.get(name)
+            if leaf is None or leaf.unwritten:
+                view.fill(0.0)
 
     def bilstm(self, prefix: str, xs: ag.Tensor) -> ag.Tensor:
         """:func:`seqtag.autograd.bilstm` over the stacked weights of BiLSTM ``prefix``."""
@@ -512,7 +527,7 @@ def loss_and_gradients(
         raise ValueError("gold tag count must equal sentence length")
 
     gold = _gold_ids(model.scheme, gold_tags)
-    grad = np.zeros_like(model.buffer)
+    grad = np.empty_like(model.buffer)
     leaves = _LeafSet(model, grad)
     rng = np.random.default_rng(dropout_seed) if dropout > 0.0 or singletons else None
     logits = _logits_graph(
@@ -524,6 +539,7 @@ def loss_and_gradients(
     else:
         loss = crf_nll_op(logits, leaves.dense_leaf("crf.transitions"), gold)
     ag.backward(loss)
+    leaves.zero_unwritten()
     rows = {name: TableRows(index, leaf.grad) for name, (index, leaf) in leaves.tables.items()}
     return float(loss.data), Gradients(grad, rows, model.layout)
 

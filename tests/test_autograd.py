@@ -205,6 +205,81 @@ class TestLstm:
         check_grads(build, [m])
 
 
+def preset_leaves(arrays):
+    """Leaves whose gradients are preset, unwritten views of one NaN-filled
+    flat buffer, as a training step presets the dense parameters'."""
+    flat = np.full(sum(a.size for a in arrays), np.nan)
+    leaves, start = [], 0
+    for a in arrays:
+        leaf = ag.leaf(a)
+        leaf.grad = flat[start : start + a.size].reshape(a.shape)
+        leaf.unwritten = True
+        leaves.append(leaf)
+        start += a.size
+    return leaves
+
+
+def assert_preset_grads_equal_fresh(build, arrays):
+    """``build`` gives bitwise the gradients on preset unwritten views that it
+    gives on leaves with no gradient storage, and writes every view."""
+    fresh, preset = [ag.leaf(a) for a in arrays], preset_leaves(arrays)
+    for leaves in (fresh, preset):
+        ag.backward(build(leaves))
+    for f, p in zip(fresh, preset):
+        assert not p.unwritten
+        assert np.isfinite(p.grad).all()
+        assert f.grad.tobytes() == p.grad.tobytes()
+
+
+class TestUnwrittenViews:
+    def test_a_view_with_two_consumers_gets_the_sum_of_both(self):
+        rng = np.random.default_rng(21)
+        x, y, w = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=(3, 5))
+        targets = np.array([0, 4, 1, 2, 3, 0])
+
+        def build(leaves):
+            (ws,) = leaves
+            both = ag.concat([ag.matmul(ag.Tensor(x), ws), ag.matmul(ag.Tensor(y), ws)], axis=0)
+            return ag.softmax_cross_entropy(both, targets)
+
+        assert_preset_grads_equal_fresh(build, [w])
+        check_grads(build, [w])
+
+    def test_a_bilstm_weight_read_by_two_calls_gets_the_sum_of_both(self):
+        # the first call writes its gradients into the views, the second adds
+        xs, cells = bilstm_inputs()
+        other = np.random.default_rng(3).normal(size=xs.shape)
+        targets = np.arange(4 * len(TestLstm.LENGTHS)) % 3
+        index = last_steps(TestLstm.LENGTHS)
+
+        def build(leaves):
+            states = [ag.bilstm(ag.Tensor(x), *leaves) for x in (xs, other)]
+            picked = ag.concat([ag.take(s, index) for s in states], axis=0)
+            return ag.softmax_cross_entropy(picked, targets)
+
+        assert_preset_grads_equal_fresh(build, stacked(*cells))
+
+    def test_take_with_a_repeated_index_adds_into_an_unwritten_view(self):
+        rng = np.random.default_rng(22)
+        m = rng.normal(size=(4, 3))
+        index = [2, 0, 2, 2]
+        targets = np.array([1, 0, 2, 1])
+
+        def build(leaves):
+            (ms,) = leaves
+            return ag.softmax_cross_entropy(ag.take(ms, index), targets)
+
+        (leaf,) = preset_leaves([m])
+        loss = build([leaf])
+        ag.backward(loss)
+        upstream = ag.leaf(m[index])
+        ag.backward(ag.softmax_cross_entropy(upstream, targets))
+        expected = np.zeros_like(m)
+        np.add.at(expected, index, upstream.grad)
+        assert leaf.grad.tobytes() == expected.tobytes()  # row 3, read by none, reads 0
+        assert_preset_grads_equal_fresh(build, [m])
+
+
 class TestCrossEntropy:
     def test_matches_log_softmax_definition(self):
         rng = np.random.default_rng(9)

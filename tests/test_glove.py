@@ -188,6 +188,24 @@ class TestCooccurrence:
         assert peak < 2**20
         assert wide.tobytes() == build_cooccurrence(sentences, index, window=3).tobytes()
 
+    def test_a_long_sentence_costs_the_short_ones_nothing(self):
+        # each position gets only the distances left in its own sentence, so
+        # 200 short sentences do not pay for the one long sentence's window
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(50)]
+        index = {w: i for i, w in enumerate(words)}
+        sentences = [[words[i] for i in rng.integers(0, 50, n)] for n in [10] * 200 + [500]]
+        tracemalloc.start()
+        try:
+            cooc = build_cooccurrence(sentences, index, window=500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # padding every sentence to the window would take about 100 MB
+        expected = sorted(reference_cooccurrence(sentences, index, 500).items())
+        assert [(w, c) for w, c, _ in cooc.tolist()] == [pair for pair, _ in expected]
+        assert [x.hex() for x in cooc["count"].tolist()] == [x.hex() for _, x in expected]
+
     @given(corpora())
     def test_matches_the_one_event_loop_bitwise(self, case):
         sentences, index, window = case

@@ -420,6 +420,70 @@ class TestLossAndGradients:
             loss_and_gradients(model, encode(model, [make_sentence(["was"])]), ["O"])
 
 
+class TestUnfilledGradient:
+    """The flat gradient starts unfilled: every dense view is written by the
+    backward pass or zero-filled after it, never left holding its old bytes."""
+
+    @staticmethod
+    def gradients(model, monkeypatch, *, zero_initialised=False):
+        # the flat gradient starts NaN-filled, so a view nothing writes shows
+        empty_like = np.empty_like
+        monkeypatch.setattr(
+            np, "empty_like",
+            lambda a, *args, **kw: np.full_like(a, np.nan) if a is model.buffer
+            else empty_like(a, *args, **kw),
+        )
+        if zero_initialised:  # every view zeroed up front, and every contribution added
+            dense_leaf = _LeafSet.dense_leaf
+
+            def zeroed(self, name):
+                leaf = dense_leaf(self, name)
+                if leaf.unwritten:
+                    leaf.grad.fill(0.0)
+                    leaf.unwritten = False
+                return leaf
+
+            monkeypatch.setattr(_LeafSet, "dense_leaf", zeroed)
+        sent = encode(model, [make_sentence(["felbatol", "was", "never-seen", "given", "daily"])])
+        _, grads = loss_and_gradients(
+            model, sent, ["B-x", "I-x", "O", "O", "B-x"],
+            dropout=0.5, dropout_seed=3, singletons=frozenset({"was"}),
+        )
+        monkeypatch.undo()
+        return grads
+
+    @pytest.mark.parametrize("use_features", [False, True])
+    @pytest.mark.parametrize("use_char", [False, True])
+    @pytest.mark.parametrize("variant", ["blstm", "blstm_crf"])
+    def test_every_dense_view_is_written(self, variant, use_char, use_features, monkeypatch):
+        model = make_model(variant=variant, use_char=use_char, use_features=use_features)
+        grads = self.gradients(model, monkeypatch)
+        expected = self.gradients(model, monkeypatch, zero_initialised=True)
+        assert np.isfinite(expected.flat).all()
+        assert grads.dense.keys() == expected.dense.keys()
+        for name, view in grads.dense.items():
+            assert np.isfinite(view).all(), name
+            assert np.array_equal(view, expected.dense[name]), name
+
+    def test_a_view_no_operation_reaches_reads_zero(self):
+        model = make_model(variant="blstm")
+        flat = np.full_like(model.buffer, np.nan)
+        leaves = _LeafSet(model, flat)
+        projection = leaves.dense_leaf("projection")
+        assert leaves.dense_leaf("projection") is projection  # one leaf writes a view
+        fresh = ag.leaf(model.params["projection"])
+        hidden = ag.Tensor(np.random.default_rng(4).normal(size=(2, fresh.shape[0])))
+        for leaf in (projection, fresh):  # only the projection is read
+            ag.backward(ag.softmax_cross_entropy(ag.matmul(hidden, leaf), np.array([0, 2])))
+        leaves.zero_unwritten()
+        assert np.isfinite(flat).all()
+        for name, view in leaves.grads.items():
+            if name == "projection":
+                assert view.tobytes() == fresh.grad.tobytes()
+            else:
+                assert not view.any(), name
+
+
 class TestTapeSize:
     def test_tape_size_does_not_depend_on_length(self, monkeypatch):
         # one leaf per lookup table and one fused node per LSTM direction
