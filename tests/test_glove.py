@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqtag import glove
 from seqtag.errors import ConfigError, DataError, NumericError
 from seqtag.glove import (
+    BLOCK,
     GloveParams,
     _row_disjoint_groups,
     _weights,
@@ -265,23 +268,46 @@ class TestTraining:
         beaten = sum(1 for s in others if twin_sim > s)
         assert beaten / len(others) >= 0.95
 
+    def test_memory_grows_with_the_vocabulary_not_the_pairs(self, monkeypatch):
+        monkeypatch.setattr(glove, "BLOCK", 16)
+        sentences = hub_corpus(seed=11, n_sentences=600, n_words=60)
+        vocab = count_vocabulary(sentences, 1)
+        n = len(vocab)
+        pairs = len(build_cooccurrence(sentences, {w: i for i, w in enumerate(vocab)}, 10))
+        peaks = {}
+        for dim in (8, 64):
+            tracemalloc.start()
+            try:
+                fit_glove(sentences, GloveParams(dim=dim, window=10, iterations=1))
+                _, peaks[dim] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # the extra 56 floats per row, for a few copies of the 2n-row table;
+        # two (pairs, dim) gathers would add 2 * pairs * 56 floats instead
+        bound = 8 * 2 * n * 56 * 8
+        assert 4 * bound < 2 * pairs * 56 * 8
+        assert peaks[64] - peaks[8] < bound
+
 
 class TestMatchesSequentialReference:
-    @pytest.mark.parametrize("corpus, params", [
+    @pytest.mark.parametrize("corpus, params, block", [
         (twin_corpus(seed=7, n_sentences=40)[0],
-         GloveParams(dim=12, window=4, iterations=2, seed=3)),
-        (hub_corpus(seed=8), GloveParams(dim=10, window=6, iterations=2, seed=4)),
+         GloveParams(dim=12, window=4, iterations=2, seed=3), BLOCK),
+        (hub_corpus(seed=8), GloveParams(dim=10, window=6, iterations=2, seed=4), BLOCK),
         (twin_corpus(seed=9, n_sentences=25)[0],
-         GloveParams(dim=8, window=10, iterations=4, seed=5, learning_rate=0.2)),
-    ], ids=["twin", "hub", "four_iterations"])
-    def test_history_and_vectors_match(self, corpus, params):
+         GloveParams(dim=8, window=10, iterations=4, seed=5, learning_rate=0.2), BLOCK),
+        # 502 pairs, so the last chunk and block hold one pair
+        (hub_corpus(seed=10, n_sentences=40), GloveParams(dim=6, window=5, iterations=3, seed=6), 3),
+    ], ids=["twin", "hub", "four_iterations", "hub_blocks_of_3"])
+    def test_history_and_vectors_match(self, corpus, params, block, monkeypatch):
+        monkeypatch.setattr(glove, "BLOCK", block)
         table, history = fit_glove(corpus, params)
         expected_vectors, expected_history = reference_fit(corpus, params)
         assert len(history) == params.iterations
-        np.testing.assert_allclose(history, expected_history, rtol=1e-12, atol=0)
+        assert history == expected_history
         assert set(table.entries) == set(expected_vectors)
         for word, vec in expected_vectors.items():
-            np.testing.assert_allclose(table.entries[word], vec, rtol=0, atol=1e-12)
+            assert np.array_equal(table.entries[word], vec)
 
 
 @st.composite
@@ -295,10 +321,12 @@ def pair_lists(draw):
 
 
 class TestRowDisjointGroups:
-    @given(pair_lists())
-    def test_partition_without_repeats_keeping_order(self, case):
+    @pytest.mark.parametrize("block", [BLOCK, 1, 3], ids=["default", "1", "3"])
+    @given(case=pair_lists())
+    def test_partition_without_repeats_keeping_order(self, block, case):
         rows, order = case
-        grouped, sizes = _row_disjoint_groups(rows, order)
+        with mock.patch.object(glove, "BLOCK", block):
+            grouped, sizes = _row_disjoint_groups(rows, order)
         assert sizes.sum() == len(grouped)
         groups = np.split(grouped, np.cumsum(sizes)[:-1])
         assert sorted(grouped.tolist()) == list(range(len(rows)))
@@ -328,7 +356,9 @@ class TestNumericGuards:
         with pytest.raises(ConfigError, match="min_count"):
             GloveParams(min_count=value)
 
-    def test_divergence_names_the_iteration(self):
+    @pytest.mark.parametrize("block", [2, BLOCK], ids=["2", "default"])
+    def test_divergence_names_the_iteration(self, block, monkeypatch):
+        monkeypatch.setattr(glove, "BLOCK", block)
         sentences, _ = twin_corpus(seed=3, n_sentences=10)
         params = GloveParams(dim=8, window=4, iterations=3, learning_rate=1e6)
         with pytest.raises(NumericError, match="iteration 0"):
