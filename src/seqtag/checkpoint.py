@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import IntegrityError, UnsupportedVersionError
+from .errors import IntegrityError, UnsupportedVersionError, replacing
 
 MAGIC_PREFIX = b"SEQTAG-CKPT v"
 VERSION = 1
@@ -31,33 +31,45 @@ _CHECKSUM_LEN = len("[checksum ]\n") + 64
 
 
 def write_container(path, sections: dict[str, list[str]], tensors: dict[str, np.ndarray]):
-    chunks: list[bytes] = [MAGIC]
+    """Write a container to ``path``, or leave ``path`` as it was if the write fails.
+
+    The bytes go to a file beside ``path`` that replaces it once complete
+    (:func:`replacing`).  Each tensor's memory is written and hashed where
+    it lies, without a copy.
+    """
     for name, lines in sections.items():
         if any("\n" in ln for ln in lines):
             raise ValueError(f"section {name!r} lines must not contain newlines")
-        chunks.append(f"[section {name} {len(lines)}]\n".encode("utf-8"))
-        for ln in lines:
-            chunks.append(ln.encode("utf-8") + b"\n")
-    chunks.append(f"[tensors {len(tensors)}]\n".encode("utf-8"))
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        dims = " ".join(str(d) for d in arr.shape)
-        chunks.append(f"{name} {arr.ndim} {dims}".rstrip().encode("utf-8") + b"\n")
-        chunks.append(arr.tobytes())
-    payload = b"".join(chunks)
-    digest = hashlib.sha256(payload).hexdigest()
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(f"[checksum {digest}]\n".encode("ascii"))
+    digest = hashlib.sha256()
+    with replacing(path, "xb") as fh:
+
+        def put(data):
+            digest.update(data)
+            fh.write(data)
+
+        put(MAGIC)
+        for name, lines in sections.items():
+            put("".join([f"[section {name} {len(lines)}]\n", *(ln + "\n" for ln in lines)])
+                .encode("utf-8"))
+        put(f"[tensors {len(tensors)}]\n".encode("utf-8"))
+        for name, arr in tensors.items():
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            dims = " ".join(str(d) for d in arr.shape)
+            put(f"{name} {arr.ndim} {dims}".rstrip().encode("utf-8") + b"\n")
+            put(arr)
+        fh.write(f"[checksum {digest.hexdigest()}]\n".encode("ascii"))
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
+    """Reads ``data[pos:end]``: header lines and raw tensor payloads."""
+
+    def __init__(self, data: bytes, pos: int, end: int):
         self.data = data
-        self.pos = 0
+        self.pos = pos
+        self.end = end
 
     def line(self) -> str:
-        end = self.data.find(b"\n", self.pos)
+        end = self.data.find(b"\n", self.pos, self.end)
         if end < 0:
             raise IntegrityError("checkpoint ended in the middle of a header line")
         try:
@@ -68,7 +80,7 @@ class _Cursor:
         return out
 
     def raw(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+        if self.pos + n > self.end:
             raise IntegrityError("checkpoint ended inside a tensor payload")
         out = memoryview(self.data)[self.pos : self.pos + n]
         self.pos += n
@@ -89,19 +101,20 @@ def read_container(path) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
 
     if len(data) < len(MAGIC) + _CHECKSUM_LEN:
         raise IntegrityError("checkpoint file is too short")
-    payload, trailer = data[:-_CHECKSUM_LEN], data[-_CHECKSUM_LEN:]
+    end = len(data) - _CHECKSUM_LEN  # the payload is data[:end]
+    trailer = data[end:]
     if not trailer.startswith(b"[checksum ") or not trailer.endswith(b"]\n"):
         raise IntegrityError("checkpoint has no checksum trailer (truncated file?)")
     try:
         stated = trailer[len(b"[checksum ") : -2].decode("ascii")
     except UnicodeDecodeError:
         raise IntegrityError("checkpoint checksum trailer is corrupt") from None
-    actual = hashlib.sha256(payload).hexdigest()
+    actual = hashlib.sha256(memoryview(data)[:end]).hexdigest()
     if stated != actual:
         raise IntegrityError("checkpoint checksum mismatch; the file is corrupt")
 
-    if not payload.startswith(MAGIC):
-        first = payload.split(b"\n", 1)[0]
+    if not data.startswith(MAGIC):
+        first = data[:end].split(b"\n", 1)[0]
         if first.startswith(MAGIC_PREFIX):
             raise UnsupportedVersionError(
                 f"unsupported checkpoint version {first.decode('utf-8', 'replace')!r}; "
@@ -109,8 +122,7 @@ def read_container(path) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
             )
         raise IntegrityError("not a checkpoint file (bad magic)")
 
-    cur = _Cursor(payload)
-    cur.pos = len(MAGIC)
+    cur = _Cursor(data, len(MAGIC), end)
     sections: dict[str, list[str]] = {}
     tensors: dict[str, np.ndarray] = {}
     while True:
@@ -131,6 +143,6 @@ def read_container(path) -> tuple[dict[str, list[str]], dict[str, np.ndarray]]:
             break
         else:
             raise IntegrityError(f"unexpected checkpoint block {header!r}")
-    if cur.pos != len(payload):
+    if cur.pos != end:
         raise IntegrityError("trailing bytes after the tensor block")
     return sections, tensors

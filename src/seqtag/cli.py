@@ -35,7 +35,7 @@ from .embeddings import (
     pseudo_corpus_from_manifest,
     write_embedding_table,
 )
-from .errors import ConfigError, DataError, NumericError, SeqtagError, read_lines
+from .errors import ConfigError, DataError, NumericError, SeqtagError, read_lines, replacing
 from .evaluation import evaluate, report, to_mapping
 from .glove import GloveParams, fit_glove
 from .synth import SynthSpec, default_spec, generate
@@ -187,18 +187,11 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_pseudo_corpus(args) -> int:
-    # written beside --out and renamed over it, so a failing input leaves --out as it was
-    partial = f"{args.out}.{os.getpid()}.partial"
     count = 0
-    try:
-        with open(partial, "x", encoding="utf-8") as fh:
-            for sentence in pseudo_corpus_from_manifest(args.manifest):
-                fh.write(" ".join(sentence) + "\n")
-                count += 1
-        os.replace(partial, args.out)
-    finally:
-        if os.path.exists(partial):
-            os.remove(partial)
+    with replacing(args.out, encoding="utf-8") as fh:  # a failing input leaves --out as it was
+        for sentence in pseudo_corpus_from_manifest(args.manifest):
+            fh.write(" ".join(sentence) + "\n")
+            count += 1
     print(f"wrote {count} pseudo-sentences to {args.out}")
     return 0
 

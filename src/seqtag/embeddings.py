@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DataError, ParseError, read_lines
 
@@ -127,16 +128,136 @@ def write_embedding_table(pairs: Iterable[tuple[str, np.ndarray]], out: TextIO):
         out.write(word + " " + " ".join(f"{v:.8g}" for v in vec) + "\n")
 
 
-def hashed_uniform(key: Sequence[object], seed: int, dim: int) -> np.ndarray:
-    """Deterministic uniform [-1, 1] vector keyed by (key, seed).
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) mixes a pool of 4
+# uint32 words with hash constants that do not depend on the data: each
+# ``hashmix`` XORs the value with the running constant, steps the constant
+# by its multiplier, and multiplies the value by the new constant.
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
-    Stable across runs and platforms: the generator is seeded from a
-    SHA-256 digest of the key, not from Python's randomized ``hash``.
+
+def _hash_constants(const: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The XOR and multiplier constants of ``n`` successive ``hashmix`` calls, as (n, 1) columns."""
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(const)
+        const = const * mult & 0xFFFFFFFF
+        mults.append(const)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 to fill, then 3 per round
+_STATE_XOR, _STATE_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # 8 uint32 words out
+_OTHERS = [[d for d in range(4) if d != src] for src in range(4)]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def seed_states(seeds: np.ndarray) -> np.ndarray:
+    """The ``(len(seeds), 4)`` uint64 words that
+    ``np.random.SeedSequence(s).generate_state(4, np.uint64)`` gives for
+    each 64-bit seed ``s``, computed for all seeds in one pass.
+
+    SeedSequence reads a seed as its uint32 words, low first, and hashes
+    the zeros that fill its 4-word pool as it hashes a zero high word, so
+    every seed fills the pool as ``[low, high, 0, 0]``.  Each mixing round
+    updates the three other pool words at once.
     """
-    material = "\x1f".join(str(k) for k in key) + f"\x1f{seed}"
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
-    rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
-    return rng.uniform(-1.0, 1.0, dim)
+    halves = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").reshape(-1, 2).T
+    entropy = np.zeros((4, halves.shape[1]), dtype=np.uint32)
+    entropy[:2] = halves
+    pool = _hashmix(entropy, _POOL_XOR[:4], _POOL_MULT[:4])
+    for src, others in enumerate(_OTHERS):
+        rows = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = _hashmix(pool[src], _POOL_XOR[rows], _POOL_MULT[rows])
+        mixed = _MIX_MULT_L * pool[others] - _MIX_MULT_R * hashed
+        pool[others] = mixed ^ (mixed >> np.uint32(16))
+    return generate_state(pool)
+
+
+def generate_state(pool: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` of each column of the
+    ``(4, n)`` uint32 ``pool``: the ``(n, 4)`` uint64 words."""
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT)
+    # word pairs read as little-endian uint64, as numpy reads them
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class StateWords(ISeedSequence):
+    """Seeds one ``PCG64`` with 4 words of :func:`seed_states`.
+
+    PCG64 asks its seed sequence for 4 uint64 words.  Any other request
+    means numpy seeds it another way, and the words would no longer be
+    SeedSequence's, so it raises.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                f"PCG64 asked for {n_words} words of {np.dtype(dtype)}, not 4 of uint64"
+            )
+        return self.words
+
+
+def uniform_rows(seeds: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """The rows ``np.random.Generator(np.random.PCG64(s)).uniform(-1, 1, dim)``
+    gives for each 64-bit seed ``s`` and its ``dim``, concatenated, drawn
+    bitwise the same but all at once.
+
+    One vectorized pass computes every seed's ``SeedSequence`` state; then
+    each seed's ``PCG64`` writes its raw outputs into one buffer, and one
+    conversion turns them all into floats.
+    """
+    values = np.empty(sum(dims))
+    bits = values.view(np.uint64)  # the raw outputs, then their floats
+    end = 0
+    for words, dim in zip(seed_states(seeds), dims):
+        bits[end:end + dim] = np.random.PCG64(StateWords(words)).random_raw(dim)
+        end += dim
+    # uniform(-1, 1) is -1 + 2 * (x * 2**-53) for the top 53 bits x of each
+    # output.  Every step is exact in float64, so x * 2**-52 - 1 is that
+    # value.  The cast reuses the buffer: each element is read, then written.
+    # Blocks of 64k values stay in cache through the four passes.
+    for start in range(0, len(values), 1 << 16):
+        block = values[start:start + (1 << 16)]
+        raw = block.view(np.uint64)
+        raw >>= np.uint64(11)
+        block[...] = raw
+        block *= 2.0**-52
+        block -= 1.0
+    return values
+
+
+def hashed_uniform(
+    groups: Sequence[tuple[Sequence[Sequence[object]], int]], seed: int
+) -> list[np.ndarray]:
+    """Deterministic uniform [-1, 1] rows keyed by (key, seed), every row
+    of the call drawn at once.
+
+    ``groups`` pairs keys with the length of their rows; the result holds
+    each group's ``(len(keys), dim)`` matrix, a row per key in key order.
+    The stream is stable across runs and platforms: the key's parts and
+    ``seed``, joined by ``"\\x1f"`` -> SHA-256 -> its first 8 bytes as a
+    little-endian 64-bit seed -> ``SeedSequence`` -> ``PCG64`` ->
+    ``uniform(-1, 1, dim)`` (:func:`uniform_rows`).
+    """
+    suffix = f"\x1f{seed}"
+    digests = b"".join(
+        hashlib.sha256(("\x1f".join([str(part) for part in key]) + suffix).encode("utf-8"))
+        .digest()[:8] for group, _ in groups for key in group
+    )
+    dims = [dim for group, dim in groups for _ in group]
+    values = uniform_rows(np.frombuffer(digests, dtype="<u8"), dims)
+    out, start = [], 0
+    for group, dim in groups:
+        out.append(values[start:start + len(group) * dim].reshape(len(group), dim))
+        start += len(group) * dim
+    return out
 
 
 def assemble(vocab: Vocabulary, tables: Sequence[EmbeddingTable], seed: int) -> np.ndarray:
@@ -146,7 +267,8 @@ def assemble(vocab: Vocabulary, tables: Sequence[EmbeddingTable], seed: int) -> 
 
     A row's segment is copied from the corresponding table when
     :func:`find` finds the word there, and otherwise drawn uniformly from
-    [-1, 1] by a deterministic per-(word, segment, seed) generator.
+    [-1, 1] by :func:`hashed_uniform`, keyed by (word, segment) and
+    ``seed``; one call draws all of a segment's missing words.
     """
     if not tables:
         raise ValueError("assemble needs at least one source table")
@@ -154,18 +276,28 @@ def assemble(vocab: Vocabulary, tables: Sequence[EmbeddingTable], seed: int) -> 
     matrix = np.empty((len(vocab), sum(t.dim for t in tables)))
     start = 0
     for seg, table in enumerate(tables):
-        for row, word in zip(matrix[:, start:start + table.dim], vocab.words):
+        block = matrix[:, start:start + table.dim]
+        missing = []
+        for i, word in enumerate(vocab.words):
             vec = find(table.entries, word)
             if vec is None:
-                vec = hashed_uniform(("word-segment", word, seg), seed, table.dim)
-            row[:] = vec
+                missing.append(i)
+            else:
+                block[i] = vec
+        keys = _segment_keys([vocab.words[i] for i in missing], seg)
+        block[missing] = hashed_uniform([(keys, table.dim)], seed)[0]
         start += table.dim
     return matrix
 
 
+def _segment_keys(words: Iterable[str], seg: int) -> list[tuple[str, str, int]]:
+    return [("word-segment", word, seg) for word in words]
+
+
 def random_table(vocab: Vocabulary, dim: int, seed: int) -> np.ndarray:
-    """The random ``(len(vocab), dim)`` matrix: :func:`assemble` over one empty table."""
-    return assemble(vocab, [EmbeddingTable(dim, {})], seed)
+    """The random ``(len(vocab), dim)`` matrix, :func:`assemble` over one
+    empty table: every word's row is drawn, into the matrix itself."""
+    return hashed_uniform([(_segment_keys(vocab.words, 0), dim)], seed)[0]
 
 
 def coverage_report(vocab: Vocabulary, tables: Sequence[EmbeddingTable]) -> CoverageStats:

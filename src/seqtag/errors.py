@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the one reader of text inputs.
+"""Exception types shared across the toolkit, the one reader of text
+inputs, and the one rule for writing an output file whole.
 
 Every failure a user can cause (a file that is missing or does not
 decode, a malformed line, a value out of range, a corrupt checkpoint, a
@@ -11,7 +12,9 @@ of the program and ends in a traceback.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+import os
+from contextlib import contextmanager
+from typing import IO, Callable, Iterable, Iterator
 
 
 class SeqtagError(Exception):
@@ -70,6 +73,25 @@ def read_lines(path, *, config: bool = False, newline: str | None = None) -> Ite
         if config:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+@contextmanager
+def replacing(path, mode: str = "x", **kwargs) -> Iterator[IO]:
+    """A new file opened to take the place of ``path``.
+
+    It is ``<path>.<pid>.partial``, opened with ``mode`` (an exclusive
+    create, ``"x"`` or ``"xb"``) and ``kwargs``, beside ``path``.  When the
+    block ends it is renamed over ``path``; when the block raises, it is
+    removed.  So ``path`` holds either its old bytes or all the new ones.
+    """
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, mode, **kwargs) as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def check_fields(obj, rules: Iterable[tuple[tuple[str, ...], Callable, str]]):

@@ -18,6 +18,13 @@ to a deterministic per-(family, value, seed) random vector.  All families
 except the case pattern are case-insensitive, so surfaces differing only
 in capitalization differ only in the case sub-vector.
 
+Table rows and fallbacks come from one stream,
+:func:`seqtag.embeddings.hashed_uniform`: the key ("feature", family,
+value) and the seed -> SHA-256 -> a 64-bit seed -> numpy's
+``SeedSequence`` -> ``PCG64`` -> ``uniform(-1, 1, dim)``.  Building the
+encoder draws every family's rows in one call, and each :meth:`rows`
+call draws every family's unseen values in one call, or none.
+
 A value's table row never changes once the encoder exists (training
 updates the vectors, not the rows), so the encoder keeps each vocabulary
 word's six rows the first time it meets the word and reads them from then
@@ -156,9 +163,6 @@ class FeatureEncoder:
     def total_dim(self) -> int:
         return sum(f.dim for f in self.families)
 
-    def _fallback(self, family: FeatureFamily, value: str) -> np.ndarray:
-        return hashed_uniform(("feature", family.name, value), self.seed, family.dim)
-
     def rows(
         self, surfaces: Sequence[str], vocab: Mapping[str, int] = {}
     ) -> tuple[FamilyRows, ...]:
@@ -186,27 +190,38 @@ class FeatureEncoder:
         self.kept[words[keep]] = grid[keep]
         order = {s: k for k, s in enumerate(distinct)}
         columns = grid[[order[s] for s in surfaces]].T.copy()
-        return tuple(
-            FamilyRows(rows, np.reshape([self._fallback(fam, v) for v in u], (-1, fam.dim)))
-            for rows, fam, u in zip(columns, self.families, unseen)
-        )
+        fallbacks = _value_vectors(
+            ((fam.name, fam.dim, u) for fam, u in zip(self.families, unseen)), self.seed
+        ) if any(unseen) else [np.empty((0, fam.dim)) for fam in self.families]
+        return tuple(map(FamilyRows, columns, fallbacks))
+
+
+def _value_vectors(
+    families: Iterable[tuple[str, int, Iterable[str]]], seed: int
+) -> list[np.ndarray]:
+    """Each (name, dim, values) family's ``(len(values), dim)`` vectors,
+    keyed by (family, value, seed), all drawn in one call."""
+    return hashed_uniform(
+        [([("feature", name, v) for v in values], dim) for name, dim, values in families], seed
+    )
 
 
 def build_feature_encoder(surfaces: Iterable[str], seed: int) -> FeatureEncoder:
     """Create an encoder whose tables cover every value seen in ``surfaces``.
 
     Table vectors are initialized uniformly in [-1, 1] from the same
-    per-value generator that serves unseen values later, so building the
+    per-value stream that serves unseen values later, so building the
     encoder from a superset of surfaces never changes existing vectors.
     """
     surfaces = list(surfaces)
-    families = []
-    for name, dim, fn in FAMILY_SPECS:
-        values = list(dict.fromkeys(fn(s) for s in surfaces))
-        table = np.stack(
-            [hashed_uniform(("feature", name, v), seed, dim) for v in values]
-        ) if values else np.zeros((0, dim))
-        families.append(FeatureFamily(name, dim, fn, values, {v: i for i, v in enumerate(values)}, table))
+    values = [list(dict.fromkeys(map(fn, surfaces))) for _, _, fn in FAMILY_SPECS]
+    tables = _value_vectors(
+        ((name, dim, vals) for (name, dim, _), vals in zip(FAMILY_SPECS, values)), seed
+    )
+    families = [
+        FeatureFamily(name, dim, fn, vals, {v: i for i, v in enumerate(vals)}, table)
+        for (name, dim, fn), vals, table in zip(FAMILY_SPECS, values, tables)
+    ]
     return FeatureEncoder(families, seed)
 
 

@@ -3,13 +3,36 @@
 One token at a time, one recurrence step at a time, no tape and no
 dropout.  Words and characters outside their vocabularies read the
 ``<unk>`` row 0 of their table, as in :func:`seqtag.network.encode`.
+
+The per-key random draw is here too, one numpy ``Generator`` per key: the
+oracle of :func:`seqtag.embeddings.hashed_uniform`, which draws every
+row of a call at once.
 """
+
+import hashlib
 
 import numpy as np
 
 from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
 from seqtag.network import CELL_FIELDS, ModelParameters, dense_arrays
+
+
+def key_seed(key, seed: int) -> int:
+    """The 64-bit seed of ``key``: the first 8 bytes, little-endian, of the
+    SHA-256 digest of its parts and ``seed`` joined by ``"\\x1f"``."""
+    material = "\x1f".join(str(k) for k in key) + f"\x1f{seed}"
+    return int.from_bytes(hashlib.sha256(material.encode("utf-8")).digest()[:8], "little")
+
+
+def seeded_uniform(seed64: int, dim: int) -> np.ndarray:
+    """numpy's uniform [-1, 1] vector of ``dim`` values for the 64-bit seed ``seed64``."""
+    return np.random.Generator(np.random.PCG64(seed64)).uniform(-1.0, 1.0, dim)
+
+
+def hashed_uniform_row(key, seed: int, dim: int) -> np.ndarray:
+    """The deterministic uniform [-1, 1] vector of ``(key, seed)``, drawn alone."""
+    return seeded_uniform(key_seed(key, seed), dim)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import hashlib
 
 import numpy as np
@@ -73,6 +75,46 @@ class TestIntegrity:
         path.write_bytes(payload[:CHECKSUM_LEN])
         with pytest.raises(IntegrityError, match="too short"):
             read_container(path)
+
+
+class TestWrite:
+    def test_a_write_that_fails_midway_leaves_the_old_file(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class DiskFull:
+            """A file written to that takes 1000 bytes, then raises ENOSPC."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 1000
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                size = memoryview(data).nbytes
+                if size > self.room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= size
+                return self.fh.write(data)
+
+        def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return DiskFull(fh) if "w" in mode or "x" in mode else fh
+
+        path = tmp_path / "model.ckpt"
+        write_container(path, {"config": ["seed = 1"]}, {"w": np.ones((4, 3))})
+        old = path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+        # the header fits; the tensor does not
+        with pytest.raises(OSError, match="No space left"):
+            write_container(path, {"config": ["seed = 2"]}, {"w": np.zeros((400, 300))})
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 @given(data=st.data())

@@ -812,4 +812,4 @@ class TestTextThatIsNotUtf8:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["good.csv", "bad.csv", "manifest.txt"] + (["pseudo.txt"] if existing else []))
         if existing is not None:
-            assert out.read_text(encoding="utf-8") == existing
+            assert out.read_bytes() == existing.encode("utf-8")

@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import seqtag.embeddings
+from reference import hashed_uniform_row, seeded_uniform
 from seqtag.cli import main
 from seqtag.embeddings import (
     UNK,
     EmbeddingTable,
+    StateWords,
     assemble,
     build_pseudo_corpus,
     build_vocabulary,
@@ -20,6 +22,8 @@ from seqtag.embeddings import (
     load_embedding_table,
     random_table,
     read_manifest,
+    seed_states,
+    uniform_rows,
     write_embedding_table,
 )
 from seqtag.errors import DataError, ParseError, SeqtagError
@@ -74,18 +78,68 @@ class TestLoadEmbeddingTable:
 
 
 class TestHashedUniform:
+    """The batched draw against the per-key oracle: numpy's ``SeedSequence``,
+    ``PCG64`` and ``uniform(-1, 1)``, one generator per key."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
     def test_deterministic_and_in_range(self):
-        a = hashed_uniform(("word-segment", "felbatol", 1), seed=7, dim=50)
-        b = hashed_uniform(("word-segment", "felbatol", 1), seed=7, dim=50)
+        [a] = hashed_uniform([([("word-segment", "felbatol", 1)], 50)], seed=7)
+        [b] = hashed_uniform([([("word-segment", "felbatol", 1)], 50)], seed=7)
+        assert a.shape == (1, 50)
         np.testing.assert_array_equal(a, b)
         assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
     def test_distinct_keys_differ(self):
-        a = hashed_uniform(("word-segment", "x", 0), seed=7, dim=8)
-        b = hashed_uniform(("word-segment", "x", 1), seed=7, dim=8)
-        c = hashed_uniform(("word-segment", "x", 0), seed=8, dim=8)
+        [[a, b]] = hashed_uniform([([("word-segment", "x", 0), ("word-segment", "x", 1)], 8)], 7)
+        [[c]] = hashed_uniform([([("word-segment", "x", 0)], 8)], seed=8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_a_thousand_keys_of_mixed_dims_in_one_call_equal_the_oracle(self):
+        groups = [
+            ([("word-segment", f"w{i}\u00e9", i % 3) for i in range(400)], 300),
+            ([("feature", "prefix3", f"v{i}") for i in range(300)], 40),
+            ([("feature", "case", i) for i in range(200)], 8),
+            ([], 10),
+            ([("feature", "length", f"len{i}") for i in range(106)], 1),
+        ]
+        got = hashed_uniform(groups, seed=11)
+        assert sum(len(keys) for keys, _ in groups) >= 1000
+        for (keys, dim), rows in zip(groups, got):
+            assert rows.shape == (len(keys), dim)
+            expected = np.reshape([hashed_uniform_row(key, 11, dim) for key in keys], (-1, dim))
+            assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 8, 40, 300])
+    def test_edge_seeds_equal_the_oracle(self, dim):
+        got = uniform_rows(np.array(self.EDGE_SEEDS, dtype=np.uint64), [dim] * 6)
+        expected = np.concatenate([seeded_uniform(s, dim) for s in self.EDGE_SEEDS])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_state_pass_equals_seed_sequence(self):
+        rng = np.random.default_rng(22)
+        drawn = rng.integers(0, 2**64 - 1, 1000, dtype=np.uint64, endpoint=True)
+        seeds = self.EDGE_SEEDS + [int(s) for s in drawn]
+        got = seed_states(np.array(seeds, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == (len(seeds), 4)
+        for s, words in zip(seeds, got):
+            expected = np.random.SeedSequence(s).generate_state(4, np.uint64)
+            assert words.tobytes() == expected.tobytes()
+
+    def test_no_keys_draw_nothing(self):
+        assert hashed_uniform([], seed=0) == []
+        [rows] = hashed_uniform([([], 7)], seed=0)
+        assert rows.shape == (0, 7)
+        assert seed_states(np.array([], dtype=np.uint64)).shape == (0, 4)
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                                (8, np.uint64), (4, np.int64)])
+    def test_state_words_serve_only_four_uint64_words(self, n_words, dtype):
+        words = seed_states(np.array([5], dtype=np.uint64))[0]
+        assert StateWords(words).generate_state(4, np.uint64) is words
+        with pytest.raises(RuntimeError, match="not 4 of uint64"):
+            StateWords(words).generate_state(n_words, dtype)
 
 
 def two_tables():
@@ -124,7 +178,7 @@ class TestAssemble:
         np.testing.assert_array_equal(vec[:3], [4, 5, 6])
         assert np.all(np.abs(vec[3:]) <= 1.0)
         np.testing.assert_array_equal(
-            vec[3:], hashed_uniform(("word-segment", "only-cc", 1), 0, 3)
+            vec[3:], hashed_uniform_row(("word-segment", "only-cc", 1), 0, 3)
         )
         assert coverage_report(vocab, [cc, mimic]).covered == 1
 
@@ -164,8 +218,25 @@ class TestAssemble:
 
     def test_random_table_is_the_per_word_backfill(self):
         vocab = build_vocabulary(["a", "B", "c"])
-        expected = np.stack([hashed_uniform(("word-segment", w, 0), 5, 4) for w in vocab.words])
+        expected = np.stack([hashed_uniform_row(("word-segment", w, 0), 5, 4) for w in vocab.words])
         assert random_table(vocab, 4, seed=5).tobytes() == expected.tobytes()
+        assert assemble(vocab, [EmbeddingTable(4, {})], 5).tobytes() == expected.tobytes()
+
+    def test_each_segment_draws_its_missing_words_in_one_call(self, monkeypatch):
+        cc, mimic = two_tables()
+        vocab = build_vocabulary(["shared", "only-cc", "only-mimic", "neither"])
+        calls = []
+        real = seqtag.embeddings.hashed_uniform
+        monkeypatch.setattr(seqtag.embeddings, "hashed_uniform", lambda groups, seed: calls.append(
+            [(keys, dim) for keys, dim in groups]) or real(groups, seed))
+        out = assemble(vocab, [cc, mimic], seed=3)
+        assert calls == [
+            [([("word-segment", w, 0) for w in (UNK, "only-mimic", "neither")], 3)],
+            [([("word-segment", w, 1) for w in (UNK, "only-cc", "neither")], 3)],
+        ]
+        for word in (UNK, "neither"):
+            expected = [hashed_uniform_row(("word-segment", word, seg), 3, 3) for seg in (0, 1)]
+            assert out[vocab.index[word]].tobytes() == np.concatenate(expected).tobytes()
 
 
 class TestCoverage:
@@ -204,7 +275,7 @@ class TestCoverage:
         assert (stats.covered, stats.total_words) == (2, 3)
 
     def test_coverage_command_draws_no_backfill(self, tmp_path, capsys, monkeypatch):
-        def no_draws(*args):
+        def no_draws(groups, seed):
             raise AssertionError("coverage drew a backfill vector")
 
         monkeypatch.setattr(seqtag.embeddings, "hashed_uniform", no_draws)

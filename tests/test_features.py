@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seqtag import features
+from reference import hashed_uniform_row
+from seqtag import embeddings, features
 from seqtag.corpus import Sentence, TagScheme, Token
 from seqtag.embeddings import UNK, build_vocabulary, random_table
 from seqtag.features import (
@@ -33,7 +34,8 @@ def reference_rows(encoder, surfaces):
                 continue
             if value not in unseen:
                 unseen[value] = len(unseen)
-                fallback.append(encoder._fallback(fam, value))
+                fallback.append(hashed_uniform_row(("feature", fam.name, value), encoder.seed,
+                                                   fam.dim))
             rows.append(-1 - unseen[value])
         out.append((np.array(rows, dtype=np.intp), np.reshape(fallback, (-1, fam.dim))))
     return out
@@ -158,7 +160,8 @@ class TestRows:
         encoder = build_feature_encoder(built_from, seed=3)
         for fam, rows in zip(encoder.families, encoder.rows(self.SURFACES)):
             expected = np.stack([
-                fam.table[fam.index[v]] if v in fam.index else encoder._fallback(fam, v)
+                fam.table[fam.index[v]] if v in fam.index
+                else hashed_uniform_row(("feature", fam.name, v), encoder.seed, fam.dim)
                 for v in map(fam.fn, self.SURFACES)
             ])
             assert rows.gather(fam.table).tobytes() == expected.tobytes()
@@ -171,9 +174,8 @@ class TestRows:
             fn = fam.fn
             fam.fn = lambda s, fn=fn, name=fam.name: calls.append((name, s)) or fn(s)
         real = features.hashed_uniform
-        monkeypatch.setattr(
-            features, "hashed_uniform", lambda key, *a: draws.append(key) or real(key, *a)
-        )
+        monkeypatch.setattr(features, "hashed_uniform", lambda groups, seed: draws.extend(
+            key for keys, _ in groups for key in keys) or real(groups, seed))
         encoder.rows(surfaces)
         assert sorted(calls) == sorted({(f.name, s) for f in encoder.families for s in surfaces})
         unseen = {
@@ -181,6 +183,33 @@ class TestRows:
             if f.fn(s) not in f.index
         }
         assert unseen and sorted(draws) == sorted(unseen)
+
+    @pytest.mark.parametrize("surfaces, passes", [
+        (SURFACES, 1),  # unseen values in several families, drawn together
+        (("Aspirin", "40", "mg", "Aspirin"), 0),  # every value has a table row
+    ], ids=["unseen", "all-seen"])
+    def test_a_rows_call_runs_the_state_pass_once_or_not_at_all(self, monkeypatch, surfaces,
+                                                               passes):
+        encoder = make_encoder()
+        counted = []
+        real = embeddings.seed_states
+        monkeypatch.setattr(embeddings, "seed_states", lambda s: counted.append(len(s)) or real(s))
+        got = encoder.rows(surfaces)
+        assert len(counted) == passes
+        if passes:
+            assert sum(1 for rows in got if len(rows.fallback)) > 1
+            assert counted == [sum(len(rows.fallback) for rows in got)]
+
+    def test_building_an_encoder_runs_the_state_pass_once(self, monkeypatch):
+        counted = []
+        real = embeddings.seed_states
+        monkeypatch.setattr(embeddings, "seed_states", lambda s: counted.append(len(s)) or real(s))
+        encoder = make_encoder(self.SURFACES)
+        assert counted == [sum(len(f.values) for f in encoder.families)]
+        for fam in encoder.families:
+            expected = [hashed_uniform_row(("feature", fam.name, v), 3, fam.dim)
+                        for v in fam.values]
+            assert fam.table.tobytes() == np.reshape(expected, (-1, fam.dim)).tobytes()
 
     # built from, and with a vocabulary of, these words: "ASPIRIN" reads the word
     # row of "aspirin" through the lowercase fallback, but its case value is unseen
