@@ -140,32 +140,37 @@ def take(a: Tensor, index) -> Tensor:
     return Tensor(out, (a,), bw, True)
 
 
-def bilstm(xs: Tensor, W_x, W_h, b, w_ci, w_co) -> Tensor:
+def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
     """Hidden states of both directions of a coupled-gate peephole BiLSTM.
 
     Each weight stacks the forward and backward directions on axis 0,
     and within a direction the input gate, candidate and output gate in
     row blocks of H: ``W_x`` (2, 3H, D), ``W_h`` (2, 3H, H), ``b``
     (2, 3H); the diagonal peepholes ``w_ci`` and ``w_co`` are (2, H).
-    ``xs`` (2, L, B, D) holds each direction's time-first padded batch,
-    so the backward direction gets its input already reversed.  Every
-    row runs all L steps, so a shorter sequence is read at its own last
-    step: padding after it changes none of its states up to there, and
-    a state nobody reads gets a zero gradient.  Returns the (2, L, B, H)
-    hidden states as one tape node.  One batched GEMM makes every input
-    projection, one loop runs both directions, and the hand-written BPTT
-    makes each stacked weight gradient with one batched GEMM or one
-    reduction, once per call.  A weight's first gradient is written
-    straight into its unwritten preset ``grad``; a later one is added.
+    ``xs`` (N, D) holds the input rows, and the integer ``steps``
+    (2, L, B) the row each direction's step reads in each of B
+    sequences, so the backward direction reads its rows in reverse.  A
+    row read by several steps is projected once: one GEMM per direction
+    makes every row's input projection, and each step gathers its own.
+    Every sequence runs all L steps, so a shorter one is read at its own
+    last step: padding after it changes none of its states up to there,
+    and a state nobody reads gets a zero gradient.  Returns the
+    (2, L, B, H) hidden states as one tape node.  One loop runs both
+    directions, and the hand-written BPTT scatter-adds each step's
+    projection gradient into its row, then makes each stacked weight
+    gradient with one batched GEMM or one reduction, once per call.  A
+    weight's first gradient is written straight into its unwritten
+    preset ``grad``; a later one is added.
     """
     params = (W_x, W_h, b, w_ci, w_co)
     w_x, w_h, bias, ci, co = (p.data for p in params)
-    _, L, B, D = xs.data.shape
+    _, L, B = steps.shape
+    N, D = xs.data.shape
     H = ci.shape[1]
     ci, co = ci[:, None, :], co[:, None, :]  # broadcast over the batch
     w_hT = w_h.transpose(0, 2, 1)
-    pre = xs.data.reshape(2, L * B, D) @ w_x.transpose(0, 2, 1) + bias[:, None, :]
-    pre = pre.reshape(2, L, B, 3 * H)
+    read = (np.arange(2)[:, None, None], steps)  # each step's (direction, row)
+    pre = (xs.data @ w_x.transpose(0, 2, 1) + bias[:, None, :])[read]  # (2, L, B, 3H)
     record = _grad_enabled and (xs.tracked or any(p.tracked for p in params))
 
     hs = np.zeros((2, L + 1, B, H))
@@ -207,12 +212,14 @@ def bilstm(xs: Tensor, W_x, W_h, b, w_ci, w_co) -> Tensor:
             d[..., 2 * H :] = da_o
             dc = dc_total * (1.0 - i) + da_i * ci
             dh = d @ w_h
-        flat = d_pre.reshape(2, L * B, 3 * H)
+        d_rows = np.zeros((2, N, 3 * H))  # each row's projection gradient, per direction
+        np.add.at(d_rows, read, d_pre)
         if xs.tracked:
-            xs.accumulate((flat @ w_x).reshape(2, L, B, D))
+            xs.accumulate(d_rows[0] @ w_x[0] + d_rows[1] @ w_x[1])
+        flat = d_pre.reshape(2, L * B, 3 * H)
         flat_t = flat.transpose(0, 2, 1)
         grads = (
-            lambda out: np.matmul(flat_t, xs.data.reshape(2, L * B, D), out=out),
+            lambda out: np.matmul(d_rows.transpose(0, 2, 1), xs.data, out=out),
             lambda out: np.matmul(flat_t, hs[:, :-1].reshape(2, L * B, H), out=out),
             lambda out: flat.sum(axis=1, out=out),
             lambda out: (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2), out=out),

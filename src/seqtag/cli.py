@@ -17,6 +17,11 @@ caused is a :class:`~seqtag.errors.SeqtagError` (2 for a
 :class:`~seqtag.errors.NumericError`), and an ``OSError`` from a binary
 checkpoint or an output file exits 2.  Anything else is a fault of the
 program and ends in a traceback.
+
+Every output file is written beside its target and renamed over it once
+whole (:func:`~seqtag.errors.replacing`), so a command that fails leaves
+an output it had not finished as it was.  ``synth`` writes
+``--out-train`` before ``--out-test``, each whole.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ def cmd_tag(args) -> int:
         data = _load_conll(args.input, ckpt.scheme)
     text = write_conll(tag(ckpt, data))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with replacing(args.output, encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -132,7 +137,7 @@ def cmd_evaluate(args) -> int:
     metrics = evaluate(gold, pred, derive_scheme(gold, pred))
     print(report(metrics))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with replacing(args.json, encoding="utf-8") as fh:
             json.dump(to_mapping(metrics), fh, indent=2)
             fh.write("\n")
     return 0
@@ -141,10 +146,9 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     spec = _settings(SynthSpec, args, args.spec, default_spec, "synth spec")
     train_data, test_data = generate(spec)
-    with open(args.out_train, "w", encoding="utf-8") as fh:
-        fh.write(write_conll(train_data))
-    with open(args.out_test, "w", encoding="utf-8") as fh:
-        fh.write(write_conll(test_data))
+    for path, data in ((args.out_train, train_data), (args.out_test, test_data)):
+        with replacing(path, encoding="utf-8") as fh:
+            fh.write(write_conll(data))
     print(f"wrote {len(train_data)} train and {len(test_data)} test sentences")
     return 0
 
@@ -152,7 +156,7 @@ def cmd_synth(args) -> int:
 def cmd_embed_train(args) -> int:
     corpus = _read_token_lines(args.corpus)
     table, _ = fit_glove(corpus, _settings(GloveParams, args))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with replacing(args.out, encoding="utf-8") as fh:
         write_embedding_table(table.entries.items(), fh)
     print(f"trained {len(table)} vectors of dim {table.dim} -> {args.out}")
     return 0
@@ -169,7 +173,7 @@ def cmd_embed_concat(args) -> int:
     vocab = _vocab_from_conll(args.vocab_from)
     tables = load_embedding_tables(args.tables)
     matrix = assemble(vocab, tables, args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with replacing(args.out, encoding="utf-8") as fh:
         write_embedding_table(zip(vocab.words, matrix), fh)
     stats = coverage_report(vocab, tables)
     print(

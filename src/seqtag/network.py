@@ -46,11 +46,16 @@ of each BiLSTM as one fused tape node, :func:`seqtag.autograd.bilstm`:
 the char BiLSTM runs the distinct spellings, and the word BiLSTM the
 sentences, of a batch, each forward and reversed and unmasked: a word
 reads its final states at its last character, and a token its states
-at its own step, before any padding.  The backward pass writes straight
-into one flat gradient laid out like the buffer.  It starts unfilled:
-each dense array's first contribution is written into its view and later
-ones are added, and a view that no operation reached is zero-filled
-before the gradient is returned.
+at its own step, before any padding.  The op projects each of its input
+rows once, and each step gathers its row's projection.  The char
+BiLSTM's rows are the batch's distinct characters.  The word BiLSTM's
+are one per token in training, where dropout and the ``<unk>`` swap are
+drawn per token, and one per distinct surface when decoding, where a
+surface's representation is the same wherever it occurs.  The backward
+pass writes straight into one flat gradient laid out like the buffer.
+It starts unfilled: each dense array's first contribution is written
+into its view and later ones are added, and a view that no operation
+reached is zero-filled before the gradient is returned.
 
 Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
@@ -89,8 +94,9 @@ UNK_SWAP_RATE = 0.5  # chance that a training singleton reads <unk> (Lample et a
 
 # Caps on one decoding batch (see batches): padded tokens (sentences times
 # the longest) and padded characters (words times the longest word).  At
-# the paper's dimensions they bound the word and char BiLSTM arrays of a
-# batch to about 47 MB and 23 MB; a larger cap tagged at most 10% faster.
+# the paper's dimensions with features, decoding a batch of distinct words
+# at the token cap peaks at about 28 MB of arrays, and one at the char cap
+# at about 10 MB; a larger cap tagged at most 10% faster.
 BATCH_TOKENS = 2048
 BATCH_CHARS = 4096
 
@@ -273,7 +279,7 @@ class EncodedSentence:
     words: np.ndarray  # (T,) word-table rows
     chars: np.ndarray  # each distinct spelling's char-table rows, concatenated
     word_lengths: np.ndarray  # (S,) characters of each distinct spelling, first seen first
-    spellings: np.ndarray  # (T,) each token's spelling, as its entry in word_lengths
+    spellings: np.ndarray  # (T,) each token's distinct surface, numbered as first seen
     features: tuple[FamilyRows, ...]  # one per feature family; empty without features
     lengths: np.ndarray  # (B,) tokens of each sentence, in order
 
@@ -285,13 +291,14 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
     """Map each token of ``sentences``, end to end as one batch, to its
     word-, char- and feature-table rows.
 
-    A recurring spelling's characters are stored once, so the char BiLSTM
-    runs each distinct spelling once.  A word or a character outside its
-    vocabulary reads the ``<unk>`` row 0.  The feature rows of an exact
-    vocabulary word are kept by the encoder the first time they are met
-    (see :meth:`FeatureEncoder.rows`), so a later batch computes family
-    values only for the other surfaces.  A tag outside the model's scheme
-    raises :class:`TagValidationError`.
+    Each token's spelling numbers its distinct surface, so decoding
+    represents a recurring surface once.  A spelling's characters are
+    stored once, so the char BiLSTM runs each distinct spelling once.  A
+    word or a character outside its vocabulary reads the ``<unk>`` row
+    0.  The feature rows of an exact vocabulary word are kept by the
+    encoder the first time they are met (see :meth:`FeatureEncoder.rows`),
+    so a later batch computes family values only for the other surfaces.
+    A tag outside the model's scheme raises :class:`TagValidationError`.
     """
     surfaces = tuple(w for sent in sentences for w in sent.surfaces)
     for tag in (t for sent in sentences for t in sent.gold_tags):
@@ -300,10 +307,10 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
                 f"input tag {tag!r} does not belong to the model's tag scheme {model.scheme.classes}"
             )
     words = np.array([find(model.vocab.index, w, 0) for w in surfaces], dtype=np.intp)
-    chars = lengths = spellings = np.zeros(0, dtype=np.intp)
+    first: dict[str, int] = {}  # each distinct spelling's row, in first-seen order
+    spellings = np.array([first.setdefault(w, len(first)) for w in surfaces], dtype=np.intp)
+    chars = lengths = np.zeros(0, dtype=np.intp)
     if model.use_char:
-        first: dict[str, int] = {}  # each distinct spelling's row, in first-seen order
-        spellings = np.array([first.setdefault(w, len(first)) for w in surfaces], dtype=np.intp)
         index = model.char_vocab.index
         chars = np.array([index.get(ch, 0) for w in first for ch in w], dtype=np.intp)
         lengths = np.array([len(w) for w in first], dtype=np.intp)
@@ -380,10 +387,10 @@ class _LeafSet:
             if leaf is None or leaf.unwritten:
                 view.fill(0.0)
 
-    def bilstm(self, prefix: str, xs: ag.Tensor) -> ag.Tensor:
+    def bilstm(self, prefix: str, xs: ag.Tensor, steps: np.ndarray) -> ag.Tensor:
         """:func:`seqtag.autograd.bilstm` over the stacked weights of BiLSTM ``prefix``."""
         weights = (self.dense_leaf(f"{prefix}.{k}") for k in ("W_x", "W_h", "b", "w_ci", "w_co"))
-        return ag.bilstm(xs, *weights)
+        return ag.bilstm(xs, steps, *weights)
 
     def table_rows(
         self, name: str, matrix: np.ndarray, rows: np.ndarray, fallback: np.ndarray | None = None
@@ -405,17 +412,17 @@ class _LeafSet:
 
 
 def _char_final_states(model: ModelParameters, leaves: _LeafSet, enc: EncodedSentence) -> ag.Tensor:
-    """(T, 2*H_c) final char-BiLSTM states for all tokens, from one fused op.
+    """(S, 2*H_c) final char-BiLSTM states of each distinct spelling, from one fused op.
 
-    Each direction gathers a (longest, S, d_c) batch with the characters
-    of every distinct spelling, reversed for the backward direction,
-    from step 0 on.  A token reads both directions' states of its
-    spelling at that spelling's last step, before any padding.
+    The op projects each distinct character of the batch once; each
+    direction's step reads its spelling's character, the backward
+    direction from the last one, from step 0 on.  A spelling's states
+    are both directions' at its own last step, before any padding.
     """
     chars, index = leaves.table_rows("char_table", model.char_table, enc.chars)
-    states = leaves.bilstm("char", ag.take(chars, index[_time_first(enc.word_lengths)[0]]))
-    ends = (enc.word_lengths - 1)[enc.spellings]
-    return ag.concat([ag.take(states, (d, ends, enc.spellings)) for d in (0, 1)], axis=1)
+    states = leaves.bilstm("char", chars, index[_time_first(enc.word_lengths)[0]])
+    ends, spelling = enc.word_lengths - 1, np.arange(len(enc.word_lengths))
+    return ag.concat([ag.take(states, (d, ends, spelling)) for d in (0, 1)], axis=1)
 
 
 def _representation_graph(
@@ -427,24 +434,34 @@ def _representation_graph(
     dropout: float,
     rng: np.random.Generator | None,
     singletons: frozenset[str] = frozenset(),
-) -> ag.Tensor:
-    words = enc.words
+) -> tuple[ag.Tensor, np.ndarray]:
+    """The word BiLSTM's input rows and the (T,) row each token reads.
+
+    Training makes one row per token, since dropout and the ``<unk>``
+    swap are drawn per token; decoding makes one per distinct surface.
+    """
+    if train:
+        tokens = reads = np.arange(len(enc))
+    else:  # each distinct surface's first token
+        _, tokens, reads = np.unique(enc.spellings, return_index=True, return_inverse=True)
+    words = enc.words[tokens]
     if train and singletons:
         # only the word lookup becomes <unk>; the char BiLSTM sees the real word
         swap = [w in singletons and rng.random() < UNK_SWAP_RATE for w in enc.surfaces]
         words = np.where(swap, 0, words)
     parts = [ag.take(*leaves.table_rows("word_table", model.word_table, words))]
     if model.use_char:
-        parts.append(_char_final_states(model, leaves, enc))
+        parts.append(ag.take(_char_final_states(model, leaves, enc), enc.spellings[tokens]))
     if model.use_features:
         for fam, rows in zip(model.feature_encoder.families, enc.features):
             name = f"feature:{fam.name}"
-            parts.append(ag.take(*leaves.table_rows(name, fam.table, rows.rows, rows.fallback)))
+            found = leaves.table_rows(name, fam.table, rows.rows[tokens], rows.fallback)
+            parts.append(ag.take(*found))
     rep = ag.concat(parts, axis=1)
     if train and dropout > 0.0:
         mask = (rng.random(rep.shape) >= dropout) / (1.0 - dropout)
         rep = ag.mul(rep, ag.Tensor(mask))
-    return rep
+    return rep, reads
 
 
 def _logits_graph(
@@ -457,12 +474,12 @@ def _logits_graph(
     rng: np.random.Generator | None = None,
     singletons: frozenset[str] = frozenset(),
 ) -> ag.Tensor:
-    rep = _representation_graph(
+    rep, reads = _representation_graph(
         model, leaves, enc, train=train, dropout=dropout, rng=rng, singletons=singletons
     )
     # one sequence per sentence; the backward direction reads each reversed
     rows, mask = _time_first(enc.lengths)
-    states = leaves.bilstm("word", ag.take(rep, rows))
+    states = leaves.bilstm("word", rep, reads[rows])
     sent, pos = np.nonzero(mask.T)  # each token's sentence and position, in token order
     back = (0, pos, sent), (1, enc.lengths[sent] - 1 - pos, sent)
     hidden = ag.concat([ag.take(states, index) for index in back], axis=1)
@@ -562,14 +579,14 @@ def crf_inputs(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
 
 def _sentences(enc: EncodedSentence) -> Iterator[EncodedSentence]:
     """Each sentence of the batch ``enc`` as an encoding of its own: its
-    words and, per feature family, its rows, which read the batch's
-    fallback.  The char fields pass through, so it serves a crf model,
-    whose encodings hold no char rows."""
+    words, its spellings and, per feature family, its rows, which read
+    the batch's fallback.  The char fields pass through, so a spelling
+    still names the batch's entry."""
     bounds = np.concatenate(([0], np.cumsum(enc.lengths))).tolist()
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         features = tuple(FamilyRows(f.rows[a:b], f.fallback) for f in enc.features)
         yield EncodedSentence(
-            enc.surfaces[a:b], enc.words[a:b], enc.chars, enc.word_lengths, enc.spellings,
+            enc.surfaces[a:b], enc.words[a:b], enc.chars, enc.word_lengths, enc.spellings[a:b],
             features, enc.lengths[i : i + 1],
         )
 

@@ -128,10 +128,17 @@ def stacked(fwd, bwd):
 
 
 def bilstm_inputs(L=4, B=3, D=2, H=3, seed=11):
-    """Inputs of both directions and two different cells."""
+    """Inputs of both directions, one row per step, the (2, L, B) row
+    each step reads, and two different cells."""
     rng = np.random.default_rng(seed)
     cells = random_cell(D, H, rng), random_cell(D, H, rng)
-    return rng.normal(size=(2, L, B, D)), cells
+    xs = rng.normal(size=(2 * L * B, D))  # the draws of a (2, L, B, D) batch
+    return xs, np.arange(2 * L * B).reshape(2, L, B), cells
+
+
+def per_step(xs, steps):
+    """The (2, L, B, D) view of inputs stored one row per step."""
+    return xs.reshape(*steps.shape, -1)
 
 
 def last_steps(lengths):
@@ -140,59 +147,111 @@ def last_steps(lengths):
     return np.repeat([0, 1], len(lengths)), np.tile(np.asarray(lengths) - 1, 2), rows
 
 
+def shared_steps():
+    """(2, 4, 3) steps over 4 rows for sequences of ``TestLstm.LENGTHS``:
+    row 1 is read by several steps of both directions, row 0 by steps
+    within a sequence and by padded ones, and row 3 by padded steps only."""
+    steps = np.empty((2, 4, 3), dtype=np.intp)
+    for b, (seq, pad) in enumerate([([0, 1, 0, 1], 0), ([2, 1], 3), ([1], 0)]):
+        for d, order in enumerate((seq, seq[::-1])):
+            steps[d, : len(seq), b], steps[d, len(seq) :, b] = order, pad
+    return steps
+
+
+def steps_within(lengths):
+    """The (direction, step, sequence) index of every state before padding."""
+    d, t, b = zip(*[(d, t, b) for d in (0, 1) for b, n in enumerate(lengths) for t in range(n)])
+    return np.array(d), np.array(t), np.array(b)
+
+
 class TestLstm:
     # ragged: column 0 runs all 4 steps, column 1 ends after 2 and column 2 after 1
     LENGTHS = (4, 2, 1)
 
     def test_gradients_of_every_input_match_finite_differences(self):
         # each sequence is read at its own last step only, as the char BiLSTM reads words
-        xs, cells = bilstm_inputs()
+        xs, steps, cells = bilstm_inputs()
         targets = np.arange(2 * len(self.LENGTHS)) % 3
 
         def build(leaves):
-            states = ag.bilstm(*leaves)
+            states = ag.bilstm(leaves[0], steps, *leaves[1:])
             return ag.softmax_cross_entropy(ag.take(states, last_steps(self.LENGTHS)), targets)
 
         check_grads(build, [xs, *stacked(*cells)])
 
     def test_padding_after_the_end_changes_no_state_up_to_the_last_step(self):
-        xs, cells = bilstm_inputs()
+        xs, steps, cells = bilstm_inputs()
         weights = [ag.Tensor(w) for w in stacked(*cells)]
         other = xs.copy()
         for b, n in enumerate(self.LENGTHS):
-            other[:, n:, b] = np.random.default_rng(b).normal(size=other[:, n:, b].shape)
-        states = ag.bilstm(ag.Tensor(xs), *weights).data
-        padded = ag.bilstm(ag.Tensor(other), *weights).data
+            pad = per_step(other, steps)[:, n:, b]
+            pad[...] = np.random.default_rng(b).normal(size=pad.shape)
+        states = ag.bilstm(ag.Tensor(xs), steps, *weights).data
+        padded = ag.bilstm(ag.Tensor(other), steps, *weights).data
         for b, n in enumerate(self.LENGTHS):
             assert states[:, :n, b].tobytes() == padded[:, :n, b].tobytes()
         assert not np.array_equal(states[:, 2:, 1], padded[:, 2:, 1])
 
     def test_a_step_past_the_end_gets_a_zero_gradient(self):
-        xs, cells = bilstm_inputs()
+        xs, steps, cells = bilstm_inputs()
         leaves = [ag.leaf(xs), *map(ag.leaf, stacked(*cells))]
-        states = ag.bilstm(*leaves)
+        states = ag.bilstm(leaves[0], steps, *leaves[1:])
         targets = np.zeros(2 * len(self.LENGTHS), dtype=np.intp)
         ag.backward(ag.softmax_cross_entropy(ag.take(states, last_steps(self.LENGTHS)), targets))
+        grad = per_step(leaves[0].grad, steps)
         for b, n in enumerate(self.LENGTHS):
-            assert not np.any(leaves[0].grad[:, n:, b])
-            assert np.all(np.any(leaves[0].grad[:, :n, b], axis=-1))
+            assert not np.any(grad[:, n:, b])
+            assert np.all(np.any(grad[:, :n, b], axis=-1))
 
     def test_no_grad_output_is_bitwise_equal_to_taped_output(self):
-        xs, cells = bilstm_inputs()
-        taped = ag.bilstm(ag.leaf(xs), *map(ag.leaf, stacked(*cells)))
+        xs, steps, cells = bilstm_inputs()
+        taped = ag.bilstm(ag.leaf(xs), steps, *map(ag.leaf, stacked(*cells)))
         with ag.no_grad():
-            plain = ag.bilstm(ag.leaf(xs), *map(ag.leaf, stacked(*cells)))
+            plain = ag.bilstm(ag.leaf(xs), steps, *map(ag.leaf, stacked(*cells)))
         assert taped.tracked and not plain.tracked
         assert taped.data.tobytes() == plain.data.tobytes()
 
     def test_each_direction_matches_the_reference_lstm(self):
         # each column of each direction, up to its last step, is one reference pass over it
-        xs, cells = bilstm_inputs(L=5, B=3, D=4, H=3, seed=13)
-        states = ag.bilstm(ag.Tensor(xs), *map(ag.Tensor, stacked(*cells))).data
+        xs, steps, cells = bilstm_inputs(L=5, B=3, D=4, H=3, seed=13)
+        states = ag.bilstm(ag.Tensor(xs), steps, *map(ag.Tensor, stacked(*cells))).data
         for d, cell in enumerate(cells):
             for b, n in enumerate((5, 2, 1)):
-                expected = run_lstm(cell, xs[d, :n, b])
+                expected = run_lstm(cell, per_step(xs, steps)[d, :n, b])
                 np.testing.assert_allclose(states[d, :n, b], expected, atol=1e-12)
+
+    def test_a_row_read_by_many_steps_gets_the_gradient_of_every_read(self):
+        xs, _, cells = bilstm_inputs()
+        rows, steps = xs[:4], shared_steps()
+        index = steps_within(self.LENGTHS)
+        targets = np.arange(len(index[0])) % 3
+
+        def build(leaves):
+            states = ag.bilstm(leaves[0], steps, *leaves[1:])
+            return ag.softmax_cross_entropy(ag.take(states, index), targets)
+
+        check_grads(build, [rows, *stacked(*cells)])
+        leaves = [ag.leaf(rows), *map(ag.leaf, stacked(*cells))]
+        ag.backward(build(leaves))
+        assert not np.any(leaves[0].grad[3])  # read by padded steps only
+        assert np.all(np.any(leaves[0].grad[:3], axis=-1))
+
+    def test_shared_rows_give_the_states_of_one_row_per_step(self):
+        xs, own, cells = bilstm_inputs()
+        rows, steps = xs[:4], shared_steps()
+        weights = [ag.Tensor(w) for w in stacked(*cells)]
+        shared = ag.bilstm(ag.Tensor(rows), steps, *weights).data
+        each = ag.bilstm(ag.Tensor(rows[steps].reshape(-1, rows.shape[1])), own, *weights).data
+        np.testing.assert_allclose(shared, each, rtol=0, atol=1e-12)
+
+    def test_no_grad_output_on_shared_rows_is_bitwise_equal_to_taped_output(self):
+        xs, _, cells = bilstm_inputs()
+        rows, steps = xs[:4], shared_steps()
+        taped = ag.bilstm(ag.leaf(rows), steps, *map(ag.leaf, stacked(*cells)))
+        with ag.no_grad():
+            plain = ag.bilstm(ag.leaf(rows), steps, *map(ag.leaf, stacked(*cells)))
+        assert taped.tracked and not plain.tracked
+        assert taped.data.tobytes() == plain.data.tobytes()
 
     def test_take_with_repeated_index_adds_gradients(self):
         rng = np.random.default_rng(12)
@@ -247,13 +306,13 @@ class TestUnwrittenViews:
 
     def test_a_bilstm_weight_read_by_two_calls_gets_the_sum_of_both(self):
         # the first call writes its gradients into the views, the second adds
-        xs, cells = bilstm_inputs()
+        xs, steps, cells = bilstm_inputs()
         other = np.random.default_rng(3).normal(size=xs.shape)
         targets = np.arange(4 * len(TestLstm.LENGTHS)) % 3
         index = last_steps(TestLstm.LENGTHS)
 
         def build(leaves):
-            states = [ag.bilstm(ag.Tensor(x), *leaves) for x in (xs, other)]
+            states = [ag.bilstm(ag.Tensor(x), steps, *leaves) for x in (xs, other)]
             picked = ag.concat([ag.take(s, index) for s in states], axis=0)
             return ag.softmax_cross_entropy(picked, targets)
 

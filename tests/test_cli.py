@@ -1,4 +1,6 @@
+import builtins
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -770,6 +772,79 @@ class TestEmbeddingCommands:
         assert main(["pseudo-corpus", "--manifest", str(manifest), "--out", str(out)]) == 0
         assert csv.field_size_limit() == limit
         assert out.read_text(encoding="utf-8") == f"{title} {cell}\n"
+
+
+class TestOutputsReplacedWhole:
+    OLD = "the output of an earlier run\n"
+
+    def argv(self, command, tmp_path):
+        """The command line of ``command`` and the output it writes."""
+        conll = tmp_path / "in.conll"
+        conll.write_text("aspirin\tB-drug\ntwice\tO\ndaily\tO\n\n", encoding="utf-8")
+        (tmp_path / "corpus.txt").write_text("aspirin twice daily\n" * 4, encoding="utf-8")
+        (tmp_path / "table.txt").write_text("aspirin 0.1 0.2\ndaily 0.3 0.4\n", encoding="utf-8")
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("n_train = 3\nn_test = 2\nlength_range = 2, 4\n", encoding="utf-8")
+        out = str(tmp_path / "out.txt")
+        synth = ["synth", "--spec", str(spec), "--out-train", str(tmp_path / "train.conll"),
+                 "--out-test", str(tmp_path / "test.conll")]
+        return {
+            "tag --output": (["tag", "--model", str(CRF_CHECKPOINT), "--raw-text", "--input",
+                              str(tmp_path / "corpus.txt"), "--output", out], out),
+            "evaluate --json": (["evaluate", "--gold", str(conll), "--pred", str(conll),
+                                 "--json", out], out),
+            "synth --out-train": (synth, synth[4]),
+            "synth --out-test": (synth, synth[6]),
+            "embed-train --out": (["embed-train", "--corpus", str(tmp_path / "corpus.txt"),
+                                   "--out", out, "--dim", "8", "--iterations", "2"], out),
+            "embed-concat --out": (["embed-concat", "--tables", str(tmp_path / "table.txt"),
+                                    "--vocab-from", str(conll), "--out", out], out),
+        }[command]
+
+    @pytest.mark.parametrize("command", [
+        "tag --output", "evaluate --json", "synth --out-train", "synth --out-test",
+        "embed-train --out", "embed-concat --out",
+    ])
+    def test_a_write_that_fails_midway_leaves_the_old_file(self, tmp_path, capsys, monkeypatch,
+                                                           command):
+        argv, target = self.argv(command, tmp_path)
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(self.OLD)
+        before = {p.name for p in tmp_path.iterdir()}
+        real_open, failed = open, []
+
+        class DiskFull:
+            """A text file that takes 20 characters, then raises ENOSPC midway through a write."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 20
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                if len(text) > self.room:
+                    self.fh.write(text[: self.room])
+                    failed.append(self.fh.name)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(text)
+                return self.fh.write(text)
+
+        def open_on_a_full_disk(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return DiskFull(fh) if str(file).startswith(f"{target}.") and "x" in mode else fh
+
+        monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+        assert main(argv) == EXIT_DATA
+        monkeypatch.undo()
+        assert failed and "No space left" in capsys.readouterr().err
+        assert (tmp_path / target).read_text(encoding="utf-8") == self.OLD
+        # synth has replaced --out-train when its --out-test fails
+        written = {"train.conll"} if command == "synth --out-test" else set()
+        assert {p.name for p in tmp_path.iterdir()} == before | written
 
 
 class TestTextThatIsNotUtf8:

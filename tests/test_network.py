@@ -203,7 +203,9 @@ SPELLINGS = st.text(alphabet="felbatowasgivndyzq", min_size=1, max_size=7)
 
 
 def char_states(model, sentences):
-    return _char_final_states(model, _LeafSet(model), encode(model, sentences)).data
+    """Each token's char-BiLSTM states: its spelling's row."""
+    enc = encode(model, sentences)
+    return _char_final_states(model, _LeafSet(model), enc).data[enc.spellings]
 
 
 class TestDistinctSpellings:
@@ -227,9 +229,11 @@ class TestDistinctSpellings:
         np.testing.assert_allclose(states, [alone[w] for w in surfaces], rtol=0, atol=1e-12)
         np.testing.assert_allclose(states, [char_embed(w, model) for w in surfaces], atol=1e-12)
 
-    def test_a_model_without_chars_encodes_no_spellings(self):
-        enc = encode(make_model(use_char=False), [make_sentence(["was", "was"])])
-        assert enc.chars.size == enc.word_lengths.size == enc.spellings.size == 0
+    def test_a_model_without_chars_encodes_spellings_but_no_chars(self):
+        # decoding reads each distinct surface once, whatever the model
+        enc = encode(make_model(use_char=False), [make_sentence(["was", "Was", "was"])])
+        assert enc.chars.size == enc.word_lengths.size == 0
+        assert enc.spellings.tolist() == [0, 1, 0]
 
 
 class TestTokenRepresentation:
@@ -249,7 +253,7 @@ class TestTokenRepresentation:
         a, b = (
             _representation_graph(
                 model, _LeafSet(model), encode(model, [sent]), train=False, dropout=0.5, rng=None
-            )
+            )[0]
             for _ in range(2)
         )
         np.testing.assert_array_equal(a.data, b.data)
@@ -261,7 +265,7 @@ class TestTokenRepresentation:
         rep = _representation_graph(
             model, _LeafSet(model), encode(model, [sent]),
             train=True, dropout=0.5, rng=np.random.default_rng(4),
-        ).data[0]
+        )[0].data[0]
         base = token_representation(model, "felbatol")
         kept = rep != 0
         np.testing.assert_allclose(rep[kept], 2.0 * base[kept], atol=1e-12)
@@ -295,6 +299,49 @@ class TestForwardBlstm:
         assert "quo" not in families["prefix3"].index
         logits = sentence_logits(model, encode(model, [make_sentence(surfaces)]))
         np.testing.assert_allclose(logits, reference_logits(model, surfaces), atol=1e-12)
+
+
+class TestDistinctInputRows:
+    # sentences of unequal length with repeated words, two unseen words that
+    # share the <unk> row, unseen characters (Q, u, k, z, q) and a seen word in
+    # upper case
+    BATCH = (
+        ["daily", "was", "daily", "given"],
+        ["Quokka"],
+        ["was", "FELBATOL", "daily", "Quokka", "zq", "was", "spare"],
+    )
+
+    @pytest.mark.parametrize("variant, use_char, use_features", [
+        ("blstm_crf", True, True), ("blstm", False, False),
+    ])
+    def test_a_batch_decodes_each_sentence_as_the_reference(self, variant, use_char,
+                                                             use_features):
+        model = make_model(variant=variant, use_char=use_char, use_features=use_features)
+        logits = sentence_logits(model, encode(model, [make_sentence(s) for s in self.BATCH]))
+        bounds = np.cumsum([0] + [len(s) for s in self.BATCH])
+        for surfaces, a, b in zip(self.BATCH, bounds, bounds[1:]):
+            np.testing.assert_allclose(
+                logits[a:b], reference_logits(model, surfaces), rtol=0, atol=1e-12)
+
+    def test_decoding_projects_each_distinct_surface_and_character_once(self, monkeypatch):
+        model = make_model(use_features=True)
+        projected, bilstm = [], ag.bilstm
+
+        def counting(xs, steps, *weights):
+            projected.append(len(xs.data))
+            return bilstm(xs, steps, *weights)
+
+        monkeypatch.setattr(ag, "bilstm", counting)
+        surfaces = [w for s in self.BATCH for w in s]
+        index = model.char_vocab.index
+        chars = len({index.get(ch, 0) for w in surfaces for ch in w})
+        sentence_logits(model, encode(model, [make_sentence(s) for s in self.BATCH]))
+        assert projected == [chars, len(set(surfaces))]
+        # training reads one row per token: dropout and the <unk> swap are per token
+        projected.clear()
+        sent = self.BATCH[2]
+        loss_and_gradients(model, encode(model, [make_sentence(sent)]), ["O"] * len(sent))
+        assert projected == [len({index.get(ch, 0) for w in sent for ch in w}), len(sent)]
 
 
 class TestLossAndGradients:
