@@ -6,7 +6,9 @@ accumulates gradients into every tracked ancestor.  The first contribution
 to a gradient is assigned and later ones are added.  A leaf may be given
 its gradient's storage up front, marked ``unwritten``: the first
 contribution is then written into it, with no zero fill before it, and a
-caller zero-fills what no operation reached.  Only the operations
+caller zero-fills what no operation reached.  A preset gradient must be
+C-contiguous, as every gradient made here is, so a scatter-add can write
+through its flat view.  Only the operations
 the taggers call exist, and every operand is a :class:`Tensor`.  Nothing
 broadcasts: :func:`mul` takes two operands of the same shape.  Shapes
 follow a row convention where batches and sequences sit on axis 0.
@@ -56,7 +58,7 @@ class Tensor:
         copied into a new array, or into an unwritten preset ``grad``.
         Later ones are added in place."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
+            self.grad = np.array(g, dtype=np.float64, order="C")
         elif self.unwritten:
             np.copyto(self.grad, g)
             self.unwritten = False
@@ -131,11 +133,13 @@ def take(a: Tensor, index) -> Tensor:
 
     def bw(g):
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            a.grad = np.zeros(a.data.shape)
         elif a.unwritten:
             a.grad.fill(0.0)
             a.unwritten = False
-        np.add.at(a.grad, index, g)
+        # each read element's flat position, for a 1-D scatter in index order
+        positions = np.arange(a.data.size).reshape(a.data.shape)[index]
+        np.add.at(a.grad.reshape(-1), positions.reshape(-1), g.reshape(-1))
 
     return Tensor(out, (a,), bw, True)
 
@@ -213,7 +217,9 @@ def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
             dc = dc_total * (1.0 - i) + da_i * ci
             dh = d @ w_h
         d_rows = np.zeros((2, N, 3 * H))  # each row's projection gradient, per direction
-        np.add.at(d_rows, read, d_pre)
+        # a 1-D scatter of each step's elements into their rows' flat positions
+        positions = ((read[0] * N + steps) * (3 * H))[..., None] + np.arange(3 * H)
+        np.add.at(d_rows.reshape(-1), positions.reshape(-1), d_pre.reshape(-1))
         if xs.tracked:
             xs.accumulate(d_rows[0] @ w_x[0] + d_rows[1] @ w_x[1])
         flat = d_pre.reshape(2, L * B, 3 * H)

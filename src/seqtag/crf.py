@@ -35,9 +35,13 @@ such a transition matrix, and a lattice whose scaling is not finite
 log-space recursions with the shifted logsumexp trick instead.  The
 pairwise marginals that the transition gradient sums are one
 (T-1, K, K) broadcast (Sutton & McCallum, §4).  Viterbi stays max-plus
-in log space; it decodes a batch of end-aligned lattices with one add into
-a (K, B, K) block per step, the next tag on its leading axis, and one max
-over that axis, and ties go to the lexicographically smallest path.
+in log space.  It decodes a batch of end-aligned lattices stored
+tag-major, (L, K, B).  Each step adds into its own (K, K, B) slice of
+one kept (L-1, K, K, B) block of step scores, the next tag on the
+slice's leading axis, and keeps its max over that axis.  The table of
+best successors marks where the kept scores equal their max, so no
+score is added twice; the block holds (L-1)·K²·B floats.  Ties go to
+the lexicographically smallest path.
 
 Every function takes the (K+1, K+1) transition matrix as a plain array,
 its first argument, and checks only shapes: parameter values are
@@ -234,42 +238,58 @@ def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths) -> list[int]:
     """Highest-scoring tag sequence of each lattice of a batch, stacked.
 
     ``emissions`` stacks the (T_b, K) lattices of the batch on axis 0 and
-    ``lengths`` gives each T_b.
+    ``lengths``, a non-empty 1-D sequence, gives each T_b.
     Exact ties are broken toward the lexicographically smallest
     tag-index sequence: suffix maxima are computed right-to-left and
     tags chosen greedily left-to-right, taking the smallest index that
     still attains the optimum.  The lattices are aligned at their ends in
-    a time-first (L, B, K) array.  Each of the L - 1 steps adds into a
-    (K, B, K) block whose leading axis is the next tag, so its max is an
-    elementwise maximum of K contiguous (B, K) slabs; one argmax then
-    makes the table of best successors.
+    a tag-major (L, K, B) array.  Each of the L - 1 steps writes its
+    scores into its own (K, K, B) slice of one kept block, the next tag
+    on the slice's leading axis, so its max is an elementwise maximum of
+    K contiguous (K, B) slabs, and keeps that max.  The table of best
+    successors comes from those same scores: the smallest next tag whose
+    score equals the max, or is NaN when the max is, which is the tag
+    argmax picks.  It is found for the whole block by a few elementwise
+    passes and one more max over the next tag, with no argmax, whose
+    reduction over a leading axis would copy the block.  The block
+    holds (L-1)·K²·B floats.
     """
     _check_lattice(trans, emissions)
     T, K = emissions.shape
     lengths = np.array(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0:
+        raise ValueError(f"lattice lengths must be a non-empty 1-D list, got {lengths.tolist()}")
     if lengths.min() < 1 or lengths.sum() != T:
         raise ValueError(f"lattice lengths {lengths.tolist()} do not split {T} rows")
     B, L = len(lengths), int(lengths.max())
-    pairs = trans[:K, :K]
     start = L - lengths  # the aligned step of each lattice's first position
     steps = np.arange(T) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
-    lattice = np.zeros((L, B, K))  # the steps before a start are padding
-    lattice[steps, np.repeat(np.arange(B), lengths)] = emissions
+    lattice = np.zeros((L, K, B))  # the steps before a start are padding
+    lattice[steps, :, np.repeat(np.arange(B), lengths)] = emissions
 
-    # delta[s, b, k]: best score of lattice b's suffix from step s given tag k there
-    delta = np.empty((L, B, K))
-    delta[L - 1] = lattice[L - 1] + trans[:K, K]
-    scores = np.empty((K, B, K))  # scores[j, b, i]: tag i at step s, then j
-    for s in range(L - 2, -1, -1):
-        np.add(pairs.T[:, None, :], delta[s + 1].T[:, :, None], out=scores)
-        np.maximum.reduce(scores, axis=0, out=delta[s])
-        delta[s] += lattice[s]
+    # delta[s, k, b]: best score of lattice b's suffix from step s given tag k there
+    delta = np.empty((L, K, B))
+    delta[L - 1] = lattice[L - 1] + trans[:K, K, None]
+    scores = np.empty((L - 1, K, K, B))  # scores[s, j, i, b]: tag i at step s, then j
+    tops = np.empty((L - 1, 1, K, B))  # tops[s, 0, i, b]: the max of scores[s, :, i, b]
+    pairs = trans[:K, :K].T[:, :, None]  # pairs[j, i, 0] = trans[i, j]
+    afters = delta[:0:-1, :, None]  # delta[s + 1] as (K, 1, B), from the last step back
+    steps_back = zip(delta[-2::-1], afters, lattice[-2::-1], scores[::-1], tops[::-1, 0])
+    for here, after, emitted, step, top in steps_back:
+        np.add(pairs, after, out=step)
+        np.maximum.reduce(step, axis=0, out=top)
+        np.add(top, emitted, out=here)
 
-    firsts = np.argmax(trans[K, :K] + delta[start, np.arange(B)], axis=1).tolist()
-    # best[b][s - 1][j]: the smallest best tag at step s after tag j at step s - 1
-    best = np.argmax(pairs + delta[1:, :, None, :], axis=3).transpose(1, 0, 2).tolist()
+    firsts = np.argmax(trans[K, :K] + delta[start, :, np.arange(B)], axis=1).tolist()
+    # a max is NaN only where some score is, and argmax then picks the first NaN
+    hit = scores == tops
+    hit |= scores != scores
+    # the smallest hit j is K minus the largest K - j over the hits
+    rank = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None, None]
+    # nexts[b][s][i]: the smallest best tag at step s + 1 after tag i at step s
+    nexts = (K - np.maximum.reduce(hit * rank, axis=1)).transpose(2, 0, 1).tolist()
     path = []
-    for y, rows, s in zip(firsts, best, start.tolist()):
+    for y, rows, s in zip(firsts, nexts, start.tolist()):
         path.append(y)
         for row in rows[s:]:
             y = row[y]

@@ -279,7 +279,7 @@ class EncodedSentence:
     words: np.ndarray  # (T,) word-table rows
     chars: np.ndarray  # each distinct spelling's char-table rows, concatenated
     word_lengths: np.ndarray  # (S,) characters of each distinct spelling, first seen first
-    spellings: np.ndarray  # (T,) each token's distinct surface, numbered as first seen
+    spellings: np.ndarray  # (T,) each token's distinct surface, first seen first; empty for crf
     features: tuple[FamilyRows, ...]  # one per feature family; empty without features
     lengths: np.ndarray  # (B,) tokens of each sentence, in order
 
@@ -291,13 +291,15 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
     """Map each token of ``sentences``, end to end as one batch, to its
     word-, char- and feature-table rows.
 
-    Each token's spelling numbers its distinct surface, so decoding
-    represents a recurring surface once.  A spelling's characters are
-    stored once, so the char BiLSTM runs each distinct spelling once.  A
-    word or a character outside its vocabulary reads the ``<unk>`` row
-    0.  The feature rows of an exact vocabulary word are kept by the
-    encoder the first time they are met (see :meth:`FeatureEncoder.rows`),
-    so a later batch computes family values only for the other surfaces.
+    For a recurrent model, each token's spelling numbers its distinct
+    surface, so decoding represents a recurring surface once; the crf
+    baseline reads no spellings, so its encoding holds none.  A
+    spelling's characters are stored once, so the char BiLSTM runs each
+    distinct spelling once.  A word or a character outside its
+    vocabulary reads the ``<unk>`` row 0.  The feature rows of an exact
+    vocabulary word are kept by the encoder the first time they are met
+    (see :meth:`FeatureEncoder.rows`), so a later batch computes family
+    values only for the other surfaces.
     A tag outside the model's scheme raises :class:`TagValidationError`.
     """
     surfaces = tuple(w for sent in sentences for w in sent.surfaces)
@@ -308,8 +310,9 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
             )
     words = np.array([find(model.vocab.index, w, 0) for w in surfaces], dtype=np.intp)
     first: dict[str, int] = {}  # each distinct spelling's row, in first-seen order
-    spellings = np.array([first.setdefault(w, len(first)) for w in surfaces], dtype=np.intp)
-    chars = lengths = np.zeros(0, dtype=np.intp)
+    spellings = chars = lengths = np.zeros(0, dtype=np.intp)
+    if model.variant != "crf":  # the crf baseline reads no spellings
+        spellings = np.array([first.setdefault(w, len(first)) for w in surfaces], dtype=np.intp)
     if model.use_char:
         index = model.char_vocab.index
         chars = np.array([index.get(ch, 0) for w in first for ch in w], dtype=np.intp)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import checkpoint as container
 from .corpus import (
-    Dataset, Sentence, TagScheme, Token, extract_entities, repair_bio, split_train_valid,
+    Dataset, Sentence, TagScheme, extract_entities, repair_bio, split_train_valid,
 )
 from .crf import input_nll_and_gradient
 from .embeddings import (
@@ -384,7 +384,7 @@ def tag(checkpoint: Checkpoint, sentences: Dataset) -> Dataset:
     """
     model = checkpoint.model
     return Dataset(tuple(
-        Sentence(tuple(Token(t.surface, t.gold_tag, p) for t, p in zip(sent, tags)))
+        Sentence(tuple(t.predicted(p) for t, p in zip(sent, tags)))
         for sent, tags in zip(sentences, tag_with_model(model, batches(model, sentences)))
     ))
 

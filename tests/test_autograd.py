@@ -339,6 +339,48 @@ class TestUnwrittenViews:
         assert_preset_grads_equal_fresh(build, [m])
 
 
+class TestTakeScatter:
+    """``take``'s backward adds into the flat positions of its gradient;
+    the oracle is the row-wise ``np.add.at`` over the same index."""
+
+    @staticmethod
+    def grad_and_oracle(leaf, index, first=None):
+        """The gradient ``take`` leaves on ``leaf``, and the oracle's, from
+        ``first`` (zeros when None) plus the output's gradient."""
+        out = ag.take(leaf, index)
+        targets = np.arange(len(out.data)) % out.shape[1]
+        ag.backward(ag.softmax_cross_entropy(out, targets))
+        expected = np.zeros(leaf.shape) if first is None else first.copy()
+        np.add.at(expected, index, out.grad)
+        return leaf.grad, expected
+
+    @pytest.mark.parametrize("shape, index", [
+        ((4, 3), [2, 0, 2, 2, 3, 2]),  # repeated rows
+        ((2, 5, 3), (np.array([0, 1, 0, 0, 1]), np.array([2, 2, 4, 2, 2]))),  # leading axes
+    ])
+    def test_matches_the_row_scatter_bitwise(self, shape, index):
+        rng = np.random.default_rng(23)
+        leaf = ag.leaf(rng.normal(size=shape))
+        got, expected = self.grad_and_oracle(leaf, index)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_adds_through_an_unwritten_preset_view_bitwise(self):
+        rng = np.random.default_rng(24)
+        m = rng.normal(size=(2, 4, 3))
+        (leaf,) = preset_leaves([m])
+        storage = leaf.grad
+        got, expected = self.grad_and_oracle(leaf, (np.array([1, 1, 0]), np.array([3, 3, 0])))
+        assert got is storage and got.tobytes() == expected.tobytes()
+
+    def test_adds_after_an_earlier_contribution_bitwise(self):
+        rng = np.random.default_rng(25)
+        leaf = ag.leaf(rng.normal(size=(4, 3)))
+        first = rng.normal(size=(4, 3)).T.copy().T  # a Fortran-ordered first gradient
+        leaf.accumulate(first)
+        got, expected = self.grad_and_oracle(leaf, [1, 3, 1], first)
+        assert got.flags.c_contiguous and got.tobytes() == expected.tobytes()
+
+
 class TestCrossEntropy:
     def test_matches_log_softmax_definition(self):
         rng = np.random.default_rng(9)

@@ -355,6 +355,12 @@ class TestViterbi:
         emissions = np.tile(np.array([[1.0, 1.0]]), (3, 1))
         assert viterbi(trans, emissions, [len(emissions)]) == [0, 0, 0]
 
+    def test_a_nan_score_is_read_as_argmax_reads_it(self):
+        # a NaN max picks the first NaN successor, as np.argmax does; a
+        # lattice beside it in the batch decodes as alone
+        emissions = np.array([[0.0, 0.0], [0.0, np.nan], [0.0, 0.0], [1.0, 0.0]])
+        assert viterbi(np.zeros((3, 3)), emissions, [2, 2]) == [0, 1, 0, 0]
+
     def test_beats_random_sequences(self):
         rng = np.random.default_rng(9)
         trans, emissions = random_instance(rng, T=8, K=4)
@@ -365,14 +371,15 @@ class TestViterbi:
 
 
 @st.composite
-def lattice_batches(draw):
+def lattice_batches(draw, bound=2, tags=4, longest=6, min_size=1):
     """Transitions and a batch of lattices of mixed lengths, 1 included;
-    the scores are small integers, so exact ties are common."""
-    K = draw(st.integers(1, 4))
-    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    the scores are integers in [-bound, bound], so exact ties are common."""
+    K = draw(st.integers(1, tags))
+    lengths = draw(st.lists(st.integers(1, longest), min_size=min_size, max_size=5))
 
     def scores(n):
-        return np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), dtype=float)
+        ints = st.integers(-bound, bound)
+        return np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
 
     trans = scores((K + 1) ** 2).reshape(K + 1, K + 1)
     return trans, scores(sum(lengths) * K).reshape(-1, K), lengths
@@ -393,9 +400,23 @@ class TestBatchedViterbi:
                 assert alone == brute_best(trans, lattice)[1]
             start += T
 
-    @pytest.mark.parametrize("lengths", [[2, 2], [0, 5], [6]])
+    @given(lattice_batches(bound=1, tags=3, longest=5, min_size=2))
+    def test_ties_everywhere_decode_to_the_smallest_best_path(self, batch):
+        # scores in {-1, 0, 1} make many paths tie exactly; the successor
+        # table must still pick the smallest tag that attains each optimum
+        trans, emissions, lengths = batch
+        got = viterbi(trans, emissions, lengths)
+        start = 0
+        for T in lengths:
+            lattice = emissions[start : start + T]
+            best = brute_best(trans, lattice)[1]
+            assert got[start : start + T] == best
+            assert viterbi(trans, lattice, [T]) == best
+            start += T
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [0, 5], [6], [], [[2, 3]]])
     def test_lengths_must_split_the_rows(self, lengths):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lengths"):
             viterbi(np.zeros((3, 3)), np.zeros((5, 2)), lengths)
 
 

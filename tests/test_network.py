@@ -27,6 +27,7 @@ from seqtag.network import (
     _char_final_states,
     _LeafSet,
     _representation_graph,
+    _sentences,
     crf_inputs,
     dense_arrays,
     encode,
@@ -230,10 +231,20 @@ class TestDistinctSpellings:
         np.testing.assert_allclose(states, [char_embed(w, model) for w in surfaces], atol=1e-12)
 
     def test_a_model_without_chars_encodes_spellings_but_no_chars(self):
-        # decoding reads each distinct surface once, whatever the model
+        # a recurrent model decodes each distinct surface once, with or without chars
         enc = encode(make_model(use_char=False), [make_sentence(["was", "Was", "was"])])
         assert enc.chars.size == enc.word_lengths.size == 0
         assert enc.spellings.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("variant, spellings", [
+        ("blstm", [0, 1, 0]), ("blstm_crf", [0, 1, 0]), ("crf", []),
+    ])
+    def test_only_the_recurrent_models_encode_spellings(self, variant, spellings):
+        # the crf baseline reads none; slicing a batch per sentence keeps it empty
+        model = make_model(variant=variant, use_char=False, use_features=True)
+        enc = encode(model, [make_sentence(["was", "Was"]), make_sentence(["was"])])
+        assert enc.spellings.tolist() == spellings
+        assert [sent.spellings.tolist() for sent in _sentences(enc)] == [spellings[:2], spellings[2:]]
 
 
 class TestTokenRepresentation:

@@ -390,6 +390,17 @@ class TestTag:
         for sent in tag(ckpt, test_data):
             extract_entities(list(sent.pred_tags))  # must not raise
 
+    def test_tagged_tokens_equal_tokens_built_from_their_fields(self):
+        data, test_data = small_corpus(n_train=10)
+        ckpt = train(TrainConfig(variant="crf", epochs=1, seed=0, **FAST), data)
+        tagged = tag(ckpt, test_data)
+        for sent, out in zip(test_data, tagged):
+            for token, t in zip(sent, out):
+                built = Token(t.surface, t.gold_tag, t.pred_tag)
+                assert type(t) is Token and t == built and hash(t) == hash(built)
+                assert (t.surface, t.gold_tag) == (token.surface, token.gold_tag)
+                assert token.pred_tag is None and t.pred_tag is not None
+
     def test_scheme_mismatch_rejected(self):
         data, _ = small_corpus(n_train=10)
         cfg = TrainConfig(variant="blstm", epochs=1, seed=0, **FAST)
@@ -441,6 +452,7 @@ class TestBatchedDecode:
     def test_a_batch_tags_as_its_sentences_one_at_a_time(self, variant, monkeypatch):
         model, data = trained_model(variant)
         one_by_one = [tags for sent in data for tags in tag_all(model, [sent])]
+        assert len(set(map(len, data))) > 1  # the shorter sentences are padded
         seen = record_batches(monkeypatch)
         assert tag_all(model, data) == one_by_one
         assert [b.lengths.tolist() for b in seen] == [[len(sent) for sent in data]]
