@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
 
-from .corpus import Dataset, EntitySpan, TagScheme, extract_entities, repair_bio
-from .errors import DataError
+from .corpus import Dataset, EntitySpan, TagScheme, extract_entities, repair_bio, split_tag
+from .errors import DataError, TagValidationError
 
 AGGREGATE = "aggregate"
 
@@ -96,7 +96,7 @@ def evaluate(gold: Dataset, pred: Dataset, scheme: TagScheme) -> Metrics:
 
     Predicted tag sequences are repaired before span extraction, so raw
     model output can be scored directly.  Gold and prediction datasets
-    must have identical sentence/token structure.
+    must have identical sentence/token structure and only ``scheme``'s classes.
     """
     if len(gold) != len(pred):
         raise DataError(f"gold has {len(gold)} sentences but predictions have {len(pred)}")
@@ -107,6 +107,9 @@ def evaluate(gold: Dataset, pred: Dataset, scheme: TagScheme) -> Metrics:
             raise DataError(f"sentence {idx}: gold sentence has untagged tokens")
         if None in ps.pred_tags:
             raise DataError(f"sentence {idx}: prediction sentence has untagged tokens")
+        bad = [split_tag(t)[1] for t in (*gs.gold_tags, *ps.pred_tags) if t not in scheme]
+        if bad:
+            raise TagValidationError(f"sentence {idx}: class {bad[0]!r} is not in {scheme.classes}")
     gold_spans = [set(extract_entities(repair_bio(s.gold_tags))) for s in gold]  # type: ignore
     pred_tags = [repair_bio(s.pred_tags) for s in pred]  # type: ignore[arg-type]
     return Metrics(span_counts(gold_spans, pred_tags, scheme))

@@ -25,12 +25,13 @@ value) and the seed -> SHA-256 -> a 64-bit seed -> numpy's
 encoder draws every family's rows in one call, and each :meth:`rows`
 call draws every family's unseen values in one call, or none.
 
-A value's table row never changes once the encoder exists (training
-updates the vectors, not the rows), so the encoder keeps each vocabulary
-word's six rows the first time it meets the word and reads them from then
-on.  Only exact vocabulary words whose six values all have rows are kept:
-a fallback row ``-1 - k`` belongs to one call.  What is kept is one row
-per vocabulary word, so the vocabulary bounds it, whatever the input.
+Each :meth:`FeatureEncoder.rows` call reads a batch's distinct surfaces
+(see :func:`seqtag.network.encode`).  A value's table row never changes
+once the encoder exists (training updates the vectors, not the rows), so
+the encoder keeps each vocabulary word's six rows the first time it meets
+the word.  Only exact vocabulary words whose six values all have rows are
+kept: a fallback row ``-1 - k`` belongs to one call.  The vocabulary
+bounds what is kept, whatever the input.
 """
 
 from __future__ import annotations
@@ -119,66 +120,61 @@ class FeatureFamily:
 
 @dataclass(frozen=True)
 class FamilyRows:
-    """One family's rows for a token sequence: a table row, or, for a
+    """One family's rows for distinct surfaces: a table row, or, for a
     value the table lacks, ``-1 - k`` where ``k`` is that value's row in
     ``fallback``."""
 
-    rows: np.ndarray  # (T,)
+    rows: np.ndarray  # (S,)
     fallback: np.ndarray  # (number of distinct unseen values, dim), first seen first
 
-    def gather(self, table: np.ndarray) -> np.ndarray:
-        """(T, dim) vectors: table rows, and the fallback where a value is unseen."""
+    def gather(self, table: np.ndarray, at) -> np.ndarray:
+        """The vectors of the entries ``at``: table rows, or an unseen value's fallback."""
+        rows = self.rows[at]
         if not len(self.fallback):
-            return table[self.rows]
-        unseen = self.rows < 0
-        out = np.empty((len(self.rows), self.fallback.shape[1]))
-        out[~unseen] = table[self.rows[~unseen]]
-        out[unseen] = self.fallback[-1 - self.rows[unseen]]
+            return table[rows]
+        unseen = rows < 0
+        out = np.empty((len(rows), self.fallback.shape[1]))
+        out[~unseen] = table[rows[~unseen]]
+        out[unseen] = self.fallback[-1 - rows[unseen]]
         return out
 
 
 @dataclass
 class FeatureEncoder:
-    """All six families plus the seed for unseen-value fallbacks.
+    """All six families, the seed for unseen-value fallbacks, and the
+    vocabulary (each word's index) whose words' rows are kept.
 
-    ``kept`` holds the six table rows of each word met so far of the last
-    vocabulary that :meth:`rows` was given: row ``i`` belongs to word
-    ``i`` and reads -1 until the word is met, and an extra last row stays
-    -1 for the surfaces outside the vocabulary.  Its size is the
-    vocabulary's, whatever the input, and as one integer array it leaves
-    no small Python objects behind each call to fragment the heap.
-    Nothing is kept for unseen values: their fallback rows index one
-    call's draws.
+    ``kept`` holds the six table rows of each vocabulary word met so far:
+    row ``i`` belongs to word ``i`` and reads -1 until the word is met,
+    and an extra last row stays -1 for the surfaces outside the
+    vocabulary.  Sized once, as one integer array, it leaves no small
+    Python objects behind each call to fragment the heap.  Nothing is
+    kept for unseen values: their fallback rows index one call's draws.
     """
 
     families: list[FeatureFamily]
     seed: int
+    vocab: Mapping[str, int] = field(repr=False, compare=False)
     kept: np.ndarray = field(init=False, repr=False, compare=False)
-    kept_for: Mapping[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.kept = np.full((1, len(self.families)), -1, dtype=np.intp)
+        self.kept = np.full((len(self.vocab) + 1, len(self.families)), -1, dtype=np.intp)
 
     @property
     def total_dim(self) -> int:
         return sum(f.dim for f in self.families)
 
-    def rows(
-        self, surfaces: Sequence[str], vocab: Mapping[str, int] = {}
-    ) -> tuple[FamilyRows, ...]:
-        """Each family's table rows for ``surfaces``, with unseen-value fallbacks.
+    def rows(self, distinct: Sequence[str]) -> tuple[FamilyRows, ...]:
+        """Each family's table rows for the distinct surfaces ``distinct``,
+        with unseen-value fallbacks.
 
-        ``vocab`` maps each vocabulary word to its index.  The family values
-        of each distinct surface with no kept rows are computed once, and
-        each unseen value's fallback once, so gathering reads only the
-        tables.  A word of ``vocab`` whose values all have table rows is kept.
+        The family values of each surface with no kept rows are computed
+        once, and each unseen value's fallback once, so gathering reads
+        only the tables.  A vocabulary word whose values all have table
+        rows is kept.
         """
-        if vocab and vocab is not self.kept_for:  # kept rows belong to one vocabulary
-            self.kept_for = vocab
-            self.kept = np.full((len(vocab) + 1, len(self.families)), -1, dtype=np.intp)
-        distinct = list(dict.fromkeys(surfaces))
-        words = np.array([vocab.get(s, -1) for s in distinct], dtype=np.intp)
-        grid = self.kept[words]  # each distinct surface's rows, -1 where none are kept
+        words = np.array([self.vocab.get(s, -1) for s in distinct], dtype=np.intp)
+        grid = self.kept[words]  # each surface's rows, -1 where none are kept
         unseen: list[dict[str, int]] = [{} for _ in self.families]  # first seen first
         for k in np.flatnonzero(grid[:, 0] < 0).tolist():
             s = distinct[k]
@@ -188,12 +184,10 @@ class FeatureEncoder:
             ]
         keep = (words >= 0) & (grid >= 0).all(axis=1)
         self.kept[words[keep]] = grid[keep]
-        order = {s: k for k, s in enumerate(distinct)}
-        columns = grid[[order[s] for s in surfaces]].T.copy()
         fallbacks = _value_vectors(
             ((fam.name, fam.dim, u) for fam, u in zip(self.families, unseen)), self.seed
         ) if any(unseen) else [np.empty((0, fam.dim)) for fam in self.families]
-        return tuple(map(FamilyRows, columns, fallbacks))
+        return tuple(map(FamilyRows, grid.T.copy(), fallbacks))
 
 
 def _value_vectors(
@@ -206,8 +200,11 @@ def _value_vectors(
     )
 
 
-def build_feature_encoder(surfaces: Iterable[str], seed: int) -> FeatureEncoder:
-    """Create an encoder whose tables cover every value seen in ``surfaces``.
+def build_feature_encoder(
+    surfaces: Iterable[str], seed: int, vocab: Mapping[str, int]
+) -> FeatureEncoder:
+    """Create an encoder whose tables cover every value seen in ``surfaces``
+    and which keeps the rows of the words of ``vocab``.
 
     Table vectors are initialized uniformly in [-1, 1] from the same
     per-value stream that serves unseen values later, so building the
@@ -222,11 +219,11 @@ def build_feature_encoder(surfaces: Iterable[str], seed: int) -> FeatureEncoder:
         FeatureFamily(name, dim, fn, vals, {v: i for i, v in enumerate(vals)}, table)
         for (name, dim, fn), vals, table in zip(FAMILY_SPECS, values, tables)
     ]
-    return FeatureEncoder(families, seed)
+    return FeatureEncoder(families, seed, vocab)
 
 
 def encode_surface(surface: str, encoder: FeatureEncoder) -> np.ndarray:
     """Concatenated 146-D feature vector for one token surface."""
     rows = encoder.rows([surface])
-    return np.concatenate([r.gather(f.table)[0] for r, f in zip(rows, encoder.families)])
+    return np.concatenate([r.gather(f.table, [0])[0] for r, f in zip(rows, encoder.families)])
 

@@ -23,12 +23,13 @@ word table.  That row is a trainable parameter like any other; training
 keeps it informed by swapping learn-split singletons for ``<unk>`` at
 random (see :func:`loss_and_gradients`).
 
-Every tagger reads a sentence through :func:`encode`, which maps each
-token to its word-table row, its characters' char-table rows and its
-feature-family rows once; a character outside the char vocabulary reads
-that table's ``<unk>`` row 0, as words do.  A forward pass makes one
-leaf per lookup table holding the distinct rows the sentence reads, and
-the tokens gather from it with :func:`seqtag.autograd.take`.
+Every tagger reads a sentence, or a batch, through :func:`encode`, which
+maps each distinct surface, first seen first, to its word-table row, its
+characters' char-table rows and its feature-family rows once, and each
+token to its surface; a character outside the char vocabulary reads that
+table's ``<unk>`` row 0, as words do.  A forward pass makes one leaf per
+lookup table holding the distinct rows the sentence reads, and the
+tokens gather from it with :func:`seqtag.autograd.take`.
 
 Training gradients come from the reverse-mode tape in
 :mod:`seqtag.autograd`; the binding correctness contract is agreement
@@ -69,7 +70,7 @@ so no array of the batch's tokens times the input width is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -225,7 +226,7 @@ def init_model(
     rng = np.random.default_rng(config.seed)
     model = ModelParameters(scheme, config.variant, vocab, word_table)
     if config.use_features:
-        model.feature_encoder = build_feature_encoder(feature_surfaces, config.seed)
+        model.feature_encoder = build_feature_encoder(feature_surfaces, config.seed, vocab.index)
     if config.use_char:
         model.char_vocab = build_vocabulary(char_alphabet)
         model.char_table = rng.uniform(-1.0, 1.0, (len(model.char_vocab), config.d_c))
@@ -268,38 +269,33 @@ def table_arrays(model: ModelParameters) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class EncodedSentence:
-    """A sentence, or a batch of sentences end to end, as table rows: word
-    rows, char rows (none without chars) and each feature family's rows.
-
-    It holds indices, not vectors, so every forward pass reads the live
-    tables when it gathers.
+    """A sentence, or a batch of sentences end to end, as the table rows
+    of its S distinct surfaces, first seen first, and each of its T
+    tokens' surface.  It holds indices, not vectors, so every forward
+    pass reads the live tables when it gathers.
     """
 
-    surfaces: tuple[str, ...]
-    words: np.ndarray  # (T,) word-table rows
-    chars: np.ndarray  # each distinct spelling's char-table rows, concatenated
-    word_lengths: np.ndarray  # (S,) characters of each distinct spelling, first seen first
-    spellings: np.ndarray  # (T,) each token's distinct surface, first seen first; empty for crf
-    features: tuple[FamilyRows, ...]  # one per feature family; empty without features
+    surfaces: tuple[str, ...]  # (T,)
+    words: np.ndarray  # (S,) word-table rows
+    chars: np.ndarray  # each distinct surface's char-table rows, concatenated
+    word_lengths: np.ndarray  # (S,) characters of each distinct surface
+    spellings: np.ndarray  # (T,) each token's distinct surface
+    features: tuple[FamilyRows, ...]  # (S,) rows per feature family; empty without features
     lengths: np.ndarray  # (B,) tokens of each sentence, in order
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.spellings)
 
 
 def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSentence:
-    """Map each token of ``sentences``, end to end as one batch, to its
-    word-, char- and feature-table rows.
-
-    For a recurrent model, each token's spelling numbers its distinct
-    surface, so decoding represents a recurring surface once; the crf
-    baseline reads no spellings, so its encoding holds none.  A
-    spelling's characters are stored once, so the char BiLSTM runs each
-    distinct spelling once.  A word or a character outside its
-    vocabulary reads the ``<unk>`` row 0.  The feature rows of an exact
-    vocabulary word are kept by the encoder the first time they are met
-    (see :meth:`FeatureEncoder.rows`), so a later batch computes family
-    values only for the other surfaces.
+    """Number the distinct surfaces of ``sentences``, end to end as one
+    batch, first seen first, and map each to its word-, char- and
+    feature-table rows once, so the char BiLSTM runs it, and decoding
+    represents it, once.  A word or a character outside its vocabulary
+    reads the ``<unk>`` row 0.  The encoder keeps the feature rows of an
+    exact vocabulary word the first time they are met (see
+    :meth:`FeatureEncoder.rows`), so a later batch computes family values
+    only for the other surfaces.
     A tag outside the model's scheme raises :class:`TagValidationError`.
     """
     surfaces = tuple(w for sent in sentences for w in sent.surfaces)
@@ -308,16 +304,16 @@ def encode(model: ModelParameters, sentences: Sequence[Sentence]) -> EncodedSent
             raise TagValidationError(
                 f"input tag {tag!r} does not belong to the model's tag scheme {model.scheme.classes}"
             )
-    words = np.array([find(model.vocab.index, w, 0) for w in surfaces], dtype=np.intp)
-    first: dict[str, int] = {}  # each distinct spelling's row, in first-seen order
-    spellings = chars = lengths = np.zeros(0, dtype=np.intp)
-    if model.variant != "crf":  # the crf baseline reads no spellings
-        spellings = np.array([first.setdefault(w, len(first)) for w in surfaces], dtype=np.intp)
+    first: dict[str, int] = {}  # each distinct surface's entry, in first-seen order
+    spellings = np.array([first.setdefault(w, len(first)) for w in surfaces], dtype=np.intp)
+    distinct = list(first)
+    words = np.array([find(model.vocab.index, w, 0) for w in distinct], dtype=np.intp)
+    chars = lengths = np.zeros(0, dtype=np.intp)
     if model.use_char:
         index = model.char_vocab.index
-        chars = np.array([index.get(ch, 0) for w in first for ch in w], dtype=np.intp)
-        lengths = np.array([len(w) for w in first], dtype=np.intp)
-    features = model.feature_encoder.rows(surfaces, model.vocab.index) if model.use_features else ()
+        chars = np.array([index.get(ch, 0) for w in distinct for ch in w], dtype=np.intp)
+        lengths = np.array([len(w) for w in distinct], dtype=np.intp)
+    features = model.feature_encoder.rows(distinct) if model.use_features else ()
     sizes = np.array([len(sent) for sent in sentences])
     return EncodedSentence(surfaces, words, chars, lengths, spellings, features, sizes)
 
@@ -443,22 +439,20 @@ def _representation_graph(
     Training makes one row per token, since dropout and the ``<unk>``
     swap are drawn per token; decoding makes one per distinct surface.
     """
-    if train:
-        tokens = reads = np.arange(len(enc))
-    else:  # each distinct surface's first token
-        _, tokens, reads = np.unique(enc.spellings, return_index=True, return_inverse=True)
-    words = enc.words[tokens]
+    # training gathers each token's surface rows; decoding reads the distinct rows as they are
+    at, reads = (enc.spellings, np.arange(len(enc))) if train else (slice(None), enc.spellings)
+    words = enc.words[at]
     if train and singletons:
         # only the word lookup becomes <unk>; the char BiLSTM sees the real word
         swap = [w in singletons and rng.random() < UNK_SWAP_RATE for w in enc.surfaces]
         words = np.where(swap, 0, words)
     parts = [ag.take(*leaves.table_rows("word_table", model.word_table, words))]
     if model.use_char:
-        parts.append(ag.take(_char_final_states(model, leaves, enc), enc.spellings[tokens]))
+        parts.append(ag.take(_char_final_states(model, leaves, enc), at))
     if model.use_features:
         for fam, rows in zip(model.feature_encoder.families, enc.features):
             name = f"feature:{fam.name}"
-            found = leaves.table_rows(name, fam.table, rows.rows[tokens], rows.fallback)
+            found = leaves.table_rows(name, fam.table, rows.rows[at], rows.fallback)
             parts.append(ag.take(*found))
     rep = ag.concat(parts, axis=1)
     if train and dropout > 0.0:
@@ -512,7 +506,8 @@ class Gradients:
         return _named(_carve(self.layout, self.flat))
 
 
-def _gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
+def gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
+    """Each gold tag's index; a tag outside ``scheme`` raises :class:`TagValidationError`."""
     ids = []
     for tag in gold_tags:
         if tag not in scheme.index:
@@ -546,7 +541,7 @@ def loss_and_gradients(
     if len(gold_tags) != len(sentence):
         raise ValueError("gold tag count must equal sentence length")
 
-    gold = _gold_ids(model.scheme, gold_tags)
+    gold = gold_ids(model.scheme, gold_tags)
     grad = np.empty_like(model.buffer)
     leaves = _LeafSet(model, grad)
     rng = np.random.default_rng(dropout_seed) if dropout > 0.0 or singletons else None
@@ -571,26 +566,24 @@ def sentence_logits(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
 
 
 def crf_inputs(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
-    """(T, D) inputs of the crf baseline: word vectors, then feature vectors;
-    one gather per table.  Training and decoding both pass it one sentence."""
-    parts = [model.word_table[enc.words]]
+    """(T, D) inputs of the crf baseline, word then feature vectors, each table
+    gathered once through ``spellings``.  Training and decoding pass one sentence."""
+    parts = [model.word_table[enc.words[enc.spellings]]]
     if model.use_features:
         families = model.feature_encoder.families
-        parts += [rows.gather(fam.table) for rows, fam in zip(enc.features, families)]
+        parts += [r.gather(fam.table, enc.spellings) for r, fam in zip(enc.features, families)]
     return np.concatenate(parts, axis=1)
 
 
 def _sentences(enc: EncodedSentence) -> Iterator[EncodedSentence]:
     """Each sentence of the batch ``enc`` as an encoding of its own: its
-    words, its spellings and, per feature family, its rows, which read
-    the batch's fallback.  The char fields pass through, so a spelling
-    still names the batch's entry."""
+    surfaces, its spellings and its length.  The rows of the distinct
+    surfaces pass through, so a spelling still names the batch's entry."""
     bounds = np.concatenate(([0], np.cumsum(enc.lengths))).tolist()
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        features = tuple(FamilyRows(f.rows[a:b], f.fallback) for f in enc.features)
-        yield EncodedSentence(
-            enc.surfaces[a:b], enc.words[a:b], enc.chars, enc.word_lengths, enc.spellings[a:b],
-            features, enc.lengths[i : i + 1],
+        yield replace(
+            enc, surfaces=enc.surfaces[a:b], spellings=enc.spellings[a:b],
+            lengths=enc.lengths[i : i + 1],
         )
 
 

@@ -55,6 +55,7 @@ from .network import (
     crf_inputs,
     dense_arrays,
     encode,
+    gold_ids,
     init_model,
     loss_and_gradients,
     predict_tag_ids,
@@ -260,8 +261,9 @@ def _non_finite(model: ModelParameters) -> list[str]:
 def crf_baseline_loss_and_gradients(
     model: ModelParameters, sentence: EncodedSentence, gold_tags, l2: float
 ) -> tuple[float, Gradients]:
-    """Regularized NLL for the feature-input baseline (embeddings frozen)."""
-    gold = [model.scheme.index[t] for t in gold_tags]
+    """Regularized NLL for the feature-input baseline (embeddings frozen); a
+    gold tag outside the model's scheme raises :class:`TagValidationError`."""
+    gold = gold_ids(model.scheme, gold_tags)
     inputs = crf_inputs(model, sentence)
     params = model.params
     trans, weights = params["crf.transitions"], params["crf.emission_weights"]
@@ -430,7 +432,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def _rebuild_features(
-    sections: dict[str, list[str]], tensors: dict[str, np.ndarray], seed: int
+    sections: dict[str, list[str]], tensors: dict[str, np.ndarray], config: TrainConfig,
+    vocab: Vocabulary,
 ) -> FeatureEncoder:
     families = []
     for name, dim, fn in FAMILY_SPECS:
@@ -445,7 +448,7 @@ def _rebuild_features(
             twice = next(v for i, v in enumerate(values) if index[v] != i)
             raise DataError(f"checkpoint feature values of {name!r} list {twice!r} twice")
         families.append(FeatureFamily(name, dim, fn, list(values), index, table))
-    return FeatureEncoder(families, seed)
+    return FeatureEncoder(families, config.seed, vocab.index)
 
 
 def _vocabulary_table(tensors: dict[str, np.ndarray], name: str, vocab: Vocabulary) -> np.ndarray:
@@ -484,7 +487,7 @@ def load_checkpoint(path) -> Checkpoint:
             )
     best_epoch = _meta_value(meta, "best_epoch", int)
     history = _meta_value(meta, "history", lambda text: [float(v) for v in text.split()])
-    features = _rebuild_features(sections, tensors, config.seed) if config.use_features else None
+    features = _rebuild_features(sections, tensors, config, vocab) if config.use_features else None
     model = ModelParameters(
         scheme, config.variant, vocab, _vocabulary_table(tensors, "word_table", vocab),
         feature_encoder=features,

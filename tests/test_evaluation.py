@@ -1,7 +1,7 @@
 import pytest
 
 from seqtag.corpus import EntitySpan, TagScheme, parse_conll
-from seqtag.errors import DataError
+from seqtag.errors import DataError, TagValidationError
 from seqtag.evaluation import (
     AGGREGATE,
     ClassCounts,
@@ -104,6 +104,18 @@ class TestStrictCounts:
         _, pred = sentences([([("b", "O")], ["O"])])
         with pytest.raises(DataError, match="sentence 0"):
             strict_counts(gold, pred)
+
+    @pytest.mark.parametrize("gold_tag, pred_tag", [("B-problem", "O"), ("O", "I-problem")])
+    def test_a_class_outside_the_scheme_names_it_and_its_sentence(self, gold_tag, pred_tag):
+        gold, pred = sentences([([("a", "O")], ["O"]), ([("b", gold_tag)], [pred_tag])])
+        with pytest.raises(TagValidationError, match="sentence 1: class 'problem'"):
+            evaluate(gold, pred, TagScheme(("test", "treatment")))
+
+    def test_a_predicted_class_outside_a_one_class_scheme_raises(self):
+        gold = parse_conll("a\tB-x\n", TagScheme(("x",)))
+        pred = parse_conll("a\tB-y\n", TagScheme(("x", "y")), predictions=True)
+        with pytest.raises(TagValidationError, match="sentence 0: class 'y'"):
+            evaluate(gold, pred, TagScheme(("x",)))
 
     def test_sentence_count_mismatch(self):
         gold, _ = sentences([([("a", "O")], ["O"]), ([("b", "O")], ["O"])])

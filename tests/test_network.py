@@ -19,11 +19,12 @@ from test_autograd import random_cell
 
 from seqtag import autograd as ag
 from seqtag.corpus import Sentence, TagScheme, Token
-from seqtag.embeddings import build_vocabulary, random_table
+from seqtag.embeddings import build_vocabulary, find, random_table
 from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
 from seqtag.network import (
     CELL_FIELDS,
+    VARIANTS,
     _char_final_states,
     _LeafSet,
     _representation_graph,
@@ -236,15 +237,52 @@ class TestDistinctSpellings:
         assert enc.chars.size == enc.word_lengths.size == 0
         assert enc.spellings.tolist() == [0, 1, 0]
 
-    @pytest.mark.parametrize("variant, spellings", [
-        ("blstm", [0, 1, 0]), ("blstm_crf", [0, 1, 0]), ("crf", []),
-    ])
-    def test_only_the_recurrent_models_encode_spellings(self, variant, spellings):
-        # the crf baseline reads none; slicing a batch per sentence keeps it empty
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_encodes_spellings(self, variant):
+        # slicing a batch per sentence keeps the batch's spellings
         model = make_model(variant=variant, use_char=False, use_features=True)
         enc = encode(model, [make_sentence(["was", "Was"]), make_sentence(["was"])])
-        assert enc.spellings.tolist() == spellings
-        assert [sent.spellings.tolist() for sent in _sentences(enc)] == [spellings[:2], spellings[2:]]
+        assert enc.spellings.tolist() == [0, 1, 0]
+        assert [sent.spellings.tolist() for sent in _sentences(enc)] == [[0, 1], [0]]
+
+
+# a batch's words: vocabulary words, their case variants, and words outside the
+# vocabulary, some of whose prefixes and suffixes no feature table holds
+BATCH_WORDS = st.one_of(
+    st.sampled_from(("felbatol", "was", "given", "daily", "spare")).flatmap(
+        lambda w: st.sampled_from((w, w.upper(), w.title()))),
+    SPELLINGS,
+)
+
+
+class TestEncodedFormat:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_table_read_through_spellings_is_the_per_token_oracle(self, variant, data):
+        model = make_model(variant=variant, use_char=variant != "crf", use_features=True)
+        pool = data.draw(st.lists(BATCH_WORDS, min_size=1, max_size=6), "pool")
+        sentences = [make_sentence(s) for s in data.draw(st.lists(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=8), min_size=2, max_size=4),
+            "sentences")]
+        surfaces = [w for sent in sentences for w in sent.surfaces]
+        distinct = list(dict.fromkeys(surfaces))
+        enc = encode(model, sentences)
+        assert len(enc) == len(surfaces) and len(enc.words) == len(distinct)
+        assert [distinct[k] for k in enc.spellings] == surfaces
+        assert enc.words[enc.spellings].tolist() == [find(model.vocab.index, w, 0) for w in surfaces]
+        encoder = model.feature_encoder
+        gathered = np.concatenate([rows.gather(fam.table, enc.spellings)
+                                   for rows, fam in zip(enc.features, encoder.families)], axis=1)
+        expected = np.stack([encode_surface(w, encoder) for w in surfaces])
+        assert gathered.tobytes() == expected.tobytes()
+        if model.use_char:
+            index = model.char_vocab.index
+            chars = np.split(enc.chars, np.cumsum(enc.word_lengths)[:-1])
+            assert [c.tolist() for c in chars] == [[index.get(ch, 0) for ch in w] for w in distinct]
+        for sent, alone in zip(_sentences(enc), sentences):
+            got, want = crf_inputs(model, sent), crf_inputs(model, encode(model, [alone]))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestTokenRepresentation:
@@ -627,12 +665,12 @@ class TestPrediction:
 class TestWordLookup:
     def test_lowercase_fallback(self):
         model = make_model()
-        words = encode(model, [make_sentence(["FELBATOL", "felbatol"])]).words
-        assert words.tolist() == [model.vocab.index["felbatol"]] * 2
+        enc = encode(model, [make_sentence(["FELBATOL", "felbatol"])])
+        assert enc.words[enc.spellings].tolist() == [model.vocab.index["felbatol"]] * 2
 
     def test_oov_deterministic_in_range(self):
         model = make_model()
         # every unseen word reads the shared <unk> row
-        sent = make_sentence(["never-seen", "never-seen", "also-unseen"])
-        assert encode(model, [sent]).words.tolist() == [0, 0, 0]
+        enc = encode(model, [make_sentence(["never-seen", "never-seen", "also-unseen"])])
+        assert enc.words[enc.spellings].tolist() == [0, 0, 0]
         assert np.all(np.abs(model.word_table[0]) <= 1.0)

@@ -343,6 +343,20 @@ class TestCrfBaseline:
         assert feature_calls(4) == two
 
 
+class TestGoldTags:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_gold_tag_outside_the_scheme_raises_in_every_loss(self, variant):
+        data, _ = small_corpus(n_train=5)
+        model = build_model(TrainConfig(variant=variant, seed=0, **FAST), derive_scheme(data), data)
+        sent = data[0]
+        gold = ["B-nope", *sent.gold_tags[1:]]
+        with pytest.raises(TagValidationError, match="'B-nope'"):
+            if variant == "crf":
+                crf_baseline_loss_and_gradients(model, encode(model, [sent]), gold, 1e-4)
+            else:
+                loss_and_gradients(model, encode(model, [sent]), gold)
+
+
 class TestTag:
     def test_converged_model_reproduces_training_tags(self):
         data, _ = small_corpus(n_train=80)
