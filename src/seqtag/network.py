@@ -62,15 +62,16 @@ Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
 words and padded characters are capped by :data:`BATCH_TOKENS` and
 :data:`BATCH_CHARS`, so the arrays of a long input stay bounded.  The
-crf baseline has no recurrent pass: it decodes a batch with one Viterbi
-call, but gathers one sentence's inputs at a time (:func:`crf_inputs`),
-so no array of the batch's tokens times the input width is built.
+crf baseline has no recurrent pass: it gathers and weighs one input row
+per distinct surface of a batch, not per token (:func:`crf_inputs`), and
+decodes the batch with one Viterbi call in which each token reads its
+surface's lattice row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -565,41 +566,30 @@ def sentence_logits(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
         return _logits_graph(model, _LeafSet(model), enc).data
 
 
-def crf_inputs(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
-    """(T, D) inputs of the crf baseline, word then feature vectors, each table
-    gathered once through ``spellings``.  Training and decoding pass one sentence."""
-    parts = [model.word_table[enc.words[enc.spellings]]]
+def crf_inputs(model: ModelParameters, enc: EncodedSentence, at) -> np.ndarray:
+    """The crf baseline's inputs, word then feature vectors, of the distinct
+    surfaces ``at``, each table gathered once.  Training passes
+    ``enc.spellings``, one row per token; decoding passes every entry."""
+    parts = [model.word_table[enc.words[at]]]
     if model.use_features:
         families = model.feature_encoder.families
-        parts += [r.gather(fam.table, enc.spellings) for r, fam in zip(enc.features, families)]
+        parts += [r.gather(fam.table, at) for r, fam in zip(enc.features, families)]
     return np.concatenate(parts, axis=1)
-
-
-def _sentences(enc: EncodedSentence) -> Iterator[EncodedSentence]:
-    """Each sentence of the batch ``enc`` as an encoding of its own: its
-    surfaces, its spellings and its length.  The rows of the distinct
-    surfaces pass through, so a spelling still names the batch's entry."""
-    bounds = np.concatenate(([0], np.cumsum(enc.lengths))).tolist()
-    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        yield replace(
-            enc, surfaces=enc.surfaces[a:b], spellings=enc.spellings[a:b],
-            lengths=enc.lengths[i : i + 1],
-        )
 
 
 def predict_tag_ids(model: ModelParameters, enc: EncodedSentence) -> list[int]:
     """Most likely tag indices, argmax per token or Viterbi per variant; a
     batch (see :func:`batches`) is decoded at once and its ids stacked.
 
-    The crf baseline gathers and weighs one sentence's inputs at a time,
-    then decodes the batch's lattices with one Viterbi call.
+    The crf baseline weighs the inputs of the batch's distinct surfaces
+    with one product, and each token's lattice row is its surface's.
+    BLAS rounds a row by the product's size, so the lattices, like the
+    recurrent logits, are bitwise those of the same batch only.
     """
     if model.variant == "crf":
         params = model.params
-        weights = params["crf.emission_weights"].T
-        # one product per sentence: a batch's lattices are bitwise those of its sentences
-        lattices = [crf_inputs(model, sent) @ weights for sent in _sentences(enc)]
-        return viterbi(params["crf.transitions"], np.concatenate(lattices), enc.lengths)
+        weighed = crf_inputs(model, enc, slice(None)) @ params["crf.emission_weights"].T
+        return viterbi(params["crf.transitions"], weighed[enc.spellings], enc.lengths)
     logits = sentence_logits(model, enc)
     if model.variant == "blstm":
         return logits.argmax(axis=1).tolist()

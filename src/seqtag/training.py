@@ -264,7 +264,7 @@ def crf_baseline_loss_and_gradients(
     """Regularized NLL for the feature-input baseline (embeddings frozen); a
     gold tag outside the model's scheme raises :class:`TagValidationError`."""
     gold = gold_ids(model.scheme, gold_tags)
-    inputs = crf_inputs(model, sentence)
+    inputs = crf_inputs(model, sentence, sentence.spellings)
     params = model.params
     trans, weights = params["crf.transitions"], params["crf.emission_weights"]
     nll, d_weights, d_trans = input_nll_and_gradient(trans, inputs, weights, gold)
@@ -280,11 +280,11 @@ def tag_with_model(model: ModelParameters, encoded: Iterable[EncodedSentence]) -
     """The repaired predicted BIO tags of every sentence of the decoding
     batches ``encoded`` (see :func:`seqtag.network.batches`), in order.
 
-    Each batch is one forward pass, with one char-BiLSTM row per distinct
-    spelling, so recurrent logits are bitwise reproducible for the same
-    grouping of sentences only: BLAS rounds a product by its batch size,
-    and a near-tie may then decode differently.  The input order and the
-    caps fix the grouping, so the same input gives the same tags.
+    Each batch is one forward pass over its distinct surfaces, so the
+    recurrent logits and the crf lattices are bitwise reproducible for the
+    same grouping of sentences only: BLAS rounds a product by its batch
+    size, and a near-tie may then decode differently.  The input order and
+    the caps fix the grouping, so the same input gives the same tags.
     """
     out = []
     for batch in encoded:

@@ -97,7 +97,8 @@ class TestEncoder:
     def test_identical_surfaces_identical_vectors(self):
         model = make_feature_model()
         sent = Sentence((Token("mg", "O"), Token("of", "O"), Token("mg", "O")))
-        inputs = crf_inputs(model, encode(model, [sent]))
+        enc = encode(model, [sent])
+        inputs = crf_inputs(model, enc, enc.spellings)
         a = inputs[0, model.d_w:]
         b = inputs[2, model.d_w:]
         np.testing.assert_array_equal(a, b)

@@ -28,7 +28,6 @@ from seqtag.network import (
     _char_final_states,
     _LeafSet,
     _representation_graph,
-    _sentences,
     crf_inputs,
     dense_arrays,
     encode,
@@ -239,11 +238,10 @@ class TestDistinctSpellings:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_variant_encodes_spellings(self, variant):
-        # slicing a batch per sentence keeps the batch's spellings
+        # a batch numbers its surfaces across sentences
         model = make_model(variant=variant, use_char=False, use_features=True)
         enc = encode(model, [make_sentence(["was", "Was"]), make_sentence(["was"])])
         assert enc.spellings.tolist() == [0, 1, 0]
-        assert [sent.spellings.tolist() for sent in _sentences(enc)] == [[0, 1], [0]]
 
 
 # a batch's words: vocabulary words, their case variants, and words outside the
@@ -280,8 +278,12 @@ class TestEncodedFormat:
             index = model.char_vocab.index
             chars = np.split(enc.chars, np.cumsum(enc.word_lengths)[:-1])
             assert [c.tolist() for c in chars] == [[index.get(ch, 0) for ch in w] for w in distinct]
-        for sent, alone in zip(_sentences(enc), sentences):
-            got, want = crf_inputs(model, sent), crf_inputs(model, encode(model, [alone]))
+        inputs = crf_inputs(model, enc, enc.spellings)
+        assert crf_inputs(model, enc, slice(None))[enc.spellings].tobytes() == inputs.tobytes()
+        split = np.split(inputs, np.cumsum(enc.lengths)[:-1])
+        for got, alone in zip(split, sentences, strict=True):
+            one = encode(model, [alone])
+            want = crf_inputs(model, one, one.spellings)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -624,12 +626,12 @@ class TestCrfInputs:
 
         encoded = encode(model, [sent])
         assert len(encoded) == 4
-        np.testing.assert_array_equal(crf_inputs(model, encoded), reference())
+        np.testing.assert_array_equal(crf_inputs(model, encoded, encoded.spellings), reference())
 
-        before = crf_inputs(model, encoded)
+        before = crf_inputs(model, encoded, encoded.spellings)
         prefix = families["prefix3"]
         prefix.table[prefix.index["fel"]] += 0.5
-        after = crf_inputs(model, encoded)
+        after = crf_inputs(model, encoded, encoded.spellings)
         np.testing.assert_array_equal(after, reference())
         assert not np.array_equal(after[0], before[0])
 
@@ -652,7 +654,7 @@ class TestPrediction:
     def test_crf_baseline_inputs_and_prediction(self):
         model = make_model(variant="crf", use_char=False, use_features=True, d_w=3)
         sent = encode(model, [make_sentence(["felbatol", "was"])])
-        inputs = crf_inputs(model, sent)
+        inputs = crf_inputs(model, sent, sent.spellings)
         assert inputs.shape == (2, 3 + 146)
         ids = predict_tag_ids(model, sent)
         assert len(ids) == 2 and all(0 <= k < 3 for k in ids)

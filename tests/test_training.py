@@ -480,12 +480,16 @@ class TestBatchedDecode:
         assert sum(any(len(enc.features[i].fallback) for i in fams) for enc in alone) > 2
         real, gathered = network.crf_inputs, []
         monkeypatch.setattr(
-            network, "crf_inputs", lambda m, enc: gathered.append(real(m, enc)) or gathered[-1]
+            network, "crf_inputs",
+            lambda m, enc, at: gathered.append(real(m, enc, at)) or gathered[-1],
         )
-        network.predict_tag_ids(model, encode(model, list(data)))
-        assert len(gathered) == len(data)  # one gather per sentence
-        for inputs, enc in zip(gathered, alone):
-            expected = real(model, enc)
+        batch = encode(model, list(data))
+        network.predict_tag_ids(model, batch)
+        assert len(gathered) == 1  # one gather per batch, one row per distinct surface
+        assert len(gathered[0]) == len(batch.words) < len(batch)
+        tokens = np.split(gathered[0][batch.spellings], np.cumsum(batch.lengths)[:-1])
+        for inputs, enc in zip(tokens, alone, strict=True):
+            expected = real(model, enc, enc.spellings)
             assert inputs.shape == expected.shape and inputs.tobytes() == expected.tobytes()
 
     def test_crf_decoding_builds_no_batch_wide_input_matrix(self):
@@ -510,6 +514,21 @@ class TestBatchedDecode:
         batch = encode(model, list(data))
         alone = np.concatenate([sentence_logits(model, encode(model, [sent])) for sent in data])
         np.testing.assert_allclose(sentence_logits(model, batch), alone, rtol=0, atol=1e-12)
+
+    def test_crf_lattices_agree_with_each_sentences_own_product(self, monkeypatch):
+        # weighing distinct surfaces moves the lattice in the last bits only
+        model, data = trained_model("crf")
+        real, lattices = network.viterbi, []
+        monkeypatch.setattr(
+            network, "viterbi", lambda trans, lattice, lengths:
+            lattices.append(lattice) or real(trans, lattice, lengths),
+        )
+        network.predict_tag_ids(model, encode(model, list(data)))
+        weights = model.params["crf.emission_weights"].T
+        alone = np.concatenate([network.crf_inputs(model, enc, enc.spellings) @ weights
+                                for enc in (encode(model, [sent]) for sent in data)])
+        assert len(lattices) == 1
+        np.testing.assert_allclose(lattices[0], alone, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_chunks_decode_as_one_batch(self, variant, monkeypatch):
