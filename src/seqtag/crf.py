@@ -13,28 +13,29 @@ real matrix (the lattice); the transition matrix is (K+1, K+1) with the
 extra index acting as the virtual start state (as a source row) and the
 virtual stop state (as a target column).
 
-The forward-backward recursions run in probability space with
-per-position scaling (Rabiner, 1989; Sutton & McCallum,
-arXiv:1011.4088, §4.1).  The transition scores are shifted by their
-maximum ``s`` and each lattice row by its own maximum ``m_t``, so that
-the factors ``exp(transitions - s)`` and ``X = exp(emissions - m)``
-have largest entry 1.  Each forward step is then one small
-matrix-vector product, renormalized by its sum ``c_t``, and the
-backward step reuses the same ``c_t``.  ``log Z`` is the sum of the
-``log c_t``, of the ``m_t``, of the log of the final dot product with
-the stop column and ``(T + 1) * s``.
+The forward-backward recursions run in probability space (Rabiner, 1989;
+Sutton & McCallum, arXiv:1011.4088, §4.1).  The transition scores are
+shifted by their maximum ``s`` and each lattice row by its own maximum
+``m_t``, so that ``P = exp(transitions - s)`` and ``X = exp(emissions -
+m)`` have largest entry 1.  Each position of each recursion is one
+vector-matrix product with ``EX[t] = P * X[t]`` into a (T, K) array.
+The rows run unnormalized, and every r-th one is multiplied by the exact
+power of two that brings its max into [1/2, 1).  ``log Z`` adds ``ln 2``
+times the exponents taken out to the log of the last forward row's
+product with the stop column, the ``m_t`` and ``(T + 1) * s``.  The
+marginals are the rows' products, normalized per row; the pairwise
+marginals that the transition gradient sums are one (T-1, K, K)
+broadcast, normalized per position (Sutton & McCallum, §4).
 
-Scaling is exact only while no term that underflows could carry the
-result.  Emission factors may underflow to 0 (a row spread of 1000
-nats is fine), because every step mixes all states through transition
-factors of at least ``exp(-300)``.  A transition spread beyond 300 nats
-breaks that: with ``exp(-900)`` flushed to 0, a path through it is
-lost, and later small scale factors can make it the dominant one.  So
-such a transition matrix, and a lattice whose scaling is not finite
-(NaN or infinite scores, which then give a non-finite loss), take the
-log-space recursions with the shifted logsumexp trick instead.  The
-pairwise marginals that the transition gradient sums are one
-(T-1, K, K) broadcast (Sutton & McCallum, §4).  Viterbi stays max-plus
+Rescaling is exact only while no term that underflows could carry the
+result (:func:`_forward_backward` gives r and the bound).  Emission
+factors may underflow to 0, because every step mixes all states through
+transition factors of at least ``exp(-300)``.  A transition spread
+beyond 300 nats breaks that: with ``exp(-900)`` flushed to 0, a path
+through it is lost, and later small factors can make it the dominant
+one.  So such a matrix, and a lattice whose ``log Z`` is not finite (NaN
+or infinite scores, which then give a non-finite loss), take the log-space
+recursions with the shifted logsumexp trick instead.  Viterbi stays max-plus
 in log space.  It decodes a batch of end-aligned lattices stored
 tag-major, (L, K, B).  Each step adds into its own (K, K, B) slice of
 one kept (L-1, K, K, B) block of step scores, the next tag on the
@@ -92,32 +93,18 @@ def sequence_score(trans: np.ndarray, emissions: np.ndarray, y) -> float:
     return score
 
 
-def _forward(trans: np.ndarray, emissions: np.ndarray) -> tuple[np.ndarray, float]:
-    T, K = emissions.shape
-    alpha = np.empty((T, K))
-    alpha[0] = trans[K, :K] + emissions[0]
-    for t in range(1, T):
-        alpha[t] = emissions[t] + _logsumexp(alpha[t - 1][:, None] + trans[:K, :K], axis=0)
-    log_z = float(_logsumexp(alpha[T - 1] + trans[:K, K], axis=0))
-    return alpha, log_z
-
-
-def _backward_pass(trans: np.ndarray, emissions: np.ndarray) -> np.ndarray:
-    T, K = emissions.shape
-    beta = np.empty((T, K))
-    beta[T - 1] = trans[:K, K]
-    for t in range(T - 2, -1, -1):
-        beta[t] = _logsumexp(trans[:K, :K] + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
-    return beta
-
-
 def _log_space_forward_backward(
     trans: np.ndarray, emissions: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """What :func:`_forward_backward` returns, from the log-space recursions."""
-    K = emissions.shape[1]
-    alpha, log_z = _forward(trans, emissions)
-    beta = _backward_pass(trans, emissions)
+    T, K = emissions.shape
+    alpha, beta = np.empty((T, K)), np.empty((T, K))
+    alpha[0], beta[T - 1] = trans[K, :K] + emissions[0], trans[:K, K]
+    for t in range(1, T):
+        alpha[t] = emissions[t] + _logsumexp(alpha[t - 1][:, None] + trans[:K, :K], axis=0)
+    for t in range(T - 2, -1, -1):
+        beta[t] = _logsumexp(trans[:K, :K] + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+    log_z = float(_logsumexp(alpha[T - 1] + trans[:K, K], axis=0))
     marginals = np.exp(alpha + beta - log_z)
     pairs = np.exp(
         alpha[:-1, :, None] + trans[:K, :K] + (emissions[1:] + beta[1:])[:, None, :] - log_z
@@ -125,13 +112,22 @@ def _log_space_forward_backward(
     return log_z, marginals, pairs
 
 
-# Widest spread, in nats, of the transition scores the scaled recursion
-# accepts.  Each forward step multiplies the normalized vector by the
-# shifted transition factors, all of them in [exp(-300), 1], so every
-# entry of that product stays above exp(-300) ~ 5e-131 and the terms lost
-# to underflow (below 2.2e-308 each) cannot carry the result.  Emission
-# factors may underflow to 0: the next step mixes every state again.
-_MAX_TRANSITION_RANGE = 300.0
+_MAX_TRANSITION_RANGE = 300.0  # nats; see _forward_backward
+
+
+def _chain(rows: np.ndarray, factors: np.ndarray, every: int) -> int:
+    """``rows[t + 1] = rows[t] @ factors[t]`` from ``rows[0]``, each
+    ``every``-th row (``rows[0]`` first) multiplied by the power of two
+    that brings its max into [1/2, 1); returns the exponents taken out.
+    ``ndarray.dot`` skips the dispatch of ``np.dot``, a third of a step."""
+    taken = 0
+    for s in range(0, len(rows), every):
+        e = math.frexp(rows[s].max())[1]
+        rows[s] *= 2.0**-e
+        taken += e
+        for a, f, b in zip(rows[s:], factors[s : s + every], rows[s + 1 :]):
+            a.dot(f, out=b)
+    return taken
 
 
 def _forward_backward(
@@ -139,9 +135,21 @@ def _forward_backward(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """log Z, the (T, K) marginals and the (T-1, K, K) pairwise marginals.
 
-    Runs the scaled recursions, and the log-space ones when the
-    transition scores are too far apart or the scaling is not finite
-    (see the module docstring).
+    Rescales every r-th row, with ``r * d <= 360`` and ``K**r < exp(700)``
+    for the spread ``d`` of the scores read, and takes the log-space
+    recursions when ``d > 300`` or log Z is not finite.  A step raises a
+    row's max by at most K.  A forward step lowers it by at most
+    ``exp(-d)`` (the column where ``X[t]`` is 1 takes every entry through a
+    factor of at least ``exp(-d)``), so every max stays in ``(2**-521,
+    exp(700))``.  A term lost to underflow, below ``2**-1022``, is then
+    below ``2**-501`` of its row's max, and through transition factors at
+    most ``exp(300) < 2**433`` apart it moves no later entry by more than
+    ``2**-68`` relative: the argument behind ``_MAX_TRANSITION_RANGE``.  A
+    backward row is ``P`` times a nonnegative vector, so its min is at
+    least ``exp(-d)`` of its max and falls by at most ``exp(-d)`` a step:
+    every entry stays above ``exp(-660) / 2 > 2**-954``, and a lost term
+    below ``2**-68`` of it.  Rows normalized to sum 1 keep every
+    product's max above ``exp(-600) / K**2``.
     """
     T, K = emissions.shape
     # the transition scores the model reads: every entry but the last,
@@ -150,39 +158,30 @@ def _forward_backward(
     shift, lowest = read.max(), read.min()
     log_z = math.nan
     if shift - lowest <= _MAX_TRANSITION_RANGE:
+        every = int(min(360.0 / max(shift - lowest, 1.0), 700.0 / math.log(K + 1)))
         m = emissions.max(axis=1)
-        scale = np.empty(T + 1)  # c_0 .. c_{T-1}, then the final dot product
+        u, v = np.empty((T, K)), np.empty((T, K))
         with np.errstate(all="ignore"):  # a non-finite lattice is caught below
             P = np.exp(trans - shift)
             X = np.exp(emissions - m[:, None])
-            EX = P[:K, :K] * X[:, None, :]  # EX[t, i, j] = P[i, j] * X[t, j]
-            ones = np.ones(K)
-            a = P[K, :K] * X[0]
-            alphas = []
-            for t in range(T):
-                if t:
-                    a = a.dot(EX[t])
-                c = a.dot(ones)
-                a = a / c
-                alphas.append(a)
-                scale[t] = c
-            stop = P[:K, K]
-            tail = scale[T] = a.dot(stop)
-            log_z = float(np.log(scale).sum() + m.sum() + (T + 1) * shift)
+            EX = np.einsum("ij,tj->tij", P[:K, :K], X)  # EX[t, i, j] = P[i, j] * X[t, j]
+            np.multiply(P[K, :K], X[0], out=u[0])
+            taken = _chain(u, EX[1:], every)
+            v[T - 1] = P[:K, K]
+            log_z = float(np.log(u[T - 1].dot(v[T - 1])) + taken * math.log(2.0) + m.sum()
+                          + (T + 1) * shift)
     if not math.isfinite(log_z):
         return _log_space_forward_backward(trans, emissions)
 
-    EX /= scale[:T, None, None]
-    b = stop / tail
-    betas = [b]
-    for t in range(T - 1, 0, -1):
-        b = EX[t].dot(b)
-        betas.append(b)
-    alpha = np.array(alphas)
-    beta = np.array(betas[::-1])
-    marginals = alpha * beta  # (T, K), rows sum to 1
+    _chain(v[::-1], EX[:0:-1].transpose(0, 2, 1), every)  # v[t-1] = EX[t] @ v[t]
+    ones = np.ones(K)
+    u /= (u @ ones)[:, None]
+    v /= (v @ ones)[:, None]
+    marginals = u * v
+    marginals /= (marginals @ ones)[:, None]
     # pairwise marginals of all T-1 adjacent positions at once; empty when T == 1
-    pairs = alpha[:-1, :, None] * EX[1:] * beta[1:, None, :]
+    pairs = u[:-1, :, None] * EX[1:] * v[1:, None, :]
+    pairs /= pairs.sum(axis=(1, 2), keepdims=True)
     return log_z, marginals, pairs
 
 

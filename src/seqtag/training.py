@@ -233,13 +233,16 @@ def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelP
     return init_model(config, scheme, vocab, word_table, dict.fromkeys(surfaces), chars)
 
 
-def sgd_update(model: ModelParameters, grads: Gradients, lr: float, clip_norm: float):
+def sgd_update(
+    model: ModelParameters, grads: Gradients, lr: float, clip_norm: float
+) -> float | None:
     """One clipped stochastic gradient step, in place; it scales ``grads`` in place.
 
-    One dot product and one reduction per table give the norm; one
+    One dot product and one reduction per table give the norm, which is
+    returned as it was before clipping (None when ``clip_norm`` is 0); one
     subtract updates the buffer and one fancy-index subtract each table.
     """
-    step = lr
+    step, norm = lr, None
     if clip_norm:
         rows_squared = sum(np.vdot(r.grad, r.grad) for r in grads.rows.values())
         norm = math.sqrt(np.dot(grads.flat, grads.flat) + rows_squared)
@@ -250,6 +253,7 @@ def sgd_update(model: ModelParameters, grads: Gradients, lr: float, clip_norm: f
     tables = table_arrays(model)
     for name, (index, grad) in grads.rows.items():
         tables[name][index] -= step * grad
+    return norm
 
 
 def _non_finite(model: ModelParameters) -> list[str]:

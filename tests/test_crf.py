@@ -4,7 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from gradcheck import central_diff, coordinate_ok
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seqtag import autograd as ag
@@ -220,6 +221,30 @@ def fallbacks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def periods(monkeypatch):
+    """Records the rescale period of each recursion _forward_backward runs."""
+    calls = []
+    real = crf._chain
+
+    def recording(rows, factors, every):
+        calls.append(every)
+        return real(rows, factors, every)
+
+    monkeypatch.setattr(crf, "_chain", recording)
+    return calls
+
+
+def spread_instance(rng, T, K, spread, scale=3.0):
+    """A random lattice whose transition scores read span exactly ``spread`` nats:
+    all in [0, w], w = min(spread, 2), but for one at w - spread.  Scores of a
+    few nats keep the log-space oracle's sums, and so its rounding, small."""
+    w = min(spread, 2.0)
+    trans = rng.uniform(0.0, w, size=(K + 1, K + 1))
+    trans[0, 1], trans[1, 0] = w - spread, w
+    return trans, rng.normal(scale=scale, size=(T, K))
+
+
 class TestScaledForwardBackward:
     def assert_matches_log_space(self, trans, emissions):
         log_z, marginals, pairs = _forward_backward(trans, emissions)
@@ -325,6 +350,51 @@ class TestScaledForwardBackward:
                 nll = nll_and_gradient(trans, emissions, [0, 1, 2])[0]
             assert not np.isfinite(nll)
         assert len(fallbacks) == 2
+
+    # r = min(360 / max(spread, 1), 700 / ln(K + 1)) positions between rescales
+    @pytest.mark.parametrize("spread, every", [(0.5, 336), (150.0, 2), (299.0, 1)])
+    def test_long_lattices_rescaled_every_r_positions(self, fallbacks, periods, spread, every):
+        # T = 2000 rescales 5 times, every 2 positions and every position
+        trans, emissions = spread_instance(np.random.default_rng(int(spread)), 2000, 7, spread)
+        # the log-space oracle rounds in proportion to its sums, about |log Z|
+        # (1e4 here, and 1e-10 off in the marginals against extended precision);
+        # one score taken off every position moves log Z alone, to about 0
+        emissions -= _log_space_forward_backward(trans, emissions)[0] / len(emissions)
+        self.assert_matches_log_space(trans, emissions)
+        assert periods == [every, every]  # the forward and the backward recursion
+        assert fallbacks == []
+
+    # the fixture's list spans the examples, and stays empty only if each does
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        T=st.integers(1, 300),
+        K=st.integers(1, 8),
+        spread=st.floats(0.0, 300.0),
+        scale=st.floats(0.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_lattices_match_log_space_recursions(self, fallbacks, T, K, spread, scale, seed):
+        trans, emissions = spread_instance(np.random.default_rng(seed), T, K, spread, scale)
+        self.assert_matches_log_space(trans, emissions)
+        assert fallbacks == []
+
+    def test_gradients_match_finite_differences_across_rescales(self, fallbacks, periods):
+        # one transition at -120 sets the spread, so both recursions rescale
+        # every 2 positions, 10 times over 20; the gold path avoids it
+        rng = np.random.default_rng(15)
+        trans, emissions = random_instance(rng, T=20, K=3)
+        trans[0, 1] = -120.0
+        y = [2, 0, 0, 2, 1, 1, 2, 0, 2, 2, 1, 0, 0, 0, 2, 1, 2, 0, 2, 1]
+        _, d_emissions, d_trans = nll_and_gradient(trans, emissions, y)
+        assert set(periods) == {2}
+        h = 1e-5
+        for arr, grad in ((trans, d_trans), (emissions, d_emissions)):
+            for i in range(arr.size):
+                numeric = central_diff(lambda: nll_and_gradient(trans, emissions, y)[0], arr, i, h)
+                assert coordinate_ok(grad.ravel()[i], numeric), (arr.shape, i)
+        assert fallbacks == []
 
 
 class TestViterbi:

@@ -717,3 +717,28 @@ class TestDenseBuffer:
             sgd_update(model, grads, 0.01, 0.0)
             for name, arr in views.items():
                 np.testing.assert_array_equal(arr, expected[name], err_msg=f"{source} {name}")
+
+
+class TestSgdUpdate:
+    def gradients(self):
+        data, _ = small_corpus(n_train=12)
+        cfg = TrainConfig(variant="blstm_crf", use_char=True, epochs=1, seed=0, **FAST)
+        model = build_model(cfg, derive_scheme(data), data)
+        sent = data[0]
+        _, grads = loss_and_gradients(model, encode(model, [sent]), list(sent.gold_tags))
+        assert set(grads.rows) == {"word_table", "char_table"}
+        return model, grads
+
+    def test_returns_the_norm_before_clipping(self):
+        model, grads = self.gradients()
+        squares = np.dot(grads.flat, grads.flat)
+        squares += sum(np.sum(r.grad * r.grad) for r in grads.rows.values())
+        flat = grads.flat.copy()
+        norm = sgd_update(model, grads, 0.01, 1e-3)
+        assert norm == pytest.approx(np.sqrt(squares), rel=1e-12) and norm > 1e-3
+        # the norm was taken before the step scaled the gradients in place
+        np.testing.assert_array_equal(grads.flat, flat * (0.01 * (1e-3 / norm)))
+
+    def test_no_norm_without_clipping(self):
+        model, grads = self.gradients()
+        assert sgd_update(model, grads, 0.01, 0.0) is None
