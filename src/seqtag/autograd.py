@@ -8,10 +8,13 @@ its gradient's storage up front, marked ``unwritten``: the first
 contribution is then written into it, with no zero fill before it, and a
 caller zero-fills what no operation reached.  A preset gradient must be
 C-contiguous, as every gradient made here is, so a scatter-add can write
-through its flat view.  Only the operations
-the taggers call exist, and every operand is a :class:`Tensor`.  Nothing
-broadcasts: :func:`mul` takes two operands of the same shape.  Shapes
-follow a row convention where batches and sequences sit on axis 0.
+through its flat view.  :func:`bilstm` may leave an unwritten view as it
+is and keep its input weight's gradient on the leaf as two factors
+(:class:`Outer`); a later contribution writes the product out first.
+Only the operations the taggers call exist, and every operand is a
+:class:`Tensor`.  Nothing broadcasts: :func:`mul` takes two operands of
+the same shape.  Shapes follow a row convention where batches and
+sequences sit on axis 0.
 
 Gradient recording can be suspended with :func:`no_grad` for inference,
 in which case the same functions compute values without building a tape.
@@ -20,10 +23,19 @@ in which case the same functions compute values without building a tape.
 from __future__ import annotations
 
 import contextlib
+from typing import NamedTuple
 
 import numpy as np
 
 _grad_enabled = True
+
+# Rows of one block of an :class:`Outer` product.  At the paper's
+# dimensions a block of the word BiLSTM's W_x gradient is 75 x 350 floats
+# (210 KB), so it stays in L2 from its product to its use.  In a scan of
+# 25-300 rows over the BiLSTM-CRF + char training steps of the seed-1
+# benchmark inputs (2-vCPU Xeon VM, 2 MB of L2 per core), the SGD update
+# took least time at 75 rows and most at 300, unblocked.
+OUTER_ROWS = 75
 
 
 @contextlib.contextmanager
@@ -38,13 +50,59 @@ def no_grad():
         _grad_enabled = prev
 
 
+class Outer(NamedTuple):
+    """The stacked products ``a[d].T @ x``, kept as their factors: ``a``
+    (S, N, M) and ``x`` (N, D) stand for an (S, M, D) array of rank at
+    most N per product.
+
+    Every reader of the product goes through :meth:`blocks`, so each
+    reads the same bits.
+    """
+
+    a: np.ndarray
+    x: np.ndarray
+
+    def blocks(self):
+        """Each ``(d, rows, block)``: rows ``rows`` of product ``d``, made
+        :data:`OUTER_ROWS` at a time into one reused block."""
+        S, _, M = self.a.shape
+        reused = np.empty((min(M, OUTER_ROWS), self.x.shape[1]))
+        for d in range(S):
+            for start in range(0, M, OUTER_ROWS):
+                rows = slice(start, min(start + OUTER_ROWS, M))
+                block = reused[: rows.stop - start]
+                np.matmul(self.a[d, :, rows].T, self.x, out=block)
+                yield d, rows, block
+
+    def fill(self, out=None) -> np.ndarray:
+        """The products, written into ``out`` or into a new array."""
+        if out is None:
+            out = np.empty((self.a.shape[0], self.a.shape[2], self.x.shape[1]))
+        for d, rows, block in self.blocks():
+            out[d, rows] = block
+        return out
+
+    def subtract_from(self, out: np.ndarray, scale: float):
+        """``out -= scale * products``, one block at a time."""
+        for d, rows, block in self.blocks():
+            block *= scale
+            out[d, rows] -= block
+
+    def squared_norm(self) -> float:
+        """The products' sum of squares from N x N Gram matrices:
+        the sum over d of <a_d a_d^T, x x^T>."""
+        grams = np.matmul(self.a, self.a.transpose(0, 2, 1)).sum(axis=0)
+        return float(np.vdot(grams, self.x @ self.x.T))
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "unwritten", "parents", "bw", "tracked")
+    __slots__ = ("data", "grad", "unwritten", "factors", "parents", "bw", "tracked")
 
     def __init__(self, data, parents=(), bw=None, tracked=False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
         self.unwritten = False  # ``grad`` is preset storage that holds no value yet
+        self.factors = None  # an Outer that the gradient is, while ``grad`` holds no value
         self.parents = parents
         self.bw = bw
         self.tracked = tracked
@@ -63,7 +121,14 @@ class Tensor:
             np.copyto(self.grad, g)
             self.unwritten = False
         else:
+            self.settle()
             self.grad += g
+
+    def settle(self):
+        """Write a gradient kept as ``factors`` out into ``grad``."""
+        if self.factors is not None:
+            self.factors.fill(self.grad)
+            self.factors = None
 
     def write(self, make):
         """Accumulate the array ``make(out)`` returns.  An unwritten preset
@@ -137,6 +202,8 @@ def take(a: Tensor, index) -> Tensor:
         elif a.unwritten:
             a.grad.fill(0.0)
             a.unwritten = False
+        else:
+            a.settle()
         # each read element's flat position, for a 1-D scatter in index order
         positions = np.arange(a.data.size).reshape(a.data.shape)[index]
         np.add.at(a.grad.reshape(-1), positions.reshape(-1), g.reshape(-1))
@@ -165,6 +232,12 @@ def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
     gradient with one batched GEMM or one reduction, once per call.  A
     weight's first gradient is written straight into its unwritten
     preset ``grad``; a later one is added.
+
+    ``W_x``'s gradient is ``d_rows[d].T @ xs`` for the (2, N, 3H) row
+    gradients, of rank at most N.  When its preset ``grad`` is unwritten
+    and the factors hold fewer floats than the product, N (3H + D) <
+    3H D, the leaf keeps them as ``factors`` (an :class:`Outer`) and its
+    view is left as it is; otherwise the product is made from them.
     """
     params = (W_x, W_h, b, w_ci, w_co)
     w_x, w_h, bias, ci, co = (p.data for p in params)
@@ -222,17 +295,20 @@ def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
         np.add.at(d_rows.reshape(-1), positions.reshape(-1), d_pre.reshape(-1))
         if xs.tracked:
             xs.accumulate(d_rows[0] @ w_x[0] + d_rows[1] @ w_x[1])
+        d_w_x = Outer(d_rows, xs.data)
         flat = d_pre.reshape(2, L * B, 3 * H)
         flat_t = flat.transpose(0, 2, 1)
         grads = (
-            lambda out: np.matmul(d_rows.transpose(0, 2, 1), xs.data, out=out),
+            d_w_x.fill,
             lambda out: np.matmul(flat_t, hs[:, :-1].reshape(2, L * B, H), out=out),
             lambda out: flat.sum(axis=1, out=out),
             lambda out: (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2), out=out),
             lambda out: (d_pre[..., 2 * H :] * cs[:, 1:]).sum(axis=(1, 2), out=out),
         )
         for param, grad in zip(params, grads):
-            if param.tracked:
+            if param is W_x and W_x.unwritten and N * (3 * H + D) < 3 * H * D:
+                W_x.factors, W_x.unwritten = d_w_x, False  # the factors are the smaller
+            elif param.tracked:
                 param.write(grad)
 
     return Tensor(out, (xs, *params), bw, True)

@@ -56,7 +56,9 @@ surface's representation is the same wherever it occurs.  The backward
 pass writes straight into one flat gradient laid out like the buffer.
 It starts unfilled: each dense array's first contribution is written
 into its view and later ones are added, and a view that no operation
-reached is zero-filled before the gradient is returned.
+reached is zero-filled before the gradient is returned.  A BiLSTM's
+``W_x`` gradient of a short sentence is kept as its two factors instead
+(see :func:`seqtag.autograd.bilstm`), and its view is left unwritten.
 
 Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
@@ -364,7 +366,8 @@ class _LeafSet:
     for each lookup table one leaf of the distinct rows the sentence reads.
     Given an unfilled flat gradient, each dense leaf's gradient is preset to
     its view of it, marked unwritten, so the backward pass writes straight
-    into it; :meth:`zero_unwritten` then fills the views nothing reached."""
+    into it; :meth:`zero_unwritten` then fills the views nothing reached.
+    A view whose leaf keeps its gradient as factors is left unwritten."""
 
     def __init__(self, model: ModelParameters, grad: np.ndarray | None = None):
         self.params = model.params
@@ -495,16 +498,35 @@ class TableRows(NamedTuple):
 class Gradients:
     """Gradients of one loss: ``flat`` is laid out like the model's
     buffer (by ``layout``), and ``rows`` holds the rows each lookup
-    table gave the loss."""
+    table gave the loss.  A stacked array named in ``factors`` has its
+    gradient kept there as an :class:`seqtag.autograd.Outer`, and its
+    view of ``flat`` holds no value until :attr:`dense` is read."""
 
     flat: np.ndarray
     rows: dict[str, TableRows]
     layout: dict[str, tuple[int, ...]]
+    factors: dict[str, ag.Outer] = field(default_factory=dict)
 
     @property
     def dense(self) -> dict[str, np.ndarray]:
-        """The dense gradients by the names of :func:`dense_arrays`, as views into ``flat``."""
-        return _named(_carve(self.layout, self.flat))
+        """The dense gradients by the names of :func:`dense_arrays`, as views
+        into ``flat``; each factored view is filled from its factors first."""
+        views = _carve(self.layout, self.flat)
+        for name, outer in self.factors.items():
+            outer.fill(views[name])
+        return _named(views)
+
+    def held(self) -> list[slice]:
+        """The runs of ``flat`` that hold values: all but the factored views."""
+        if not self.factors:
+            return [slice(None)]
+        runs, start, end = [], 0, 0
+        for name, shape in self.layout.items():
+            if name in self.factors:
+                runs.append(slice(start, end))
+                start = end + math.prod(shape)
+            end += math.prod(shape)
+        return [run for run in (*runs, slice(start, end)) if run.start < run.stop]
 
 
 def gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
@@ -557,7 +579,8 @@ def loss_and_gradients(
     ag.backward(loss)
     leaves.zero_unwritten()
     rows = {name: TableRows(index, leaf.grad) for name, (index, leaf) in leaves.tables.items()}
-    return float(loss.data), Gradients(grad, rows, model.layout)
+    factors = {name: leaf.factors for name, leaf in leaves.dense.items() if leaf.factors is not None}
+    return float(loss.data), Gradients(grad, rows, model.layout, factors)
 
 
 def sentence_logits(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:

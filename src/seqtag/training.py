@@ -236,20 +236,34 @@ def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelP
 def sgd_update(
     model: ModelParameters, grads: Gradients, lr: float, clip_norm: float
 ) -> float | None:
-    """One clipped stochastic gradient step, in place; it scales ``grads`` in place.
+    """One clipped stochastic gradient step, in place; it scales the
+    values of ``grads.flat`` in place.
 
-    One dot product and one reduction per table give the norm, which is
-    returned as it was before clipping (None when ``clip_norm`` is 0); one
-    subtract updates the buffer and one fancy-index subtract each table.
+    The squared norm sums one dot product per run of ``grads.flat`` that
+    holds values (see :meth:`Gradients.held`), the Gram-matrix sum of
+    each gradient kept as factors and one reduction per table.  The norm
+    is returned as it was before clipping (None when ``clip_norm`` is
+    0).  One subtract per run updates the buffer, each factored gradient
+    is subtracted from its array one block of rows at a time, and one
+    fancy-index subtract updates each table.
     """
     step, norm = lr, None
+    runs = grads.held()
     if clip_norm:
-        rows_squared = sum(np.vdot(r.grad, r.grad) for r in grads.rows.values())
-        norm = math.sqrt(np.dot(grads.flat, grads.flat) + rows_squared)
+        squares = sum(np.dot(grads.flat[run], grads.flat[run]) for run in runs)
+        squares += sum(outer.squared_norm() for outer in grads.factors.values())
+        squares += sum(np.vdot(r.grad, r.grad) for r in grads.rows.values())
+        norm = math.sqrt(squares)
         if norm > clip_norm:
             step = lr * (clip_norm / norm)
-    grads.flat *= step
-    model.buffer -= grads.flat
+    for run in runs:
+        held = grads.flat[run]
+        held *= step
+        model.buffer[run] -= held
+    if grads.factors:
+        params = model.params
+        for name, outer in grads.factors.items():
+            outer.subtract_from(params[name], step)
     tables = table_arrays(model)
     for name, (index, grad) in grads.rows.items():
         tables[name][index] -= step * grad

@@ -6,16 +6,18 @@ dropout.  Words and characters outside their vocabularies read the
 
 The per-key random draw is here too, one numpy ``Generator`` per key: the
 oracle of :func:`seqtag.embeddings.hashed_uniform`, which draws every
-row of a call at once.
+row of a call at once.  So is a plain clipped SGD step on whole dense
+gradients, the oracle of :func:`seqtag.training.sgd_update`.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
 from seqtag.errors import ConfigError
 from seqtag.features import encode_surface
-from seqtag.network import CELL_FIELDS, ModelParameters, dense_arrays
+from seqtag.network import CELL_FIELDS, ModelParameters, dense_arrays, table_arrays
 
 
 def key_seed(key, seed: int) -> int:
@@ -114,3 +116,23 @@ def sentence_logits(model: ModelParameters, surfaces) -> np.ndarray:
     views = dense_arrays(model)
     fwd, bwd = ({f: views[f"word_{d}.{f}"] for f in CELL_FIELDS} for d in ("fwd", "bwd"))
     return np.stack(bilstm(fwd, bwd, xs)) @ model.params["projection"]
+
+
+def sgd_update(model: ModelParameters, dense: dict, rows: dict, lr: float, clip_norm: float):
+    """The arrays one clipped SGD step would give ``model``, and the norm.
+
+    ``dense`` holds a whole gradient for each stacked array of
+    ``model.params`` by its layout name; ``rows`` holds ``(index, grad)``
+    for each lookup table by its :func:`table_arrays` name.  Returns new
+    arrays by those names and the gradient norm before clipping (None
+    when ``clip_norm`` is 0); ``model`` is left as it is.
+    """
+    grads = [*dense.values(), *(grad for _, grad in rows.values())]
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    step = lr * clip_norm / norm if clip_norm and norm > clip_norm else lr
+    out = {name: arr - step * dense[name] for name, arr in model.params.items()}
+    tables = table_arrays(model)
+    for name, (index, grad) in rows.items():
+        out[name] = tables[name].copy()
+        out[name][index] -= step * grad
+    return out, (norm if clip_norm else None)

@@ -318,6 +318,29 @@ class TestUnwrittenViews:
 
         assert_preset_grads_equal_fresh(build, stacked(*cells))
 
+    def test_a_bilstm_input_weight_keeps_its_gradient_as_factors_when_they_are_smaller(self):
+        # 4 rows of D = 8 against 3H = 9: 4 * (9 + 8) < 9 * 8, so W_x's view is left unwritten
+        xs, _, cells = bilstm_inputs(D=8)
+        rows, steps = xs[:4], shared_steps()
+        targets = np.arange(2 * len(TestLstm.LENGTHS)) % 3
+        index = last_steps(TestLstm.LENGTHS)
+
+        def build(leaves, *inputs):
+            states = [ag.bilstm(ag.Tensor(x), steps, *leaves) for x in inputs]
+            picked = ag.concat([ag.take(s, index) for s in states], axis=0)
+            return ag.softmax_cross_entropy(picked, np.tile(targets, len(inputs)))
+
+        fresh, preset = [ag.leaf(a) for a in stacked(*cells)], preset_leaves(stacked(*cells))
+        for leaves in (fresh, preset):
+            ag.backward(build(leaves, rows))
+        assert fresh[0].factors is None and preset[0].factors is not None
+        assert np.isnan(preset[0].grad).all()
+        assert preset[0].factors.fill().tobytes() == fresh[0].grad.tobytes()
+        assert all(leaf.factors is None for leaf in preset[1:])
+        # a second contribution writes the factors out before it adds
+        other = np.random.default_rng(5).normal(size=rows.shape)
+        assert_preset_grads_equal_fresh(lambda leaves: build(leaves, rows, other), stacked(*cells))
+
     def test_take_with_a_repeated_index_adds_into_an_unwritten_view(self):
         rng = np.random.default_rng(22)
         m = rng.normal(size=(4, 3))

@@ -413,6 +413,24 @@ class TestLossAndGradients:
         assert checked > 300
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("words, factored", [
+        (["felbatol", "was", "never-seen", "given", "daily"], set()),
+        (["felbatol", "was", "given", "daily"], {"word.W_x"}),
+        (["aaa"], {"char.W_x", "word.W_x"}),
+    ])
+    def test_gradients_on_each_side_of_the_factor_rule_match_finite_differences(
+        self, words, factored
+    ):
+        # the word BiLSTM (3H = 9, D = 8) keeps W_x's gradient as factors up to
+        # 4 tokens, and the char BiLSTM (3H = 6, D = 3) up to 1 distinct character
+        model = make_model()
+        sent = encode(model, [make_sentence(words)])
+        gold = ["O"] * len(words)
+        _, grads = loss_and_gradients(model, sent, gold)
+        assert set(grads.factors) == factored
+        worst, _ = check_model_gradients(model, sent, gold)
+        assert worst < 1e-4
+
     def test_char_gradients_of_a_repeated_word_match_finite_differences(self):
         # both "daily" tokens read one spelling, so their gradients add up in it
         model = make_model()

@@ -4,12 +4,15 @@ import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import sgd_update as reference_sgd_update
 
+from seqtag import autograd as ag
 from seqtag import features, network, training
 from seqtag.corpus import (
     Dataset,
@@ -731,14 +734,63 @@ class TestSgdUpdate:
 
     def test_returns_the_norm_before_clipping(self):
         model, grads = self.gradients()
-        squares = np.dot(grads.flat, grads.flat)
+        assert "word.W_x" in grads.factors  # a short sentence's W_x gradient is kept as factors
+        squares = sum(np.vdot(g, g) for g in grads.dense.values())  # fills the factored views
         squares += sum(np.sum(r.grad * r.grad) for r in grads.rows.values())
         flat = grads.flat.copy()
         norm = sgd_update(model, grads, 0.01, 1e-3)
         assert norm == pytest.approx(np.sqrt(squares), rel=1e-12) and norm > 1e-3
         # the norm was taken before the step scaled the gradients in place
-        np.testing.assert_array_equal(grads.flat, flat * (0.01 * (1e-3 / norm)))
+        for run in grads.held():
+            np.testing.assert_array_equal(grads.flat[run], flat[run] * (0.01 * (1e-3 / norm)))
 
     def test_no_norm_without_clipping(self):
         model, grads = self.gradients()
         assert sgd_update(model, grads, 0.01, 0.0) is None
+
+    @staticmethod
+    @functools.cache
+    def update_model():
+        data, _ = small_corpus(n_train=12)
+        cfg = TrainConfig(variant="blstm_crf", use_char=True, epochs=1, seed=0, **FAST)
+        return build_model(cfg, derive_scheme(data), data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        factored=st.sets(st.sampled_from(["char.W_x", "word.W_x"])),
+        rows_read=st.integers(1, 30),
+        block_rows=st.sampled_from([1, 5, 7, ag.OUTER_ROWS]),
+        clip_norm=st.sampled_from([0.0, 1e-3, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factored_gradients_update_as_the_dense_reference(
+        self, factored, rows_read, block_rows, clip_norm, seed
+    ):
+        model = copy.deepcopy(self.update_model())
+        rng = np.random.default_rng(seed)
+        flat = rng.normal(size=model.buffer.shape)
+        views = network._carve(model.layout, flat)
+        factors = {}
+        for name in sorted(factored):  # a factored view holds no value
+            _, M, D = model.layout[name]
+            a, x = rng.normal(size=(2, rows_read, M)), rng.normal(size=(rows_read, D))
+            factors[name] = ag.Outer(a, x)
+            views[name].fill(np.nan)
+        index = np.sort(rng.choice(len(model.vocab), size=3, replace=False))
+        rows = {"word_table": network.TableRows(index, rng.normal(size=(3, model.d_w)))}
+        dense = {name: view.copy() for name, view in views.items()}
+        for name, outer in factors.items():
+            dense[name] = outer.a.transpose(0, 2, 1) @ outer.x
+        expected, expected_norm = reference_sgd_update(model, dense, rows, 0.01, clip_norm)
+
+        grads = network.Gradients(flat, rows, model.layout, factors)
+        with mock.patch.object(ag, "OUTER_ROWS", block_rows):  # blocks end inside 3H too
+            norm = sgd_update(model, grads, 0.01, clip_norm)
+        if clip_norm:
+            assert norm == pytest.approx(expected_norm, rel=1e-12)
+        else:
+            assert norm is None
+        updated = {**model.params, **table_arrays(model)}
+        for name, want in expected.items():
+            scale = np.abs(want).max()
+            assert np.abs(updated[name] - want).max() <= 1e-13 * scale, name
