@@ -23,9 +23,10 @@ The rows run unnormalized, and every r-th one is multiplied by the exact
 power of two that brings its max into [1/2, 1).  ``log Z`` adds ``ln 2``
 times the exponents taken out to the log of the last forward row's
 product with the stop column, the ``m_t`` and ``(T + 1) * s``.  The
-marginals are the rows' products, normalized per row; the pairwise
-marginals that the transition gradient sums are one (T-1, K, K)
-broadcast, normalized per position (Sutton & McCallum, §4).
+marginals are the rows' products, normalized per row.  The transition
+gradient needs the pairwise marginals only summed over positions (the
+expected pair counts, Sutton & McCallum, §4), and they come from one
+product, with no (T-1, K, K) array (see :func:`_forward_backward`).
 
 Rescaling is exact only while no term that underflows could carry the
 result (:func:`_forward_backward` gives r and the bound).  Emission
@@ -48,8 +49,8 @@ Every function takes the (K+1, K+1) transition matrix as a plain array,
 its first argument, and checks only shapes: parameter values are
 checked for finiteness where they enter the program (a loaded
 checkpoint, an epoch of training).  The module is pure numpy and serves
-both the standalone baseline, whose lattice is ``inputs @ weights.T``
-(:func:`input_nll_and_gradient`), and the recurrent taggers (emissions
+both the standalone baseline, whose lattice weighs each distinct surface
+once (:func:`input_nll_and_gradient`), and the recurrent taggers (emissions
 projected from hidden states, with gradients flowing back through
 :func:`crf_nll_op`).
 """
@@ -109,7 +110,8 @@ def _log_space_forward_backward(
     pairs = np.exp(
         alpha[:-1, :, None] + trans[:K, :K] + (emissions[1:] + beta[1:])[:, None, :] - log_z
     )
-    return log_z, marginals, pairs
+    pairs /= pairs.sum(axis=(1, 2), keepdims=True)  # takes out log Z's rounding, ~|log Z|
+    return log_z, marginals, pairs.sum(axis=0)
 
 
 _MAX_TRANSITION_RANGE = 300.0  # nats; see _forward_backward
@@ -133,7 +135,7 @@ def _chain(rows: np.ndarray, factors: np.ndarray, every: int) -> int:
 def _forward_backward(
     trans: np.ndarray, emissions: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """log Z, the (T, K) marginals and the (T-1, K, K) pairwise marginals.
+    """log Z, the (T, K) marginals and the (K, K) pairwise marginals summed over positions.
 
     Rescales every r-th row, with ``r * d <= 360`` and ``K**r < exp(700)``
     for the spread ``d`` of the scores read, and takes the log-space
@@ -149,7 +151,12 @@ def _forward_backward(
     least ``exp(-d)`` of its max and falls by at most ``exp(-d)`` a step:
     every entry stays above ``exp(-660) / 2 > 2**-954``, and a lost term
     below ``2**-68`` of it.  Rows normalized to sum 1 keep every
-    product's max above ``exp(-600) / K**2``.
+    product's max above ``exp(-600) / K**2``.  The pair sums are one
+    product, ``P ⊙ (Ũᵀ @ W)``, with ``W = X[1:] ⊙ v[1:]`` and ``Ũ`` the rows
+    of ``u[:-1]`` over their normalizers ``u[t-1] @ P @ W[t-1]``.  With ``u``
+    and ``v`` summing to 1, a normalizer is above ``exp(-2d) / K``: the 1 of
+    ``X[t]`` reads every ``u`` entry through a factor of at least ``exp(-d)``,
+    and a backward row's entry there is at least ``exp(-d)`` of its max.
     """
     T, K = emissions.shape
     # the transition scores the model reads: every entry but the last,
@@ -179,10 +186,10 @@ def _forward_backward(
     v /= (v @ ones)[:, None]
     marginals = u * v
     marginals /= (marginals @ ones)[:, None]
-    # pairwise marginals of all T-1 adjacent positions at once; empty when T == 1
-    pairs = u[:-1, :, None] * EX[1:] * v[1:, None, :]
-    pairs /= pairs.sum(axis=(1, 2), keepdims=True)
-    return log_z, marginals, pairs
+    # pair (i, j) at t is u[t-1, i] P[i, j] W[t-1, j] over its sum; all zero when T == 1
+    W = X[1:] * v[1:]
+    U = u[:-1] / (((u[:-1] @ P[:K, :K]) * W) @ ones)[:, None]
+    return log_z, marginals, P[:K, :K] * (U.T @ W)
 
 
 def nll_and_gradient(
@@ -193,44 +200,37 @@ def nll_and_gradient(
 
     Gradients are expected sufficient statistics minus the empirical
     ones, from the forward-backward marginals.  The emission gradient is
-    returned so an upstream network can continue backpropagation.
+    returned, written over the marginals, so an upstream network can
+    continue backpropagation.
     """
-    _check_lattice(trans, emissions)
+    score = sequence_score(trans, emissions, y)  # checks the lattice and the path
     y = np.asarray(y, dtype=np.int64)
     T, K = emissions.shape
-    if len(y) != T:
-        raise ValueError(f"tag sequence length {len(y)} != lattice length {T}")
-
     log_z, marginals, pairs = _forward_backward(trans, emissions)
 
-    nll = log_z - sequence_score(trans, emissions, y)
-
-    d_emissions = marginals.copy()
-    d_emissions[np.arange(T), y] -= 1.0
-
     d_trans = np.zeros_like(trans)
-    d_trans[:K, :K] = pairs.sum(axis=0)
-    np.add.at(d_trans, (y[:-1], y[1:]), -1.0)
-    d_trans[K, :K] += marginals[0]
-    d_trans[K, y[0]] -= 1.0
-    d_trans[:K, K] += marginals[T - 1]
-    d_trans[y[-1], K] -= 1.0
-
-    return nll, d_emissions, d_trans
+    d_trans[:K, :K], d_trans[K, :K], d_trans[:K, K] = pairs, marginals[0], marginals[T - 1]
+    path = np.concatenate(([K], y, [K]))  # the gold transitions, from start to stop
+    np.add.at(d_trans, (path[:-1], path[1:]), -1.0)
+    marginals[np.arange(T), y] -= 1.0
+    return log_z - score, marginals, d_trans
 
 
 def input_nll_and_gradient(
-    trans: np.ndarray, inputs: np.ndarray, weights: np.ndarray, y
+    trans: np.ndarray, inputs: np.ndarray, weights: np.ndarray, y, at
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """NLL and gradients, with respect to the emission weights and the
     transitions, for the feature-input baseline.
 
-    ``inputs`` is (T, D) and ``weights`` (K, D); the lattice is
-    ``inputs @ weights.T`` and the weight gradient is chained from the
-    lattice one.
+    ``inputs`` (S, D) holds one row per distinct surface, ``at`` each of
+    the T tokens' row, and ``weights`` is (K, D).  The lattice is
+    ``(inputs @ weights.T)[at]`` and the weight gradient ``d_rows.T @ inputs``,
+    with ``d_rows`` each row's lattice gradients summed over its tokens.
     """
-    nll, d_emissions, d_trans = nll_and_gradient(trans, inputs @ weights.T, y)
-    return nll, d_emissions.T @ inputs, d_trans
+    nll, d_emissions, d_trans = nll_and_gradient(trans, (inputs @ weights.T)[at], y)
+    d_rows = np.zeros((len(inputs), len(weights)))
+    np.add.at(d_rows, at, d_emissions)
+    return nll, d_rows.T @ inputs, d_trans
 
 
 def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths) -> list[int]:

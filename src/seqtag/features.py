@@ -127,15 +127,14 @@ class FamilyRows:
     rows: np.ndarray  # (S,)
     fallback: np.ndarray  # (number of distinct unseen values, dim), first seen first
 
-    def gather(self, table: np.ndarray, at) -> np.ndarray:
-        """The vectors of the entries ``at``: table rows, or an unseen value's fallback."""
-        rows = self.rows[at]
+    def gather(self, table: np.ndarray) -> np.ndarray:
+        """Each surface's vector: its table row, or its unseen value's fallback."""
         if not len(self.fallback):
-            return table[rows]
-        unseen = rows < 0
-        out = np.empty((len(rows), self.fallback.shape[1]))
-        out[~unseen] = table[rows[~unseen]]
-        out[unseen] = self.fallback[-1 - rows[unseen]]
+            return table[self.rows]
+        unseen = self.rows < 0
+        out = np.empty((len(self.rows), self.fallback.shape[1]))
+        out[~unseen] = table[self.rows[~unseen]]
+        out[unseen] = self.fallback[-1 - self.rows[unseen]]
         return out
 
 
@@ -225,5 +224,5 @@ def build_feature_encoder(
 def encode_surface(surface: str, encoder: FeatureEncoder) -> np.ndarray:
     """Concatenated 146-D feature vector for one token surface."""
     rows = encoder.rows([surface])
-    return np.concatenate([r.gather(f.table, [0])[0] for r, f in zip(rows, encoder.families)])
+    return np.concatenate([r.gather(f.table)[0] for r, f in zip(rows, encoder.families)])
 

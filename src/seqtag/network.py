@@ -64,10 +64,10 @@ Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
 words and padded characters are capped by :data:`BATCH_TOKENS` and
 :data:`BATCH_CHARS`, so the arrays of a long input stay bounded.  The
-crf baseline has no recurrent pass: it gathers and weighs one input row
-per distinct surface of a batch, not per token (:func:`crf_inputs`), and
-decodes the batch with one Viterbi call in which each token reads its
-surface's lattice row.
+crf baseline has no recurrent pass: training and decoding both gather
+and weigh one input row per distinct surface of a sentence or batch, not
+per token (:func:`crf_inputs`), and each token reads its surface's
+lattice row.  Decoding runs one Viterbi call per batch.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ BATCH_TOKENS = 2048
 BATCH_CHARS = 4096
 
 
-def _carve(layout: dict[str, tuple[int, ...]], flat: np.ndarray) -> dict[str, np.ndarray]:
+def carve(layout: dict[str, tuple[int, ...]], flat: np.ndarray) -> dict[str, np.ndarray]:
     """Each array of ``layout`` as a view into the flat vector ``flat``, in order."""
     out, start = {}, 0
     for name, shape in layout.items():
@@ -161,7 +161,7 @@ class ModelParameters:
     @property
     def params(self) -> dict[str, np.ndarray]:
         """Each stacked dense array by its layout name, as a view into ``buffer``."""
-        return _carve(self.layout, self.buffer)
+        return carve(self.layout, self.buffer)
 
     @property
     def d_w(self) -> int:
@@ -371,7 +371,7 @@ class _LeafSet:
 
     def __init__(self, model: ModelParameters, grad: np.ndarray | None = None):
         self.params = model.params
-        self.grads = {} if grad is None else _carve(model.layout, grad)
+        self.grads = {} if grad is None else carve(model.layout, grad)
         self.dense: dict[str, ag.Tensor] = {}  # one leaf per name: a view has one writer
         self.tables: dict[str, tuple[np.ndarray, ag.Tensor]] = {}
 
@@ -511,7 +511,7 @@ class Gradients:
     def dense(self) -> dict[str, np.ndarray]:
         """The dense gradients by the names of :func:`dense_arrays`, as views
         into ``flat``; each factored view is filled from its factors first."""
-        views = _carve(self.layout, self.flat)
+        views = carve(self.layout, self.flat)
         for name, outer in self.factors.items():
             outer.fill(views[name])
         return _named(views)
@@ -531,12 +531,10 @@ class Gradients:
 
 def gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
     """Each gold tag's index; a tag outside ``scheme`` raises :class:`TagValidationError`."""
-    ids = []
-    for tag in gold_tags:
-        if tag not in scheme.index:
-            raise TagValidationError(f"gold tag {tag!r} is not in the scheme")
-        ids.append(scheme.index[tag])
-    return np.asarray(ids, dtype=np.int64)
+    try:
+        return np.array([scheme.index[tag] for tag in gold_tags], dtype=np.int64)
+    except KeyError as missing:
+        raise TagValidationError(f"gold tag {missing.args[0]!r} is not in the scheme") from None
 
 
 def loss_and_gradients(
@@ -589,14 +587,14 @@ def sentence_logits(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
         return _logits_graph(model, _LeafSet(model), enc).data
 
 
-def crf_inputs(model: ModelParameters, enc: EncodedSentence, at) -> np.ndarray:
-    """The crf baseline's inputs, word then feature vectors, of the distinct
-    surfaces ``at``, each table gathered once.  Training passes
-    ``enc.spellings``, one row per token; decoding passes every entry."""
-    parts = [model.word_table[enc.words[at]]]
+def crf_inputs(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:
+    """The crf baseline's (S, D) inputs, word then feature vectors, of the
+    distinct surfaces of ``enc``, each table gathered once; in training and
+    decoding alike, token t reads row ``enc.spellings[t]``."""
+    parts = [model.word_table[enc.words]]
     if model.use_features:
         families = model.feature_encoder.families
-        parts += [r.gather(fam.table, at) for r, fam in zip(enc.features, families)]
+        parts += [r.gather(fam.table) for r, fam in zip(enc.features, families)]
     return np.concatenate(parts, axis=1)
 
 
@@ -611,7 +609,7 @@ def predict_tag_ids(model: ModelParameters, enc: EncodedSentence) -> list[int]:
     """
     if model.variant == "crf":
         params = model.params
-        weighed = crf_inputs(model, enc, slice(None)) @ params["crf.emission_weights"].T
+        weighed = crf_inputs(model, enc) @ params["crf.emission_weights"].T
         return viterbi(params["crf.transitions"], weighed[enc.spellings], enc.lengths)
     logits = sentence_logits(model, enc)
     if model.variant == "blstm":

@@ -52,6 +52,7 @@ from .network import (
     ModelParameters,
     allocate_dense,
     batches,
+    carve,
     crf_inputs,
     dense_arrays,
     encode,
@@ -219,9 +220,9 @@ def load_embedding_tables(paths) -> list[EmbeddingTable]:
 def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelParameters:
     """Vocabulary, embedding assembly, and parameter initialization.
 
-    The word and character vocabularies and the feature values are those
-    of ``data``; :func:`train` passes its learning split.  Row 0 of the
-    word table is the ``<unk>`` row that words outside ``data`` read.
+    The word vocabulary, the feature values and a char model's characters
+    are those of ``data``; :func:`train` passes its learning split.  Row 0 of
+    the word table is the ``<unk>`` row that words outside ``data`` read.
     """
     surfaces = [t.surface for s in data for t in s]
     vocab = build_vocabulary(surfaces)
@@ -229,8 +230,9 @@ def build_model(config: TrainConfig, scheme: TagScheme, data: Dataset) -> ModelP
         word_table = assemble(vocab, load_embedding_tables(config.embeddings), config.seed)
     else:
         word_table = random_table(vocab, config.d_w, config.seed)
-    chars = sorted({ch for s in surfaces for ch in s})
-    return init_model(config, scheme, vocab, word_table, dict.fromkeys(surfaces), chars)
+    distinct = dict.fromkeys(surfaces)
+    chars = sorted(set("".join(distinct))) if config.use_char else ()
+    return init_model(config, scheme, vocab, word_table, distinct, chars)
 
 
 def sgd_update(
@@ -279,19 +281,20 @@ def _non_finite(model: ModelParameters) -> list[str]:
 def crf_baseline_loss_and_gradients(
     model: ModelParameters, sentence: EncodedSentence, gold_tags, l2: float
 ) -> tuple[float, Gradients]:
-    """Regularized NLL for the feature-input baseline (embeddings frozen); a
-    gold tag outside the model's scheme raises :class:`TagValidationError`."""
+    """Regularized NLL for the feature-input baseline (embeddings frozen),
+    which weighs each distinct surface of ``sentence`` once; a gold tag
+    outside the model's scheme raises :class:`TagValidationError`."""
     gold = gold_ids(model.scheme, gold_tags)
-    inputs = crf_inputs(model, sentence, sentence.spellings)
     params = model.params
     trans, weights = params["crf.transitions"], params["crf.emission_weights"]
-    nll, d_weights, d_trans = input_nll_and_gradient(trans, inputs, weights, gold)
+    nll, d_weights, d_trans = input_nll_and_gradient(
+        trans, crf_inputs(model, sentence), weights, gold, sentence.spellings)
     loss = nll + 0.5 * l2 * (float((trans * trans).sum()) + float((weights * weights).sum()))
-    out = Gradients(np.empty_like(model.buffer), {}, model.layout)
-    dense = out.dense
-    np.add(d_trans, l2 * trans, out=dense["crf.transitions"])
-    np.add(d_weights, l2 * weights, out=dense["crf.emission_weights"])
-    return loss, out
+    flat = np.empty_like(model.buffer)
+    views = carve(model.layout, flat)
+    np.add(d_trans, l2 * trans, out=views["crf.transitions"])
+    np.add(d_weights, l2 * weights, out=views["crf.emission_weights"])
+    return loss, Gradients(flat, {}, model.layout)
 
 
 def tag_with_model(model: ModelParameters, encoded: Iterable[EncodedSentence]) -> list[list[str]]:

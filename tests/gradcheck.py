@@ -3,6 +3,7 @@
 import numpy as np
 
 from seqtag.network import dense_arrays, loss_and_gradients, table_arrays
+from seqtag.training import crf_baseline_loss_and_gradients
 
 
 def central_diff(loss_fn, arr, i, h):
@@ -27,17 +28,24 @@ def coordinate_ok(analytic, numeric, rtol=1e-4):
     return rel_error(analytic, numeric) < rtol
 
 
-def check_model_gradients(model, sentence, gold, h=1e-5):
+def check_model_gradients(model, sentence, gold, h=1e-5, l2=1e-4):
     """Check every parameter coordinate of a model against central differences
-    of its loss on the encoded ``sentence``.
+    of its loss on the encoded ``sentence``; the crf baseline's loss carries
+    the L2 term ``l2``, and its lookup tables are frozen.
 
     Returns (worst relative error, number of coordinates checked); raises
     AssertionError naming the offending parameter on failure.
     """
-    _, grads = loss_and_gradients(model, sentence, gold, dropout=0.0)
+
+    def loss_and_grads():
+        if model.variant == "crf":
+            return crf_baseline_loss_and_gradients(model, sentence, gold, l2)
+        return loss_and_gradients(model, sentence, gold, dropout=0.0)
+
+    _, grads = loss_and_grads()
 
     def loss_fn():
-        return loss_and_gradients(model, sentence, gold, dropout=0.0)[0]
+        return loss_and_grads()[0]
 
     worst = 0.0
     checked = 0

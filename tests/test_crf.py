@@ -250,7 +250,8 @@ class TestScaledForwardBackward:
         log_z, marginals, pairs = _forward_backward(trans, emissions)
         want_z, want_marginals, want_pairs = _log_space_forward_backward(trans, emissions)
         T, K = emissions.shape
-        assert marginals.shape == (T, K) and pairs.shape == (T - 1, K, K)
+        # the pairwise marginals come summed over the T-1 adjacent positions
+        assert marginals.shape == (T, K) and pairs.shape == want_pairs.shape == (K, K)
         assert log_z == pytest.approx(want_z, rel=1e-12)
         np.testing.assert_allclose(marginals, want_marginals, rtol=0, atol=1e-10)
         np.testing.assert_allclose(pairs, want_pairs, rtol=0, atol=1e-10)
@@ -261,6 +262,20 @@ class TestScaledForwardBackward:
         trans = rng.normal(scale=1.5, size=(8, 8))
         emissions = rng.normal(scale=3.0, size=(T, 7))
         self.assert_matches_log_space(trans, emissions)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    def test_pair_sums_equal_enumerated_expectation(self, fallbacks, T):
+        # oracle: each adjacent pair's probability, summed over all K^T paths
+        trans, emissions = random_instance(np.random.default_rng(200 + T), T, K=3)
+        log_z = brute_log_partition(trans, emissions)
+        expected = np.zeros((3, 3))
+        for seq in all_sequences(T, 3):
+            p = math.exp(brute_score(trans, emissions, seq) - log_z)
+            for t in range(1, T):
+                expected[seq[t - 1], seq[t]] += p
+        for pass_ in (_forward_backward, _log_space_forward_backward):
+            np.testing.assert_allclose(pass_(trans, emissions)[2], expected, rtol=0, atol=1e-10)
         assert fallbacks == []
 
     def test_emission_spread_above_700(self, fallbacks):
@@ -493,11 +508,12 @@ class TestBatchedViterbi:
 class TestInputPath:
     def test_emission_weight_gradient_by_finite_differences(self):
         rng = np.random.default_rng(10)
-        K, D, T = 3, 5, 4
+        K, D = 3, 5
         trans, weights = rng.normal(size=(K + 1, K + 1)), rng.normal(size=(K, D))
-        inputs = rng.normal(size=(T, D))
+        inputs = rng.normal(size=(3, D))
+        at = np.array([0, 2, 1, 0])  # the first row is read twice
         y = [0, 2, 1, 1]
-        _, d_weights, _ = input_nll_and_gradient(trans, inputs, weights, y)
+        _, d_weights, _ = input_nll_and_gradient(trans, inputs, weights, y, at)
 
         h = 1e-5
         flat = weights.ravel()
@@ -505,9 +521,9 @@ class TestInputPath:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            hi = input_nll_and_gradient(trans, inputs, weights, y)[0]
+            hi = input_nll_and_gradient(trans, inputs, weights, y, at)[0]
             flat[i] = orig - h
-            lo = input_nll_and_gradient(trans, inputs, weights, y)[0]
+            lo = input_nll_and_gradient(trans, inputs, weights, y, at)[0]
             flat[i] = orig
             numeric = (hi - lo) / (2 * h)
             denom = max(abs(numeric), abs(gflat[i]), 1e-8)
@@ -517,14 +533,35 @@ class TestInputPath:
         # the lattice is inputs @ weights.T: (5, 4) inputs and (2, 4) weights give (5, 2)
         rng = np.random.default_rng(15)
         trans, weights, inputs = np.zeros((3, 3)), rng.normal(size=(2, 4)), rng.normal(size=(5, 4))
-        nll, d_weights, d_trans = input_nll_and_gradient(trans, inputs, weights, [0, 1, 1, 0, 1])
+        y, at = [0, 1, 1, 0, 1], np.arange(5)
+        nll, d_weights, d_trans = input_nll_and_gradient(trans, inputs, weights, y, at)
         assert d_weights.shape == (2, 4) and d_trans.shape == (3, 3)
-        want = nll_and_gradient(trans, inputs @ weights.T, [0, 1, 1, 0, 1])
+        want = nll_and_gradient(trans, inputs @ weights.T, y)
         assert nll == want[0] and d_trans.tobytes() == want[2].tobytes()
+
+    def test_distinct_rows_match_the_per_token_reference(self):
+        # 3 distinct rows read by 7 tokens: each row's lattice row and
+        # gradient are those of its tokens' own rows, summed
+        rng = np.random.default_rng(16)
+        K, D = 4, 6
+        trans, weights = rng.normal(size=(K + 1, K + 1)), rng.normal(size=(K, D))
+        inputs = rng.normal(size=(3, D))
+        at, y = np.array([0, 1, 0, 2, 2, 0, 1]), [1, 0, 3, 3, 2, 0, 1]
+        nll, d_weights, d_trans = input_nll_and_gradient(trans, inputs, weights, y, at)
+        tokens = inputs[at]
+        want_nll, d_emissions, want_trans = nll_and_gradient(trans, tokens @ weights.T, y)
+        want_weights = d_emissions.T @ tokens
+        assert nll == pytest.approx(want_nll, rel=1e-12)
+        np.testing.assert_allclose(d_weights, want_weights, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_weights).max())
+        np.testing.assert_allclose(d_trans, want_trans, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_trans).max())
 
     def test_weight_rows_must_match_the_tag_count(self):
         with pytest.raises(ValueError, match="lattice has 3 tags but transitions expect 2"):
-            input_nll_and_gradient(np.zeros((3, 3)), np.ones((2, 4)), np.ones((3, 4)), [0, 1])
+            input_nll_and_gradient(
+                np.zeros((3, 3)), np.ones((2, 4)), np.ones((3, 4)), [0, 1], np.arange(2)
+            )
 
 
 class TestLatticeChecks:

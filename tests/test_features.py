@@ -98,7 +98,7 @@ class TestEncoder:
         model = make_feature_model()
         sent = Sentence((Token("mg", "O"), Token("of", "O"), Token("mg", "O")))
         enc = encode(model, [sent])
-        inputs = crf_inputs(model, enc, enc.spellings)
+        inputs = crf_inputs(model, enc)[enc.spellings]
         a = inputs[0, model.d_w:]
         b = inputs[2, model.d_w:]
         np.testing.assert_array_equal(a, b)
@@ -174,7 +174,7 @@ class TestRows:
                 else hashed_uniform_row(("feature", fam.name, v), encoder.seed, fam.dim)
                 for v in map(fam.fn, self.SURFACES)
             ])
-            assert rows.gather(fam.table, at).tobytes() == expected.tobytes()
+            assert rows.gather(fam.table)[at].tobytes() == expected.tobytes()
 
     def test_each_value_and_fallback_is_computed_once_per_call(self, monkeypatch):
         # one encode of a batch of sentences that repeat every surface

@@ -270,7 +270,7 @@ class TestEncodedFormat:
         assert [distinct[k] for k in enc.spellings] == surfaces
         assert enc.words[enc.spellings].tolist() == [find(model.vocab.index, w, 0) for w in surfaces]
         encoder = model.feature_encoder
-        gathered = np.concatenate([rows.gather(fam.table, enc.spellings)
+        gathered = np.concatenate([rows.gather(fam.table)[enc.spellings]
                                    for rows, fam in zip(enc.features, encoder.families)], axis=1)
         expected = np.stack([encode_surface(w, encoder) for w in surfaces])
         assert gathered.tobytes() == expected.tobytes()
@@ -278,12 +278,11 @@ class TestEncodedFormat:
             index = model.char_vocab.index
             chars = np.split(enc.chars, np.cumsum(enc.word_lengths)[:-1])
             assert [c.tolist() for c in chars] == [[index.get(ch, 0) for ch in w] for w in distinct]
-        inputs = crf_inputs(model, enc, enc.spellings)
-        assert crf_inputs(model, enc, slice(None))[enc.spellings].tobytes() == inputs.tobytes()
+        inputs = crf_inputs(model, enc)[enc.spellings]
         split = np.split(inputs, np.cumsum(enc.lengths)[:-1])
         for got, alone in zip(split, sentences, strict=True):
             one = encode(model, [alone])
-            want = crf_inputs(model, one, one.spellings)
+            want = crf_inputs(model, one)[one.spellings]
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -644,12 +643,12 @@ class TestCrfInputs:
 
         encoded = encode(model, [sent])
         assert len(encoded) == 4
-        np.testing.assert_array_equal(crf_inputs(model, encoded, encoded.spellings), reference())
+        np.testing.assert_array_equal(crf_inputs(model, encoded)[encoded.spellings], reference())
 
-        before = crf_inputs(model, encoded, encoded.spellings)
+        before = crf_inputs(model, encoded)[encoded.spellings]
         prefix = families["prefix3"]
         prefix.table[prefix.index["fel"]] += 0.5
-        after = crf_inputs(model, encoded, encoded.spellings)
+        after = crf_inputs(model, encoded)[encoded.spellings]
         np.testing.assert_array_equal(after, reference())
         assert not np.array_equal(after[0], before[0])
 
@@ -672,7 +671,7 @@ class TestPrediction:
     def test_crf_baseline_inputs_and_prediction(self):
         model = make_model(variant="crf", use_char=False, use_features=True, d_w=3)
         sent = encode(model, [make_sentence(["felbatol", "was"])])
-        inputs = crf_inputs(model, sent, sent.spellings)
+        inputs = crf_inputs(model, sent)
         assert inputs.shape == (2, 3 + 146)
         ids = predict_tag_ids(model, sent)
         assert len(ids) == 2 and all(0 <= k < 3 for k in ids)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from gradcheck import check_model_gradients
 from reference import sgd_update as reference_sgd_update
 
 from seqtag import autograd as ag
@@ -24,7 +25,8 @@ from seqtag.corpus import (
     repair_bio,
     split_train_valid,
 )
-from seqtag.embeddings import UNK
+from seqtag.crf import nll_and_gradient
+from seqtag.embeddings import UNK, find
 from seqtag.errors import ConfigError, DataError, NumericError, TagValidationError
 from seqtag.evaluation import evaluate, span_counts
 from seqtag.network import (
@@ -303,6 +305,47 @@ class TestCrfBaseline:
             grads_l2.dense["crf.transitions"] - grads_0.dense["crf.transitions"], trans
         )
 
+    @staticmethod
+    def repeating_sentence():
+        """A feature model and a sentence that repeats surfaces and reads
+        fallback rows for the unseen prefix and suffix of "Quokka"."""
+        data, _ = small_corpus(n_train=10)
+        cfg = TrainConfig(variant="crf", use_char=False, use_features=True, seed=0, **FAST)
+        model = build_model(cfg, derive_scheme(data), data)
+        first = data[0]
+        surfaces = [*first.surfaces, "Quokka", first.surfaces[0], "Quokka", first.surfaces[-1]]
+        gold = [*first.gold_tags, "O", first.gold_tags[0], "O", first.gold_tags[-1]]
+        sent = encode(model, [Sentence(tuple(map(Token, surfaces, gold)))])
+        assert len(sent.words) < len(sent)
+        assert any(len(rows.fallback) for rows in sent.features)
+        return model, sent, surfaces, gold
+
+    def test_distinct_surfaces_match_the_per_token_reference(self):
+        model, sent, surfaces, gold = self.repeating_sentence()
+        loss, grads = crf_baseline_loss_and_gradients(model, sent, gold, l2=1e-4)
+        # the reference weighs one input row per token, each built on its own
+        tokens = np.stack([
+            np.concatenate([model.word_table[find(model.vocab.index, w, 0)],
+                            features.encode_surface(w, model.feature_encoder)])
+            for w in surfaces
+        ])
+        trans = model.params["crf.transitions"]
+        weights = model.params["crf.emission_weights"]
+        ids = [model.scheme.index[t] for t in gold]
+        nll, d_emissions, d_trans = nll_and_gradient(trans, tokens @ weights.T, ids)
+        want_loss = nll + 0.5e-4 * (np.sum(trans * trans) + np.sum(weights * weights))
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        wants = {"crf.transitions": d_trans + 1e-4 * trans,
+                 "crf.emission_weights": d_emissions.T @ tokens + 1e-4 * weights}
+        for name, want in wants.items():
+            np.testing.assert_allclose(grads.dense[name], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+    def test_gradients_match_finite_differences(self):
+        model, sent, _, gold = self.repeating_sentence()
+        _, checked = check_model_gradients(model, sent, gold)
+        assert checked == model.buffer.size  # the weights and transitions; no table rows
+
     def test_embeddings_stay_frozen(self):
         data, _ = small_corpus(n_train=20)
         cfg = TrainConfig(variant="crf", use_char=False, epochs=1, seed=4, d_w=8)
@@ -484,7 +527,7 @@ class TestBatchedDecode:
         real, gathered = network.crf_inputs, []
         monkeypatch.setattr(
             network, "crf_inputs",
-            lambda m, enc, at: gathered.append(real(m, enc, at)) or gathered[-1],
+            lambda m, enc: gathered.append(real(m, enc)) or gathered[-1],
         )
         batch = encode(model, list(data))
         network.predict_tag_ids(model, batch)
@@ -492,7 +535,7 @@ class TestBatchedDecode:
         assert len(gathered[0]) == len(batch.words) < len(batch)
         tokens = np.split(gathered[0][batch.spellings], np.cumsum(batch.lengths)[:-1])
         for inputs, enc in zip(tokens, alone, strict=True):
-            expected = real(model, enc, enc.spellings)
+            expected = real(model, enc)[enc.spellings]
             assert inputs.shape == expected.shape and inputs.tobytes() == expected.tobytes()
 
     def test_crf_decoding_builds_no_batch_wide_input_matrix(self):
@@ -528,7 +571,7 @@ class TestBatchedDecode:
         )
         network.predict_tag_ids(model, encode(model, list(data)))
         weights = model.params["crf.emission_weights"].T
-        alone = np.concatenate([network.crf_inputs(model, enc, enc.spellings) @ weights
+        alone = np.concatenate([network.crf_inputs(model, enc)[enc.spellings] @ weights
                                 for enc in (encode(model, [sent]) for sent in data)])
         assert len(lattices) == 1
         np.testing.assert_allclose(lattices[0], alone, rtol=0, atol=1e-12)
@@ -769,7 +812,7 @@ class TestSgdUpdate:
         model = copy.deepcopy(self.update_model())
         rng = np.random.default_rng(seed)
         flat = rng.normal(size=model.buffer.shape)
-        views = network._carve(model.layout, flat)
+        views = network.carve(model.layout, flat)
         factors = {}
         for name in sorted(factored):  # a factored view holds no value
             _, M, D = model.layout[name]
