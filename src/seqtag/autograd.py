@@ -2,19 +2,17 @@
 
 A :class:`Tensor` records the operation that produced it and its input
 tensors; :func:`backward` walks the tape in reverse topological order and
-accumulates gradients into every tracked ancestor.  The first contribution
-to a gradient is assigned and later ones are added.  A leaf may be given
-its gradient's storage up front, marked ``unwritten``: the first
-contribution is then written into it, with no zero fill before it, and a
-caller zero-fills what no operation reached.  A preset gradient must be
-C-contiguous, as every gradient made here is, so a scatter-add can write
-through its flat view.  :func:`bilstm` may leave an unwritten view as it
-is and keep its input weight's gradient on the leaf as two factors
-(:class:`Outer`); a later contribution writes the product out first.
-Only the operations the taggers call exist, and every operand is a
-:class:`Tensor`.  Nothing broadcasts: :func:`mul` takes two operands of
-the same shape.  Shapes follow a row convention where batches and
-sequences sit on axis 0.
+accumulates gradients into every tracked ancestor.  A gradient is one
+value: None until a contribution arrives, then an array or an
+:class:`Outer`.  The first contribution is kept as it is, since every
+operation passes a new array, a slice of its own output's gradient, or
+an :class:`Outer`; later ones are added in place, and an :class:`Outer`
+is written out before the first addition.  :func:`bilstm` gives its
+input weight's first gradient as an :class:`Outer` when the two factors
+are smaller than their product.  Only the operations the taggers call
+exist, and every operand is a :class:`Tensor`.  Nothing broadcasts:
+:func:`mul` takes two operands of the same shape.  Shapes follow a row
+convention where batches and sequences sit on axis 0.
 
 Gradient recording can be suspended with :func:`no_grad` for inference,
 in which case the same functions compute values without building a tape.
@@ -74,10 +72,9 @@ class Outer(NamedTuple):
                 np.matmul(self.a[d, :, rows].T, self.x, out=block)
                 yield d, rows, block
 
-    def fill(self, out=None) -> np.ndarray:
-        """The products, written into ``out`` or into a new array."""
-        if out is None:
-            out = np.empty((self.a.shape[0], self.a.shape[2], self.x.shape[1]))
+    def fill(self) -> np.ndarray:
+        """The products, written out into a new array."""
+        out = np.empty((self.a.shape[0], self.a.shape[2], self.x.shape[1]))
         for d, rows, block in self.blocks():
             out[d, rows] = block
         return out
@@ -96,13 +93,11 @@ class Outer(NamedTuple):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "unwritten", "factors", "parents", "bw", "tracked")
+    __slots__ = ("data", "grad", "parents", "bw", "tracked")
 
     def __init__(self, data, parents=(), bw=None, tracked=False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.unwritten = False  # ``grad`` is preset storage that holds no value yet
-        self.factors = None  # an Outer that the gradient is, while ``grad`` holds no value
+        self.grad = None  # None, an array, or an Outer
         self.parents = parents
         self.bw = bw
         self.tracked = tracked
@@ -112,33 +107,20 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g):
-        """Add ``g`` to the gradient.  The first contribution is assigned:
-        copied into a new array, or into an unwritten preset ``grad``.
-        Later ones are added in place."""
+        """Add ``g`` to the gradient.  The first contribution is kept as it
+        is; a later one is added in place, after an :class:`Outer` is
+        written out."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, order="C")
-        elif self.unwritten:
-            np.copyto(self.grad, g)
-            self.unwritten = False
+            self.grad = g
         else:
-            self.settle()
-            self.grad += g
+            grad = self.written()
+            grad += g
 
-    def settle(self):
-        """Write a gradient kept as ``factors`` out into ``grad``."""
-        if self.factors is not None:
-            self.factors.fill(self.grad)
-            self.factors = None
-
-    def write(self, make):
-        """Accumulate the array ``make(out)`` returns.  An unwritten preset
-        ``grad`` is passed as ``out``, so the first contribution is made
-        straight into it; otherwise ``out`` is None."""
-        if self.unwritten:
-            make(self.grad)
-            self.unwritten = False
-        else:
-            self.accumulate(make(None))
+    def written(self) -> np.ndarray:
+        """The gradient as an array, an :class:`Outer` written out first."""
+        if isinstance(self.grad, Outer):
+            self.grad = self.grad.fill()
+        return self.grad
 
 
 def leaf(data) -> Tensor:
@@ -197,13 +179,8 @@ def take(a: Tensor, index) -> Tensor:
         return Tensor(out)
 
     def bw(g):
-        if a.grad is None:
-            a.grad = np.zeros(a.data.shape)
-        elif a.unwritten:
-            a.grad.fill(0.0)
-            a.unwritten = False
-        else:
-            a.settle()
+        # C order, so that the scatter adds through a flat view and not into a copy
+        a.grad = np.zeros(a.data.shape) if a.grad is None else np.ascontiguousarray(a.written())
         # each read element's flat position, for a 1-D scatter in index order
         positions = np.arange(a.data.size).reshape(a.data.shape)[index]
         np.add.at(a.grad.reshape(-1), positions.reshape(-1), g.reshape(-1))
@@ -229,15 +206,14 @@ def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
     (2, L, B, H) hidden states as one tape node.  One loop runs both
     directions, and the hand-written BPTT scatter-adds each step's
     projection gradient into its row, then makes each stacked weight
-    gradient with one batched GEMM or one reduction, once per call.  A
-    weight's first gradient is written straight into its unwritten
-    preset ``grad``; a later one is added.
+    gradient with one batched GEMM or one reduction, once per call, and
+    accumulates it on its leaf.
 
     ``W_x``'s gradient is ``d_rows[d].T @ xs`` for the (2, N, 3H) row
-    gradients, of rank at most N.  When its preset ``grad`` is unwritten
-    and the factors hold fewer floats than the product, N (3H + D) <
-    3H D, the leaf keeps them as ``factors`` (an :class:`Outer`) and its
-    view is left as it is; otherwise the product is made from them.
+    gradients, of rank at most N.  When it is the leaf's first
+    contribution and the factors hold fewer floats than the product,
+    N (3H + D) < 3H D, the leaf keeps them as an :class:`Outer`;
+    otherwise one batched GEMM makes the product.
     """
     params = (W_x, W_h, b, w_ci, w_co)
     w_x, w_h, bias, ci, co = (p.data for p in params)
@@ -295,21 +271,19 @@ def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
         np.add.at(d_rows.reshape(-1), positions.reshape(-1), d_pre.reshape(-1))
         if xs.tracked:
             xs.accumulate(d_rows[0] @ w_x[0] + d_rows[1] @ w_x[1])
-        d_w_x = Outer(d_rows, xs.data)
+        factored = W_x.grad is None and N * (3 * H + D) < 3 * H * D  # the factors are smaller
         flat = d_pre.reshape(2, L * B, 3 * H)
-        flat_t = flat.transpose(0, 2, 1)
         grads = (
-            d_w_x.fill,
-            lambda out: np.matmul(flat_t, hs[:, :-1].reshape(2, L * B, H), out=out),
-            lambda out: flat.sum(axis=1, out=out),
-            lambda out: (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2), out=out),
-            lambda out: (d_pre[..., 2 * H :] * cs[:, 1:]).sum(axis=(1, 2), out=out),
+            lambda: Outer(d_rows, xs.data) if factored
+            else np.matmul(d_rows.transpose(0, 2, 1), xs.data),
+            lambda: np.matmul(flat.transpose(0, 2, 1), hs[:, :-1].reshape(2, L * B, H)),
+            lambda: flat.sum(axis=1),
+            lambda: (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2)),
+            lambda: (d_pre[..., 2 * H :] * cs[:, 1:]).sum(axis=(1, 2)),
         )
         for param, grad in zip(params, grads):
-            if param is W_x and W_x.unwritten and N * (3 * H + D) < 3 * H * D:
-                W_x.factors, W_x.unwritten = d_w_x, False  # the factors are the smaller
-            elif param.tracked:
-                param.write(grad)
+            if param.tracked:
+                param.accumulate(grad())
 
     return Tensor(out, (xs, *params), bw, True)
 

@@ -52,13 +52,12 @@ rows once, and each step gathers its row's projection.  The char
 BiLSTM's rows are the batch's distinct characters.  The word BiLSTM's
 are one per token in training, where dropout and the ``<unk>`` swap are
 drawn per token, and one per distinct surface when decoding, where a
-surface's representation is the same wherever it occurs.  The backward
-pass writes straight into one flat gradient laid out like the buffer.
-It starts unfilled: each dense array's first contribution is written
-into its view and later ones are added, and a view that no operation
-reached is zero-filled before the gradient is returned.  A BiLSTM's
-``W_x`` gradient of a short sentence is kept as its two factors instead
-(see :func:`seqtag.autograd.bilstm`), and its view is left unwritten.
+surface's representation is the same wherever it occurs.  Each dense
+array's gradient is the one value its leaf holds after the backward
+pass (see :class:`Gradients`): the array its first contribution made,
+with any later ones added, or, for a BiLSTM's ``W_x`` on a short
+sentence, its two factors (see :func:`seqtag.autograd.bilstm`).  An
+array that no operation reached has no gradient.
 
 Training runs that forward pass on one sentence at a time; tagging and
 validation run it, once, on each batch of :func:`batches`, whose padded
@@ -363,32 +362,24 @@ def _time_first(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _LeafSet:
     """Parameter leaves of one forward pass: one per stacked dense array, and
-    for each lookup table one leaf of the distinct rows the sentence reads.
-    Given an unfilled flat gradient, each dense leaf's gradient is preset to
-    its view of it, marked unwritten, so the backward pass writes straight
-    into it; :meth:`zero_unwritten` then fills the views nothing reached.
-    A view whose leaf keeps its gradient as factors is left unwritten."""
+    for each lookup table one leaf of the distinct rows the sentence reads."""
 
-    def __init__(self, model: ModelParameters, grad: np.ndarray | None = None):
+    def __init__(self, model: ModelParameters):
         self.params = model.params
-        self.grads = {} if grad is None else carve(model.layout, grad)
-        self.dense: dict[str, ag.Tensor] = {}  # one leaf per name: a view has one writer
+        self.dense: dict[str, ag.Tensor] = {}  # one leaf per name, so one gradient per array
         self.tables: dict[str, tuple[np.ndarray, ag.Tensor]] = {}
 
     def dense_leaf(self, name: str) -> ag.Tensor:
         leaf = self.dense.get(name)
         if leaf is None:
             leaf = self.dense[name] = ag.leaf(self.params[name])
-            leaf.grad = self.grads.get(name)
-            leaf.unwritten = leaf.grad is not None
         return leaf
 
-    def zero_unwritten(self):
-        """Zero-fill each view of the flat gradient that no operation wrote."""
-        for name, view in self.grads.items():
-            leaf = self.dense.get(name)
-            if leaf is None or leaf.unwritten:
-                view.fill(0.0)
+    def gradients(self) -> Gradients:
+        """The gradients the backward pass left on the leaves."""
+        rows = {name: TableRows(index, leaf.grad) for name, (index, leaf) in self.tables.items()}
+        arrays = {name: leaf.grad for name, leaf in self.dense.items() if leaf.grad is not None}
+        return Gradients(arrays, rows)
 
     def bilstm(self, prefix: str, xs: ag.Tensor, steps: np.ndarray) -> ag.Tensor:
         """:func:`seqtag.autograd.bilstm` over the stacked weights of BiLSTM ``prefix``."""
@@ -496,37 +487,24 @@ class TableRows(NamedTuple):
 
 @dataclass
 class Gradients:
-    """Gradients of one loss: ``flat`` is laid out like the model's
-    buffer (by ``layout``), and ``rows`` holds the rows each lookup
-    table gave the loss.  A stacked array named in ``factors`` has its
-    gradient kept there as an :class:`seqtag.autograd.Outer`, and its
-    view of ``flat`` holds no value until :attr:`dense` is read."""
+    """Gradients of one loss.  ``arrays`` holds each stacked dense array's
+    gradient by its layout name: an array of its shape, or an
+    :class:`seqtag.autograd.Outer` that stands for one.  An array that
+    no operation reached has no entry.  ``rows`` holds the rows each
+    lookup table gave the loss.  No two of these arrays share memory,
+    and none shares it with the model, so an update may scale them in
+    place."""
 
-    flat: np.ndarray
+    arrays: dict[str, np.ndarray | ag.Outer]
     rows: dict[str, TableRows]
-    layout: dict[str, tuple[int, ...]]
-    factors: dict[str, ag.Outer] = field(default_factory=dict)
 
     @property
     def dense(self) -> dict[str, np.ndarray]:
-        """The dense gradients by the names of :func:`dense_arrays`, as views
-        into ``flat``; each factored view is filled from its factors first."""
-        views = carve(self.layout, self.flat)
-        for name, outer in self.factors.items():
-            outer.fill(views[name])
-        return _named(views)
-
-    def held(self) -> list[slice]:
-        """The runs of ``flat`` that hold values: all but the factored views."""
-        if not self.factors:
-            return [slice(None)]
-        runs, start, end = [], 0, 0
-        for name, shape in self.layout.items():
-            if name in self.factors:
-                runs.append(slice(start, end))
-                start = end + math.prod(shape)
-            end += math.prod(shape)
-        return [run for run in (*runs, slice(start, end)) if run.start < run.stop]
+        """The dense gradients by the names of :func:`dense_arrays`, each
+        :class:`seqtag.autograd.Outer` written out into a new array."""
+        return _named({
+            name: g.fill() if isinstance(g, ag.Outer) else g for name, g in self.arrays.items()
+        })
 
 
 def gold_ids(scheme: TagScheme, gold_tags) -> np.ndarray:
@@ -563,8 +541,7 @@ def loss_and_gradients(
         raise ValueError("gold tag count must equal sentence length")
 
     gold = gold_ids(model.scheme, gold_tags)
-    grad = np.empty_like(model.buffer)
-    leaves = _LeafSet(model, grad)
+    leaves = _LeafSet(model)
     rng = np.random.default_rng(dropout_seed) if dropout > 0.0 or singletons else None
     logits = _logits_graph(
         model, leaves, sentence,
@@ -575,10 +552,7 @@ def loss_and_gradients(
     else:
         loss = crf_nll_op(logits, leaves.dense_leaf("crf.transitions"), gold)
     ag.backward(loss)
-    leaves.zero_unwritten()
-    rows = {name: TableRows(index, leaf.grad) for name, (index, leaf) in leaves.tables.items()}
-    factors = {name: leaf.factors for name, leaf in leaves.dense.items() if leaf.factors is not None}
-    return float(loss.data), Gradients(grad, rows, model.layout, factors)
+    return float(loss.data), leaves.gradients()
 
 
 def sentence_logits(model: ModelParameters, enc: EncodedSentence) -> np.ndarray:

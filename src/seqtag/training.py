@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from . import autograd as ag
 from . import checkpoint as container
 from .corpus import (
     Dataset, Sentence, TagScheme, extract_entities, repair_bio, split_train_valid,
@@ -52,7 +53,6 @@ from .network import (
     ModelParameters,
     allocate_dense,
     batches,
-    carve,
     crf_inputs,
     dense_arrays,
     encode,
@@ -239,33 +239,33 @@ def sgd_update(
     model: ModelParameters, grads: Gradients, lr: float, clip_norm: float
 ) -> float | None:
     """One clipped stochastic gradient step, in place; it scales the
-    values of ``grads.flat`` in place.
+    gradient arrays of ``grads`` in place.
 
-    The squared norm sums one dot product per run of ``grads.flat`` that
-    holds values (see :meth:`Gradients.held`), the Gram-matrix sum of
-    each gradient kept as factors and one reduction per table.  The norm
-    is returned as it was before clipping (None when ``clip_norm`` is
-    0).  One subtract per run updates the buffer, each factored gradient
-    is subtracted from its array one block of rows at a time, and one
-    fancy-index subtract updates each table.
+    The squared norm sums one dot product per gradient array, the
+    Gram-matrix sum of each :class:`seqtag.autograd.Outer` and one
+    reduction per table.  The norm is returned as it was before clipping
+    (None when ``clip_norm`` is 0).  One loop over ``grads.arrays``
+    updates the buffer: an array is scaled and subtracted from its
+    parameter, and an Outer is subtracted one block of rows at a time.
+    One fancy-index subtract updates each table.
     """
     step, norm = lr, None
-    runs = grads.held()
     if clip_norm:
-        squares = sum(np.dot(grads.flat[run], grads.flat[run]) for run in runs)
-        squares += sum(outer.squared_norm() for outer in grads.factors.values())
+        squares = sum(
+            g.squared_norm() if isinstance(g, ag.Outer) else np.vdot(g, g)
+            for g in grads.arrays.values()
+        )
         squares += sum(np.vdot(r.grad, r.grad) for r in grads.rows.values())
         norm = math.sqrt(squares)
         if norm > clip_norm:
             step = lr * (clip_norm / norm)
-    for run in runs:
-        held = grads.flat[run]
-        held *= step
-        model.buffer[run] -= held
-    if grads.factors:
-        params = model.params
-        for name, outer in grads.factors.items():
-            outer.subtract_from(params[name], step)
+    params = model.params
+    for name, g in grads.arrays.items():
+        if isinstance(g, ag.Outer):
+            g.subtract_from(params[name], step)
+        else:
+            g *= step
+            params[name] -= g
     tables = table_arrays(model)
     for name, (index, grad) in grads.rows.items():
         tables[name][index] -= step * grad
@@ -289,12 +289,10 @@ def crf_baseline_loss_and_gradients(
     trans, weights = params["crf.transitions"], params["crf.emission_weights"]
     nll, d_weights, d_trans = input_nll_and_gradient(
         trans, crf_inputs(model, sentence), weights, gold, sentence.spellings)
-    loss = nll + 0.5 * l2 * (float((trans * trans).sum()) + float((weights * weights).sum()))
-    flat = np.empty_like(model.buffer)
-    views = carve(model.layout, flat)
-    np.add(d_trans, l2 * trans, out=views["crf.transitions"])
-    np.add(d_weights, l2 * weights, out=views["crf.emission_weights"])
-    return loss, Gradients(flat, {}, model.layout)
+    loss = nll + 0.5 * l2 * float(np.vdot(trans, trans) + np.vdot(weights, weights))
+    d_trans += l2 * trans
+    d_weights += l2 * weights
+    return loss, Gradients({"crf.transitions": d_trans, "crf.emission_weights": d_weights}, {})
 
 
 def tag_with_model(model: ModelParameters, encoded: Iterable[EncodedSentence]) -> list[list[str]]:
@@ -324,7 +322,7 @@ def train(
 ) -> Checkpoint:
     """Full training run; returns the best-validation-epoch checkpoint.
 
-    ``1 - config.split_ratio`` of ``train_data`` is held out for
+    ``1 - config.split_ratio`` of ``train_data`` is set aside for
     validation; the model and its vocabulary are built from the rest.
     The recurrent taggers swap each learning-split singleton for
     ``<unk>`` with probability one half, drawn ahead of the dropout

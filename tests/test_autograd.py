@@ -32,7 +32,7 @@ def check_grads(build, arrays, rtol=1e-6, atol=1e-8):
     ag.backward(loss)
     numeric = finite_diff(lambda: float(build([ag.Tensor(a) for a in arrays]).data), arrays)
     for tensor, num in zip(leaves, numeric):
-        np.testing.assert_allclose(tensor.grad, num, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(tensor.written(), num, rtol=rtol, atol=atol)
 
 
 class TestElementwiseOps:
@@ -264,62 +264,52 @@ class TestLstm:
         check_grads(build, [m])
 
 
-def preset_leaves(arrays):
-    """Leaves whose gradients are preset, unwritten views of one NaN-filled
-    flat buffer, as a training step presets the dense parameters'."""
-    flat = np.full(sum(a.size for a in arrays), np.nan)
-    leaves, start = [], 0
-    for a in arrays:
-        leaf = ag.leaf(a)
-        leaf.grad = flat[start : start + a.size].reshape(a.shape)
-        leaf.unwritten = True
-        leaves.append(leaf)
-        start += a.size
-    return leaves
+def grads_of(build, arrays):
+    """The gradient ``build`` leaves on a fresh leaf of each array."""
+    leaves = [ag.leaf(a) for a in arrays]
+    ag.backward(build(leaves))
+    return [leaf.grad for leaf in leaves]
 
 
-def assert_preset_grads_equal_fresh(build, arrays):
-    """``build`` gives bitwise the gradients on preset unwritten views that it
-    gives on leaves with no gradient storage, and writes every view."""
-    fresh, preset = [ag.leaf(a) for a in arrays], preset_leaves(arrays)
-    for leaves in (fresh, preset):
-        ag.backward(build(leaves))
-    for f, p in zip(fresh, preset):
-        assert not p.unwritten
-        assert np.isfinite(p.grad).all()
-        assert f.grad.tobytes() == p.grad.tobytes()
+class TestAccumulation:
+    """A gradient's first contribution is kept, and later ones add to it."""
 
-
-class TestUnwrittenViews:
-    def test_a_view_with_two_consumers_gets_the_sum_of_both(self):
+    def test_a_weight_with_two_consumers_gets_the_sum_of_both(self):
         rng = np.random.default_rng(21)
         x, y, w = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=(3, 5))
         targets = np.array([0, 4, 1, 2, 3, 0])
 
         def build(leaves):
-            (ws,) = leaves
-            both = ag.concat([ag.matmul(ag.Tensor(x), ws), ag.matmul(ag.Tensor(y), ws)], axis=0)
+            ws, vs = leaves * (3 - len(leaves))  # one leaf read twice, or two leaves once each
+            both = ag.concat([ag.matmul(ag.Tensor(x), ws), ag.matmul(ag.Tensor(y), vs)], axis=0)
             return ag.softmax_cross_entropy(both, targets)
 
-        assert_preset_grads_equal_fresh(build, [w])
+        (shared,) = grads_of(build, [w])
+        first, second = grads_of(build, [w, w])
+        assert shared.tobytes() == (first + second).tobytes()
         check_grads(build, [w])
 
     def test_a_bilstm_weight_read_by_two_calls_gets_the_sum_of_both(self):
-        # the first call writes its gradients into the views, the second adds
+        # the first call's gradients are kept, and the second call's are added
         xs, steps, cells = bilstm_inputs()
         other = np.random.default_rng(3).normal(size=xs.shape)
         targets = np.arange(4 * len(TestLstm.LENGTHS)) % 3
         index = last_steps(TestLstm.LENGTHS)
 
         def build(leaves):
-            states = [ag.bilstm(ag.Tensor(x), steps, *leaves) for x in (xs, other)]
+            weights = (leaves, leaves) if len(leaves) == 5 else (leaves[:5], leaves[5:])
+            states = [ag.bilstm(ag.Tensor(x), steps, *w) for x, w in zip((xs, other), weights)]
             picked = ag.concat([ag.take(s, index) for s in states], axis=0)
             return ag.softmax_cross_entropy(picked, targets)
 
-        assert_preset_grads_equal_fresh(build, stacked(*cells))
+        shared = grads_of(build, stacked(*cells))
+        each = grads_of(build, stacked(*cells) * 2)
+        for g, first, second in zip(shared, each[:5], each[5:]):
+            assert g.tobytes() == (first + second).tobytes()
+        check_grads(build, stacked(*cells))
 
     def test_a_bilstm_input_weight_keeps_its_gradient_as_factors_when_they_are_smaller(self):
-        # 4 rows of D = 8 against 3H = 9: 4 * (9 + 8) < 9 * 8, so W_x's view is left unwritten
+        # 4 rows of D = 8 against 3H = 9: 4 * (9 + 8) < 9 * 8, so W_x's gradient is an Outer
         xs, _, cells = bilstm_inputs(D=8)
         rows, steps = xs[:4], shared_steps()
         targets = np.arange(2 * len(TestLstm.LENGTHS)) % 3
@@ -330,36 +320,15 @@ class TestUnwrittenViews:
             picked = ag.concat([ag.take(s, index) for s in states], axis=0)
             return ag.softmax_cross_entropy(picked, np.tile(targets, len(inputs)))
 
-        fresh, preset = [ag.leaf(a) for a in stacked(*cells)], preset_leaves(stacked(*cells))
-        for leaves in (fresh, preset):
-            ag.backward(build(leaves, rows))
-        assert fresh[0].factors is None and preset[0].factors is not None
-        assert np.isnan(preset[0].grad).all()
-        assert preset[0].factors.fill().tobytes() == fresh[0].grad.tobytes()
-        assert all(leaf.factors is None for leaf in preset[1:])
+        once = grads_of(lambda leaves: build(leaves, rows), stacked(*cells))
+        assert isinstance(once[0], ag.Outer)
+        assert all(isinstance(g, np.ndarray) for g in once[1:])
+        check_grads(lambda leaves: build(leaves, rows), stacked(*cells))
         # a second contribution writes the factors out before it adds
         other = np.random.default_rng(5).normal(size=rows.shape)
-        assert_preset_grads_equal_fresh(lambda leaves: build(leaves, rows, other), stacked(*cells))
-
-    def test_take_with_a_repeated_index_adds_into_an_unwritten_view(self):
-        rng = np.random.default_rng(22)
-        m = rng.normal(size=(4, 3))
-        index = [2, 0, 2, 2]
-        targets = np.array([1, 0, 2, 1])
-
-        def build(leaves):
-            (ms,) = leaves
-            return ag.softmax_cross_entropy(ag.take(ms, index), targets)
-
-        (leaf,) = preset_leaves([m])
-        loss = build([leaf])
-        ag.backward(loss)
-        upstream = ag.leaf(m[index])
-        ag.backward(ag.softmax_cross_entropy(upstream, targets))
-        expected = np.zeros_like(m)
-        np.add.at(expected, index, upstream.grad)
-        assert leaf.grad.tobytes() == expected.tobytes()  # row 3, read by none, reads 0
-        assert_preset_grads_equal_fresh(build, [m])
+        twice = grads_of(lambda leaves: build(leaves, rows, other), stacked(*cells))
+        assert all(isinstance(g, np.ndarray) for g in twice)
+        check_grads(lambda leaves: build(leaves, rows, other), stacked(*cells))
 
 
 class TestTakeScatter:
@@ -386,14 +355,6 @@ class TestTakeScatter:
         leaf = ag.leaf(rng.normal(size=shape))
         got, expected = self.grad_and_oracle(leaf, index)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-
-    def test_adds_through_an_unwritten_preset_view_bitwise(self):
-        rng = np.random.default_rng(24)
-        m = rng.normal(size=(2, 4, 3))
-        (leaf,) = preset_leaves([m])
-        storage = leaf.grad
-        got, expected = self.grad_and_oracle(leaf, (np.array([1, 1, 0]), np.array([3, 3, 0])))
-        assert got is storage and got.tobytes() == expected.tobytes()
 
     def test_adds_after_an_earlier_contribution_bitwise(self):
         rng = np.random.default_rng(25)

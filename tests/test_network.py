@@ -35,8 +35,9 @@ from seqtag.network import (
     loss_and_gradients,
     predict_tag_ids,
     sentence_logits,
+    table_arrays,
 )
-from seqtag.training import TrainConfig
+from seqtag.training import TrainConfig, crf_baseline_loss_and_gradients, sgd_update
 
 SCHEME = TagScheme(("x",))  # K = 3
 
@@ -426,7 +427,7 @@ class TestLossAndGradients:
         sent = encode(model, [make_sentence(words)])
         gold = ["O"] * len(words)
         _, grads = loss_and_gradients(model, sent, gold)
-        assert set(grads.factors) == factored
+        assert {name for name, g in grads.arrays.items() if isinstance(g, ag.Outer)} == factored
         worst, _ = check_model_gradients(model, sent, gold)
         assert worst < 1e-4
 
@@ -535,68 +536,53 @@ class TestLossAndGradients:
             loss_and_gradients(model, encode(model, [make_sentence(["was"])]), ["O"])
 
 
-class TestUnfilledGradient:
-    """The flat gradient starts unfilled: every dense view is written by the
-    backward pass or zero-filled after it, never left holding its old bytes."""
+class TestGradientStorage:
+    """Each dense array's gradient is the one value its leaf holds: kept
+    as the operations made it, so an update may scale it in place."""
 
-    @staticmethod
-    def gradients(model, monkeypatch, *, zero_initialised=False):
-        # the flat gradient starts NaN-filled, so a view nothing writes shows
-        empty_like = np.empty_like
-        monkeypatch.setattr(
-            np, "empty_like",
-            lambda a, *args, **kw: np.full_like(a, np.nan) if a is model.buffer
-            else empty_like(a, *args, **kw),
-        )
-        if zero_initialised:  # every view zeroed up front, and every contribution added
-            dense_leaf = _LeafSet.dense_leaf
-
-            def zeroed(self, name):
-                leaf = dense_leaf(self, name)
-                if leaf.unwritten:
-                    leaf.grad.fill(0.0)
-                    leaf.unwritten = False
-                return leaf
-
-            monkeypatch.setattr(_LeafSet, "dense_leaf", zeroed)
-        sent = encode(model, [make_sentence(["felbatol", "was", "never-seen", "given", "daily"])])
-        _, grads = loss_and_gradients(
-            model, sent, ["B-x", "I-x", "O", "O", "B-x"],
-            dropout=0.5, dropout_seed=3, singletons=frozenset({"was"}),
-        )
-        monkeypatch.undo()
-        return grads
-
-    @pytest.mark.parametrize("use_features", [False, True])
-    @pytest.mark.parametrize("use_char", [False, True])
-    @pytest.mark.parametrize("variant", ["blstm", "blstm_crf"])
-    def test_every_dense_view_is_written(self, variant, use_char, use_features, monkeypatch):
+    @pytest.mark.parametrize("variant, use_char, use_features", [
+        *((v, c, f) for v in ("blstm", "blstm_crf") for c in (False, True) for f in (False, True)),
+        ("crf", False, False), ("crf", False, True),
+    ])
+    def test_no_gradient_array_shares_memory_with_the_model_or_another(
+        self, variant, use_char, use_features
+    ):
         model = make_model(variant=variant, use_char=use_char, use_features=use_features)
-        grads = self.gradients(model, monkeypatch)
-        expected = self.gradients(model, monkeypatch, zero_initialised=True)
-        assert np.isfinite(expected.flat).all()
-        assert grads.dense.keys() == expected.dense.keys()
-        for name, view in grads.dense.items():
-            assert np.isfinite(view).all(), name
-            assert np.array_equal(view, expected.dense[name]), name
+        # "never-seen" reads fallback feature rows, so a table leaf is stacked on them;
+        # the word BiLSTM (3H = 9) keeps W_x's gradient as factors below 9 tokens, not at 10
+        words = ["felbatol", "was", "never-seen", "given", "daily"] * 2
+        sent = encode(model, [make_sentence(words)])
+        gold = ["B-x", "I-x", "O", "O", "B-x"] * 2
+        if variant == "crf":
+            _, grads = crf_baseline_loss_and_gradients(model, sent, gold, 1e-4)
+        else:
+            _, grads = loss_and_gradients(
+                model, sent, gold, dropout=0.5, dropout_seed=3, singletons=frozenset({"was"})
+            )
+        assert grads.arrays.keys() == model.layout.keys()
+        assert all(isinstance(g, np.ndarray) for g in grads.arrays.values())  # none factored
+        arrays = [*grads.arrays.values(), *(r.grad for r in grads.rows.values())]
+        owned = [model.buffer, *table_arrays(model).values()]
+        for i, g in enumerate(arrays):
+            assert not any(np.shares_memory(g, m) for m in owned), i
+            assert not any(np.shares_memory(g, h) for h in arrays[i + 1 :]), i
 
-    def test_a_view_no_operation_reaches_reads_zero(self):
+    def test_an_array_no_operation_reaches_has_no_entry_and_no_update(self):
         model = make_model(variant="blstm")
-        flat = np.full_like(model.buffer, np.nan)
-        leaves = _LeafSet(model, flat)
+        leaves = _LeafSet(model)
         projection = leaves.dense_leaf("projection")
-        assert leaves.dense_leaf("projection") is projection  # one leaf writes a view
-        fresh = ag.leaf(model.params["projection"])
-        hidden = ag.Tensor(np.random.default_rng(4).normal(size=(2, fresh.shape[0])))
-        for leaf in (projection, fresh):  # only the projection is read
-            ag.backward(ag.softmax_cross_entropy(ag.matmul(hidden, leaf), np.array([0, 2])))
-        leaves.zero_unwritten()
-        assert np.isfinite(flat).all()
-        for name, view in leaves.grads.items():
-            if name == "projection":
-                assert view.tobytes() == fresh.grad.tobytes()
-            else:
-                assert not view.any(), name
+        assert leaves.dense_leaf("projection") is projection  # one leaf, so one gradient
+        leaves.dense_leaf("word.W_h")  # made, but read by no operation
+        hidden = ag.Tensor(np.random.default_rng(4).normal(size=(2, projection.shape[0])))
+        ag.backward(ag.softmax_cross_entropy(ag.matmul(hidden, projection), np.array([0, 2])))
+        grads = leaves.gradients()
+        assert grads.arrays.keys() == {"projection"}
+        before = {name: arr.copy() for name, arr in model.params.items()}
+        expected = before["projection"] - 0.01 * grads.arrays["projection"]
+        sgd_update(model, grads, 0.01, 0.0)
+        for name, arr in model.params.items():
+            want = expected if name == "projection" else before[name]
+            assert arr.tobytes() == want.tobytes(), name
 
 
 class TestTapeSize:

@@ -777,15 +777,16 @@ class TestSgdUpdate:
 
     def test_returns_the_norm_before_clipping(self):
         model, grads = self.gradients()
-        assert "word.W_x" in grads.factors  # a short sentence's W_x gradient is kept as factors
-        squares = sum(np.vdot(g, g) for g in grads.dense.values())  # fills the factored views
+        # a short sentence's W_x gradient is kept as factors
+        assert isinstance(grads.arrays["word.W_x"], ag.Outer)
+        squares = sum(np.vdot(g, g) for g in grads.dense.values())  # writes the factors out
         squares += sum(np.sum(r.grad * r.grad) for r in grads.rows.values())
-        flat = grads.flat.copy()
+        arrays = {k: g.copy() for k, g in grads.arrays.items() if isinstance(g, np.ndarray)}
         norm = sgd_update(model, grads, 0.01, 1e-3)
         assert norm == pytest.approx(np.sqrt(squares), rel=1e-12) and norm > 1e-3
         # the norm was taken before the step scaled the gradients in place
-        for run in grads.held():
-            np.testing.assert_array_equal(grads.flat[run], flat[run] * (0.01 * (1e-3 / norm)))
+        for name, g in arrays.items():
+            np.testing.assert_array_equal(grads.arrays[name], g * (0.01 * (1e-3 / norm)))
 
     def test_no_norm_without_clipping(self):
         model, grads = self.gradients()
@@ -811,22 +812,21 @@ class TestSgdUpdate:
     ):
         model = copy.deepcopy(self.update_model())
         rng = np.random.default_rng(seed)
-        flat = rng.normal(size=model.buffer.shape)
-        views = network.carve(model.layout, flat)
-        factors = {}
-        for name in sorted(factored):  # a factored view holds no value
+        views = network.carve(model.layout, rng.normal(size=model.buffer.shape))
+        arrays = {name: view.copy() for name, view in views.items()}
+        for name in sorted(factored):
             _, M, D = model.layout[name]
             a, x = rng.normal(size=(2, rows_read, M)), rng.normal(size=(rows_read, D))
-            factors[name] = ag.Outer(a, x)
-            views[name].fill(np.nan)
+            arrays[name] = ag.Outer(a, x)
         index = np.sort(rng.choice(len(model.vocab), size=3, replace=False))
         rows = {"word_table": network.TableRows(index, rng.normal(size=(3, model.d_w)))}
-        dense = {name: view.copy() for name, view in views.items()}
-        for name, outer in factors.items():
-            dense[name] = outer.a.transpose(0, 2, 1) @ outer.x
+        dense = {
+            name: g.a.transpose(0, 2, 1) @ g.x if isinstance(g, ag.Outer) else g.copy()
+            for name, g in arrays.items()
+        }
         expected, expected_norm = reference_sgd_update(model, dense, rows, 0.01, clip_norm)
 
-        grads = network.Gradients(flat, rows, model.layout, factors)
+        grads = network.Gradients(arrays, rows)
         with mock.patch.object(ag, "OUTER_ROWS", block_rows):  # blocks end inside 3H too
             norm = sgd_update(model, grads, 0.01, clip_norm)
         if clip_norm:
