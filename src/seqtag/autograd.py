@@ -209,6 +209,18 @@ def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
     gradient with one batched GEMM or one reduction, once per call, and
     accumulates it on its leaf.
 
+    The loops keep their per-step data time-major, so that a step's
+    gates, states and peepholes are contiguous (2, B, H) blocks: the
+    projections are gathered as (L, 3, 2, B, H), by step and gate, the
+    states kept as (L+1, 2, B, H), of which the result is a view, the
+    recorded gates as (L, 3, 2, B, H), and the peepholes broadcast to
+    (2, B, H) once.  Numpy takes about twice as long per call on a
+    strided gate slice or per-step view as on a contiguous block of the
+    same shape.  The recurrent products and the (2, L, B, 3H) projection
+    gradients keep the gates on the last axis, and the weight gradients
+    read direction-major copies of the states, so that every product
+    and sum reads the layout it always has, and gives the same bits.
+
     ``W_x``'s gradient is ``d_rows[d].T @ xs`` for the (2, N, 3H) row
     gradients, of rank at most N.  When it is the leaf's first
     contribution and the factors hold fewer floats than the product,
@@ -220,54 +232,55 @@ def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
     _, L, B = steps.shape
     N, D = xs.data.shape
     H = ci.shape[1]
-    ci, co = ci[:, None, :], co[:, None, :]  # broadcast over the batch
+    ci, co = (np.broadcast_to(w[:, None, :], (2, B, H)).copy() for w in (ci, co))
     w_hT = w_h.transpose(0, 2, 1)
-    read = (np.arange(2)[:, None, None], steps)  # each step's (direction, row)
-    pre = (xs.data @ w_x.transpose(0, 2, 1) + bias[:, None, :])[read]  # (2, L, B, 3H)
+    direction = np.arange(2)[:, None]
+    proj = (xs.data @ w_x.transpose(0, 2, 1) + bias[:, None, :]).reshape(2, N, 3, H)
+    pre = proj[direction, steps.transpose(1, 0, 2)[:, None], np.arange(3)[:, None, None]]
     record = _grad_enabled and (xs.tracked or any(p.tracked for p in params))
 
-    hs = np.zeros((2, L + 1, B, H))
-    cs = np.zeros((2, L + 1, B, H))
+    hs = np.zeros((L + 1, 2, B, H))
+    cs = np.zeros((L + 1, 2, B, H))
     if record:
-        gates = np.empty((2, L, B, 3 * H))  # i, tanh candidate, o
-        tanh_cs = np.empty((2, L, B, H))
+        gates = np.empty((L, 3, 2, B, H))  # i, tanh candidate, o
+        tanh_cs = np.empty((L, 2, B, H))
     for t in range(L):
-        h, c = hs[:, t], cs[:, t]
-        z = pre[:, t] + h @ w_hT
-        i = 1.0 / (1.0 + np.exp(-(z[..., :H] + c * ci)))
-        g = np.tanh(z[..., H : 2 * H])
+        h, c = hs[t], cs[t]
+        z = pre[t] + (h @ w_hT).reshape(2, B, 3, H).transpose(2, 0, 1, 3)
+        i = 1.0 / (1.0 + np.exp(-(z[0] + c * ci)))
+        g = np.tanh(z[1])
         c_new = (1.0 - i) * c + i * g
-        o = 1.0 / (1.0 + np.exp(-(z[..., 2 * H :] + c_new * co)))
+        o = 1.0 / (1.0 + np.exp(-(z[2] + c_new * co)))
         tanh_c = np.tanh(c_new)
-        hs[:, t + 1], cs[:, t + 1] = o * tanh_c, c_new
+        hs[t + 1], cs[t + 1] = o * tanh_c, c_new
         if record:
-            gate = gates[:, t]
-            gate[..., :H], gate[..., H : 2 * H], gate[..., 2 * H :] = i, g, o
-            tanh_cs[:, t] = tanh_c
-    out = hs[:, 1:]
+            gates[t, 0], gates[t, 1], gates[t, 2] = i, g, o
+            tanh_cs[t] = tanh_c
+    out = hs[1:].transpose(1, 0, 2, 3)
     if not record:
         return Tensor(out)
 
     def bw(g_out):
+        g_out = np.ascontiguousarray(g_out.transpose(1, 0, 2, 3))
         d_pre = np.empty((2, L, B, 3 * H))
         dh = np.zeros((2, B, H))
         dc = np.zeros((2, B, H))
         for t in range(L - 1, -1, -1):
-            dh = dh + g_out[:, t]
-            gate, d = gates[:, t], d_pre[:, t]
-            i, g, o = gate[..., :H], gate[..., H : 2 * H], gate[..., 2 * H :]
-            tanh_c = tanh_cs[:, t]
+            dh = dh + g_out[t]
+            (i, g, o), tanh_c, d = gates[t], tanh_cs[t], d_pre[:, t]
             da_o = dh * tanh_c * o * (1.0 - o)
             dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c) + da_o * co
-            da_i = dc_total * (g - cs[:, t]) * i * (1.0 - i)
+            da_i = dc_total * (g - cs[t]) * i * (1.0 - i)
             d[..., :H] = da_i
             d[..., H : 2 * H] = dc_total * i * (1.0 - g * g)
             d[..., 2 * H :] = da_o
             dc = dc_total * (1.0 - i) + da_i * ci
             dh = d @ w_h
+        # the states direction-major, (2, L+1, B, H), as the weight gradients read them
+        hs_d, cs_d = (np.ascontiguousarray(a.transpose(1, 0, 2, 3)) for a in (hs, cs))
         d_rows = np.zeros((2, N, 3 * H))  # each row's projection gradient, per direction
         # a 1-D scatter of each step's elements into their rows' flat positions
-        positions = ((read[0] * N + steps) * (3 * H))[..., None] + np.arange(3 * H)
+        positions = ((direction[:, None] * N + steps) * (3 * H))[..., None] + np.arange(3 * H)
         np.add.at(d_rows.reshape(-1), positions.reshape(-1), d_pre.reshape(-1))
         if xs.tracked:
             xs.accumulate(d_rows[0] @ w_x[0] + d_rows[1] @ w_x[1])
@@ -276,10 +289,10 @@ def bilstm(xs: Tensor, steps: np.ndarray, W_x, W_h, b, w_ci, w_co) -> Tensor:
         grads = (
             lambda: Outer(d_rows, xs.data) if factored
             else np.matmul(d_rows.transpose(0, 2, 1), xs.data),
-            lambda: np.matmul(flat.transpose(0, 2, 1), hs[:, :-1].reshape(2, L * B, H)),
+            lambda: np.matmul(flat.transpose(0, 2, 1), hs_d[:, :-1].reshape(2, L * B, H)),
             lambda: flat.sum(axis=1),
-            lambda: (d_pre[..., :H] * cs[:, :-1]).sum(axis=(1, 2)),
-            lambda: (d_pre[..., 2 * H :] * cs[:, 1:]).sum(axis=(1, 2)),
+            lambda: (d_pre[..., :H] * cs_d[:, :-1]).sum(axis=(1, 2)),
+            lambda: (d_pre[..., 2 * H :] * cs_d[:, 1:]).sum(axis=(1, 2)),
         )
         for param, grad in zip(params, grads):
             if param.tracked:

@@ -107,6 +107,7 @@ def _log_space_forward_backward(
         beta[t] = _logsumexp(trans[:K, :K] + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
     log_z = float(_logsumexp(alpha[T - 1] + trans[:K, K], axis=0))
     marginals = np.exp(alpha + beta - log_z)
+    marginals /= marginals.sum(axis=1, keepdims=True)  # takes out log Z's rounding, as below
     pairs = np.exp(
         alpha[:-1, :, None] + trans[:K, :K] + (emissions[1:] + beta[1:])[:, None, :] - log_z
     )
@@ -280,9 +281,10 @@ def viterbi(trans: np.ndarray, emissions: np.ndarray, lengths) -> list[int]:
         np.add(top, emitted, out=here)
 
     firsts = np.argmax(trans[K, :K] + delta[start, :, np.arange(B)], axis=1).tolist()
-    # a max is NaN only where some score is, and argmax then picks the first NaN
     hit = scores == tops
-    hit |= scores != scores
+    # a max is NaN only where some score is, and argmax then picks the first NaN
+    if np.isnan(tops).any():
+        hit |= scores != scores
     # the smallest hit j is K minus the largest K - j over the hits
     rank = np.arange(K, 0, -1, dtype=np.min_scalar_type(K))[:, None, None]
     # nexts[b][s][i]: the smallest best tag at step s + 1 after tag i at step s

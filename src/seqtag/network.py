@@ -48,7 +48,10 @@ the char BiLSTM runs the distinct spellings, and the word BiLSTM the
 sentences, of a batch, each forward and reversed and unmasked: a word
 reads its final states at its last character, and a token its states
 at its own step, before any padding.  The op projects each of its input
-rows once, and each step gathers its row's projection.  The char
+rows once, and each step gathers its row's projection.  Its loops keep
+their data time-major, every gate of a step one contiguous (2, B, H)
+block, since numpy's cost per call about doubles on strided operands
+of these sizes; the (2, L, B, H) states it returns are a view.  The char
 BiLSTM's rows are the batch's distinct characters.  The word BiLSTM's
 are one per token in training, where dropout and the ``<unk>`` swap are
 drawn per token, and one per distinct surface when decoding, where a

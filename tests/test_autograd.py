@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from reference import bilstm as reference_bilstm
 from reference import run_lstm
 
 from seqtag import autograd as ag
-from seqtag.network import CELL_FIELDS
+from seqtag.network import CELL_FIELDS, _time_first
 
 
 def finite_diff(fn, arrays, h=1e-6):
@@ -262,6 +263,65 @@ class TestLstm:
             return ag.softmax_cross_entropy(ag.take(ms, [2, 0, 2]), np.array([1, 3, 0]))
 
         check_grads(build, [m])
+
+
+# The shapes the taggers give the op: each case's sequences of input
+# rows, the number of rows N, and the input width D.
+CALLER_SHAPES = {
+    # the training word BiLSTM: one sentence, one row per token
+    "one_unpadded_sequence": ([[0, 1, 2, 3, 4]], 5, 4),
+    # decoding: sentences of unequal lengths, padded to the longest
+    "three_padded_sequences": ([[0, 1, 2, 3], [4, 5], [6]], 7, 4),
+    # the char BiLSTM: words over their distinct characters; row 3 is unread
+    "rows_read_by_several_steps": ([[0, 1, 0, 1], [2, 1], [1]], 4, 4),
+    # the same at D = 8, where 4 (9 + 8) < 9 * 8 keeps W_x's gradient as its factors
+    "factored_input_weight": ([[0, 1, 0, 1], [2, 1], [1]], 4, 8),
+}
+
+
+def caller_inputs(shape, H=3, seed=17):
+    """The rows, the (2, L, B) steps as the taggers lay them out, the
+    sequences and two cells of one of :data:`CALLER_SHAPES`."""
+    sequences, N, D = CALLER_SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    cells = random_cell(D, H, rng), random_cell(D, H, rng)
+    rows = rng.normal(size=(N, D))
+    lengths = np.array([len(seq) for seq in sequences])
+    return rows, np.concatenate(sequences)[_time_first(lengths)[0]], sequences, cells
+
+
+@pytest.mark.parametrize("shape", CALLER_SHAPES)
+class TestCallerShapes:
+    def test_no_grad_output_is_bitwise_equal_to_taped_output(self, shape):
+        rows, steps, _, cells = caller_inputs(shape)
+        taped = ag.bilstm(ag.leaf(rows), steps, *map(ag.leaf, stacked(*cells)))
+        with ag.no_grad():
+            plain = ag.bilstm(ag.leaf(rows), steps, *map(ag.leaf, stacked(*cells)))
+        assert taped.tracked and not plain.tracked
+        assert taped.data.tobytes() == plain.data.tobytes()
+
+    def test_states_match_the_reference_bilstm_per_sequence(self, shape):
+        # the backward direction's step s holds position n - 1 - s of a sequence
+        rows, steps, sequences, cells = caller_inputs(shape)
+        states = ag.bilstm(ag.Tensor(rows), steps, *map(ag.Tensor, stacked(*cells))).data
+        for b, seq in enumerate(sequences):
+            n = len(seq)
+            got = np.concatenate([states[0, :n, b], states[1, :n, b][::-1]], axis=1)
+            want = reference_bilstm(*cells, rows[seq])
+            np.testing.assert_allclose(got, np.array(want), rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self, shape):
+        rows, steps, sequences, cells = caller_inputs(shape)
+        index = steps_within([len(seq) for seq in sequences])
+        targets = np.arange(len(index[0])) % 3
+
+        def build(leaves):
+            states = ag.bilstm(leaves[0], steps, *leaves[1:])
+            return ag.softmax_cross_entropy(ag.take(states, index), targets)
+
+        w_x = grads_of(build, [rows, *stacked(*cells)])[1]
+        assert isinstance(w_x, ag.Outer) == (shape == "factored_input_weight")
+        check_grads(build, [rows, *stacked(*cells)])
 
 
 def grads_of(build, arrays):

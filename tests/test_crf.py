@@ -59,6 +59,39 @@ def brute_best(trans, emissions):
     return best_score, list(best_seq)
 
 
+def argmax_viterbi(trans, emissions):
+    """One lattice's best path from suffix maxima and a per-step ``np.argmax``
+    over the successors: ties, and NaN scores, read as argmax reads them."""
+    T, K = emissions.shape
+    delta, successors = emissions[T - 1] + trans[:K, K], []
+    for t in range(T - 2, -1, -1):
+        scores = trans[:K, :K] + delta  # scores[i, j]: tag i at t, then j
+        successors.append(np.argmax(scores, axis=1))
+        delta = scores.max(axis=1) + emissions[t]
+    path = [int(np.argmax(trans[K, :K] + delta))]
+    for best in reversed(successors):
+        path.append(int(best[path[-1]]))
+    return path
+
+
+def extended_marginals(trans, emissions):
+    """The log-space recursions' (T, K) marginals, run in ``np.longdouble``."""
+    trans, emissions = trans.astype(np.longdouble), emissions.astype(np.longdouble)
+
+    def logsumexp(a, axis):
+        m = a.max(axis=axis, keepdims=True)
+        return np.squeeze(m, axis=axis) + np.log(np.exp(a - m).sum(axis=axis))
+
+    T, K = emissions.shape
+    alpha, beta = np.empty((T, K), np.longdouble), np.empty((T, K), np.longdouble)
+    alpha[0], beta[T - 1] = trans[K, :K] + emissions[0], trans[:K, K]
+    for t in range(1, T):
+        alpha[t] = emissions[t] + logsumexp(alpha[t - 1][:, None] + trans[:K, :K], axis=0)
+    for t in range(T - 2, -1, -1):
+        beta[t] = logsumexp(trans[:K, :K] + (emissions[t + 1] + beta[t + 1])[None, :], axis=1)
+    return np.exp(alpha + beta - logsumexp(alpha[T - 1] + trans[:K, K], axis=0))
+
+
 def random_instance(rng, T, K):
     trans = rng.normal(scale=1.5, size=(K + 1, K + 1))
     emissions = rng.normal(scale=1.5, size=(T, K))
@@ -366,6 +399,18 @@ class TestScaledForwardBackward:
             assert not np.isfinite(nll)
         assert len(fallbacks) == 2
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64 here")
+    def test_fallback_marginals_are_accurate_at_a_large_log_partition(self, fallbacks):
+        # a 350-nat spread takes the log-space recursions; at |log Z| about 1.9e4
+        # their own scores round by about one ulp of |log Z|, 3.6e-12, and
+        # marginals not normalized per position were 5.5e-11 off
+        trans, emissions = spread_instance(np.random.default_rng(0), 2000, 7, 350.0, scale=6.0)
+        log_z, marginals, _ = _forward_backward(trans, emissions)
+        assert fallbacks == [emissions.shape] and abs(log_z) > 1.8e4
+        want = extended_marginals(trans, emissions)
+        np.testing.assert_allclose(marginals, want, rtol=0, atol=np.spacing(abs(log_z)))
+
     # r = min(360 / max(spread, 1), 700 / ln(K + 1)) positions between rescales
     @pytest.mark.parametrize("spread, every", [(0.5, 336), (150.0, 2), (299.0, 1)])
     def test_long_lattices_rescaled_every_r_positions(self, fallbacks, periods, spread, every):
@@ -445,6 +490,22 @@ class TestViterbi:
         # lattice beside it in the batch decodes as alone
         emissions = np.array([[0.0, 0.0], [0.0, np.nan], [0.0, 0.0], [1.0, 0.0]])
         assert viterbi(np.zeros((3, 3)), emissions, [2, 2]) == [0, 1, 0, 0]
+
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_decodes_as_a_per_step_argmax(self, with_nan):
+        # the pass that finds NaN scores runs only when some max is NaN; with a
+        # NaN in the batch or none, each lattice decodes as argmax reads it
+        rng = np.random.default_rng(41 + with_nan)
+        for _ in range(20):
+            lengths = rng.integers(1, 7, size=3).tolist()
+            trans = rng.integers(-2, 3, size=(5, 5)).astype(float)  # integers, so ties
+            emissions = rng.integers(-2, 3, size=(sum(lengths), 4)).astype(float)
+            if with_nan:
+                emissions[rng.integers(len(emissions)), rng.integers(4)] = np.nan
+            bounds = np.cumsum([0, *lengths])
+            lattices = [emissions[a:b] for a, b in zip(bounds, bounds[1:])]
+            want = [y for lattice in lattices for y in argmax_viterbi(trans, lattice)]
+            assert viterbi(trans, emissions, lengths) == want
 
     def test_beats_random_sequences(self):
         rng = np.random.default_rng(9)
